@@ -73,8 +73,10 @@ class KValue:
             raise DomainError("uncertainty must be non-negative")
         # The sum-minus-product form can never exceed the macrorealistic bound;
         # anything else indicates a bug upstream.
-        if self.kind is KKind.CLASSICAL_NULL:
-            assert self.value <= self.n - 2 + 1e-9, "classical K above its bound"
+        if self.kind is KKind.CLASSICAL_NULL and not self.value <= self.n - 2 + 1e-9:
+            raise DomainError(
+                f"classical K = {self.value!r} above its bound {self.n - 2}"
+            )
 
 
 def lgi_bound(n: int) -> float:

@@ -39,6 +39,12 @@ from .selection import MeasuredPoint, PhaseTuple
 
 MIN_REPLICAS_FOR_CLAIM = 1000
 
+# Budget of one block of the classical null, counted as one float64 row of
+# the block's replicas per point (the draws) and per tuple. The block's
+# arrays are a few such rows each, which keeps them in a core's L2 cache.
+NULL_BLOCK_BYTES = 1 << 19
+MIN_BLOCK_REPLICAS = 128
+
 
 @dataclass(frozen=True)
 class PseudoConfig:
@@ -157,12 +163,31 @@ def _systematic_responses(dataset: Sequence[MeasuredPoint]) -> tuple[np.ndarray,
     return amp, slope * psis
 
 
+def null_block_shape(
+    n_tuples: int, n_points: int, replicas: Optional[int] = None
+) -> tuple[int, int]:
+    """Replicas and tuples per block of the classical null.
+
+    The budget counts one float64 row, as long as the block's replica
+    count, per point and per tuple. Replicas are sized so that every point
+    and tuple fits, with a floor of MIN_BLOCK_REPLICAS so that numpy's
+    per-call overhead stays amortized on large tuple sets; the tuples per
+    block then fill what the budget leaves. replicas overrides the derived
+    replica count. Pure arithmetic: nothing is allocated.
+    """
+    floats = NULL_BLOCK_BYTES // 8
+    if replicas is None:
+        replicas = max(MIN_BLOCK_REPLICAS, floats // max(1, n_tuples + n_points))
+    tuples = max(1, min(n_tuples, floats // replicas - n_points))
+    return replicas, tuples
+
+
 def classical_null_distribution(
     dataset: Sequence[MeasuredPoint],
     tuples: Sequence[PhaseTuple],
     config: PseudoConfig,
     *,
-    chunk_size: int = 16384,
+    chunk_size: Optional[int] = None,
 ) -> np.ndarray:
     """Per-replica counts of product-rule bound violations.
 
@@ -176,6 +201,22 @@ def classical_null_distribution(
     the bound, so clamping would silence the false-positive rate the null
     exists to measure.
 
+    The bound n - 2 holds for components inside [-1, 1] in exact
+    arithmetic only. In floating point the form can land one ulp above it
+    when components sit within a few ulp of 1: C = (1, 1 - 2**-53,
+    1 - 2**-52), summed and multiplied in component order, gives
+    2.0000000000000004 > 2. No tuple or replica is therefore skipped for
+    having all its draws in range; every tuple is evaluated in every
+    replica.
+
+    Work runs in blocks of replicas x tuples sized by null_block_shape
+    from the fixed NULL_BLOCK_BYTES budget, so the memory a block holds is
+    a small constant multiple of that budget whatever the replica or tuple
+    count (only a spectrum of thousands of points could push its draws
+    past it). Within a block the draws are laid out point-major, one row
+    per point, so each tuple component is a row gather and the sum and
+    product accumulate in place.
+
     Parameters
     ----------
     dataset : sequence of MeasuredPoint
@@ -184,9 +225,11 @@ def classical_null_distribution(
         Selected tuples, all of one order n.
     config : PseudoConfig
         Replica count, seed, and systematics settings.
-    chunk_size : int
-        Replicas processed per vectorized block; results are independent of
-        the chunking because every draw is keyed by (replica, index).
+    chunk_size : int, optional
+        Replicas per block; by default derived from NULL_BLOCK_BYTES. The
+        counts are identical for every chunking, because every draw is
+        keyed by (seed, stream, replica, point) and every tuple's
+        statistic is evaluated with the same operations in the same order.
 
     Returns
     -------
@@ -195,6 +238,8 @@ def classical_null_distribution(
     """
     if len(tuples) == 0:
         raise DomainError("no tuples to evaluate")
+    if chunk_size is not None and (not isinstance(chunk_size, int) or chunk_size < 1):
+        raise DomainError(f"chunk_size must be a positive integer, got {chunk_size}")
     if config.replicas < MIN_REPLICAS_FOR_CLAIM:
         warnings.warn(
             f"{config.replicas} replicas is below {MIN_REPLICAS_FOR_CLAIM}; "
@@ -205,9 +250,12 @@ def classical_null_distribution(
     if comp_idx.min() < 0 or comp_idx.max() >= size or target_idx.max() >= size:
         raise IndexError("tuple indices outside dataset")
     bound = lgi_bound(n)
+    block_replicas, block_tuples = null_block_shape(len(tuples), size, chunk_size)
+    # One contiguous index row per component: block slices stay contiguous.
+    components = np.ascontiguousarray(comp_idx.T)
 
-    probs = np.array([p.p_mumu for p in dataset], dtype=float)
-    point_sd = np.array([p.sigma for p in dataset], dtype=float)
+    probs = np.array([p.p_mumu for p in dataset], dtype=float)[:, None]
+    point_sd = np.array([p.sigma for p in dataset], dtype=float)[:, None]
 
     use_sys = config.include_systematics and (
         config.sys_amplitude_sigma > 0.0 or config.sys_phase_sigma > 0.0
@@ -215,14 +263,14 @@ def classical_null_distribution(
     if use_sys:
         amp_resp, phase_resp = _systematic_responses(dataset)
 
-    counts = np.empty(config.replicas, dtype=np.int64)
-    point_ids = np.arange(size)[None, :]
+    counts = np.zeros(config.replicas, dtype=np.int64)
+    point_ids = np.arange(size)[:, None]
 
-    for start in range(0, config.replicas, chunk_size):
-        stop = min(start + chunk_size, config.replicas)
-        rows = np.arange(start, stop)[:, None]
+    for start in range(0, config.replicas, block_replicas):
+        stop = min(start + block_replicas, config.replicas)
+        rows = np.arange(start, stop)[None, :]
 
-        means = np.broadcast_to(probs[None, :], (stop - start, size))
+        means = probs
         if use_sys:
             d_amp = normal(
                 config.seed, STREAM_SYS_AMPLITUDE, rows, 0,
@@ -232,21 +280,26 @@ def classical_null_distribution(
                 config.seed, STREAM_SYS_PHASE, rows, 0,
                 sd=config.sys_phase_sigma,
             )
-            means = means + d_amp * amp_resp[None, :] + d_phase * phase_resp[None, :]
+            means = means + d_amp * amp_resp[:, None] + d_phase * phase_resp[:, None]
 
-        pseudo = normal(
+        # Point-major draws: corr[point, replica] = 2 P - 1.
+        corr = normal(
             config.seed, STREAM_PSEUDODATA, rows, point_ids,
-            mean=means, sd=point_sd[None, :],
+            mean=means, sd=point_sd,
         )
+        corr *= 2.0
+        corr -= 1.0
 
-        corr_sum = np.zeros((stop - start, len(tuples)))
-        corr_prod = np.ones((stop - start, len(tuples)))
-        for k in range(n - 1):
-            c = 2.0 * pseudo[:, comp_idx[:, k]] - 1.0
-            corr_sum += c
-            corr_prod *= c
-
-        counts[start:stop] = np.count_nonzero(corr_sum - corr_prod > bound, axis=1)
+        for first in range(0, len(tuples), block_tuples):
+            cols = components[:, first:first + block_tuples]
+            corr_sum = corr[cols[0]]
+            corr_prod = corr_sum.copy()
+            for col in cols[1:]:
+                c = corr[col]
+                corr_sum += c
+                corr_prod *= c
+            corr_sum -= corr_prod
+            counts[start:stop] += np.count_nonzero(corr_sum > bound, axis=0)
 
     return counts
 

@@ -108,3 +108,25 @@ def beta_binomial_counts(rng, alpha, beta, trials_n, size):
     """Exact beta-binomial sampler used for the moment-fit round trip."""
     p = rng.beta(alpha, beta, size=size)
     return rng.binomial(trials_n, p)
+
+
+def product_rule_null_counts(draws, comp_idx, n):
+    """Reference classical-null counts, one replica at a time.
+
+    draws is the (replicas, points) matrix of pseudo-measured survival
+    probabilities. Each replica forms C = 2P - 1, accumulates sum and
+    product over each tuple's components in component order, starting from
+    0 and 1, and counts tuples whose sum minus product lands strictly above
+    n - 2.
+    """
+    comp_idx = np.asarray(comp_idx)
+    counts = np.empty(len(draws), dtype=np.int64)
+    for r, row in enumerate(draws):
+        corr = 2.0 * row - 1.0
+        corr_sum = np.zeros(len(comp_idx))
+        corr_prod = np.ones(len(comp_idx))
+        for k in range(comp_idx.shape[1]):
+            corr_sum += corr[comp_idx[:, k]]
+            corr_prod *= corr[comp_idx[:, k]]
+        counts[r] = np.count_nonzero(corr_sum - corr_prod > n - 2)
+    return counts

@@ -1,6 +1,10 @@
 """Temporal-correlation combinations, their bounds, and the Bloch oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import nulgi
 from nulgi.errors import DomainError
 from nulgi.leggett_garg import (
     BlochObservable,
@@ -236,5 +241,39 @@ def test_kvalue_validation():
     with pytest.raises(DomainError):
         KValue(n=3, value=0.5, kind=KKind.QUANTUM_THEORY, uncertainty=-0.1)
     # The classical kind defends its own bound.
-    with pytest.raises(AssertionError):
+    with pytest.raises(DomainError):
         KValue(n=3, value=1.5, kind=KKind.CLASSICAL_NULL)
+
+
+def test_classical_kvalue_rejects_values_above_its_bound():
+    for n in (3, 4, 6):
+        # The check keeps a 1e-9 slack for rounding at the bound.
+        KValue(n=n, value=n - 2 + 1e-9, kind=KKind.CLASSICAL_NULL)
+        with pytest.raises(DomainError, match="above its bound"):
+            KValue(n=n, value=n - 2 + 1e-6, kind=KKind.CLASSICAL_NULL)
+        # Other kinds may exceed it: that is what a violation is.
+        KValue(n=n, value=n - 2 + 0.5, kind=KKind.QUANTUM_THEORY)
+
+
+def test_classical_bound_check_survives_optimized_mode():
+    # python -O strips assert statements; the bound check must not be one.
+    code = (
+        "import sys\n"
+        "from nulgi.errors import DomainError\n"
+        "from nulgi.leggett_garg import KKind, KValue\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "try:\n"
+        "    KValue(n=4, value=2.5, kind=KKind.CLASSICAL_NULL)\n"
+        "except DomainError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('over-bound classical K accepted')\n"
+    )
+    src = str(Path(nulgi.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -11,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from nulgi.errors import DomainError
@@ -21,6 +23,9 @@ from nulgi.montecarlo import (
     classical_null_distribution,
     count_violations,
     fit_beta_binomial,
+    MIN_BLOCK_REPLICAS,
+    NULL_BLOCK_BYTES,
+    null_block_shape,
     sample_pseudodata,
     z_significance,
 )
@@ -31,6 +36,7 @@ from nulgi.sampling import (
     STREAM_PSEUDODATA,
     STREAM_SYNTH_ENERGY,
     STREAM_SYNTH_PROB,
+    normal,
     truncated_normal,
     uniform_open,
 )
@@ -138,6 +144,100 @@ def test_engine_is_deterministic_and_chunk_invariant():
     assert not np.array_equal(a, other)
 
 
+# 5003 is prime: every block of 2 to 5002 replicas leaves a partial last block.
+ORACLE_REPLICAS = 5003
+
+
+def reference_counts(dec, tuples, cfg):
+    """Oracle counts from a replica-major draw matrix built by the test."""
+    draws = normal(
+        cfg.seed, STREAM_PSEUDODATA,
+        np.arange(cfg.replicas)[:, None], np.arange(len(dec))[None, :],
+        mean=np.array([p.p_mumu for p in dec])[None, :],
+        sd=np.array([p.sigma for p in dec])[None, :],
+    )
+    comp_idx = [t.indices for t in tuples]
+    return oracles.product_rule_null_counts(draws, comp_idx, tuples[0].n)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_engine_counts_match_the_replica_major_oracle(n):
+    pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    dec = attach_phases(pts, PARAMS)
+    tuples = select_ntuples(dec, n, 0.005)
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=11)
+    counts = classical_null_distribution(dec, tuples, cfg)
+    assert counts.any()
+    assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
+
+
+def test_order_five_counts_match_the_replica_major_oracle():
+    dec = dataset_with_phases(SHARED_PHASES, sigma=0.3)
+    # Hand-built order-5 tuples (phase sums need not match: the null never
+    # reads them), with repeated components and every point used.
+    tuples = [
+        PhaseTuple(indices=ids, target_index=target, n=5, mismatch=0.0)
+        for ids, target in (
+            ((5, 4, 3, 2), 0), ((3, 3, 1, 0), 2), ((5, 5, 5, 5), 4),
+            ((4, 2, 1, 1), 3), ((2, 1, 0, 0), 5),
+        )
+    ]
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=12)
+    counts = classical_null_distribution(dec, tuples, cfg)
+    assert counts.any()
+    assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
+
+
+def test_systematic_counts_do_not_depend_on_the_chunking():
+    pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    dec = attach_phases(pts, PARAMS)
+    tuples = select_ntuples(dec, 4, 0.005)
+    cfg = PseudoConfig(
+        replicas=ORACLE_REPLICAS, seed=13, include_systematics=True,
+        sys_amplitude_sigma=0.05, sys_phase_sigma=0.05,
+    )
+    derived = classical_null_distribution(dec, tuples, cfg)
+    assert derived.any()
+    for chunk_size in (7, ORACLE_REPLICAS):
+        assert np.array_equal(
+            derived, classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
+        )
+
+
+def block_bytes(replicas, tuples, points):
+    """float64 bytes of one block: a row per point and per tuple."""
+    return 8 * replicas * (tuples + points)
+
+
+def test_null_block_fits_the_budget():
+    # The 100-bin order-4 cell: its tuples alone overflow the budget at the
+    # replica floor, so the block also takes a slice of the tuples.
+    replicas, tuples = null_block_shape(29_560, 100)
+    assert replicas == MIN_BLOCK_REPLICAS
+    assert 1 <= tuples < 29_560
+    assert block_bytes(replicas, tuples, 100) <= NULL_BLOCK_BYTES
+    # The 30-bin order-3 cell fits whole, with more replicas than the floor.
+    replicas, tuples = null_block_shape(21, 30)
+    assert tuples == 21 and replicas > MIN_BLOCK_REPLICAS
+    assert block_bytes(replicas, tuples, 30) <= NULL_BLOCK_BYTES
+    # An explicit replica count is kept; the tuples fill what it leaves.
+    replicas, tuples = null_block_shape(241, 30, 7)
+    assert replicas == 7 and tuples == 241
+    replicas, tuples = null_block_shape(29_560, 100, 7)
+    assert block_bytes(replicas, tuples, 100) <= NULL_BLOCK_BYTES
+
+
+@given(
+    n_tuples=st.integers(0, 10**9),
+    n_points=st.integers(0, 10**7),
+    replicas=st.one_of(st.none(), st.integers(1, 10**9)),
+)
+def test_null_block_shape_is_always_at_least_one(n_tuples, n_points, replicas):
+    block_replicas, block_tuples = null_block_shape(n_tuples, n_points, replicas)
+    assert block_replicas >= 1
+    assert 1 <= block_tuples <= max(n_tuples, 1)
+
+
 def test_engine_validation():
     dec, tuples = shared_fixture()
     with pytest.raises(DomainError):
@@ -150,6 +250,11 @@ def test_engine_validation():
         classical_null_distribution(dec, stray, PseudoConfig(replicas=2000))
     with pytest.warns(UserWarning, match="replicas"):
         classical_null_distribution(dec, tuples, PseudoConfig(replicas=100, seed=1))
+    for chunk_size in (0, 2.5):
+        with pytest.raises(DomainError):
+            classical_null_distribution(
+                dec, tuples, PseudoConfig(replicas=2000), chunk_size=chunk_size
+            )
 
 
 def test_pseudo_config_validation():

@@ -1,11 +1,12 @@
 """Phase attachment and sum-rule tuple selection, checked against brute force."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -193,6 +194,9 @@ def test_component_indices_run_descending_in_phase():
 )
 @settings(max_examples=150, deadline=None)
 def test_returned_mismatch_always_within_tolerance(phases, tol):
+    # Phases closer than this map to one energy, which attach_phases rightly
+    # rejects as a duplicate: such a draw is not a valid spectrum.
+    assume(min(b / a for a, b in itertools.pairwise(sorted(phases))) > 1 + 1e-9)
     dec = decorated(phases)
     for t in select_ntuples(dec, 3, tol):
         assert abs(t.mismatch) <= tol
