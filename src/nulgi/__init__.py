@@ -20,7 +20,6 @@ from .montecarlo import (
     classical_null_distribution,
     count_violations,
     fit_beta_binomial,
-    sample_pseudodata,
     z_significance,
 )
 from .oscillation import (
@@ -48,7 +47,6 @@ from .selection import (
     attach_phases,
     evaluate_tuple,
     select_ntuples,
-    select_triples,
 )
 from .synthetic import generate_synthetic
 
@@ -92,9 +90,7 @@ __all__ = [
     "osc_frequency",
     "quantum_bound",
     "run_analysis",
-    "sample_pseudodata",
     "select_ntuples",
-    "select_triples",
     "survival_probability",
     "z_significance",
 ]

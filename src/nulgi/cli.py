@@ -18,12 +18,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataio import parse_dataset, write_dataset_csv, write_table_csv
+from .dataio import write_dataset_csv, write_table_csv
 from .errors import DataError, DomainError
 from .montecarlo import PseudoConfig
 from .oscillation import OscParams
-from .pipeline import RunConfig, curve_table, run_analysis, _tuple_row
-from .selection import attach_phases, evaluate_tuple, select_ntuples
+from .pipeline import RunConfig, curve_table, run_analysis, run_triples
 from .synthetic import TRUTH_MODES, generate_synthetic
 
 CONFIG_ENV = "NULGI_CONFIG"
@@ -191,41 +190,18 @@ def cmd_triples(args: argparse.Namespace) -> int:
     config = _build_config(args, "triples")
     if config.data is None:
         raise DomainError("triples requires a dataset: pass --data")
-    points = attach_phases(parse_dataset(config.data), config.params)
-    tuples = select_ntuples(
-        points, config.order, config.tolerance, config.mismatch_mode
-    )
-    if not tuples:
+    rows = run_triples(config)
+    if not rows:
         print(
             f"no order-{config.order} tuples at tolerance {config.tolerance}",
             file=sys.stderr,
         )
         return EXIT_NO_TUPLES
-
-    rows = []
-    for t in tuples:
-        row = _tuple_row(t, evaluate_tuple(t, points), points, config.params)
-        rows.append(
-            (
-                ";".join(str(i) for i in row["component_indices"]),
-                row["target_index"],
-                row["n"],
-                float(row["mismatch"]),
-                float(row["phase_sum"]),
-                float(row["k_value"]),
-                int(row["violation"]),
-            )
-        )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_table_csv(
-        out_dir / "tuples.csv",
-        ("component_indices", "target_index", "n", "mismatch",
-         "phase_sum", "k_value", "violation"),
-        rows,
+    n_viol = sum(row["violation"] for row in rows)
+    print(
+        f"{len(rows)} tuples, {n_viol} above the bound; "
+        f"wrote {Path(config.out_dir) / 'tuples.csv'}"
     )
-    n_viol = sum(r[-1] for r in rows)
-    print(f"{len(tuples)} tuples, {n_viol} above the bound; wrote {out_dir / 'tuples.csv'}")
     return EXIT_OK
 
 

@@ -14,6 +14,8 @@ import json
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import DataError
 from .montecarlo import SignificanceReport
 from .selection import MeasuredPoint
@@ -101,26 +103,25 @@ def write_dataset_csv(points: Sequence[MeasuredPoint], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _jsonable(obj):
+def _json_fallback(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(obj).items()}
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if hasattr(obj, "item") and callable(obj.item) and not isinstance(obj, (str, bytes)):
-        return obj.item()
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, Path):
         return str(obj)
-    return obj
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} object is not JSON serializable")
 
 
 def emit_report(report: SignificanceReport, path) -> None:
-    """Serialize a report to JSON with sorted keys and full float precision."""
-    payload = _jsonable(report)
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    """Serialize a report to JSON with sorted keys and full float precision.
+
+    One encoding pass: dataclasses enter as their fields, paths as strings
+    and numpy scalars as Python numbers. Anything else the encoder cannot
+    take raises TypeError before the file is opened.
+    """
+    text = json.dumps(report, default=_json_fallback, indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError, DomainError
+from .errors import DomainError
 from .leggett_garg import KKind, KValue, k_n_quantum_from_survival, lgi_bound
 from .oscillation import OscParams, survival_probability
 from .sampling import (
@@ -33,7 +33,6 @@ from .sampling import (
     STREAM_SYS_AMPLITUDE,
     STREAM_SYS_PHASE,
     normal,
-    truncated_normal,
 )
 from .selection import MeasuredPoint, PhaseTuple
 
@@ -50,10 +49,11 @@ MIN_BLOCK_REPLICAS = 128
 class PseudoConfig:
     """Knobs for the pseudo-experiment engine.
 
-    tolerance echoes the phase-sum tolerance the tuples were selected with;
-    the engine itself never re-selects. Systematic nuisances, when enabled,
-    are drawn once per replica and shift every point coherently, so they are
-    the only cross-bin correlation mechanism.
+    tolerance is never read: the engine does not re-select, and the tuples
+    come from RunConfig.tolerance. It remains because the report's config
+    echo and the accepted pseudo config keys carry it. Systematic nuisances,
+    when enabled, are drawn once per replica and shift every point
+    coherently, so they are the only cross-bin correlation mechanism.
     """
 
     replicas: int = 100_000
@@ -106,37 +106,6 @@ class SignificanceReport:
     warnings: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     schema_version: int = 1
-
-
-def sample_pseudodata(
-    dataset: Sequence[MeasuredPoint], config: PseudoConfig, replica_index: int
-) -> list[MeasuredPoint]:
-    """One replica's redraw of the spectrum as physical measurements.
-
-    Each point's probability is redrawn from a normal centered on its
-    measured value with its total standard deviation, truncated to [0, 1]
-    by resampling, so the result is a valid dataset. Deterministic in
-    (seed, replica_index, point index). Note the null engine does not use
-    these: its correlation estimators are deliberately unbounded (see
-    classical_null_distribution).
-    """
-    if len(dataset) == 0:
-        raise DataError("dataset is empty")
-    if not 0 <= replica_index:
-        raise DomainError("replica_index must be non-negative")
-    sds = np.array([p.sigma for p in dataset])
-    if not sds.any():
-        warnings.warn("all uncertainties are zero; pseudodata equals the data")
-    means = np.array([p.p_mumu for p in dataset])
-    draws = truncated_normal(
-        config.seed,
-        STREAM_PSEUDODATA,
-        np.full(len(dataset), replica_index),
-        np.arange(len(dataset)),
-        means,
-        sds,
-    )
-    return [replace(p, p_mumu=float(v)) for p, v in zip(dataset, draws)]
 
 
 def _tuple_arrays(tuples: Sequence[PhaseTuple]):

@@ -73,14 +73,6 @@ class OscParams:
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    """One measured energy with its accumulated oscillation phase."""
-
-    energy_gev: float
-    psi: float
-
-
-@dataclass(frozen=True)
 class MatterParams:
     """Effective oscillation parameters in constant-density matter.
 

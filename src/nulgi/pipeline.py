@@ -166,6 +166,44 @@ def _tuple_row(ptuple, k_value, dataset, model_params) -> dict:
     }
 
 
+# Tuple tables, each a projection of the rows _tuple_row builds: analyze's
+# tuples.csv, its K-versus-phase-sum table, and the tuples.csv of triples.
+TUPLE_COLUMNS = (
+    "component_indices", "target_index", "n", "mismatch", "component_phases",
+    "phase_sum", "target_psi", "k_value", "k_sigma", "violation",
+    "k_classical_data", "k_quantum_model",
+)
+K_VS_PHASE_COLUMNS = (
+    "phase_sum", "k_value", "k_sigma", "k_classical_data", "k_quantum_model",
+    "violation",
+)
+TRIPLES_COLUMNS = (
+    "component_indices", "target_index", "n", "mismatch", "phase_sum",
+    "k_value", "violation",
+)
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if type(value) is list:
+        return ";".join(map(repr, value))
+    if type(value) is bool:
+        return int(value)
+    return value
+
+
+def write_tuple_table(path, columns: Sequence[str], rows: Sequence[dict]) -> None:
+    """Write the named columns of tuple rows as a CSV table.
+
+    Index and phase lists are joined by ';' (floats at repr precision), a
+    missing value is an empty cell and a violation flag is 0 or 1.
+    """
+    write_table_csv(
+        path, columns, [[_cell(row[c]) for c in columns] for row in rows]
+    )
+
+
 def _config_echo(config: RunConfig, fitted: Optional[OscParams]) -> dict:
     echo = dataclasses.asdict(config)
     echo["data"] = None if config.data is None else str(config.data)
@@ -188,7 +226,6 @@ def _analyze(
     tuples = select_ntuples(
         decorated, config.order, config.tolerance, config.mismatch_mode
     )
-    pseudo = dataclasses.replace(config.pseudo, tolerance=config.tolerance)
 
     if not tuples:
         report = SignificanceReport(
@@ -214,16 +251,17 @@ def _analyze(
     k_values = [evaluate_tuple(t, decorated) for t in tuples]
     observed = count_violations(k_values, config.order)
 
-    if pseudo.replicas < MIN_REPLICAS_FOR_CLAIM:
+    replicas = config.pseudo.replicas
+    if replicas < MIN_REPLICAS_FOR_CLAIM:
         report_warnings.append(
-            f"only {pseudo.replicas} replicas; significance estimates are unstable"
+            f"only {replicas} replicas; significance estimates are unstable"
         )
     if all(p.sigma == 0.0 for p in decorated):
         report_warnings.append("all uncertainties are zero; the null is a point mass")
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore")
-        counts = classical_null_distribution(decorated, tuples, pseudo)
+        counts = classical_null_distribution(decorated, tuples, config.pseudo)
     fit = fit_beta_binomial(counts, len(tuples))
     z = z_significance(observed, fit)
     if fit.kind == "degenerate":
@@ -278,48 +316,8 @@ def _write_artifacts(
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_report(report, out / "report.json")
-
-    write_table_csv(
-        out / "tuples.csv",
-        (
-            "component_indices", "target_index", "n", "mismatch",
-            "component_phases", "phase_sum", "target_psi", "k_value",
-            "k_sigma", "violation", "k_classical_data", "k_quantum_model",
-        ),
-        [
-            (
-                ";".join(str(i) for i in t["component_indices"]),
-                t["target_index"],
-                t["n"],
-                float(t["mismatch"]),
-                ";".join(repr(p) for p in t["component_phases"]),
-                float(t["phase_sum"]),
-                float(t["target_psi"]),
-                float(t["k_value"]),
-                float(t["k_sigma"]) if t["k_sigma"] is not None else "",
-                int(t["violation"]),
-                float(t["k_classical_data"]),
-                float(t["k_quantum_model"]),
-            )
-            for t in report.tuples
-        ],
-    )
-    write_table_csv(
-        out / "k_vs_phase.csv",
-        ("phase_sum", "k_value", "k_sigma", "k_classical_data",
-         "k_quantum_model", "violation"),
-        [
-            (
-                float(t["phase_sum"]),
-                float(t["k_value"]),
-                float(t["k_sigma"]) if t["k_sigma"] is not None else "",
-                float(t["k_classical_data"]),
-                float(t["k_quantum_model"]),
-                int(t["violation"]),
-            )
-            for t in report.tuples
-        ],
-    )
+    write_tuple_table(out / "tuples.csv", TUPLE_COLUMNS, report.tuples)
+    write_tuple_table(out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS, report.tuples)
     if counts is not None:
         values, freq = np.unique(counts, return_counts=True)
         write_table_csv(
@@ -357,3 +355,26 @@ def run_analysis(config: RunConfig) -> SignificanceReport:
     report, counts = _analyze(points, config)
     _write_artifacts(report, points, config, counts)
     return report
+
+
+def run_triples(config: RunConfig) -> list[dict]:
+    """Parse the configured dataset, select its tuples and write tuples.csv.
+
+    Returns one row per tuple, the same rows analyze reports, with the model
+    K taken from config.params. Writes nothing when no tuple is selected.
+    """
+    if config.data is None:
+        raise DomainError("tuple selection requires a dataset path")
+    points = attach_phases(parse_dataset(config.data), config.params)
+    tuples = select_ntuples(
+        points, config.order, config.tolerance, config.mismatch_mode
+    )
+    rows = [
+        _tuple_row(t, evaluate_tuple(t, points), points, config.params)
+        for t in tuples
+    ]
+    if rows:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        write_tuple_table(out / "tuples.csv", TRIPLES_COLUMNS, rows)
+    return rows

@@ -163,13 +163,6 @@ def select_ntuples(
     return found
 
 
-def select_triples(
-    dataset: Sequence[MeasuredPoint], tolerance: float, mismatch_mode: str = "relative"
-) -> list[PhaseTuple]:
-    """Order-3 case of select_ntuples: every pair plus its best phase-sum match."""
-    return select_ntuples(dataset, 3, tolerance, mismatch_mode)
-
-
 def evaluate_tuple(ptuple: PhaseTuple, dataset: Sequence[MeasuredPoint]) -> KValue:
     """Evaluate the measured K_n for one selected tuple.
 

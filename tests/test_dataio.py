@@ -1,7 +1,10 @@
 """CSV parsing with line-precise errors, and byte-stable artifacts."""
 
+import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nulgi.dataio import (
@@ -11,7 +14,7 @@ from nulgi.dataio import (
     write_table_csv,
 )
 from nulgi.errors import DataError
-from nulgi.montecarlo import BetaBinomialFit, SignificanceReport
+from nulgi.montecarlo import BetaBinomialFit, PseudoConfig, SignificanceReport
 from nulgi.selection import MeasuredPoint
 
 POINTS = [
@@ -165,6 +168,45 @@ def test_degenerate_fit_is_visible_in_json(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["null_fit"]["kind"] == "degenerate"
     assert payload["null_fit"]["alpha"] is None
+
+
+def test_numpy_scalars_paths_and_nested_dataclasses_serialize_as_plain_values(
+    tmp_path,
+):
+    pseudo = PseudoConfig(replicas=2000, seed=3)
+    numpy_report = sample_report()
+    numpy_report.tuples = [{
+        "target_index": np.int64(4), "violation": np.bool_(True),
+        "k_value": np.float64(1.31), "component_indices": [np.int64(2), np.int64(7)],
+    }]
+    numpy_report.config = {
+        "order": np.int64(3), "tolerance": np.float64(0.005),
+        "data": Path("runs") / "spectrum.csv", "pseudo": pseudo,
+    }
+    plain_report = sample_report()
+    plain_report.tuples = [{
+        "target_index": 4, "violation": True, "k_value": 1.31,
+        "component_indices": [2, 7],
+    }]
+    plain_report.config = {
+        "order": 3, "tolerance": 0.005,
+        "data": str(Path("runs") / "spectrum.csv"),
+        "pseudo": dataclasses.asdict(pseudo),
+    }
+    a, b = tmp_path / "numpy.json", tmp_path / "plain.json"
+    emit_report(numpy_report, a)
+    emit_report(plain_report, b)
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["tuples"][0]["violation"] is True
+
+
+def test_unserializable_report_raises_and_writes_nothing(tmp_path):
+    report = sample_report()
+    report.config = {"order": 3, "bins": {1, 2}}
+    path = tmp_path / "r.json"
+    with pytest.raises(TypeError, match="set"):
+        emit_report(report, path)
+    assert not path.exists()
 
 
 def test_table_csv_keeps_float_precision(tmp_path):

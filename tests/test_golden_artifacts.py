@@ -1,0 +1,100 @@
+"""Golden digests: every artifact and every CLI output, pinned byte for byte.
+
+A seed-0, 30-bin quantum spectrum (5% errors) is analyzed at order 3 and,
+with --fit-curve, at order 4 with 2000 replicas, and passed to `triples` at
+both orders. The SHA-256 of every file the runs write, and of each run's
+stdout and stderr, must match the digests below. Refactors of the writers
+and serializers are checked against them: a change that moves a single
+byte of any artifact fails here.
+
+The digests were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1
+on x86-64 Linux. Other library versions can move the last bits of a
+transcendental function and with them the digests, so a mismatch under
+different versions is not by itself a regression.
+"""
+
+import hashlib
+
+from nulgi.cli import EXIT_OK, main
+from nulgi.dataio import write_dataset_csv
+from nulgi.oscillation import OscParams
+from nulgi.synthetic import generate_synthetic
+
+PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
+PARAMS_JSON = '{"dm2": 2.4e-3, "sin2_2theta": 0.95, "baseline_km": 735.0}'
+VERSIONS = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1"
+
+ANALYZE_ARTIFACTS = (
+    "report.json", "tuples.csv", "k_vs_phase.csv", "null_counts.csv", "curve.csv"
+)
+
+# (label and output directory, subcommand and its flags, files written);
+# every run also gets --params and --data.
+RUNS = (
+    ("analyze-n3", ["analyze", "--order", "3", "--replicas", "2000", "--seed", "0",
+                    "--out-dir", "analyze-n3"], ANALYZE_ARTIFACTS),
+    ("analyze-n4-fit", ["analyze", "--order", "4", "--replicas", "2000", "--seed", "0",
+                        "--fit-curve", "--out-dir", "analyze-n4-fit"], ANALYZE_ARTIFACTS),
+    ("triples-n3", ["triples", "--order", "3", "--out-dir", "triples-n3"], ("tuples.csv",)),
+    ("triples-n4", ["triples", "--order", "4", "--out-dir", "triples-n4"], ("tuples.csv",)),
+)
+
+EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+DIGESTS = {
+    "spectrum.csv": "277b16b2719a123664c2033f2bf1c756e430c45d50ed13269eb2b4f0804f7b94",
+    "analyze-n3/stdout": "c92b2e9ec350a78f74be335e7ef6e21fa4ecd7da58ce5c64a6b761d10634938d",
+    "analyze-n3/stderr": EMPTY,
+    "analyze-n3/report.json": "b2819324ab271d8bbd9081bee90df16929b737a1f3284df553ddd7c30a11d00a",
+    "analyze-n3/tuples.csv": "f33536eac094cabbd76fba918bba8acd90787ca75dc7a53bdb9fa4ab1bdd0663",
+    "analyze-n3/k_vs_phase.csv": "957f05c709e39495d9743a467ff60cd70f45510cae68ba88f7d6051b35ea34dc",
+    "analyze-n3/null_counts.csv": "2a27ea1cd877f837672f8cca182370b2819f94502ced43335bd84e64e3dbb167",
+    "analyze-n3/curve.csv": "6662bc52a3382502cb215a7da71404b425e7aebba9454ee31b82d74fd2d0cdf0",
+    "analyze-n4-fit/stdout": "25b797a72f4e8046b0134c5d8164e44afa134dc15b388302f268b9295ecb9397",
+    "analyze-n4-fit/stderr": EMPTY,
+    "analyze-n4-fit/report.json": "1525972e8b2c3ac2e4c2a12b8588e799d18a5623f9aad8cfa00d999365243f37",
+    "analyze-n4-fit/tuples.csv": "43b3c76829524ca07c621e275d6fec33bb6fbcb16b5b0e5597652f10586ca9a7",
+    "analyze-n4-fit/k_vs_phase.csv": "8b1651b9bd2b354057882869b2d51943a2efb67f9c40fdf4e37c09382ad1b6fe",
+    "analyze-n4-fit/null_counts.csv": "558ed7b574106811e1304c526c03bae94565caa1b3850eff055b75ca785f17b6",
+    "analyze-n4-fit/curve.csv": "5cff5aee2e4170678dcea835ae53c0f879eca33bcc769ca3a16cb8e88b32587c",
+    "triples-n3/stdout": "1a69c62b4ff566d341a225a8301de9bbaa4fa8ae285293e215f055bef38ab074",
+    "triples-n3/stderr": EMPTY,
+    "triples-n3/tuples.csv": "68e2bc6c0624f14480777e78ec01c49989d455248af1ef95a2ef979e6bb96b41",
+    "triples-n4/stdout": "0b1bc0efe56f9095462c717378af6231e34fdec9bb05c9b4c87121c99cd305fe",
+    "triples-n4/stderr": EMPTY,
+    "triples-n4/tuples.csv": "714fe095d4c98d5535359d84c2613390febab79a91384aae48c70dedd7ceb35a",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_outputs(workdir, capsys) -> dict:
+    """Run every golden command inside workdir; map each output to its digest.
+
+    Paths are relative to workdir, because the config echo in report.json
+    and the CLI's stdout both name them.
+    """
+    points = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    write_dataset_csv(points, workdir / "spectrum.csv")
+    digests = {"spectrum.csv": _sha256((workdir / "spectrum.csv").read_bytes())}
+    for label, argv, files in RUNS:
+        code = main([argv[0], "--params", PARAMS_JSON, "--data", "spectrum.csv"] + argv[1:])
+        assert code == EXIT_OK, label
+        captured = capsys.readouterr()
+        digests[f"{label}/stdout"] = _sha256(captured.out.encode("utf-8"))
+        digests[f"{label}/stderr"] = _sha256(captured.err.encode("utf-8"))
+        for name in files:
+            digests[f"{label}/{name}"] = _sha256((workdir / label / name).read_bytes())
+    return digests
+
+
+def test_every_artifact_and_cli_output_matches_its_golden_digest(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    digests = golden_outputs(tmp_path, capsys)
+    assert sorted(digests) == sorted(DIGESTS)
+    changed = sorted(k for k in DIGESTS if digests[k] != DIGESTS[k])
+    assert not changed, f"digests differ from the {VERSIONS} recording: {changed}"

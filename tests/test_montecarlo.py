@@ -26,7 +26,6 @@ from nulgi.montecarlo import (
     MIN_BLOCK_REPLICAS,
     NULL_BLOCK_BYTES,
     null_block_shape,
-    sample_pseudodata,
     z_significance,
 )
 from nulgi.leggett_garg import KKind, KValue
@@ -283,21 +282,6 @@ def test_systematics_are_deterministic_and_widen_the_null():
     # Flag off means the sigmas are inert.
     off = dataclasses.replace(jittered_cfg, include_systematics=False)
     assert np.array_equal(plain, classical_null_distribution(dec, tuples, off))
-
-
-def test_pseudodata_zero_sigma_returns_the_data():
-    dec = dataset_with_phases(SHARED_PHASES, sigma=0.0)
-    with pytest.warns(UserWarning, match="zero"):
-        replica = sample_pseudodata(dec, PseudoConfig(replicas=2000, seed=1), 0)
-    assert [p.p_mumu for p in replica] == [p.p_mumu for p in dec]
-
-
-def test_pseudodata_matches_its_vectorized_stream():
-    ds = attach_phases([MeasuredPoint(2.0, 0.5, 0.1)], PARAMS)
-    cfg = PseudoConfig(replicas=2000, seed=9)
-    direct = truncated_normal(9, STREAM_PSEUDODATA, np.arange(200), 0, 0.5, 0.1)
-    for i in range(200):
-        assert sample_pseudodata(ds, cfg, i)[0].p_mumu == direct[i]
 
 
 def test_pseudodata_moments_match_the_generator():

@@ -1,5 +1,6 @@
 """End-to-end runs, artifact layout, CLI exit codes and config precedence."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -237,6 +238,40 @@ def test_cli_triples(tmp_path, capsys):
         ]
     )
     assert code == EXIT_NO_TUPLES
+
+
+def read_table(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.DictReader(handle))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_triples_and_k_vs_phase_are_projections_of_the_analyze_table(tmp_path, order):
+    data = synthetic_csv(tmp_path)
+    shared = ["--params", PARAMS_JSON, "--data", str(data), "--order", str(order)]
+    assert main(
+        ["analyze", *shared, "--replicas", "2000", "--fit-curve",
+         "--out-dir", str(tmp_path / "ana")]
+    ) == EXIT_OK
+    assert main(["triples", *shared, "--out-dir", str(tmp_path / "tri")]) == EXIT_OK
+
+    full = read_table(tmp_path / "ana" / "tuples.csv")
+    assert len(full) > 1
+    assert {row["violation"] for row in full} == {"0", "1"}
+    for table, columns in (
+        (
+            read_table(tmp_path / "tri" / "tuples.csv"),
+            ["component_indices", "target_index", "n", "mismatch", "phase_sum",
+             "k_value", "violation"],
+        ),
+        (
+            read_table(tmp_path / "ana" / "k_vs_phase.csv"),
+            ["phase_sum", "k_value", "k_sigma", "k_classical_data",
+             "k_quantum_model", "violation"],
+        ),
+    ):
+        assert list(table[0]) == columns
+        assert table == [{c: row[c] for c in columns} for row in full]
 
 
 def test_cli_analyze_no_tuples_exit_code(tmp_path):

@@ -19,7 +19,6 @@ from nulgi.selection import (
     attach_phases,
     evaluate_tuple,
     select_ntuples,
-    select_triples,
 )
 
 import oracles
@@ -85,7 +84,7 @@ def test_zero_splitting_yields_no_tuples():
 
 def test_exact_sum_triple_found():
     dec = decorated([0.5, 0.7, 1.2])
-    found = select_triples(dec, 0.005)
+    found = select_ntuples(dec, 3, 0.005)
     assert len(found) == 1
     (t,) = found
     # Dataset is energy-ascending, so phases run 1.2, 0.7, 0.5.
@@ -97,7 +96,7 @@ def test_exact_sum_triple_found():
 
 def test_offset_sum_finds_nothing():
     dec = decorated([0.5, 0.7, 1.3])
-    assert select_triples(dec, 0.005) == []
+    assert select_ntuples(dec, 3, 0.005) == []
 
 
 def test_exact_sum_quadruples_include_repeated_components():
@@ -119,16 +118,6 @@ def test_unique_exact_quadruple():
     assert len(found) == 1
     assert found[0].indices == (1, 2, 3)
     assert found[0].target_index == 0
-
-
-def test_triples_is_the_order_three_case():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        phases = rng.uniform(0.1, 3.5, size=rng.integers(3, 12))
-        if len(set(phases)) < len(phases):
-            continue
-        dec = decorated(list(phases))
-        assert select_triples(dec, 0.01) == select_ntuples(dec, 3, 0.01)
 
 
 def test_selection_matches_brute_force_oracle():
