@@ -18,7 +18,6 @@ from .montecarlo import (
     SignificanceReport,
     chi_square_quantum,
     classical_null_distribution,
-    count_violations,
     fit_beta_binomial,
     z_significance,
 )
@@ -44,8 +43,8 @@ from .pipeline import (
 from .selection import (
     MeasuredPoint,
     PhaseTuple,
+    TupleSet,
     attach_phases,
-    evaluate_tuple,
     select_ntuples,
 )
 from .synthetic import generate_synthetic
@@ -67,6 +66,7 @@ __all__ = [
     "PseudoConfig",
     "RunConfig",
     "SignificanceReport",
+    "TupleSet",
     "accumulated_phase",
     "accumulated_phase_interval",
     "analyze_dataset",
@@ -75,9 +75,7 @@ __all__ = [
     "classical_null_distribution",
     "correlation",
     "correlation_bloch",
-    "count_violations",
     "curve_table",
-    "evaluate_tuple",
     "fit_beta_binomial",
     "fit_curve_params",
     "generate_synthetic",

@@ -190,16 +190,16 @@ def cmd_triples(args: argparse.Namespace) -> int:
     config = _build_config(args, "triples")
     if config.data is None:
         raise DomainError("triples requires a dataset: pass --data")
-    rows = run_triples(config)
-    if not rows:
+    table = run_triples(config)
+    if not len(table):
         print(
             f"no order-{config.order} tuples at tolerance {config.tolerance}",
             file=sys.stderr,
         )
         return EXIT_NO_TUPLES
-    n_viol = sum(row["violation"] for row in rows)
+    n_viol = int(table["violation"].sum())
     print(
-        f"{len(rows)} tuples, {n_viol} above the bound; "
+        f"{len(table)} tuples, {n_viol} above the bound; "
         f"wrote {Path(config.out_dir) / 'tuples.csv'}"
     )
     return EXIT_OK

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, DomainError
 from .montecarlo import SignificanceReport
 from .selection import MeasuredPoint
 
@@ -103,6 +104,72 @@ def write_dataset_csv(points: Sequence[MeasuredPoint], path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+class TupleTable:
+    """An analysis's per-tuple columns by name; 2-D where a tuple holds a list.
+
+    text holds each cell once as its JSON literal (repr, or true/false for
+    a flag); report.json and the CSV tables are joined from those strings.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TupleTable):
+            return NotImplemented
+        return self.columns.keys() == other.columns.keys() and all(
+            np.array_equal(v, other.columns[k]) for k, v in self.columns.items()
+        )
+
+    @cached_property
+    def text(self) -> dict[str, list]:
+        """Per column its cell strings; a 2-D column gives a list per entry."""
+        return {name: _cell_text(name, values) for name, values in self.columns.items()}
+
+    def csv_rows(self, names: Sequence[str]):
+        """Rows of CSV cells: list entries joined by ';', a flag as 0 or 1."""
+        return zip(*(
+            list(map(";".join, zip(*self.text[name]))) if self.columns[name].ndim == 2
+            else [_CSV_FLAGS[c] for c in self.text[name]] if self.columns[name].dtype == bool
+            else self.text[name]
+            for name in names
+        ))
+
+    def json_rows(self):
+        """The rows as json.dumps(indent=2) writes row dicts in a top-level list."""
+        fields, slots = [], []
+        for name in sorted(self.columns):
+            text = self.text[name]
+            if self.columns[name].ndim == 2:
+                entries = ",\n        ".join(["%s"] * len(text))
+                fields.append(f"{json.dumps(name)}: [\n        {entries}\n      ]")
+                slots.extend(text)
+            else:
+                fields.append(f"{json.dumps(name)}: %s")
+                slots.append(text)
+        template = "{\n      " + ",\n      ".join(fields) + "\n    }"
+        return map(template.__mod__, zip(*slots))
+
+
+_CSV_FLAGS = {"true": "1", "false": "0"}
+
+
+def _cell_text(name: str, values: np.ndarray) -> list:
+    if values.ndim == 2:
+        return [_cell_text(name, column) for column in values.T]
+    if values.dtype == bool:
+        return ["true" if v else "false" for v in values.tolist()]
+    if values.dtype.kind == "f" and not np.isfinite(values).all():
+        raise DomainError(f"column {name!r} holds a non-finite value")
+    return list(map(repr, values.tolist()))
+
+
 def _json_fallback(obj):
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
@@ -113,20 +180,44 @@ def _json_fallback(obj):
     raise TypeError(f"{type(obj).__name__} object is not JSON serializable")
 
 
+# A top-level key starts a line indented by two spaces; strings cannot hold
+# a raw newline, so this text marks the report's own tuples entry only.
+_EMPTY_TUPLES = '\n  "tuples": []'
+
+
 def emit_report(report: SignificanceReport, path) -> None:
     """Serialize a report to JSON with sorted keys and full float precision.
 
-    One encoding pass: dataclasses enter as their fields, paths as strings
-    and numpy scalars as Python numbers. Anything else the encoder cannot
-    take raises TypeError before the file is opened.
+    The bytes are those of json.dumps(report, indent=2, sort_keys=True) with
+    dataclasses entered as their fields, paths as strings, numpy scalars as
+    Python numbers and a TupleTable as its list of row objects. Everything
+    but the table is encoded in one json.dumps pass; the table's rows are
+    joined from its cell strings and written one by one, so the text is
+    never held whole. A value that cannot be encoded raises before the file
+    is opened.
     """
-    text = json.dumps(report, default=_json_fallback, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    fields = _json_fallback(report)
+    rows = iter(())
+    if isinstance(fields["tuples"], TupleTable):
+        rows = fields["tuples"].json_rows()
+        fields["tuples"] = []
+    text = json.dumps(fields, default=_json_fallback, indent=2, sort_keys=True)
+    first = next(rows, None)
+    with Path(path).open("w", encoding="utf-8") as out:
+        if first is None:
+            out.write(text + "\n")
+            return
+        head, tail = text.split(_EMPTY_TUPLES, 1)
+        out.write(f'{head}\n  "tuples": [\n    {first}')
+        out.writelines(map(",\n    ".__add__, rows))
+        out.write(f"\n  ]{tail}\n")
 
 
 def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write a simple numeric table with repr-precision floats."""
+    """Write a simple table: a string cell as it is, a float at repr precision."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        lines.append(",".join(
+            v if type(v) is str else repr(v) if isinstance(v, float) else str(v) for v in row
+        ))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -48,16 +48,12 @@ class BlochObservable:
 class KValue:
     """One evaluated K_n with its provenance kind.
 
-    phases, when present, records the n-1 component phases that entered the
-    construction (advisory; lets downstream tables and plots skip a
-    recomputation). uncertainty is a propagated standard deviation, also
-    advisory.
+    uncertainty is a propagated standard deviation (advisory).
     """
 
     n: int
     value: float
     kind: KKind
-    phases: Optional[tuple[float, ...]] = None
     uncertainty: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -65,10 +61,6 @@ class KValue:
             raise DomainError(f"order must be an integer >= 3, got {self.n}")
         if not math.isfinite(self.value):
             raise DomainError("K value must be finite")
-        if self.phases is not None and len(self.phases) != self.n - 1:
-            raise DomainError(
-                f"expected {self.n - 1} component phases, got {len(self.phases)}"
-            )
         if self.uncertainty is not None and not self.uncertainty >= 0.0:
             raise DomainError("uncertainty must be non-negative")
         # The sum-minus-product form can never exceed the macrorealistic bound;
@@ -110,7 +102,6 @@ def k_n_from_correlations(
     corrs: Sequence[float],
     corr_end: float,
     *,
-    phases: Optional[Sequence[float]] = None,
     kind: KKind = KKind.QUANTUM_THEORY,
 ) -> KValue:
     """K_n from n-1 sequential correlations and a measured end-to-end one."""
@@ -118,13 +109,7 @@ def k_n_from_correlations(
     if not -1.0 - 1e-12 <= corr_end <= 1.0 + 1e-12:
         raise DomainError(f"end-to-end correlation out of [-1, 1]: {corr_end!r}")
     n = len(corrs) + 1
-    value = float(sum(corrs) - corr_end)
-    return KValue(
-        n=n,
-        value=value,
-        kind=kind,
-        phases=None if phases is None else tuple(float(p) for p in phases),
-    )
+    return KValue(n=n, value=float(sum(corrs) - corr_end), kind=kind)
 
 
 def k_n_quantum_from_survival(
@@ -134,7 +119,6 @@ def k_n_quantum_from_survival(
     *,
     sigmas: Optional[Sequence[float]] = None,
     sigma_sum: Optional[float] = None,
-    phases: Optional[Sequence[float]] = None,
     kind: KKind = KKind.QUANTUM_FROM_DATA,
 ) -> KValue:
     """K_n built directly from survival probabilities.
@@ -157,26 +141,13 @@ def k_n_quantum_from_survival(
         if len(sigmas) != len(probs):
             raise DomainError("sigmas must match probs in length")
         uncertainty = 2.0 * math.sqrt(sum(s * s for s in sigmas) + sigma_sum * sigma_sum)
-    return KValue(
-        n=inferred,
-        value=value,
-        kind=kind,
-        phases=None if phases is None else tuple(float(p) for p in phases),
-        uncertainty=uncertainty,
-    )
+    return KValue(n=inferred, value=value, kind=kind, uncertainty=uncertainty)
 
 
-def k_n_classical(
-    corrs: Sequence[float], *, phases: Optional[Sequence[float]] = None
-) -> KValue:
+def k_n_classical(corrs: Sequence[float]) -> KValue:
     """Markov-realistic K_n: the end-to-end correlation is the product of the
     sequential ones, giving sum(C) - prod(C), which never exceeds n - 2."""
     _check_correlations(corrs, "sequential correlation")
     n = len(corrs) + 1
     value = float(sum(corrs) - math.prod(corrs))
-    return KValue(
-        n=n,
-        value=value,
-        kind=KKind.CLASSICAL_NULL,
-        phases=None if phases is None else tuple(float(p) for p in phases),
-    )
+    return KValue(n=n, value=value, kind=KKind.CLASSICAL_NULL)

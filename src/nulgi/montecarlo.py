@@ -26,15 +26,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .leggett_garg import KKind, KValue, k_n_quantum_from_survival, lgi_bound
-from .oscillation import OscParams, survival_probability
+from .leggett_garg import lgi_bound
 from .sampling import (
     STREAM_PSEUDODATA,
     STREAM_SYS_AMPLITUDE,
     STREAM_SYS_PHASE,
     normal,
 )
-from .selection import MeasuredPoint, PhaseTuple
+from .selection import MeasuredPoint, TupleSet
 
 MIN_REPLICAS_FOR_CLAIM = 1000
 
@@ -102,20 +101,10 @@ class SignificanceReport:
     dof: Optional[int]
     status: str
     config: dict
-    tuples: list = field(default_factory=list)
+    tuples: object = field(default_factory=list)  # the pipeline's dataio.TupleTable
     warnings: list = field(default_factory=list)
     notes: list = field(default_factory=list)
     schema_version: int = 1
-
-
-def _tuple_arrays(tuples: Sequence[PhaseTuple]):
-    n = tuples[0].n
-    for t in tuples:
-        if t.n != n:
-            raise DomainError("tuples of mixed order")
-    comp_idx = np.array([t.indices for t in tuples], dtype=np.int64)
-    target_idx = np.array([t.target_index for t in tuples], dtype=np.int64)
-    return n, comp_idx, target_idx
 
 
 def _systematic_responses(dataset: Sequence[MeasuredPoint]) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +142,7 @@ def null_block_shape(
 
 def classical_null_distribution(
     dataset: Sequence[MeasuredPoint],
-    tuples: Sequence[PhaseTuple],
+    tuples: TupleSet,
     config: PseudoConfig,
     *,
     chunk_size: Optional[int] = None,
@@ -190,8 +179,8 @@ def classical_null_distribution(
     ----------
     dataset : sequence of MeasuredPoint
         Phase-decorated spectrum the tuples index into.
-    tuples : sequence of PhaseTuple
-        Selected tuples, all of one order n.
+    tuples : TupleSet
+        Selected tuples of the dataset, all of one order n.
     config : PseudoConfig
         Replica count, seed, and systematics settings.
     chunk_size : int, optional
@@ -214,14 +203,13 @@ def classical_null_distribution(
             f"{config.replicas} replicas is below {MIN_REPLICAS_FOR_CLAIM}; "
             "significance estimates will be unstable"
         )
-    n, comp_idx, target_idx = _tuple_arrays(tuples)
     size = len(dataset)
-    if comp_idx.min() < 0 or comp_idx.max() >= size or target_idx.max() >= size:
-        raise IndexError("tuple indices outside dataset")
-    bound = lgi_bound(n)
+    if tuples.size != size:
+        raise IndexError(f"tuples of a {tuples.size}-point dataset, given {size} points")
+    bound = lgi_bound(tuples.n)
     block_replicas, block_tuples = null_block_shape(len(tuples), size, chunk_size)
     # One contiguous index row per component: block slices stay contiguous.
-    components = np.ascontiguousarray(comp_idx.T)
+    components = np.ascontiguousarray(tuples.comp_idx.T)
 
     probs = np.array([p.p_mumu for p in dataset], dtype=float)[:, None]
     point_sd = np.array([p.sigma for p in dataset], dtype=float)[:, None]
@@ -271,15 +259,6 @@ def classical_null_distribution(
             counts[start:stop] += np.count_nonzero(corr_sum > bound, axis=0)
 
     return counts
-
-
-def count_violations(k_values: Sequence[KValue], n: int) -> int:
-    """Number of K values strictly above the macrorealistic bound for order n."""
-    bound = lgi_bound(n)
-    for kv in k_values:
-        if kv.n != n:
-            raise DomainError(f"K value of order {kv.n} mixed into an order-{n} count")
-    return sum(1 for kv in k_values if kv.value > bound)
 
 
 def fit_beta_binomial(counts: Sequence[int], trials_n: int) -> BetaBinomialFit:
@@ -342,27 +321,25 @@ def z_significance(observed: int, fit: BetaBinomialFit) -> float:
 
 
 def chi_square_quantum(
-    k_values: Sequence[KValue], params: OscParams
+    k_values: np.ndarray, k_sigma: np.ndarray, k_model: np.ndarray
 ) -> tuple[float, int]:
     """Goodness of fit of observed K values against the model-curve prediction.
 
-    For each tuple the prediction evaluates the survival curve at the stored
-    component phases and at their sum. Tuples share measured points and are
-    therefore strongly correlated; this statistic treats them as independent
-    and is descriptive only. dof is len(k_values) - 1.
+    Takes the observed K, its propagated sd and the model K of each tuple.
+    Tuples share measured points and are therefore strongly correlated;
+    this statistic treats them as independent and is descriptive only. dof
+    is len(k_values) - 1.
+
+    The squares and the sum run in Python floats, one tuple after the
+    other: float ** 2 calls C pow, which can differ from x * x in the last
+    bit, and np.sum adds in a different order, so either would move the
+    reported digits.
     """
     if len(k_values) < 2:
         raise DomainError("need at least two K values for a goodness-of-fit")
+    if (np.asarray(k_sigma) <= 0.0).any():
+        raise DomainError("every K value needs a positive uncertainty")
     chi2 = 0.0
-    for kv in k_values:
-        if kv.uncertainty is None or kv.uncertainty <= 0.0:
-            raise DomainError("every K value needs a positive uncertainty")
-        if kv.phases is None:
-            raise DomainError("every K value needs its component phases")
-        probs = [float(survival_probability(params.sin2_2theta, p)) for p in kv.phases]
-        prob_sum = float(survival_probability(params.sin2_2theta, sum(kv.phases)))
-        theory = k_n_quantum_from_survival(
-            probs, prob_sum, kind=KKind.QUANTUM_THEORY
-        ).value
-        chi2 += ((kv.value - theory) / kv.uncertainty) ** 2
+    for pull in ((np.asarray(k_values) - k_model) / k_sigma).tolist():
+        chi2 += pull ** 2
     return chi2, len(k_values) - 1

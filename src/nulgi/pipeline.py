@@ -6,21 +6,21 @@ import dataclasses
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataio import emit_report, parse_dataset, write_table_csv
+from .dataio import TupleTable, emit_report, parse_dataset, write_table_csv
 from .errors import DataError, DomainError
-from .leggett_garg import KKind, k_n_classical, k_n_quantum_from_survival, lgi_bound
+from .leggett_garg import lgi_bound
 from .montecarlo import (
     MIN_REPLICAS_FOR_CLAIM,
     PseudoConfig,
     SignificanceReport,
     chi_square_quantum,
     classical_null_distribution,
-    count_violations,
     fit_beta_binomial,
     z_significance,
 )
@@ -28,8 +28,8 @@ from .oscillation import OscParams, accumulated_phase, survival_probability
 from .selection import (
     MISMATCH_MODES,
     MeasuredPoint,
+    TupleSet,
     attach_phases,
-    evaluate_tuple,
     select_ntuples,
 )
 
@@ -138,36 +138,63 @@ def fit_curve_params(
     return dataclasses.replace(params, dm2=best[1], sin2_2theta=best[2])
 
 
-def _tuple_row(ptuple, k_value, dataset, model_params) -> dict:
-    comps = [dataset[i] for i in ptuple.indices]
-    target = dataset[ptuple.target_index]
-    phases = [float(p.psi) for p in comps]
-    phase_sum = float(sum(phases))
+def _k_from_survival(comp_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
+    n = comp_probs.shape[1] + 1
+    return (2 - n) + 2.0 * reduce(np.add, comp_probs.T) - 2.0 * target_probs
+
+
+def tuple_table(
+    tuples: TupleSet, points: Sequence[MeasuredPoint], model_params: OscParams
+) -> TupleTable:
+    """Every per-tuple column of an analysis, each computed once as an array.
+
+    The K values repeat, tuple for tuple, the scalar operations of
+    leggett_garg in the same order: k_value and k_sigma those of
+    k_n_quantum_from_survival on the measured points (sd per point from
+    math.hypot), k_classical_data those of k_n_classical on C = 2 P - 1,
+    and k_quantum_model those of k_n_quantum_from_survival on the model
+    curve at the component phases and their sum. Sums run left to right in
+    component order and products likewise (functools.reduce), as Python's
+    sum and math.prod do on floats, so every column equals its scalar
+    counterpart bit for bit.
+    """
+    psi = np.array([p.psi for p in points], dtype=float)
+    prob = np.array([p.p_mumu for p in points], dtype=float)
+    sigma = np.array([p.sigma for p in points], dtype=float)
+    comp, target, n = tuples.comp_idx, tuples.target_idx, tuples.n
+
+    phases = psi[comp]
+    phase_sum = reduce(np.add, phases.T)
+    k_value = _k_from_survival(prob[comp], prob[target])
+    comp_sd, target_sd = sigma[comp], sigma[target]
+    k_sigma = 2.0 * np.sqrt(reduce(np.add, (comp_sd * comp_sd).T) + target_sd * target_sd)
+    corr = 2.0 * prob[comp] - 1.0
+    k_classical = reduce(np.add, corr.T) - reduce(np.multiply, corr.T)
+    if (k_classical > n - 2 + 1e-9).any():
+        raise DomainError(f"classical K above its bound {n - 2}")
     s2t = model_params.sin2_2theta
-    model = k_n_quantum_from_survival(
-        [float(survival_probability(s2t, p)) for p in phases],
-        float(survival_probability(s2t, phase_sum)),
-        kind=KKind.QUANTUM_THEORY,
-    ).value
-    classical = k_n_classical([2.0 * p.p_mumu - 1.0 for p in comps]).value
-    return {
-        "component_indices": list(ptuple.indices),
-        "target_index": ptuple.target_index,
-        "n": ptuple.n,
-        "mismatch": ptuple.mismatch,
+    k_model = _k_from_survival(
+        survival_probability(s2t, psi)[comp], survival_probability(s2t, phase_sum)
+    )
+    return TupleTable({
+        "component_indices": comp,
+        "target_index": target,
+        "n": np.full(len(tuples), n),
+        "mismatch": tuples.mismatch,
         "component_phases": phases,
         "phase_sum": phase_sum,
-        "target_psi": float(target.psi),
-        "k_value": k_value.value,
-        "k_sigma": k_value.uncertainty,
-        "violation": bool(k_value.value > lgi_bound(ptuple.n)),
-        "k_classical_data": classical,
-        "k_quantum_model": model,
-    }
+        "target_psi": psi[target],
+        "k_value": k_value,
+        "k_sigma": k_sigma,
+        "violation": k_value > lgi_bound(n),
+        "k_classical_data": k_classical,
+        "k_quantum_model": k_model,
+    })
 
 
-# Tuple tables, each a projection of the rows _tuple_row builds: analyze's
-# tuples.csv, its K-versus-phase-sum table, and the tuples.csv of triples.
+# Tuple tables, each a projection of the columns tuple_table builds:
+# analyze's tuples.csv, its K-versus-phase-sum table, and the tuples.csv of
+# triples. Index and phase lists are joined by ';' and a violation is 0 or 1.
 TUPLE_COLUMNS = (
     "component_indices", "target_index", "n", "mismatch", "component_phases",
     "phase_sum", "target_psi", "k_value", "k_sigma", "violation",
@@ -181,27 +208,6 @@ TRIPLES_COLUMNS = (
     "component_indices", "target_index", "n", "mismatch", "phase_sum",
     "k_value", "violation",
 )
-
-
-def _cell(value):
-    if value is None:
-        return ""
-    if type(value) is list:
-        return ";".join(map(repr, value))
-    if type(value) is bool:
-        return int(value)
-    return value
-
-
-def write_tuple_table(path, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    """Write the named columns of tuple rows as a CSV table.
-
-    Index and phase lists are joined by ';' (floats at repr precision), a
-    missing value is an empty cell and a violation flag is 0 or 1.
-    """
-    write_table_csv(
-        path, columns, [[_cell(row[c]) for c in columns] for row in rows]
-    )
 
 
 def _config_echo(config: RunConfig, fitted: Optional[OscParams]) -> dict:
@@ -237,6 +243,7 @@ def _analyze(
             dof=None,
             status="no_tuples",
             config=_config_echo(config, None),
+            tuples=tuple_table(tuples, decorated, config.params),
             notes=["No phase tuples satisfied the sum rule at this tolerance."],
         )
         return report, None
@@ -248,8 +255,8 @@ def _analyze(
         fitted = fit_curve_params(decorated, config.params)
         model_params = fitted
 
-    k_values = [evaluate_tuple(t, decorated) for t in tuples]
-    observed = count_violations(k_values, config.order)
+    table = tuple_table(tuples, decorated, model_params)
+    observed = int(np.count_nonzero(table["violation"]))
 
     replicas = config.pseudo.replicas
     if replicas < MIN_REPLICAS_FOR_CLAIM:
@@ -270,7 +277,9 @@ def _analyze(
         )
 
     try:
-        chi2, dof = chi_square_quantum(k_values, model_params)
+        chi2, dof = chi_square_quantum(
+            table["k_value"], table["k_sigma"], table["k_quantum_model"]
+        )
     except DomainError as exc:
         chi2, dof = None, None
         report_warnings.append(f"chi-square skipped: {exc}")
@@ -284,10 +293,7 @@ def _analyze(
         dof=dof,
         status="ok",
         config=_config_echo(config, fitted),
-        tuples=[
-            _tuple_row(t, kv, decorated, model_params)
-            for t, kv in zip(tuples, k_values)
-        ],
+        tuples=table,
         warnings=report_warnings,
         notes=[CHI2_CAVEAT],
     )
@@ -316,8 +322,10 @@ def _write_artifacts(
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit_report(report, out / "report.json")
-    write_tuple_table(out / "tuples.csv", TUPLE_COLUMNS, report.tuples)
-    write_tuple_table(out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS, report.tuples)
+    for name, columns in (
+        ("tuples.csv", TUPLE_COLUMNS), ("k_vs_phase.csv", K_VS_PHASE_COLUMNS)
+    ):
+        write_table_csv(out / name, columns, report.tuples.csv_rows(columns))
     if counts is not None:
         values, freq = np.unique(counts, return_counts=True)
         write_table_csv(
@@ -357,11 +365,11 @@ def run_analysis(config: RunConfig) -> SignificanceReport:
     return report
 
 
-def run_triples(config: RunConfig) -> list[dict]:
+def run_triples(config: RunConfig) -> TupleTable:
     """Parse the configured dataset, select its tuples and write tuples.csv.
 
-    Returns one row per tuple, the same rows analyze reports, with the model
-    K taken from config.params. Writes nothing when no tuple is selected.
+    Returns the same table analyze reports, with the model K taken from
+    config.params. Writes nothing when no tuple is selected.
     """
     if config.data is None:
         raise DomainError("tuple selection requires a dataset path")
@@ -369,12 +377,9 @@ def run_triples(config: RunConfig) -> list[dict]:
     tuples = select_ntuples(
         points, config.order, config.tolerance, config.mismatch_mode
     )
-    rows = [
-        _tuple_row(t, evaluate_tuple(t, points), points, config.params)
-        for t in tuples
-    ]
-    if rows:
+    table = tuple_table(tuples, points, config.params)
+    if len(table):
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_tuple_table(out / "tuples.csv", TRIPLES_COLUMNS, rows)
-    return rows
+        write_table_csv(out / "tuples.csv", TRIPLES_COLUMNS, table.csv_rows(TRIPLES_COLUMNS))
+    return table

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, DomainError
-from .leggett_garg import KValue, k_n_quantum_from_survival
 from .oscillation import OscParams, accumulated_phase
 
 MISMATCH_MODES = ("relative", "absolute")
@@ -52,7 +51,7 @@ class MeasuredPoint:
 
 @dataclass(frozen=True)
 class PhaseTuple:
-    """Selected component indices plus the target point matching their phase sum.
+    """One selected tuple: a view of one row of a TupleSet.
 
     indices are dataset positions of the n-1 components, sorted by descending
     phase (repetition allowed); mismatch is the signed sum-rule residual,
@@ -65,9 +64,56 @@ class PhaseTuple:
     n: int
     mismatch: float
 
+
+@dataclass(frozen=True, eq=False)
+class TupleSet:
+    """Selected order-n tuples of a size-point dataset, as read-only columns.
+
+    comp_idx holds one row of n-1 component indices per tuple; target_idx
+    and mismatch one entry per tuple. Every index is checked against
+    [0, size) once, here. ts[i] is tuple i as a PhaseTuple.
+    """
+
+    n: int
+    size: int
+    comp_idx: np.ndarray
+    target_idx: np.ndarray
+    mismatch: np.ndarray
+
     def __post_init__(self) -> None:
-        if self.n != len(self.indices) + 1:
-            raise DomainError("order must exceed the component count by one")
+        if not isinstance(self.n, int) or self.n < 3:
+            raise DomainError(f"order must be an integer >= 3, got {self.n}")
+        comp = np.asarray(self.comp_idx, dtype=np.int64)
+        comp = comp.reshape(0, self.n - 1) if comp.size == 0 else comp
+        target = np.asarray(self.target_idx, dtype=np.int64)
+        mismatch = np.asarray(self.mismatch, dtype=float)
+        if comp.shape[1:] != (self.n - 1,) or not target.shape == mismatch.shape == (len(comp),):
+            raise DomainError(f"order-{self.n} tuples need {self.n - 1} components each")
+        if len(comp) and not 0 <= min(comp.min(), target.min()) <= max(
+            comp.max(), target.max()
+        ) < self.size:
+            raise IndexError(f"tuple indices outside dataset of {self.size} points")
+        for name, arr in (("comp_idx", comp), ("target_idx", target), ("mismatch", mismatch)):
+            view = arr.view()  # read-only without freezing the caller's array
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return len(self.target_idx)
+
+    def __getitem__(self, i: int) -> PhaseTuple:
+        return PhaseTuple(
+            tuple(self.comp_idx[i].tolist()), int(self.target_idx[i]), self.n,
+            float(self.mismatch[i]),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TupleSet):
+            return NotImplemented
+        return (self.n, self.size) == (other.n, other.size) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("comp_idx", "target_idx", "mismatch")
+        )
 
 
 def attach_phases(dataset: Sequence[MeasuredPoint], params: OscParams) -> list[MeasuredPoint]:
@@ -93,12 +139,46 @@ def _require_phases(dataset: Sequence[MeasuredPoint]) -> np.ndarray:
     return np.asarray(psis, dtype=float)
 
 
+# Candidate component multisets evaluated per block of selection.
+SELECT_BLOCK_ROWS = 1 << 13
+
+
+def _multiset_blocks(size: int, k: int):
+    """Every k-multiset of range(size) as a nondecreasing row, in lexicographic
+    order, in blocks of at most SELECT_BLOCK_ROWS rows sharing a leading index.
+
+    Each block's rows are its leading index a followed by a slice of the
+    (k-1)-multisets whose first entry is a or more, so only that smaller
+    table and one block exist at a time.
+    """
+    rest = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(size), k - 1)
+        ),
+        dtype=np.int64,
+    ).reshape(-1, k - 1)
+    for a, start in enumerate(np.searchsorted(rest[:, 0], np.arange(size)).tolist()):
+        for lo in range(start, len(rest), SELECT_BLOCK_ROWS):
+            tail = rest[lo:lo + SELECT_BLOCK_ROWS]
+            yield np.column_stack((np.full(len(tail), a, dtype=np.int64), tail))
+
+
+def _residual(total: np.ndarray, psi_c: np.ndarray, mismatch_mode: str) -> np.ndarray:
+    """Signed sum-rule residuals against candidate target phases, inf where
+    a candidate phase is <= 0 (no target)."""
+    resid = total - psi_c
+    if mismatch_mode == "relative":
+        np.divide(resid, psi_c, out=resid, where=psi_c > 0.0)
+    resid[psi_c <= 0.0] = np.inf
+    return resid
+
+
 def select_ntuples(
     dataset: Sequence[MeasuredPoint],
     n: int,
     tolerance: float,
     mismatch_mode: str = "relative",
-) -> list[PhaseTuple]:
+) -> TupleSet:
     """Enumerate order-n tuples whose component phases sum to a measured phase.
 
     Parameters
@@ -115,10 +195,16 @@ def select_ntuples(
 
     Returns
     -------
-    list of PhaseTuple in a canonical order (ascending target phase, then
-    ascending component phases), one per accepted component multiset, each
+    TupleSet in a canonical order (ascending target phase, then ascending
+    component phases), one tuple per accepted component multiset, each
     using the target whose phase minimizes the residual. Deterministic for a
-    given input; ties on |residual| resolve to the smaller target phase.
+    given input.
+
+    Every multiset is scanned, block by block (see _multiset_blocks). A
+    multiset's phases are summed left to right in component order, and the
+    sum is located among the sorted phases by binary search (Gajentaan and
+    Overmars' 3SUM scan). Of the two neighbouring phases the one with the
+    smaller key (|residual|, phase, dataset index) is the target.
     """
     if not isinstance(n, int) or n < 3:
         raise DomainError(f"order must be an integer >= 3, got {n}")
@@ -129,60 +215,38 @@ def select_ntuples(
     if len(dataset) < n:
         raise DataError(f"need at least {n} points for order-{n} tuples, got {len(dataset)}")
     psis = _require_phases(dataset)
+    size = len(psis)
 
     # Dataset order is ascending energy, hence descending phase; ascending
     # index combinations are therefore already sorted by descending phase.
     order = np.argsort(psis, kind="stable")
-    sorted_psi = psis[order]
+    # Zero-padded, so both neighbours of every sum exist; a pad, like any
+    # phase <= 0, never serves as a target.
+    cand_psi = np.concatenate(([0.0], psis[order], [0.0]))
+    cand_idx = np.concatenate(([-1], order, [-1]))
+    found = []
+    for combos in _multiset_blocks(size, n - 1):
+        total = psis[combos[:, 0]]
+        for col in combos.T[1:]:
+            total = total + psis[col]
+        upper = np.searchsorted(cand_psi[1:-1], total) + 1
+        lower_resid, upper_resid = (
+            _residual(total, cand_psi[c], mismatch_mode) for c in (upper - 1, upper)
+        )
+        # On equal |residual| the key's next entries, the phase and (for
+        # equal phases, by the stable sort) the index, favour the lower.
+        take_upper = np.abs(upper_resid) < np.abs(lower_resid)
+        resid = np.where(take_upper, upper_resid, lower_resid)
+        keep = np.abs(resid) <= tolerance
+        found.append((combos[keep], cand_idx[upper - 1 + take_upper][keep], resid[keep]))
 
-    found: list[PhaseTuple] = []
-    for combo in itertools.combinations_with_replacement(range(len(dataset)), n - 1):
-        total = float(sum(psis[i] for i in combo))
-        pos = int(np.searchsorted(sorted_psi, total))
-        best: Optional[tuple[float, float, int]] = None
-        for cand in (pos - 1, pos):
-            if not 0 <= cand < len(sorted_psi):
-                continue
-            psi_c = float(sorted_psi[cand])
-            if psi_c <= 0.0:
-                continue
-            resid = total - psi_c
-            if mismatch_mode == "relative":
-                resid /= psi_c
-            key = (abs(resid), psi_c, int(order[cand]))
-            if best is None or key < best[0]:
-                best = (key, resid, int(order[cand]))
-        if best is not None and abs(best[1]) <= tolerance:
-            found.append(
-                PhaseTuple(indices=combo, target_index=best[2], n=n, mismatch=best[1])
-            )
-
-    found.sort(
-        key=lambda t: (psis[t.target_index], tuple(psis[i] for i in reversed(t.indices)))
-    )
-    return found
-
-
-def evaluate_tuple(ptuple: PhaseTuple, dataset: Sequence[MeasuredPoint]) -> KValue:
-    """Evaluate the measured K_n for one selected tuple.
-
-    Components enter through their survival probabilities, the target through
-    its own measured probability; the propagated uncertainty treats all
-    entries as independent (advisory, since tuples share points).
-    """
-    size = len(dataset)
-    for i in (*ptuple.indices, ptuple.target_index):
-        if not 0 <= i < size:
-            raise IndexError(f"tuple index {i} outside dataset of {size} points")
-    comps = [dataset[i] for i in ptuple.indices]
-    target = dataset[ptuple.target_index]
-    if any(p.psi is None for p in comps):
-        raise DataError("tuple references points with no attached phase")
-    return k_n_quantum_from_survival(
-        [p.p_mumu for p in comps],
-        target.p_mumu,
-        n=ptuple.n,
-        sigmas=[p.sigma for p in comps],
-        sigma_sum=target.sigma,
-        phases=[p.psi for p in comps],
+    comp_idx, target_idx, mismatch = map(np.concatenate, zip(*found))
+    del found
+    # lexsort's last key is its primary: the target phase, then the
+    # components' phases from the last (smallest) to the first. It is
+    # stable, so ties keep the scan order.
+    ranks = np.lexsort((*psis[comp_idx.T], psis[target_idx]))
+    return TupleSet(
+        n=n, size=size, comp_idx=comp_idx[ranks],
+        target_idx=target_idx[ranks], mismatch=mismatch[ranks],
     )

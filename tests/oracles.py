@@ -6,6 +6,7 @@ from the package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -95,6 +96,44 @@ def brute_force_ntuples(psis, n, tolerance, mode="relative"):
                 best = (key, resid, c)
         if best is not None and abs(best[1]) <= tolerance:
             found.append((combo, best[0][2], best[1]))
+    return found
+
+
+def neighbour_scan_ntuples(psis, n, tolerance, mode="relative"):
+    """Sum-rule tuple selection by a scan of every multiset, one at a time.
+
+    The package's selection before it was vectorized, kept as the exact
+    reference: each multiset's phases are summed left to right in index
+    order, the sum is located among the sorted phases by binary search,
+    and of its two neighbours the one with the smaller key (|residual|,
+    phase, dataset index) is the target, the upper one only on a strictly
+    smaller key. Returns (component_indices, target_index, signed_mismatch)
+    triples sorted by target phase, then by the component phases from the
+    last to the first, ties in scan order.
+    """
+    psis = [float(p) for p in psis]
+    order = sorted(range(len(psis)), key=psis.__getitem__)
+    sorted_psi = [psis[i] for i in order]
+    found = []
+    for combo in itertools.combinations_with_replacement(range(len(psis)), n - 1):
+        total = sum(psis[i] for i in combo)
+        pos = bisect.bisect_left(sorted_psi, total)
+        best = None
+        for cand in (pos - 1, pos):
+            if not 0 <= cand < len(sorted_psi):
+                continue
+            psi_c = sorted_psi[cand]
+            if psi_c <= 0.0:
+                continue
+            resid = total - psi_c
+            if mode == "relative":
+                resid /= psi_c
+            key = (abs(resid), psi_c, order[cand])
+            if best is None or key < best[0]:
+                best = (key, resid, order[cand])
+        if best is not None and abs(best[1]) <= tolerance:
+            found.append((combo, best[2], best[1]))
+    found.sort(key=lambda t: (psis[t[1]], tuple(psis[i] for i in reversed(t[0]))))
     return found
 
 

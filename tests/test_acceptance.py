@@ -222,9 +222,10 @@ def paired_check(report, exact, rng) -> tuple[bool, float, float]:
     oracle's, and how far the Monte Carlo null mean and the z sit from the
     exact values, in Monte Carlo standard errors.
     """
-    tuples = {
-        (tuple(row["component_indices"]), row["target_index"]) for row in report.tuples
-    }
+    table = report.tuples
+    tuples = set(zip(
+        map(tuple, table["component_indices"].tolist()), table["target_index"].tolist()
+    ))
     equal = tuples == exact.tuples and report.n_violations_observed == exact.observed
     if report.null_fit is None:
         return equal, math.inf, math.inf
@@ -401,9 +402,14 @@ def test_a9_tolerance_robustness(verdict):
         exact = order3_oracle(points, tol)
         leg_equal, *gaps = paired_check(report, exact, rng)
         equal, worst = equal and leg_equal, max(worst, *gaps)
+        table = report.tuples
         legs.append({
-            tuple(row["component_indices"]): (row["target_index"], row["k_value"])
-            for row in report.tuples
+            tuple(comps): (target, k)
+            for comps, target, k in zip(
+                table["component_indices"].tolist(),
+                table["target_index"].tolist(),
+                table["k_value"].tolist(),
+            )
         })
         fit = report.null_fit
         lines.append(

@@ -7,15 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nulgi import dataio
 from nulgi.dataio import (
+    TupleTable,
     emit_report,
     parse_dataset,
     write_dataset_csv,
     write_table_csv,
 )
-from nulgi.errors import DataError
+from nulgi.errors import DataError, DomainError
 from nulgi.montecarlo import BetaBinomialFit, PseudoConfig, SignificanceReport
+from nulgi.oscillation import OscParams, accumulated_phase
+from nulgi.pipeline import RunConfig, analyze_dataset
 from nulgi.selection import MeasuredPoint
+from nulgi.synthetic import generate_synthetic
 
 POINTS = [
     MeasuredPoint(1.8332, 0.5125, 0.021, 0.004),
@@ -217,3 +222,88 @@ def test_table_csv_keeps_float_precision(tmp_path):
     x0 = float(lines[1].split(",")[0])
     assert x0 == 0.1 + 0.2
     assert lines[1].split(",")[1] == "3"
+
+
+PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
+
+
+def json_oracle(report) -> bytes:
+    """The bytes json.dumps gives for the report, its table as row dicts."""
+    table = report.tuples
+    rows = [
+        {name: values[i].tolist() for name, values in table.columns.items()}
+        for i in range(len(table))
+    ]
+    plain = dataclasses.replace(report, tuples=rows)
+    text = json.dumps(plain, default=dataio._json_fallback, indent=2, sort_keys=True)
+    return (text + "\n").encode("utf-8")
+
+
+def analyzed(phases=None, bins=30, **kw):
+    if phases is None:
+        points = generate_synthetic(PARAMS, "quantum", bins, 0.5, 50.0, 0.05, seed=0)
+    else:
+        scale = accumulated_phase(PARAMS, 1.0)
+        points = [MeasuredPoint(scale / psi, 0.5, 0.05) for psi in phases]
+    config = RunConfig(
+        params=PARAMS, pseudo=PseudoConfig(replicas=1000, seed=1), **kw
+    )
+    return analyze_dataset(points, config)
+
+
+def with_columns(table, **columns):
+    return TupleTable({**table.columns, **columns})
+
+
+@pytest.mark.parametrize("case", [
+    "no_tuples", "one_tuple", "fit_curve", "edge_floats", "quotes_and_unicode",
+])
+def test_column_built_report_equals_json_dumps(tmp_path, case):
+    if case == "no_tuples":
+        report = analyzed(phases=(0.5, 0.6, 0.8))
+        assert report.status == "no_tuples" and len(report.tuples) == 0
+    elif case == "one_tuple":
+        report = analyzed(phases=(0.5, 0.7, 1.2))
+        assert len(report.tuples) == 1
+    elif case == "fit_curve":
+        report = analyzed(order=4, fit_curve=True)
+        assert len(report.tuples) > 100 and "fitted_params" in report.config
+    else:
+        report = analyzed()
+    if case == "edge_floats":
+        edges = np.array([-0.0, 1e-05, 1e16, 5e-324])
+        table = report.tuples
+        mismatch = table["mismatch"].copy()
+        mismatch[:4] = edges
+        phases = table["component_phases"].copy()
+        phases[:4, 1] = edges
+        report.tuples = with_columns(table, mismatch=mismatch, component_phases=phases)
+        report.chi2_quantum = 5e-324
+        report.config = {**report.config, "tolerance": -0.0, "e_max_gev": 1e16}
+    if case == "quotes_and_unicode":
+        report.warnings = ['a "quoted" \\ path', "Δm² ≥ 0 — naïve ünïcode", "tab\tend"]
+        report.notes = ["\u2028 line separator and \x00 nul"]
+    path = tmp_path / "report.json"
+    emit_report(report, path)
+    assert path.read_bytes() == json_oracle(report)
+
+
+def test_table_text_is_formatted_once_and_shared(tmp_path):
+    report = analyzed(order=4)
+    table = report.tuples
+    assert table.text is table.text
+    assert table.text["k_value"] == list(map(repr, table["k_value"].tolist()))
+    assert set(table.text["violation"]) == {"true", "false"}
+    rows = list(table.csv_rows(["component_indices", "violation"]))
+    assert rows[0][0] == ";".join(map(str, table["component_indices"][0].tolist()))
+    assert {cell for _, cell in rows} == {"0", "1"}
+
+
+def test_non_finite_table_cells_raise(tmp_path):
+    report = analyzed()
+    k = report.tuples["k_value"].copy()
+    k[0] = np.nan
+    report.tuples = with_columns(report.tuples, k_value=k)
+    with pytest.raises(DomainError, match="k_value"):
+        emit_report(report, tmp_path / "r.json")
+    assert not (tmp_path / "r.json").exists()

@@ -2,10 +2,13 @@
 
 A seed-0, 30-bin quantum spectrum (5% errors) is analyzed at order 3 and,
 with --fit-curve, at order 4 with 2000 replicas, and passed to `triples` at
-both orders. The SHA-256 of every file the runs write, and of each run's
-stdout and stderr, must match the digests below. Refactors of the writers
-and serializers are checked against them: a change that moves a single
-byte of any artifact fails here.
+both orders. A seed-0, 100-bin quantum spectrum (5% errors, 29 560 order-4
+tuples) is analyzed at order 4 with --fit-curve and 200 replicas, and passed
+to `triples` at order 4: the scale at which selection, the K columns and the
+writers handle tens of thousands of tuples. The SHA-256 of every file the
+runs write, and of each run's stdout and stderr, must match the digests
+below. Refactors of the writers and serializers are checked against them: a
+change that moves a single byte of any artifact fails here.
 
 The digests were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1
 on x86-64 Linux. Other library versions can move the last bits of a
@@ -30,12 +33,17 @@ ANALYZE_ARTIFACTS = (
 
 # (label and output directory, subcommand and its flags, files written);
 # every run also gets --params and --data.
-RUNS = (
+RUNS_30 = (
     ("analyze-n3", ["analyze", "--order", "3", "--replicas", "2000", "--seed", "0",
                     "--out-dir", "analyze-n3"], ANALYZE_ARTIFACTS),
     ("analyze-n4-fit", ["analyze", "--order", "4", "--replicas", "2000", "--seed", "0",
                         "--fit-curve", "--out-dir", "analyze-n4-fit"], ANALYZE_ARTIFACTS),
     ("triples-n3", ["triples", "--order", "3", "--out-dir", "triples-n3"], ("tuples.csv",)),
+    ("triples-n4", ["triples", "--order", "4", "--out-dir", "triples-n4"], ("tuples.csv",)),
+)
+RUNS_100 = (
+    ("analyze-n4-fit", ["analyze", "--order", "4", "--replicas", "200", "--seed", "0",
+                        "--fit-curve", "--out-dir", "analyze-n4-fit"], ANALYZE_ARTIFACTS),
     ("triples-n4", ["triples", "--order", "4", "--out-dir", "triples-n4"], ("tuples.csv",)),
 )
 
@@ -65,21 +73,35 @@ DIGESTS = {
     "triples-n4/tuples.csv": "714fe095d4c98d5535359d84c2613390febab79a91384aae48c70dedd7ceb35a",
 }
 
+DIGESTS_100 = {
+    "spectrum.csv": "d1d994e6f1f9ffb072d0f63f6825f385d0c2822196505983dfd893e885df84d9",
+    "analyze-n4-fit/stdout": "bed531b2da5686c4c8d7104c8065fc1692e4d55ca9b1f3a6560b6c45e964d566",
+    "analyze-n4-fit/stderr": "52ff638b4cde0ba8956d21941dc3149593609d75aa9e8c953e96b28e4970c101",
+    "analyze-n4-fit/report.json": "d27a3dabdc7c145cb1b091e7550a1402b0ad79a3c139c412e3908093e2f3cae2",
+    "analyze-n4-fit/tuples.csv": "ee7e2df88d76e6bce09cb37ad95697f32812931bedf7abf00724e9a55e763cf8",
+    "analyze-n4-fit/k_vs_phase.csv": "e688788bc93f3b7109ab8561bdf0a48f54903d9010340df139ddd48d37c7e87c",
+    "analyze-n4-fit/null_counts.csv": "90853e14ec6d1af6a937e3da50c62cae8559aebcfa832d19dad06e084db52757",
+    "analyze-n4-fit/curve.csv": "a0255ffdc1a7420a2b406744b617e3a6ec518704273d152efc99879763d2c7b6",
+    "triples-n4/stdout": "eea0253515b3713fdb35672293df8d909b9863fd10d251d3361e64296a77c865",
+    "triples-n4/stderr": EMPTY,
+    "triples-n4/tuples.csv": "091758ee213171355c7a4f2acbaf7d42aafcafe6a285d14d50690c906a86fa60",
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def golden_outputs(workdir, capsys) -> dict:
-    """Run every golden command inside workdir; map each output to its digest.
+def golden_outputs(workdir, capsys, bins, runs) -> dict:
+    """Run the golden commands on a seed-0 spectrum inside workdir.
 
-    Paths are relative to workdir, because the config echo in report.json
-    and the CLI's stdout both name them.
+    Maps each output to its digest. Paths are relative to workdir, because
+    the config echo in report.json and the CLI's stdout both name them.
     """
-    points = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    points = generate_synthetic(PARAMS, "quantum", bins, 0.5, 50.0, 0.05, seed=0)
     write_dataset_csv(points, workdir / "spectrum.csv")
     digests = {"spectrum.csv": _sha256((workdir / "spectrum.csv").read_bytes())}
-    for label, argv, files in RUNS:
+    for label, argv, files in runs:
         code = main([argv[0], "--params", PARAMS_JSON, "--data", "spectrum.csv"] + argv[1:])
         assert code == EXIT_OK, label
         captured = capsys.readouterr()
@@ -90,11 +112,21 @@ def golden_outputs(workdir, capsys) -> dict:
     return digests
 
 
+def assert_golden(digests: dict, golden: dict) -> None:
+    assert sorted(digests) == sorted(golden)
+    changed = sorted(k for k in golden if digests[k] != golden[k])
+    assert not changed, f"digests differ from the {VERSIONS} recording: {changed}"
+
+
 def test_every_artifact_and_cli_output_matches_its_golden_digest(
     tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    digests = golden_outputs(tmp_path, capsys)
-    assert sorted(digests) == sorted(DIGESTS)
-    changed = sorted(k for k in DIGESTS if digests[k] != DIGESTS[k])
-    assert not changed, f"digests differ from the {VERSIONS} recording: {changed}"
+    assert_golden(golden_outputs(tmp_path, capsys, 30, RUNS_30), DIGESTS)
+
+
+def test_100_bin_artifacts_and_cli_output_match_their_golden_digests(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert_golden(golden_outputs(tmp_path, capsys, 100, RUNS_100), DIGESTS_100)

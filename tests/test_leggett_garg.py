@@ -237,8 +237,6 @@ def test_kvalue_validation():
     with pytest.raises(DomainError):
         KValue(n=3, value=math.nan, kind=KKind.QUANTUM_THEORY)
     with pytest.raises(DomainError):
-        KValue(n=3, value=0.5, kind=KKind.QUANTUM_THEORY, phases=(0.5,))
-    with pytest.raises(DomainError):
         KValue(n=3, value=0.5, kind=KKind.QUANTUM_THEORY, uncertainty=-0.1)
     # The classical kind defends its own bound.
     with pytest.raises(DomainError):

@@ -21,16 +21,14 @@ from nulgi.montecarlo import (
     PseudoConfig,
     chi_square_quantum,
     classical_null_distribution,
-    count_violations,
     fit_beta_binomial,
     MIN_BLOCK_REPLICAS,
     NULL_BLOCK_BYTES,
     null_block_shape,
     z_significance,
 )
-from nulgi.leggett_garg import KKind, KValue
 from nulgi.oscillation import OscParams, survival_probability
-from nulgi.pipeline import RunConfig, analyze_dataset
+from nulgi.pipeline import RunConfig, analyze_dataset, tuple_table
 from nulgi.sampling import (
     STREAM_PSEUDODATA,
     STREAM_SYNTH_ENERGY,
@@ -41,9 +39,8 @@ from nulgi.sampling import (
 )
 from nulgi.selection import (
     MeasuredPoint,
-    PhaseTuple,
+    TupleSet,
     attach_phases,
-    evaluate_tuple,
     select_ntuples,
 )
 from nulgi.synthetic import generate_synthetic
@@ -95,8 +92,7 @@ def test_null_is_silent_on_noiseless_quantum_data():
     pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.0, seed=0)
     dec = attach_phases(pts, PARAMS)
     tuples = select_ntuples(dec, 3, 0.005)
-    k_values = [evaluate_tuple(t, dec) for t in tuples]
-    assert count_violations(k_values, 3) >= 1
+    assert np.count_nonzero(tuple_table(tuples, dec, PARAMS)["violation"]) >= 1
     counts = classical_null_distribution(dec, tuples, PseudoConfig(replicas=2000, seed=1))
     assert not counts.any()
 
@@ -174,13 +170,11 @@ def test_order_five_counts_match_the_replica_major_oracle():
     dec = dataset_with_phases(SHARED_PHASES, sigma=0.3)
     # Hand-built order-5 tuples (phase sums need not match: the null never
     # reads them), with repeated components and every point used.
-    tuples = [
-        PhaseTuple(indices=ids, target_index=target, n=5, mismatch=0.0)
-        for ids, target in (
-            ((5, 4, 3, 2), 0), ((3, 3, 1, 0), 2), ((5, 5, 5, 5), 4),
-            ((4, 2, 1, 1), 3), ((2, 1, 0, 0), 5),
-        )
-    ]
+    tuples = TupleSet(
+        n=5, size=len(dec),
+        comp_idx=[(5, 4, 3, 2), (3, 3, 1, 0), (5, 5, 5, 5), (4, 2, 1, 1), (2, 1, 0, 0)],
+        target_idx=[0, 2, 4, 3, 5], mismatch=np.zeros(5),
+    )
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=12)
     counts = classical_null_distribution(dec, tuples, cfg)
     assert counts.any()
@@ -241,12 +235,18 @@ def test_engine_validation():
     dec, tuples = shared_fixture()
     with pytest.raises(DomainError):
         classical_null_distribution(dec, [], PseudoConfig(replicas=2000))
-    mixed = [tuples[0], dataclasses.replace(tuples[1], indices=(1, 2, 3), n=4)]
+    # A set holds one order: rows of another order's width are rejected.
     with pytest.raises(DomainError):
-        classical_null_distribution(dec, mixed, PseudoConfig(replicas=2000))
-    stray = [dataclasses.replace(tuples[0], indices=(4, 99))]
+        TupleSet(n=3, size=6, comp_idx=[(1, 2, 3), (1, 2, 4)], target_idx=[0, 0],
+                 mismatch=[0.0, 0.0])
     with pytest.raises(IndexError):
-        classical_null_distribution(dec, stray, PseudoConfig(replicas=2000))
+        TupleSet(n=3, size=6, comp_idx=[(4, 99)], target_idx=[0], mismatch=[0.0])
+    # A negative target used to pass the null's range check, which tested
+    # only the largest index.
+    with pytest.raises(IndexError):
+        TupleSet(n=3, size=6, comp_idx=[(4, 3)], target_idx=[-1], mismatch=[0.0])
+    with pytest.raises(IndexError):
+        classical_null_distribution(dec[:5], tuples, PseudoConfig(replicas=2000))
     with pytest.warns(UserWarning, match="replicas"):
         classical_null_distribution(dec, tuples, PseudoConfig(replicas=100, seed=1))
     for chunk_size in (0, 2.5):
@@ -303,13 +303,22 @@ def test_pseudodata_truncation_bias_matches_rejection_oracle():
 
 
 def test_count_violations_strictness():
-    kvs = [
-        KValue(n=3, value=v, kind=KKind.QUANTUM_FROM_DATA) for v in (1.2, 0.8, 1.0)
-    ]
-    assert count_violations(kvs, 3) == 1
-    assert count_violations([], 3) == 0
+    # K_3 = -1 + 2 (P_1 + P_2) - 2 P_0 with P_1 = P_2 = 0.75: 1.2, 0.8 and
+    # exactly the bound 1.0, which is not a violation.
+    triple = TupleSet(n=3, size=3, comp_idx=[(1, 2)], target_idx=[0], mismatch=[0.0])
+    dec = dataset_with_phases((1.2, 0.7, 0.5))
+    flags = []
+    for target_p in (0.4, 0.6, 0.5):
+        probs = (target_p, 0.75, 0.75)
+        points = [dataclasses.replace(p, p_mumu=v) for p, v in zip(dec, probs)]
+        table = tuple_table(triple, points, PARAMS)
+        flags.append(bool(table["violation"][0]))
+    assert table["k_value"][0] == 1.0
+    assert flags == [True, False, False]
+    empty = TupleSet(n=3, size=3, comp_idx=[], target_idx=[], mismatch=[])
+    assert np.count_nonzero(tuple_table(empty, dec, PARAMS)["violation"]) == 0
     with pytest.raises(DomainError):
-        count_violations(kvs + [KValue(n=4, value=0.0, kind=KKind.QUANTUM_FROM_DATA)], 3)
+        TupleSet(n=3, size=3, comp_idx=[(1, 2, 0)], target_idx=[0], mismatch=[0.0])
 
 
 def test_beta_binomial_round_trip():
@@ -368,6 +377,10 @@ def test_z_significance_values():
     assert z_significance(12, frozen) == (12 - 10.0) * 1000
 
 
+def k_columns(table):
+    return table["k_value"], table["k_sigma"], table["k_quantum_model"]
+
+
 def test_chi_square_vanishes_on_the_model_curve():
     dec = dataset_with_phases(SHARED_PHASES, sigma=0.01)
     dec = [
@@ -375,9 +388,9 @@ def test_chi_square_vanishes_on_the_model_curve():
         for p in dec
     ]
     tuples = select_ntuples(dec, 3, 0.005)
-    k_values = [evaluate_tuple(t, dec) for t in tuples]
-    assert len(k_values) == 4
-    chi2, dof = chi_square_quantum(k_values, PARAMS)
+    table = tuple_table(tuples, dec, PARAMS)
+    assert len(table) == 4
+    chi2, dof = chi_square_quantum(*k_columns(table))
     assert chi2 < 1e-12
     assert dof == 3
 
@@ -388,20 +401,16 @@ def test_chi_square_tracks_unit_gaussian_scatter():
     chi2_values = []
     for _ in range(30):
         pulls = rng.standard_normal(82)
-        k_values = []
-        for g in pulls:
+        theory = []
+        for _ in pulls:
             psis = rng.uniform(0.3, 1.5, size=2)
             probs = [float(survival_probability(0.95, p)) for p in psis]
             prob_sum = float(survival_probability(0.95, psis.sum()))
-            theory = -1.0 + 2.0 * sum(probs) - 2.0 * prob_sum
-            k_values.append(
-                KValue(
-                    n=3, value=theory + sigma * float(g),
-                    kind=KKind.QUANTUM_FROM_DATA,
-                    phases=tuple(psis), uncertainty=sigma,
-                )
-            )
-        chi2, dof = chi_square_quantum(k_values, PARAMS)
+            theory.append(-1.0 + 2.0 * sum(probs) - 2.0 * prob_sum)
+        theory = np.array(theory)
+        chi2, dof = chi_square_quantum(
+            theory + sigma * pulls, np.full(82, sigma), theory
+        )
         assert dof == 81
         assert_allclose(chi2, float(pulls @ pulls), rtol=1e-9)
         chi2_values.append(chi2)
@@ -410,18 +419,12 @@ def test_chi_square_tracks_unit_gaussian_scatter():
 
 
 def test_chi_square_validation():
-    good = KValue(
-        n=3, value=1.0, kind=KKind.QUANTUM_FROM_DATA,
-        phases=(0.5, 0.7), uncertainty=0.1,
-    )
     with pytest.raises(DomainError):
-        chi_square_quantum([good], PARAMS)
+        chi_square_quantum(np.array([1.0]), np.array([0.1]), np.array([0.9]))
     with pytest.raises(DomainError):
         chi_square_quantum(
-            [good, dataclasses.replace(good, uncertainty=0.0)], PARAMS
+            np.array([1.0, 1.0]), np.array([0.1, 0.0]), np.array([0.9, 0.9])
         )
-    with pytest.raises(DomainError):
-        chi_square_quantum([good, dataclasses.replace(good, phases=None)], PARAMS)
 
 
 def classical_markov_dataset(lam, sigma, bins, seed):

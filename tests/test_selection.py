@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,16 +11,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nulgi import selection
 from nulgi.errors import DataError, DomainError
-from nulgi.leggett_garg import KKind
 from nulgi.oscillation import OscParams, accumulated_phase
+from nulgi.pipeline import tuple_table
 from nulgi.selection import (
     MeasuredPoint,
     PhaseTuple,
+    TupleSet,
     attach_phases,
-    evaluate_tuple,
     select_ntuples,
 )
+from nulgi.synthetic import generate_synthetic
 
 import oracles
 
@@ -79,7 +82,7 @@ def test_zero_splitting_yields_no_tuples():
         [MeasuredPoint(e, 0.5, 0.02) for e in (1.0, 2.0, 3.0, 4.0)], flat
     )
     assert all(p.psi == 0.0 for p in dec)
-    assert select_ntuples(dec, 3, 0.005) == []
+    assert len(select_ntuples(dec, 3, 0.005)) == 0
 
 
 def test_exact_sum_triple_found():
@@ -96,7 +99,7 @@ def test_exact_sum_triple_found():
 
 def test_offset_sum_finds_nothing():
     dec = decorated([0.5, 0.7, 1.3])
-    assert select_ntuples(dec, 3, 0.005) == []
+    assert len(select_ntuples(dec, 3, 0.005)) == 0
 
 
 def test_exact_sum_quadruples_include_repeated_components():
@@ -207,22 +210,28 @@ def test_selection_validation():
     with pytest.raises(DataError):
         select_ntuples(points_with_phases([0.5, 0.7, 1.2]), 3, 0.005)
     with pytest.raises(DomainError):
-        PhaseTuple(indices=(0, 1), target_index=2, n=4, mismatch=0.0)
+        TupleSet(n=4, size=4, comp_idx=[(0, 1)], target_idx=[2], mismatch=[0.0])
+
+
+def one_triple(size=3):
+    return TupleSet(n=3, size=size, comp_idx=[[1, 2]], target_idx=[0], mismatch=[0.0])
 
 
 def test_evaluate_tuple_hand_values():
     dec = decorated([0.5, 0.7, 1.2], p_mumu=0.75)
     dec = [dataclasses.replace(p, p_mumu=v) for p, v in zip(dec, (0.25, 0.75, 0.75))]
-    t = PhaseTuple(indices=(1, 2), target_index=0, n=3, mismatch=0.0)
-    kv = evaluate_tuple(t, dec)
-    assert kv.value == pytest.approx(1.5, abs=1e-15)
-    assert kv.kind is KKind.QUANTUM_FROM_DATA
-    assert kv.phases == (dec[1].psi, dec[2].psi)
+    table = tuple_table(one_triple(), dec, PARAMS)
+    assert table["k_value"][0] == pytest.approx(1.5, abs=1e-15)
+    assert table["component_phases"][0].tolist() == [dec[1].psi, dec[2].psi]
 
     flat = [dataclasses.replace(p, p_mumu=0.9) for p in dec]
-    assert evaluate_tuple(t, flat).value == pytest.approx(0.8, abs=1e-15)
+    assert tuple_table(one_triple(), flat, PARAMS)["k_value"][0] == pytest.approx(
+        0.8, abs=1e-15
+    )
     ones = [dataclasses.replace(p, p_mumu=1.0) for p in dec]
-    assert evaluate_tuple(t, ones).value == pytest.approx(1.0, abs=1e-15)
+    assert tuple_table(one_triple(), ones, PARAMS)["k_value"][0] == pytest.approx(
+        1.0, abs=1e-15
+    )
 
 
 def test_evaluate_tuple_propagates_quadrature():
@@ -230,20 +239,129 @@ def test_evaluate_tuple_propagates_quadrature():
     dec = [
         dataclasses.replace(p, sigma_stat=s) for p, s in zip(dec, (0.3, 0.1, 0.2))
     ]
-    t = PhaseTuple(indices=(1, 2), target_index=0, n=3, mismatch=0.0)
-    kv = evaluate_tuple(t, dec)
-    assert_allclose(kv.uncertainty, 2.0 * math.sqrt(0.01 + 0.04 + 0.09), rtol=1e-15)
+    table = tuple_table(one_triple(), dec, PARAMS)
+    assert_allclose(table["k_sigma"][0], 2.0 * math.sqrt(0.01 + 0.04 + 0.09), rtol=1e-15)
 
 
 def test_evaluate_tuple_uses_total_sigma():
     dec = decorated([0.5, 0.7, 1.2])
     dec = [dataclasses.replace(p, sigma_stat=0.3, sigma_sys=0.4) for p in dec]
-    t = PhaseTuple(indices=(1, 2), target_index=0, n=3, mismatch=0.0)
-    kv = evaluate_tuple(t, dec)
-    assert_allclose(kv.uncertainty, 2.0 * math.sqrt(3 * 0.25), rtol=1e-15)
+    table = tuple_table(one_triple(), dec, PARAMS)
+    assert_allclose(table["k_sigma"][0], 2.0 * math.sqrt(3 * 0.25), rtol=1e-15)
 
 
 def test_evaluate_tuple_rejects_bad_indices():
-    dec = decorated([0.5, 0.7, 1.2])
     with pytest.raises(IndexError):
-        evaluate_tuple(PhaseTuple(indices=(1, 5), target_index=0, n=3, mismatch=0.0), dec)
+        TupleSet(n=3, size=3, comp_idx=[[1, 5]], target_idx=[0], mismatch=[0.0])
+
+
+def test_tuple_set_rejects_negative_indices_and_bad_shapes():
+    with pytest.raises(IndexError):
+        TupleSet(n=3, size=3, comp_idx=[[1, 2]], target_idx=[-1], mismatch=[0.0])
+    with pytest.raises(IndexError):
+        TupleSet(n=3, size=3, comp_idx=[[-3, 2]], target_idx=[0], mismatch=[0.0])
+    with pytest.raises(DomainError):
+        TupleSet(n=4, size=3, comp_idx=[[1, 2]], target_idx=[0], mismatch=[0.0])
+    with pytest.raises(DomainError):
+        TupleSet(n=3, size=3, comp_idx=[[1, 2]], target_idx=[0, 1], mismatch=[0.0])
+    empty = TupleSet(n=4, size=3, comp_idx=[], target_idx=[], mismatch=[])
+    assert len(empty) == 0 and empty.comp_idx.shape == (0, 3)
+
+
+def test_tuple_set_rows_are_phase_tuples():
+    ts = select_ntuples(decorated([0.3, 0.4, 0.5, 1.2]), 4, 0.005)
+    assert len(ts) == 2 and ts[0].n == 4
+    assert list(ts) == [ts[0], ts[1]]
+    assert all(isinstance(t, PhaseTuple) for t in ts)
+    assert [t.indices for t in ts] == [tuple(row) for row in ts.comp_idx.tolist()]
+    with pytest.raises(ValueError):
+        ts.comp_idx[0, 0] = 0
+
+
+def assert_matches_the_scan(dec, n, tol, mode):
+    """select_ntuples equals the neighbour-scan oracle exactly, in order."""
+    got = select_ntuples(dec, n, tol, mode)
+    want = oracles.neighbour_scan_ntuples([p.psi for p in dec], n, tol, mode)
+    assert [(t.indices, t.target_index, t.mismatch) for t in got] == want
+    return got
+
+
+GRID_CELLS = ((30, 3), (30, 4), (100, 3), (100, 4), (300, 3), (60, 5))
+
+
+@pytest.mark.parametrize("mode", ["relative", "absolute"])
+@pytest.mark.parametrize("bins, n", GRID_CELLS)
+def test_selection_equals_the_neighbour_scan_on_the_grid(bins, n, mode):
+    points = generate_synthetic(PARAMS, "quantum", bins, 0.5, 50.0, 0.05, seed=0)
+    got = assert_matches_the_scan(attach_phases(points, PARAMS), n, 0.005, mode)
+    assert len(got) > 0
+
+
+def phase_points(phases):
+    """Points carrying the given phases exactly (energies only order them)."""
+    return [
+        MeasuredPoint(energy_gev=1.0 + i, p_mumu=0.5, sigma_stat=0.02, psi=psi)
+        for i, psi in enumerate(phases)
+    ]
+
+
+def test_equidistant_neighbours_resolve_to_the_smaller_phase():
+    # Relative mode: 0.75 + 0.75 = 1.5 sits 50% above 1 and 50% below 3.
+    dec = phase_points([3.0, 1.0, 0.75, 0.5])
+    got = assert_matches_the_scan(dec, 3, 0.6, "relative")
+    assert (2, 2) in [t.indices for t in got]
+    assert {t.indices: t.target_index for t in got}[(2, 2)] == 1
+    # Absolute mode: 0.5 + 0.75 = 1.25 sits 0.25 from 1 and from 1.5.
+    dec = phase_points([1.5, 1.0, 0.75, 0.5])
+    got = assert_matches_the_scan(dec, 3, 0.3, "absolute")
+    assert {t.indices: t.target_index for t in got}[(2, 3)] == 1
+
+
+def test_equal_phases_from_distinct_energies():
+    # Adjacent doubles E and nextafter(E) whose phases round to one value.
+    for energy in np.geomspace(1.0, 40.0, 400):
+        twin = float(np.nextafter(energy, np.inf))
+        if accumulated_phase(PARAMS, energy) == accumulated_phase(PARAMS, twin):
+            break
+    else:
+        pytest.fail("no energy pair with equal phases")
+    psi = accumulated_phase(PARAMS, energy)
+    others = [PHASE_SCALE / (psi * f) for f in (0.5, 0.3, 0.2, 0.7, 1.5)]
+    points = [MeasuredPoint(e, 0.5, 0.02) for e in (energy, twin, *others)]
+    dec = attach_phases(points, PARAMS)
+    assert len({p.energy_gev for p in dec}) == len(dec)
+    assert len({p.psi for p in dec}) == len(dec) - 1
+    for mode, tol in (("relative", 0.01), ("absolute", 0.01)):
+        for n in (3, 4):
+            assert_matches_the_scan(dec, n, tol, mode)
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 64])
+def test_selection_does_not_depend_on_the_block_size(monkeypatch, block_rows):
+    # 16 points: 16 to 136 rows per leading index, so every size splits blocks.
+    points = generate_synthetic(PARAMS, "quantum", 16, 0.5, 50.0, 0.05, seed=3)
+    dec = attach_phases(points, PARAMS)
+    default = {n: select_ntuples(dec, n, 0.02) for n in (3, 4, 5)}
+    assert all(len(found) > 0 for found in default.values())
+    monkeypatch.setattr(selection, "SELECT_BLOCK_ROWS", block_rows)
+    for n in (3, 4, 5):
+        assert assert_matches_the_scan(dec, n, 0.02, "relative") == default[n]
+
+
+def test_selection_memory_is_one_block_plus_the_output():
+    points = generate_synthetic(PARAMS, "quantum", 60, 0.5, 50.0, 0.05, seed=0)
+    dec = attach_phases(points, PARAMS)
+    tracemalloc.start()
+    try:
+        found = select_ntuples(dec, 5, 0.005)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = found.comp_idx.nbytes + found.target_idx.nbytes + found.mismatch.nbytes
+    # The table of (n-2)-multisets of 60 points (37 820 rows of 3 int64),
+    # and one block of SELECT_BLOCK_ROWS candidates at about 200 bytes each.
+    budget = 37_820 * 3 * 8 + selection.SELECT_BLOCK_ROWS * 200
+    # The output exists twice at the end: in scan order and sorted.
+    assert peak < 2 * output + budget, (peak, output, budget)
+    # All 595 665 candidate rows of four indices at once would not fit.
+    assert 595_665 * 4 * 8 > 2 * output + budget
