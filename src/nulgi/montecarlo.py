@@ -28,10 +28,13 @@ import numpy as np
 from .errors import DomainError
 from .leggett_garg import lgi_bound
 from .sampling import (
+    KEY_LIMIT,
     STREAM_PSEUDODATA,
     STREAM_SYS_AMPLITUDE,
     STREAM_SYS_PHASE,
+    draw_keys,
     normal,
+    normal_from_keys,
 )
 from .selection import MeasuredPoint, TupleSet
 
@@ -42,6 +45,12 @@ MIN_REPLICAS_FOR_CLAIM = 1000
 # arrays are a few such rows each, which keeps them in a core's L2 cache.
 NULL_BLOCK_BYTES = 1 << 19
 MIN_BLOCK_REPLICAS = 128
+
+# Guard band of the order-3 key classification: a draw whose correlation C
+# lies within ORDER3_BAND of 1, or beyond ORDER3_MAX_CORR in magnitude, is
+# classified by the float expression (see classical_null_distribution).
+ORDER3_BAND = 1e-5
+ORDER3_MAX_CORR = 64.0
 
 
 @dataclass(frozen=True)
@@ -163,9 +172,40 @@ def classical_null_distribution(
     arithmetic only. In floating point the form can land one ulp above it
     when components sit within a few ulp of 1: C = (1, 1 - 2**-53,
     1 - 2**-52), summed and multiplied in component order, gives
-    2.0000000000000004 > 2. No tuple or replica is therefore skipped for
-    having all its draws in range; every tuple is evaluated in every
-    replica.
+    2.0000000000000004 > 2. The counts are those of this float expression,
+    evaluated for every tuple in every replica, and no tuple or replica is
+    skipped for having all its draws in range.
+
+    Order 3 without systematics classifies draws by integer keys and calls
+    ndtri only for a few replicas. In exact arithmetic C_a + C_b - C_a C_b
+    - 1 = -(1 - C_a)(1 - C_b), so a pair violates exactly when one of its
+    components has C > 1 and the other C < 1. With x the replica's vector
+    of "C > 1" flags over the points and L the Laplacian of the tuple graph
+    (one edge per tuple, a repeated pair (a, a) adding nothing), the count
+    is the cut size x^T L x. A draw is C(k) = 2 (p + sigma ndtri((k + 0.5)
+    2**-53)) - 1 of its 53-bit key k (sampling.draw_keys), computed with the
+    same float operations as the draws below. C(k) is non-decreasing in k:
+    k -> u rounds monotonically, the affine steps do for sigma >= 0, and
+    scipy's ndtri is assumed monotone. Per point, a bisection over the key
+    finds where C(k) crosses -M, 1 - b, 1 + b and M (b = ORDER3_BAND, M =
+    ORDER3_MAX_CORR; nan orders above every edge), so each draw's flag and
+    whether it sits in the guard band |C - 1| < b or |C| > M are integer
+    comparisons of its key. A replica with a guard-band draw on a point
+    that some tuple uses is recomputed with the float expression; only
+    those replicas' draws go through ndtri.
+
+    The guard band keeps the counts bit-identical. For components x, y
+    with |x|, |y| <= M the computed fl(fl(x + y) - fl(x y)) differs from
+    x + y - x y by at most u (2 + u)(|x| + |y| + |x y|) < 2.0001 u (M + 1)**2,
+    about 9.4e-13 at u = 2**-53 and M = 64, while |(1 - x)(1 - y)| is at
+    least about b**2 = 1e-10 when neither lies within b of 1 (the edges
+    1 - b and 1 + b are floats, off by at most 2**-53). Outside the band
+    the float comparison with 1 therefore has the sign of the exact
+    product; the magnitude guard also sends infinite and nan draws to the
+    float path. The monotonicity of ndtri is needed outside the band only:
+    inside it every draw is evaluated in floating point anyway. Order >= 4
+    and runs with systematics (whose means move per replica) take the
+    float path below for every replica.
 
     Work runs in blocks of replicas x tuples sized by null_block_shape
     from the fixed NULL_BLOCK_BYTES budget, so the memory a block holds is
@@ -173,7 +213,8 @@ def classical_null_distribution(
     count (only a spectrum of thousands of points could push its draws
     past it). Within a block the draws are laid out point-major, one row
     per point, so each tuple component is a row gather and the sum and
-    product accumulate in place.
+    product accumulate in place. Order-3 blocks hold one key row per point
+    that a tuple uses.
 
     Parameters
     ----------
@@ -206,10 +247,6 @@ def classical_null_distribution(
     size = len(dataset)
     if tuples.size != size:
         raise IndexError(f"tuples of a {tuples.size}-point dataset, given {size} points")
-    bound = lgi_bound(tuples.n)
-    block_replicas, block_tuples = null_block_shape(len(tuples), size, chunk_size)
-    # One contiguous index row per component: block slices stay contiguous.
-    components = np.ascontiguousarray(tuples.comp_idx.T)
 
     probs = np.array([p.p_mumu for p in dataset], dtype=float)[:, None]
     point_sd = np.array([p.sigma for p in dataset], dtype=float)[:, None]
@@ -217,15 +254,25 @@ def classical_null_distribution(
     use_sys = config.include_systematics and (
         config.sys_amplitude_sigma > 0.0 or config.sys_phase_sigma > 0.0
     )
+    if tuples.n == 3 and not use_sys:
+        # Key path; only the replicas it returns need the float expression.
+        counts, replica_ids = _order3_cut_counts(probs, point_sd, tuples, config, chunk_size)
+    else:
+        counts = np.empty(config.replicas, dtype=np.int64)
+        replica_ids = np.arange(config.replicas)
+
+    bound = lgi_bound(tuples.n)
+    block_replicas, block_tuples = null_block_shape(len(tuples), size, chunk_size)
+    # One contiguous index row per component: block slices stay contiguous.
+    components = np.ascontiguousarray(tuples.comp_idx.T)
     if use_sys:
         amp_resp, phase_resp = _systematic_responses(dataset)
 
-    counts = np.zeros(config.replicas, dtype=np.int64)
     point_ids = np.arange(size)[:, None]
 
-    for start in range(0, config.replicas, block_replicas):
-        stop = min(start + block_replicas, config.replicas)
-        rows = np.arange(start, stop)[None, :]
+    for start in range(0, replica_ids.size, block_replicas):
+        ids = replica_ids[start:start + block_replicas]
+        rows = ids[None, :]
 
         means = probs
         if use_sys:
@@ -247,6 +294,7 @@ def classical_null_distribution(
         corr *= 2.0
         corr -= 1.0
 
+        block_counts = np.zeros(ids.size, dtype=np.int64)
         for first in range(0, len(tuples), block_tuples):
             cols = components[:, first:first + block_tuples]
             corr_sum = corr[cols[0]]
@@ -256,9 +304,100 @@ def classical_null_distribution(
                 corr_sum += c
                 corr_prod *= c
             corr_sum -= corr_prod
-            counts[start:stop] += np.count_nonzero(corr_sum > bound, axis=0)
+            block_counts += np.count_nonzero(corr_sum > bound, axis=0)
+        counts[ids] = block_counts
 
     return counts
+
+
+def _order3_key_thresholds(probs: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """Per point, the first key whose correlation reaches each guard edge.
+
+    Returns a (4, points) array of keys in [0, KEY_LIMIT]: the first key
+    with C >= -M, with C > 1 - b, with C >= 1 + b and with C > M, for
+    b = ORDER3_BAND and M = ORDER3_MAX_CORR, where C is the float
+    correlation of the point's draw at that key (a nan C counts as above
+    every edge). Found by bisection on the assumption that C is
+    non-decreasing in the key; KEY_LIMIT means no key reaches the edge.
+    """
+    probs = np.ravel(probs)
+    sds = np.ravel(sds)
+    # Each edge as "not C <= e", which also counts nan as reached; a
+    # non-strict edge C >= e is "not C <= the float just below e".
+    edges = np.array([
+        np.nextafter(-ORDER3_MAX_CORR, -np.inf), 1.0 - ORDER3_BAND,
+        np.nextafter(1.0 + ORDER3_BAND, -np.inf), ORDER3_MAX_CORR,
+    ])[:, None]
+    lo = np.zeros((4, probs.size), dtype=np.int64)
+    hi = np.full((4, probs.size), KEY_LIMIT, dtype=np.int64)
+    # Every key at or past KEY_LIMIT - 1 maps to u = 1 and reaches every
+    # edge (0 * inf is nan at sigma 0), so once lo == hi the step below
+    # leaves both in place.
+    with np.errstate(invalid="ignore"):
+        for _ in range(KEY_LIMIT.bit_length()):
+            mid = (lo + hi) >> 1
+            # C = 2 P - 1 with the float operations of the draws' path.
+            corr = normal_from_keys(mid, mean=probs, sd=sds)
+            corr *= 2.0
+            corr -= 1.0
+            reached = ~(corr <= edges)
+            hi = np.where(reached, mid, hi)
+            lo = np.where(reached, lo, mid + 1)
+    return lo
+
+
+def _order3_cut_counts(
+    probs: np.ndarray,
+    point_sd: np.ndarray,
+    tuples: TupleSet,
+    config: PseudoConfig,
+    chunk_size: Optional[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Order-3 counts as cut sizes of key flags; see classical_null_distribution.
+
+    Returns the counts and the replicas that hold a guarded draw, whose
+    counts the caller must evaluate in floating point.
+    """
+    used, local = np.unique(tuples.comp_idx, return_inverse=True)
+    local = local.reshape(tuples.comp_idx.shape)
+    point_ids = used[:, None]
+    # The edges of the tuple graph over the used points; (a, a) adds nothing.
+    ends_a, ends_b = local[local[:, 0] != local[:, 1]].T
+
+    low, band_lo, band_hi, high = (
+        edge[:, None].astype(np.uint64)
+        for edge in _order3_key_thresholds(probs[used], point_sd[used])
+    )
+    # The safe keys of a point are [low, band_lo), C <= 1 - b, and
+    # [band_hi, high), C >= 1 + b. Unsigned wraparound makes each a single
+    # comparison: key - band_hi < high - band_hi, then key - low < band_lo -
+    # low after adding band_hi - low back.
+    upper_width, lower_width, hi_to_low = high - band_hi, band_lo - low, band_hi - low
+
+    block_replicas, _ = null_block_shape(0, used.size, chunk_size)
+    # Block buffers, reused: fresh arrays of this size cost page faults.
+    width = min(block_replicas, config.replicas)
+    key_buf, scratch_buf = np.empty((2, used.size, width), dtype=np.uint64)
+    upper_buf, safe_buf = np.empty((2, used.size, width), dtype=bool)
+    counts = np.empty(config.replicas, dtype=np.int64)
+    guarded = []
+    for start in range(0, config.replicas, block_replicas):
+        stop = min(start + block_replicas, config.replicas)
+        cols = slice(0, stop - start)
+        keys = draw_keys(
+            config.seed, STREAM_PSEUDODATA, np.arange(start, stop)[None, :], point_ids, 0,
+            out=key_buf[:, cols], scratch=scratch_buf[:, cols],
+        )
+        keys -= band_hi
+        upper = np.less(keys, upper_width, out=upper_buf[:, cols])
+        # Cut size x^T L x: the tuple edges whose ends differ in "C > 1".
+        counts[start:stop] = np.count_nonzero(upper[ends_a] != upper[ends_b], axis=0)
+
+        keys += hi_to_low
+        safe = np.less(keys, lower_width, out=safe_buf[:, cols])
+        safe |= upper
+        guarded.append(start + np.flatnonzero(~safe.all(axis=0)))
+    return counts, np.concatenate(guarded)
 
 
 def fit_beta_binomial(counts: Sequence[int], trials_n: int) -> BetaBinomialFit:

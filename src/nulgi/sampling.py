@@ -1,11 +1,11 @@
 """Deterministic, counter-based random streams.
 
 Every variate is a pure function of (seed, stream, index words..., attempt),
-hashed through a splitmix64-style mixer and mapped to a normal via the
-inverse CDF. Draws therefore never depend on evaluation order, chunking, or
-worker count, and any single (replica, point) value can be reproduced in
-isolation. Truncation to an interval is done by re-drawing with an
-incremented attempt counter, never by clipping.
+hashed through a splitmix64-style mixer to a 53-bit key (draw_keys) and
+mapped to a normal via the inverse CDF. Draws therefore never depend on
+evaluation order, chunking, or worker count, and any single (replica,
+point) value can be reproduced in isolation. Truncation to an interval is
+done by re-drawing with an incremented attempt counter, never by clipping.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from .errors import DomainError
 
 _U64_MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+# draw_keys returns keys in [0, KEY_LIMIT): the top 53 bits of the hash.
+KEY_LIMIT = 1 << 53
 
 # Stream identifiers; each independent use of randomness gets its own lane.
 STREAM_PSEUDODATA = 1       # per-(replica, point) pseudo-measurement draws
@@ -43,25 +45,83 @@ def _mix64(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
-def _hash_words(*words) -> np.ndarray:
-    """Avalanche-combine integer words (scalars or broadcastable arrays)."""
+def _mix64_into(h: np.ndarray, scratch: np.ndarray) -> None:
+    """_mix64 in place on h, with scratch (same shape) for the shifts."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(h, np.uint64(shift), out=scratch)
+        h ^= scratch
+        h *= np.uint64(factor)
+    np.right_shift(h, np.uint64(31), out=scratch)
+    h ^= scratch
+
+
+def _hash_words(*words, out=None, scratch=None) -> np.ndarray:
+    """Avalanche-combine integer words (scalars or broadcastable arrays).
+
+    Rounds below the full broadcast shape allocate as they go. The round
+    that reaches it writes into out when given, and it and the remaining
+    rounds then mix in place, their shifts going to scratch (allocated when
+    not given). The integer operations are the same either way: additions
+    wrap modulo 2**64, so h + golden + word may be added in any order.
+    """
+    words = [_as_u64(word) for word in words]
+    shape = np.broadcast(*words).shape
     h = np.uint64(0)
+    full = False
     # Wraparound is the mixer's working principle, not an error.
     with np.errstate(over="ignore"):
         for word in words:
-            h = _mix64(h + _GOLDEN + _as_u64(word))
+            if full:
+                h += _GOLDEN + word
+            else:
+                if out is not None and np.broadcast(h, word).shape == shape:
+                    h = np.add(h, _GOLDEN + word, out=out)
+                else:
+                    h = h + _GOLDEN + word
+                if not shape or h.shape != shape:
+                    h = _mix64(h)
+                    continue
+                full = True
+                if scratch is None:
+                    scratch = np.empty_like(h)
+            _mix64_into(h, scratch)
     return h
+
+
+def draw_keys(seed: int, stream: int, *index_words, out=None, scratch=None) -> np.ndarray:
+    """53-bit integer key of each draw, one per broadcast element.
+
+    uniform_open is (key + 0.5) * 2**-53, a non-decreasing function of the
+    key, so a draw's side of any threshold is a comparison of its key.
+    out and scratch, uint64 arrays of the broadcast shape, receive the keys
+    and the hash's temporaries, so a caller drawing block after block can
+    reuse them instead of allocating afresh.
+    """
+    h = _hash_words(seed, stream, *index_words, out=out, scratch=scratch)
+    if isinstance(h, np.ndarray):
+        h >>= np.uint64(11)
+        return h
+    return h >> np.uint64(11)
+
+
+def uniform_from_keys(keys) -> np.ndarray:
+    """The open-interval uniform (key + 0.5) * 2**-53 of draw_keys keys."""
+    return (keys.astype(np.float64) + 0.5) * 2.0**-53
+
+
+def normal_from_keys(keys, mean=0.0, sd=1.0) -> np.ndarray:
+    """mean + sd * ndtri(u) of draw_keys keys, the value normal returns."""
+    return mean + sd * ndtri(uniform_from_keys(keys))
 
 
 def uniform_open(seed: int, stream: int, *index_words) -> np.ndarray:
     """Uniform draw in the open interval (0, 1), one per broadcast element."""
-    h = _hash_words(seed, stream, *index_words)
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return uniform_from_keys(draw_keys(seed, stream, *index_words))
 
 
 def normal(seed: int, stream: int, *index_words, mean=0.0, sd=1.0) -> np.ndarray:
     """Unbounded normal draw keyed by the given words."""
-    return mean + sd * ndtri(uniform_open(seed, stream, *index_words, 0))
+    return normal_from_keys(draw_keys(seed, stream, *index_words, 0), mean, sd)
 
 
 def truncated_normal(

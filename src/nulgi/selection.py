@@ -36,6 +36,9 @@ class MeasuredPoint:
     psi: Optional[float] = None
 
     def __post_init__(self) -> None:
+        for name in ("energy_gev", "p_mumu", "sigma_stat", "sigma_sys"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.energy_gev > 0.0:
             raise DataError(f"energy must be positive, got {self.energy_gev}")
         if not 0.0 <= self.p_mumu <= 1.0:

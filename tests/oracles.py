@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy import constants
 from scipy.linalg import expm
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -293,3 +293,40 @@ def predict_order3_z(grids, per_grid, rng):
         )
         zs.append((observed - mean) / fitted_null_sd(mean, sd, len(pairs)))
     return np.concatenate(zs)
+
+
+SPLITMIX_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix_hash_words(*words):
+    """Counter hash of integer words, one allocating splitmix64 round per word.
+
+    Each word (a scalar or a broadcastable integer array, negative values
+    taken modulo 2**64) is added to the state with the golden-ratio
+    increment, and the sum is mixed with splitmix64's finalizer.
+    """
+    h = np.uint64(0)
+    with np.errstate(over="ignore"):
+        for word in words:
+            if isinstance(word, (int, np.integer)):
+                word = np.uint64(int(word) % 2**64)
+            else:
+                word = np.asarray(word).astype(np.uint64)
+            h = h + np.uint64(SPLITMIX_GOLDEN) + word
+            h = h ^ (h >> np.uint64(30))
+            h = h * np.uint64(0xBF58476D1CE4E5B9)
+            h = h ^ (h >> np.uint64(27))
+            h = h * np.uint64(0x94D049BB133111EB)
+            h = h ^ (h >> np.uint64(31))
+    return h
+
+
+def counter_uniform(seed, stream, *words):
+    """Open-interval uniform of the top 53 hash bits: (k + 0.5) 2**-53."""
+    h = splitmix_hash_words(seed, stream, *words)
+    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def counter_normal(seed, stream, *words, mean=0.0, sd=1.0):
+    """Normal by inversion of counter_uniform, with a trailing attempt word 0."""
+    return mean + sd * ndtri(counter_uniform(seed, stream, *words, 0))

@@ -76,6 +76,18 @@ def test_out_of_range_probability_cites_its_line(tmp_path):
     )
 
 
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("column", ["energy_gev", "p_mumu", "sigma_stat", "sigma_sys"])
+def test_non_finite_cell_cites_its_line_and_column(tmp_path, column, cell):
+    row = {"energy_gev": "2.5", "p_mumu": "0.62", "sigma_stat": "0.02", "sigma_sys": "0.01"}
+    row[column] = cell
+    write_and_expect(
+        tmp_path,
+        "energy_gev,p_mumu,sigma_stat,sigma_sys\n1.5,0.5,0.1,0.0\n" + ",".join(row.values()),
+        rf"^line 3: {column} must be finite, got {float(cell)}$",
+    )
+
+
 def test_non_numeric_cell_names_the_column(tmp_path):
     write_and_expect(
         tmp_path,

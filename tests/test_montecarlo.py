@@ -15,8 +15,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from nulgi import montecarlo
 from nulgi.errors import DomainError
 from nulgi.montecarlo import (
+    ORDER3_BAND,
+    ORDER3_MAX_CORR,
     BetaBinomialFit,
     PseudoConfig,
     chi_square_quantum,
@@ -30,10 +33,12 @@ from nulgi.montecarlo import (
 from nulgi.oscillation import OscParams, survival_probability
 from nulgi.pipeline import RunConfig, analyze_dataset, tuple_table
 from nulgi.sampling import (
+    KEY_LIMIT,
     STREAM_PSEUDODATA,
     STREAM_SYNTH_ENERGY,
     STREAM_SYNTH_PROB,
     normal,
+    normal_from_keys,
     truncated_normal,
     uniform_open,
 )
@@ -194,6 +199,140 @@ def test_systematic_counts_do_not_depend_on_the_chunking():
     for chunk_size in (7, ORACLE_REPLICAS):
         assert np.array_equal(
             derived, classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
+        )
+
+
+# Hand-built order-3 pairs over the six shared points: a ring, two chords
+# and two repeated pairs (a, a), which can never violate.
+ADVERSARIAL_PAIRS = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (3, 5),
+                     (0, 0), (2, 2)]
+
+# (p, sigma) of the six points per case; every case keeps ordinary points
+# beside the adversarial ones.
+ADVERSARIAL_SPECTRA = {
+    "p near 0 and 1": ([1e-13, 1 - 1e-13, 1 - 5e-13, 5e-13, 0.5, 0.97], [0.05] * 6),
+    "sigma 0 at p 1": ([1.0, 0.95, 1.0, 0.9, 0.97, 0.99], [0.0, 0.05, 0.0, 0.05, 0.03, 0.02]),
+    "sigma 0 at p 0.5": ([0.5, 0.95, 0.5, 0.9, 0.97, 0.99], [0.0, 0.05, 0.0, 0.05, 0.03, 0.02]),
+    "sigma 1e-9": ([1 - 1e-10, 1 - 1e-8, 1.0, 0.95, 0.9, 1 - 5e-10], [1e-9, 1e-9, 1e-9, 0.05, 0.05, 1e-9]),
+    "sigma 10 and more": ([0.5, 0.95, 0.99, 0.1, 0.9, 1.0], [10.0, 0.05, 12.0, 25.0, 0.05, 10.0]),
+}
+
+
+def order3_fixture(probs, sigmas, pairs=ADVERSARIAL_PAIRS):
+    dec = [
+        dataclasses.replace(p, p_mumu=v, sigma_stat=s)
+        for p, v, s in zip(dataset_with_phases(SHARED_PHASES), probs, sigmas)
+    ]
+    tuples = TupleSet(n=3, size=len(dec), comp_idx=pairs, target_idx=[0] * len(pairs),
+                      mismatch=np.zeros(len(pairs)))
+    return dec, tuples
+
+
+def counting_normal(monkeypatch):
+    """Count the draws the engine takes through sampling.normal."""
+    drawn = []
+
+    def counted(*args, **kwargs):
+        result = normal(*args, **kwargs)
+        drawn.append(result.size)
+        return result
+
+    monkeypatch.setattr(montecarlo, "normal", counted)
+    return drawn
+
+
+# How many replicas a case recomputes with the float expression: C = 1
+# exactly is always inside the band, and sigma >= 10 reaches |C| > 64.
+RECOMPUTED = {"sigma 0 at p 1": "all", "sigma 10 and more": "some"}
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
+def test_order3_counts_match_the_oracle_on_adversarial_spectra(case, monkeypatch):
+    dec, tuples = order3_fixture(*ADVERSARIAL_SPECTRA[case])
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=21)
+    expected = reference_counts(dec, tuples, cfg)
+    assert expected.any()
+    drawn = counting_normal(monkeypatch)
+    for chunk_size in (None, 7, ORACLE_REPLICAS):
+        counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
+        assert np.array_equal(counts, expected), chunk_size
+    recomputed = sum(drawn) // (3 * len(dec))
+    if RECOMPUTED.get(case) == "all":
+        assert recomputed == cfg.replicas
+    elif RECOMPUTED.get(case) == "some":
+        assert 0 < recomputed < cfg.replicas
+    # One replica per block: the first 1009 replicas, which a longer run
+    # draws with the same keys.
+    short = dataclasses.replace(cfg, replicas=1009)
+    counts = classical_null_distribution(dec, tuples, short, chunk_size=1)
+    assert np.array_equal(counts, expected[:1009])
+
+
+def test_order3_guard_band_catches_where_float_and_exact_algebra_disagree():
+    # Two points at p = 1 with sigma 1e-16 draw C = 1 + 2**-51, 1, 1 - 2**-52,
+    # ...: for C = (1 + 2**-51, 1 - 2**-52) the exact product -(1 - C_a)(1 -
+    # C_b) is positive, yet fl(fl(C_a + C_b) - fl(C_a C_b)) = 1 - 2**-52. The
+    # flags alone would count such a pair; the engine must count what the
+    # float expression counts.
+    dec, tuples = order3_fixture([1.0, 1.0, 0.5, 0.5, 0.5, 0.5], [1e-16, 1e-16] + [0.05] * 4,
+                                 pairs=[(0, 1)])
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=22)
+    expected = reference_counts(dec, tuples, cfg)
+    corr = 2.0 * normal(
+        cfg.seed, STREAM_PSEUDODATA, np.arange(cfg.replicas)[:, None], np.arange(2)[None, :],
+        mean=1.0, sd=1e-16,
+    ) - 1.0
+    # Near 1, 1 - C is exact and the product does not underflow: exact sign.
+    exact = (1.0 - corr[:, 0]) * (1.0 - corr[:, 1]) < 0.0
+    assert np.count_nonzero(exact != expected.astype(bool)) > 100
+    for chunk_size in (None, 7):
+        assert np.array_equal(
+            classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size), expected
+        )
+
+
+@pytest.mark.parametrize("probs, sigmas", ADVERSARIAL_SPECTRA.values())
+def test_order3_key_thresholds_bracket_each_edge(probs, sigmas):
+    probs, sigmas = np.array(probs), np.array(sigmas)
+    thresholds = montecarlo._order3_key_thresholds(probs, sigmas)
+    edges = [-ORDER3_MAX_CORR, 1.0 - ORDER3_BAND, 1.0 + ORDER3_BAND, ORDER3_MAX_CORR]
+    strict = [False, True, False, True]
+    assert (np.diff(thresholds, axis=0) >= 0).all()
+
+    def reached(keys, edge, is_strict):
+        with np.errstate(invalid="ignore"):  # sigma 0 times the top key's inf
+            corr = 2.0 * normal_from_keys(keys, probs, sigmas) - 1.0
+        return ~(corr <= edge) if is_strict else ~(corr < edge)
+
+    for keys, edge, is_strict in zip(thresholds, edges, strict):
+        below, at = np.maximum(keys - 1, 0), np.minimum(keys, KEY_LIMIT - 1)
+        assert not reached(below, edge, is_strict)[keys > 0].any()
+        assert reached(at, edge, is_strict)[keys < KEY_LIMIT].all()
+    # Every point's top key maps to u = 1: an infinite or nan draw, guarded.
+    assert (thresholds[3] <= KEY_LIMIT - 1).all()
+
+
+def test_order3_takes_the_key_path_only_without_systematics(monkeypatch):
+    pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    dec = attach_phases(pts, PARAMS)
+    tuples = select_ntuples(dec, 3, 0.005)
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=23)
+    drawn = counting_normal(monkeypatch)
+    counts = classical_null_distribution(dec, tuples, cfg)
+    assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
+    assert sum(drawn) < 0.01 * cfg.replicas * len(dec)
+    # Systematics move the means per replica: every draw is a float draw,
+    # and the float path's counts do not depend on the chunking either.
+    drawn.clear()
+    sys_cfg = dataclasses.replace(
+        cfg, include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05
+    )
+    derived = classical_null_distribution(dec, tuples, sys_cfg)
+    assert sum(drawn) == cfg.replicas * (len(dec) + 2)
+    assert derived.any() and not np.array_equal(derived, counts)
+    for chunk_size in (7, ORACLE_REPLICAS):
+        assert np.array_equal(
+            derived, classical_null_distribution(dec, tuples, sys_cfg, chunk_size=chunk_size)
         )
 
 

@@ -308,6 +308,30 @@ def test_cli_error_exit_codes(tmp_path):
     ) == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("cell", ["inf", "nan"])
+@pytest.mark.parametrize("column", ["energy_gev", "p_mumu", "sigma_stat", "sigma_sys"])
+def test_cli_rejects_a_non_finite_cell(tmp_path, capsys, column, cell):
+    # Row 10 of the seed-0 spectrum is a component of its order-3 tuples, so a
+    # bad sigma there used to reach the null before anything failed.
+    path = synthetic_csv(tmp_path, seed=0)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    cells = lines[10].split(",")
+    cells[header.index(column)] = cell
+    lines[10] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    code = main(
+        ["analyze", "--params", PARAMS_JSON, "--data", str(path), "--out-dir", str(out),
+         "--replicas", "2000"]
+    )
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: line 11: {column} must be finite, got {float(cell)}\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_high_order_override(tmp_path):
     # 0.4 * 4 = 1.6 exactly, so order 5 finds at least one tuple.
     code = main(
