@@ -167,7 +167,13 @@ def _cell_text(name: str, values: np.ndarray) -> list:
         return ["true" if v else "false" for v in values.tolist()]
     if values.dtype.kind == "f" and not np.isfinite(values).all():
         raise DomainError(f"column {name!r} holds a non-finite value")
-    return list(map(repr, values.tolist()))
+    # Indices, phases and target psi repeat per-point values: format each
+    # distinct value once. Floats are told apart by their bits, so -0.0
+    # keeps its own repr.
+    bits = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
+    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
+    text = np.array(list(map(repr, values[first].tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def _json_fallback(obj):

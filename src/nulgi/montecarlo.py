@@ -51,6 +51,17 @@ MIN_BLOCK_REPLICAS = 128
 # classified by the float expression (see classical_null_distribution).
 ORDER3_BAND = 1e-5
 ORDER3_MAX_CORR = 64.0
+# Its edges as _key_thresholds takes them: C >= -M, C > 1 - b, C >= 1 + b, C > M.
+ORDER3_EDGES = (
+    np.nextafter(-ORDER3_MAX_CORR, -np.inf), 1.0 - ORDER3_BAND,
+    np.nextafter(1.0 + ORDER3_BAND, -np.inf), ORDER3_MAX_CORR,
+)
+
+# Margin of the order >= 4 block skip: a block whose draws all have C in
+# [-1 + NULL_MARGIN, 1 - NULL_MARGIN] cannot violate the bound (see
+# classical_null_distribution). Its edges: C >= -1 + b and C > 1 - b.
+NULL_MARGIN = 1e-5
+MARGIN_EDGES = (np.nextafter(-1.0 + NULL_MARGIN, -np.inf), 1.0 - NULL_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -72,9 +83,15 @@ class PseudoConfig:
     sys_phase_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.replicas, int) or self.replicas < 1:
+        # A bool is an int to Python, and a float or string seed would fail
+        # only when the null hashes it, after selection has run.
+        for name in ("replicas", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DomainError(f"{name} must be an integer, got {value!r}")
+        if self.replicas < 1:
             raise DomainError(f"replicas must be a positive integer, got {self.replicas}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
         if self.sys_amplitude_sigma < 0.0 or self.sys_phase_sigma < 0.0:
             raise DomainError("systematic sigmas must be non-negative")
@@ -172,49 +189,73 @@ def classical_null_distribution(
     arithmetic only. In floating point the form can land one ulp above it
     when components sit within a few ulp of 1: C = (1, 1 - 2**-53,
     1 - 2**-52), summed and multiplied in component order, gives
-    2.0000000000000004 > 2. The counts are those of this float expression,
-    evaluated for every tuple in every replica, and no tuple or replica is
-    skipped for having all its draws in range.
+    2.0000000000000004 > 2. The counts are those of this float expression
+    in every replica. Without systematics, two shortcuts return them
+    without evaluating it wherever they can prove its outcome.
 
-    Order 3 without systematics classifies draws by integer keys and calls
-    ndtri only for a few replicas. In exact arithmetic C_a + C_b - C_a C_b
-    - 1 = -(1 - C_a)(1 - C_b), so a pair violates exactly when one of its
-    components has C > 1 and the other C < 1. With x the replica's vector
-    of "C > 1" flags over the points and L the Laplacian of the tuple graph
-    (one edge per tuple, a repeated pair (a, a) adding nothing), the count
-    is the cut size x^T L x. A draw is C(k) = 2 (p + sigma ndtri((k + 0.5)
-    2**-53)) - 1 of its 53-bit key k (sampling.draw_keys), computed with the
-    same float operations as the draws below. C(k) is non-decreasing in k:
-    k -> u rounds monotonically, the affine steps do for sigma >= 0, and
-    scipy's ndtri is assumed monotone. Per point, a bisection over the key
-    finds where C(k) crosses -M, 1 - b, 1 + b and M (b = ORDER3_BAND, M =
-    ORDER3_MAX_CORR; nan orders above every edge), so each draw's flag and
-    whether it sits in the guard band |C - 1| < b or |C| > M are integer
-    comparisons of its key. A replica with a guard-band draw on a point
-    that some tuple uses is recomputed with the float expression; only
-    those replicas' draws go through ndtri.
+    Both classify draws by their integer keys. A draw is C(k) = 2 (p +
+    sigma ndtri((k + 0.5) 2**-53)) - 1 of its 53-bit key k
+    (sampling.draw_keys), and C(k) is non-decreasing in k: k -> u rounds
+    monotonically, the affine steps do for sigma >= 0, and scipy's ndtri
+    is assumed monotone. Per point, a bisection over the key
+    (_key_thresholds, computing C with the float operations of the draws)
+    finds the first key at which C passes each edge, nan ordering above
+    every edge, so a draw's side of an edge is an integer comparison of
+    its key.
 
-    The guard band keeps the counts bit-identical. For components x, y
-    with |x|, |y| <= M the computed fl(fl(x + y) - fl(x y)) differs from
-    x + y - x y by at most u (2 + u)(|x| + |y| + |x y|) < 2.0001 u (M + 1)**2,
-    about 9.4e-13 at u = 2**-53 and M = 64, while |(1 - x)(1 - y)| is at
-    least about b**2 = 1e-10 when neither lies within b of 1 (the edges
-    1 - b and 1 + b are floats, off by at most 2**-53). Outside the band
-    the float comparison with 1 therefore has the sign of the exact
-    product; the magnitude guard also sends infinite and nan draws to the
-    float path. The monotonicity of ndtri is needed outside the band only:
-    inside it every draw is evaluated in floating point anyway. Order >= 4
-    and runs with systematics (whose means move per replica) take the
-    float path below for every replica.
+    Order 3 calls ndtri only for a few replicas. In exact arithmetic C_a +
+    C_b - C_a C_b - 1 = -(1 - C_a)(1 - C_b), so a pair violates exactly
+    when one of its components has C > 1 and the other C < 1. With x the
+    replica's vector of "C > 1" flags over the points and L the Laplacian
+    of the tuple graph (one edge per tuple, a repeated pair (a, a) adding
+    nothing), the count is the cut size x^T L x. The edges are -M, 1 - b,
+    1 + b and M (b = ORDER3_BAND, M = ORDER3_MAX_CORR), so each draw's
+    flag and whether it sits in the guard band |C - 1| < b or |C| > M are
+    key comparisons. A replica with a guard-band draw on a point that some
+    tuple uses is recomputed with the float expression; only those
+    replicas' draws go through ndtri.
+
+    The guard band keeps the order-3 counts bit-identical. For components
+    x, y with |x|, |y| <= M the computed fl(fl(x + y) - fl(x y)) differs
+    from x + y - x y by at most u (2 + u)(|x| + |y| + |x y|) < 2.0001 u
+    (M + 1)**2, about 9.4e-13 at u = 2**-53 and M = 64, while |(1 - x)(1 -
+    y)| is at least about b**2 = 1e-10 when neither lies within b of 1
+    (the edges 1 - b and 1 + b are floats, off by at most 2**-53). Outside
+    the band the float comparison with 1 therefore has the sign of the
+    exact product; the magnitude guard also sends infinite and nan draws
+    to the float path. The monotonicity of ndtri is needed outside the
+    band only: inside it every draw is evaluated in floating point anyway.
+
+    Order >= 4 skips blocks of replicas. With b = NULL_MARGIN, the keys of
+    a point whose draws have C in [-1 + b, 1 - b] form one interval [low,
+    high). A block in which every draw of every point that some tuple uses
+    has its key inside its point's interval counts 0 in all its replicas,
+    and its draws never go through ndtri; a nan or infinite draw lies
+    outside. Proof: on the box [-a, a]**k, a = 1 - b, k = n - 1, the form
+    sum(C) - prod(C) is multilinear and peaks at a vertex. A vertex with m
+    components at -a gives (k - 2m) a - (-1)**m a**k, which is largest at
+    m = 0. g(a) = a**k - k a + k - 1 has g(1) = g'(1) = 0 and g'' = k (k -
+    1) a**(k-2), so that peak lies at least k (k - 1) / 2 (1 - b)**(k-2)
+    b**2 below n - 2 = k - 1, about 3e-10 at n = 4 (the float edges move b
+    by at most 2**-53). Summing and multiplying k numbers of magnitude at
+    most 1 in component order and subtracting errs by at most about (k**2 +
+    k) 2**-53, about 1.3e-15 at n = 4 and below the gap for every order
+    under 10**6, so the float form stays at or below n - 2 too. Whole
+    blocks are skipped, not replicas or tuples: where the noise reaches
+    the physical boundary nearly every replica holds an out-of-margin
+    draw, and compacting to those replicas costs more than it saves.
+
+    Runs with systematics, whose means move per replica, evaluate every
+    replica with the float expression.
 
     Work runs in blocks of replicas x tuples sized by null_block_shape
     from the fixed NULL_BLOCK_BYTES budget, so the memory a block holds is
     a small constant multiple of that budget whatever the replica or tuple
     count (only a spectrum of thousands of points could push its draws
-    past it). Within a block the draws are laid out point-major, one row
-    per point, so each tuple component is a row gather and the sum and
-    product accumulate in place. Order-3 blocks hold one key row per point
-    that a tuple uses.
+    past it). Within a block the keys and draws are laid out point-major,
+    one row per point that a tuple uses, so each tuple component is a row
+    gather and the sum and product accumulate in place. Each block's keys
+    are drawn once, into buffers reused across blocks.
 
     Parameters
     ----------
@@ -250,32 +291,51 @@ def classical_null_distribution(
 
     probs = np.array([p.p_mumu for p in dataset], dtype=float)[:, None]
     point_sd = np.array([p.sigma for p in dataset], dtype=float)[:, None]
+    # Only the points some tuple reads are drawn, one row each.
+    used, local = np.unique(tuples.comp_idx, return_inverse=True)
+    local = local.reshape(tuples.comp_idx.shape)
+    point_ids = used[:, None]
+    means, sds = probs[used], point_sd[used]
 
     use_sys = config.include_systematics and (
         config.sys_amplitude_sigma > 0.0 or config.sys_phase_sigma > 0.0
     )
     if tuples.n == 3 and not use_sys:
         # Key path; only the replicas it returns need the float expression.
-        counts, replica_ids = _order3_cut_counts(probs, point_sd, tuples, config, chunk_size)
+        counts, replica_ids = _order3_cut_counts(means, sds, point_ids, local, config, chunk_size)
     else:
         counts = np.empty(config.replicas, dtype=np.int64)
         replica_ids = np.arange(config.replicas)
+    skip_blocks = tuples.n >= 4 and not use_sys
+    if skip_blocks:
+        # The keys of a point's in-margin draws are [low, high).
+        low, high = _key_thresholds(means, sds, MARGIN_EDGES).astype(np.uint64)
+    if use_sys:
+        amp_resp, phase_resp = (resp[used][:, None] for resp in _systematic_responses(dataset))
 
     bound = lgi_bound(tuples.n)
-    block_replicas, block_tuples = null_block_shape(len(tuples), size, chunk_size)
+    block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
     # One contiguous index row per component: block slices stay contiguous.
-    components = np.ascontiguousarray(tuples.comp_idx.T)
-    if use_sys:
-        amp_resp, phase_resp = _systematic_responses(dataset)
-
-    point_ids = np.arange(size)[:, None]
+    components = np.ascontiguousarray(local.T)
+    # Block buffers, reused: fresh arrays of this size cost page faults.
+    width = min(block_replicas, replica_ids.size)
+    key_buf, scratch_buf = np.empty((2, used.size, width), dtype=np.uint64)
 
     for start in range(0, replica_ids.size, block_replicas):
         ids = replica_ids[start:start + block_replicas]
-        rows = ids[None, :]
+        span = slice(0, ids.size)
+        keys = draw_keys(
+            config.seed, STREAM_PSEUDODATA, ids[None, :], point_ids, 0,
+            out=key_buf[:, span], scratch=scratch_buf[:, span],
+        )
+        # Most out-of-margin draws lie above 1 - b: test the top end first.
+        if skip_blocks and (keys.max(axis=1) < high).all() and (keys.min(axis=1) >= low).all():
+            counts[ids] = 0
+            continue
 
-        means = probs
+        block_means = means
         if use_sys:
+            rows = ids[None, :]
             d_amp = normal(
                 config.seed, STREAM_SYS_AMPLITUDE, rows, 0,
                 sd=config.sys_amplitude_sigma,
@@ -284,13 +344,10 @@ def classical_null_distribution(
                 config.seed, STREAM_SYS_PHASE, rows, 0,
                 sd=config.sys_phase_sigma,
             )
-            means = means + d_amp * amp_resp[:, None] + d_phase * phase_resp[:, None]
+            block_means = means + d_amp * amp_resp + d_phase * phase_resp
 
         # Point-major draws: corr[point, replica] = 2 P - 1.
-        corr = normal(
-            config.seed, STREAM_PSEUDODATA, rows, point_ids,
-            mean=means, sd=point_sd,
-        )
+        corr = normal_from_keys(keys, mean=block_means, sd=sds)
         corr *= 2.0
         corr -= 1.0
 
@@ -310,26 +367,21 @@ def classical_null_distribution(
     return counts
 
 
-def _order3_key_thresholds(probs: np.ndarray, sds: np.ndarray) -> np.ndarray:
-    """Per point, the first key whose correlation reaches each guard edge.
+def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
+    """Per point, the first key whose correlation lies above each edge.
 
-    Returns a (4, points) array of keys in [0, KEY_LIMIT]: the first key
-    with C >= -M, with C > 1 - b, with C >= 1 + b and with C > M, for
-    b = ORDER3_BAND and M = ORDER3_MAX_CORR, where C is the float
-    correlation of the point's draw at that key (a nan C counts as above
-    every edge). Found by bisection on the assumption that C is
-    non-decreasing in the key; KEY_LIMIT means no key reaches the edge.
+    Returns a (len(edges), points) array of keys in [0, KEY_LIMIT]: per
+    edge e, the first key whose float correlation C, computed with the
+    operations of the draws, is not C <= e, so that a nan C lies above
+    every edge. A non-strict edge C >= e is given as the float just below
+    e. Found by bisection on the assumption that C is non-decreasing in
+    the key; KEY_LIMIT means no key reaches the edge.
     """
     probs = np.ravel(probs)
     sds = np.ravel(sds)
-    # Each edge as "not C <= e", which also counts nan as reached; a
-    # non-strict edge C >= e is "not C <= the float just below e".
-    edges = np.array([
-        np.nextafter(-ORDER3_MAX_CORR, -np.inf), 1.0 - ORDER3_BAND,
-        np.nextafter(1.0 + ORDER3_BAND, -np.inf), ORDER3_MAX_CORR,
-    ])[:, None]
-    lo = np.zeros((4, probs.size), dtype=np.int64)
-    hi = np.full((4, probs.size), KEY_LIMIT, dtype=np.int64)
+    edges = np.asarray(edges, dtype=float)[:, None]
+    lo = np.zeros((edges.shape[0], probs.size), dtype=np.int64)
+    hi = np.full_like(lo, KEY_LIMIT)
     # Every key at or past KEY_LIMIT - 1 maps to u = 1 and reaches every
     # edge (0 * inf is nan at sigma 0), so once lo == hi the step below
     # leaves both in place.
@@ -347,26 +399,25 @@ def _order3_key_thresholds(probs: np.ndarray, sds: np.ndarray) -> np.ndarray:
 
 
 def _order3_cut_counts(
-    probs: np.ndarray,
-    point_sd: np.ndarray,
-    tuples: TupleSet,
+    means: np.ndarray,
+    sds: np.ndarray,
+    point_ids: np.ndarray,
+    local: np.ndarray,
     config: PseudoConfig,
     chunk_size: Optional[int],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order-3 counts as cut sizes of key flags; see classical_null_distribution.
 
-    Returns the counts and the replicas that hold a guarded draw, whose
-    counts the caller must evaluate in floating point.
+    means, sds and point_ids hold one row per point that a tuple uses, and
+    local holds the tuples' components as indices into those rows. Returns
+    the counts and the replicas that hold a guarded draw, whose counts the
+    caller must evaluate in floating point.
     """
-    used, local = np.unique(tuples.comp_idx, return_inverse=True)
-    local = local.reshape(tuples.comp_idx.shape)
-    point_ids = used[:, None]
     # The edges of the tuple graph over the used points; (a, a) adds nothing.
     ends_a, ends_b = local[local[:, 0] != local[:, 1]].T
 
     low, band_lo, band_hi, high = (
-        edge[:, None].astype(np.uint64)
-        for edge in _order3_key_thresholds(probs[used], point_sd[used])
+        edge[:, None].astype(np.uint64) for edge in _key_thresholds(means, sds, ORDER3_EDGES)
     )
     # The safe keys of a point are [low, band_lo), C <= 1 - b, and
     # [band_hi, high), C >= 1 + b. Unsigned wraparound makes each a single
@@ -374,11 +425,11 @@ def _order3_cut_counts(
     # low after adding band_hi - low back.
     upper_width, lower_width, hi_to_low = high - band_hi, band_lo - low, band_hi - low
 
-    block_replicas, _ = null_block_shape(0, used.size, chunk_size)
+    block_replicas, _ = null_block_shape(0, point_ids.size, chunk_size)
     # Block buffers, reused: fresh arrays of this size cost page faults.
     width = min(block_replicas, config.replicas)
-    key_buf, scratch_buf = np.empty((2, used.size, width), dtype=np.uint64)
-    upper_buf, safe_buf = np.empty((2, used.size, width), dtype=bool)
+    key_buf, scratch_buf = np.empty((2, point_ids.size, width), dtype=np.uint64)
+    upper_buf, safe_buf = np.empty((2, point_ids.size, width), dtype=bool)
     counts = np.empty(config.replicas, dtype=np.int64)
     guarded = []
     for start in range(0, config.replicas, block_replicas):

@@ -311,6 +311,18 @@ def test_table_text_is_formatted_once_and_shared(tmp_path):
     assert {cell for _, cell in rows} == {"0", "1"}
 
 
+def test_repeated_cells_format_like_their_values():
+    # Each distinct value is formatted once; 0.0 and -0.0 compare equal but
+    # print differently, so they must stay apart.
+    values = np.array([0.0, -0.0, 0.1, -0.0, 0.0, 0.1, 5e-324, 1e16])
+    ints = np.array([3, 1, 3, 1, 2, 2, 0, -1])
+    pairs = np.stack([values, values[::-1]], axis=1)
+    text = TupleTable({"x": values, "i": ints, "pairs": pairs}).text
+    assert text["x"] == list(map(repr, values.tolist()))
+    assert text["i"] == list(map(repr, ints.tolist()))
+    assert text["pairs"] == [list(map(repr, column.tolist())) for column in pairs.T]
+
+
 def test_non_finite_table_cells_raise(tmp_path):
     report = analyzed()
     k = report.tuples["k_value"].copy()

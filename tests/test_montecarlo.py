@@ -18,7 +18,10 @@ from numpy.testing import assert_allclose
 from nulgi import montecarlo
 from nulgi.errors import DomainError
 from nulgi.montecarlo import (
+    MARGIN_EDGES,
+    NULL_MARGIN,
     ORDER3_BAND,
+    ORDER3_EDGES,
     ORDER3_MAX_CORR,
     BetaBinomialFit,
     PseudoConfig,
@@ -202,10 +205,18 @@ def test_systematic_counts_do_not_depend_on_the_chunking():
         )
 
 
-# Hand-built order-3 pairs over the six shared points: a ring, two chords
-# and two repeated pairs (a, a), which can never violate.
+# Hand-built tuples over the six shared points. Order 3: a ring, two chords
+# and two repeated pairs (a, a), which can never violate. Orders 4 and 5:
+# rings and chords with repeated components, every point used.
 ADVERSARIAL_PAIRS = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4), (3, 5),
                      (0, 0), (2, 2)]
+ADVERSARIAL_COMPONENTS = {
+    3: ADVERSARIAL_PAIRS,
+    4: [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 0), (5, 0, 1), (1, 4, 3),
+        (0, 0, 2), (2, 2, 2), (5, 3, 1)],
+    5: [(0, 1, 2, 3), (2, 3, 4, 5), (4, 5, 0, 1), (1, 3, 5, 0), (0, 0, 2, 2), (5, 5, 5, 5),
+        (3, 1, 4, 2), (1, 2, 1, 2), (0, 1, 2, 1)],
+}
 
 # (p, sigma) of the six points per case; every case keeps ordinary points
 # beside the adversarial ones.
@@ -218,26 +229,43 @@ ADVERSARIAL_SPECTRA = {
 }
 
 
-def order3_fixture(probs, sigmas, pairs=ADVERSARIAL_PAIRS):
+def adversarial_fixture(probs, sigmas, components=ADVERSARIAL_PAIRS):
+    """The six shared points with the given (p, sigma), and hand-built tuples."""
     dec = [
         dataclasses.replace(p, p_mumu=v, sigma_stat=s)
         for p, v, s in zip(dataset_with_phases(SHARED_PHASES), probs, sigmas)
     ]
-    tuples = TupleSet(n=3, size=len(dec), comp_idx=pairs, target_idx=[0] * len(pairs),
-                      mismatch=np.zeros(len(pairs)))
+    tuples = TupleSet(n=len(components[0]) + 1, size=len(dec), comp_idx=components,
+                      target_idx=[0] * len(components), mismatch=np.zeros(len(components)))
     return dec, tuples
 
 
-def counting_normal(monkeypatch):
-    """Count the draws the engine takes through sampling.normal."""
+def counting_draws(monkeypatch):
+    """Count the float draws the engine takes, through sampling.normal and
+    normal_from_keys; the key bisection's probes are not draws."""
     drawn = []
+    probing = []
 
-    def counted(*args, **kwargs):
-        result = normal(*args, **kwargs)
-        drawn.append(result.size)
-        return result
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            if not probing:
+                drawn.append(result.size)
+            return result
+        return wrapper
 
-    monkeypatch.setattr(montecarlo, "normal", counted)
+    key_thresholds = montecarlo._key_thresholds
+
+    def probe(*args, **kwargs):
+        probing.append(True)
+        try:
+            return key_thresholds(*args, **kwargs)
+        finally:
+            probing.pop()
+
+    monkeypatch.setattr(montecarlo, "normal", counted(normal))
+    monkeypatch.setattr(montecarlo, "normal_from_keys", counted(normal_from_keys))
+    monkeypatch.setattr(montecarlo, "_key_thresholds", probe)
     return drawn
 
 
@@ -248,11 +276,11 @@ RECOMPUTED = {"sigma 0 at p 1": "all", "sigma 10 and more": "some"}
 
 @pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
 def test_order3_counts_match_the_oracle_on_adversarial_spectra(case, monkeypatch):
-    dec, tuples = order3_fixture(*ADVERSARIAL_SPECTRA[case])
+    dec, tuples = adversarial_fixture(*ADVERSARIAL_SPECTRA[case])
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=21)
     expected = reference_counts(dec, tuples, cfg)
     assert expected.any()
-    drawn = counting_normal(monkeypatch)
+    drawn = counting_draws(monkeypatch)
     for chunk_size in (None, 7, ORACLE_REPLICAS):
         counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
         assert np.array_equal(counts, expected), chunk_size
@@ -274,8 +302,8 @@ def test_order3_guard_band_catches_where_float_and_exact_algebra_disagree():
     # C_b) is positive, yet fl(fl(C_a + C_b) - fl(C_a C_b)) = 1 - 2**-52. The
     # flags alone would count such a pair; the engine must count what the
     # float expression counts.
-    dec, tuples = order3_fixture([1.0, 1.0, 0.5, 0.5, 0.5, 0.5], [1e-16, 1e-16] + [0.05] * 4,
-                                 pairs=[(0, 1)])
+    dec, tuples = adversarial_fixture([1.0, 1.0, 0.5, 0.5, 0.5, 0.5],
+                                      [1e-16, 1e-16] + [0.05] * 4, [(0, 1)])
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=22)
     expected = reference_counts(dec, tuples, cfg)
     corr = 2.0 * normal(
@@ -291,25 +319,35 @@ def test_order3_guard_band_catches_where_float_and_exact_algebra_disagree():
         )
 
 
+# The edge sets the engine bisects for, each as (given edges, the edges
+# they stand for, whether each is strict): C >= e or C > e.
+EDGE_SETS = [
+    (ORDER3_EDGES, [-ORDER3_MAX_CORR, 1.0 - ORDER3_BAND, 1.0 + ORDER3_BAND, ORDER3_MAX_CORR],
+     [False, True, False, True]),
+    (MARGIN_EDGES, [-1.0 + NULL_MARGIN, 1.0 - NULL_MARGIN], [False, True]),
+]
+
+
 @pytest.mark.parametrize("probs, sigmas", ADVERSARIAL_SPECTRA.values())
 def test_order3_key_thresholds_bracket_each_edge(probs, sigmas):
     probs, sigmas = np.array(probs), np.array(sigmas)
-    thresholds = montecarlo._order3_key_thresholds(probs, sigmas)
-    edges = [-ORDER3_MAX_CORR, 1.0 - ORDER3_BAND, 1.0 + ORDER3_BAND, ORDER3_MAX_CORR]
-    strict = [False, True, False, True]
-    assert (np.diff(thresholds, axis=0) >= 0).all()
 
     def reached(keys, edge, is_strict):
         with np.errstate(invalid="ignore"):  # sigma 0 times the top key's inf
             corr = 2.0 * normal_from_keys(keys, probs, sigmas) - 1.0
         return ~(corr <= edge) if is_strict else ~(corr < edge)
 
-    for keys, edge, is_strict in zip(thresholds, edges, strict):
-        below, at = np.maximum(keys - 1, 0), np.minimum(keys, KEY_LIMIT - 1)
-        assert not reached(below, edge, is_strict)[keys > 0].any()
-        assert reached(at, edge, is_strict)[keys < KEY_LIMIT].all()
-    # Every point's top key maps to u = 1: an infinite or nan draw, guarded.
-    assert (thresholds[3] <= KEY_LIMIT - 1).all()
+    for given, edges, strict in EDGE_SETS:
+        thresholds = montecarlo._key_thresholds(probs, sigmas, given)
+        assert thresholds.shape == (len(edges), len(probs))
+        assert (np.diff(thresholds, axis=0) >= 0).all()
+        for keys, edge, is_strict in zip(thresholds, edges, strict):
+            below, at = np.maximum(keys - 1, 0), np.minimum(keys, KEY_LIMIT - 1)
+            assert not reached(below, edge, is_strict)[keys > 0].any()
+            assert reached(at, edge, is_strict)[keys < KEY_LIMIT].all()
+        # Every point's top key maps to u = 1: an infinite or nan draw, which
+        # lies above the last edge and so is guarded or outside the margin.
+        assert (thresholds[-1] <= KEY_LIMIT - 1).all()
 
 
 def test_order3_takes_the_key_path_only_without_systematics(monkeypatch):
@@ -317,23 +355,82 @@ def test_order3_takes_the_key_path_only_without_systematics(monkeypatch):
     dec = attach_phases(pts, PARAMS)
     tuples = select_ntuples(dec, 3, 0.005)
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=23)
-    drawn = counting_normal(monkeypatch)
+    drawn = counting_draws(monkeypatch)
     counts = classical_null_distribution(dec, tuples, cfg)
     assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
     assert sum(drawn) < 0.01 * cfg.replicas * len(dec)
     # Systematics move the means per replica: every draw is a float draw,
     # and the float path's counts do not depend on the chunking either.
+    # Only the points some tuple reads are drawn, plus two nuisances.
     drawn.clear()
     sys_cfg = dataclasses.replace(
         cfg, include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05
     )
     derived = classical_null_distribution(dec, tuples, sys_cfg)
-    assert sum(drawn) == cfg.replicas * (len(dec) + 2)
+    assert sum(drawn) == cfg.replicas * (np.unique(tuples.comp_idx).size + 2)
     assert derived.any() and not np.array_equal(derived, counts)
     for chunk_size in (7, ORACLE_REPLICAS):
         assert np.array_equal(
             derived, classical_null_distribution(dec, tuples, sys_cfg, chunk_size=chunk_size)
         )
+
+
+@pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
+@pytest.mark.parametrize("n", [4, 5])
+def test_margin_counts_match_the_oracle_on_adversarial_spectra(n, case):
+    dec, tuples = adversarial_fixture(*ADVERSARIAL_SPECTRA[case], ADVERSARIAL_COMPONENTS[n])
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=24)
+    expected = reference_counts(dec, tuples, cfg)
+    assert expected.any()
+    for chunk_size in (None, 1, 7, ORACLE_REPLICAS):
+        counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
+        assert np.array_equal(counts, expected), chunk_size
+
+
+def test_margin_keeps_violations_of_components_inside_the_interval(monkeypatch):
+    # All components in [-1, 1], yet the float form exceeds n - 2. At order
+    # 4, C = (1, 1 - 2**-53, 1 - 2**-52) gives 2.0000000000000004 > 2; 2 P - 1
+    # never equals 1 - 2**-53, so the engine cannot draw that triple. At
+    # order 5 it draws C = (1, 1, 1 - 2**-52, 1 - 2**-52), from P = (1, 1,
+    # 1 - 2**-53, 1 - 2**-53) at sigma 0, in every replica: a block skip
+    # with no margin would count 0.
+    for corr, n in (([1.0, 1 - 2**-53, 1 - 2**-52], 4), ([1.0, 1.0, 1 - 2**-52, 1 - 2**-52], 5)):
+        corr_sum, corr_prod = 0.0, 1.0
+        for c in corr:
+            corr_sum += c
+            corr_prod *= c
+        assert max(abs(c) for c in corr) <= 1.0 and corr_sum - corr_prod > n - 2
+    dec, tuples = adversarial_fixture([1.0, 1.0, 1 - 2**-53, 1 - 2**-53, 0.5, 0.5],
+                                      [0.0] * 4 + [0.05] * 2, [(0, 1, 2, 3)])
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=25)
+    expected = reference_counts(dec, tuples, cfg)
+    assert (expected == 1).all()
+    drawn = counting_draws(monkeypatch)
+    for chunk_size in (None, 1, 7):
+        assert np.array_equal(
+            classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size), expected
+        )
+    # C = 1 is outside the margin: every replica took the float path.
+    assert sum(drawn) == 3 * cfg.replicas * 4
+
+
+@pytest.mark.parametrize("truth", ["quantum", "classical_flat"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_order4_null_skips_blocks_and_stays_exact(seed, truth, monkeypatch):
+    pts = generate_synthetic(PARAMS, truth, 30, 0.5, 50.0, 0.05, seed=seed)
+    dec = attach_phases(pts, PARAMS)
+    tuples = select_ntuples(dec, 4, 0.005)
+    cfg = PseudoConfig(replicas=20_000, seed=26)
+    expected = reference_counts(dec, tuples, cfg)
+    drawn = counting_draws(monkeypatch)
+    counts = classical_null_distribution(dec, tuples, cfg)
+    assert np.array_equal(counts, expected)
+    if truth == "classical_flat":
+        # C = 2 P - 1 stays near 0: every block is skipped, no draw is a
+        # float draw and ndtri never runs on one.
+        assert not drawn and not counts.any()
+    else:
+        assert expected.any() and sum(drawn) > 0
 
 
 def block_bytes(replicas, tuples, points):
@@ -402,6 +499,12 @@ def test_pseudo_config_validation():
         PseudoConfig(replicas=1000, seed=-1)
     with pytest.raises(DomainError):
         PseudoConfig(replicas=1000, sys_amplitude_sigma=-0.1)
+    for bad in (True, 1.5, 2.0, "3", None):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            PseudoConfig(replicas=1000, seed=bad)
+        with pytest.raises(DomainError, match="replicas must be an integer"):
+            PseudoConfig(replicas=bad)
+    assert PseudoConfig(replicas=np.int64(1000), seed=np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
 def test_systematics_are_deterministic_and_widen_the_null():

@@ -401,6 +401,24 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["curve", "--config", str(bad)]) == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("key, value", [
+    ("seed", 1.5), ("seed", "3"), ("seed", True), ("replicas", 2000.0), ("replicas", "2000"),
+    ("replicas", True),
+])
+def test_cli_rejects_a_pseudo_count_that_is_not_an_integer(tmp_path, capsys, key, value):
+    # These used to run selection and then die in the hash with "index
+    # words must be integers", or, for true, run as 1 and echo true.
+    config = config_file(tmp_path, "c.json", pseudo={key: value})
+    out = tmp_path / "out"
+    code = main(
+        ["analyze", "--config", str(config), "--data", str(shared_csv(tmp_path)),
+         "--out-dir", str(out)]
+    )
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr().err == f"config error: {key} must be an integer, got {value!r}\n"
+    assert not out.exists()
+
+
 def test_module_entry_point_runs(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "nulgi.cli", "curve", "--params", PARAMS_JSON,
