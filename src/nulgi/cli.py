@@ -12,13 +12,14 @@ out-of-domain argument, 4 analysis ran but no tuples satisfied the sum rule.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataio import write_dataset_csv, write_table_csv
+from .dataio import table_csv_text, write_dataset_csv, write_table_csv
 from .errors import DataError, DomainError
 from .montecarlo import PseudoConfig
 from .oscillation import OscParams
@@ -31,32 +32,6 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_DOMAIN = 3
 EXIT_NO_TUPLES = 4
-
-_PARAM_KEYS = {"dm2", "sin2_2theta", "baseline_km", "v_c", "v_n"}
-_PSEUDO_KEYS = {
-    "replicas", "seed", "tolerance", "include_systematics",
-    "sys_amplitude_sigma", "sys_phase_sigma",
-}
-_TOP_KEYS = {
-    "params", "pseudo", "mode", "data", "out_dir", "order", "tolerance",
-    "mismatch_mode", "truth", "bins", "e_min_gev", "e_max_gev", "rel_error",
-    "flat_p", "fit_curve", "allow_high_order",
-}
-# (cli dest, config key) pairs for scalar settings that pass through unchanged.
-_PASSTHROUGH = (
-    ("order", "order"),
-    ("tolerance", "tolerance"),
-    ("mismatch_mode", "mismatch_mode"),
-    ("truth", "truth"),
-    ("bins", "bins"),
-    ("emin", "e_min_gev"),
-    ("emax", "e_max_gev"),
-    ("rel_error", "rel_error"),
-    ("flat_p", "flat_p"),
-    ("fit_curve", "fit_curve"),
-    ("allow_high_order", "allow_high_order"),
-)
-
 
 def _load_json_object(source: str) -> dict:
     """Parse inline JSON (starts with '{') or a JSON file path."""
@@ -78,78 +53,63 @@ def _load_json_object(source: str) -> dict:
     return obj
 
 
-def _reject_unknown(given: dict, allowed: set, what: str) -> None:
-    unknown = sorted(set(given) - allowed)
+def _fields(schema) -> set:
+    return {f.name for f in dataclasses.fields(schema)}
+
+
+def _reject_unknown(given, schema, what: str) -> None:
+    if not isinstance(given, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    unknown = sorted(set(given) - _fields(schema))
     if unknown:
         raise DomainError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
-def _build_config(args: argparse.Namespace, mode: str) -> RunConfig:
-    file_cfg: dict = {}
-    cfg_source = getattr(args, "config", None) or os.environ.get(CONFIG_ENV)
-    if cfg_source:
-        file_cfg = _load_json_object(cfg_source)
-        _reject_unknown(file_cfg, _TOP_KEYS, "config")
+def _construct(schema, kw: dict, what: str):
+    try:
+        return schema(**kw)
+    except TypeError as exc:
+        raise DomainError(f"{what}: {exc}") from exc
 
-    params_dict = file_cfg.get("params")
-    if getattr(args, "params", None):
-        params_dict = _load_json_object(args.params)
-    if params_dict is None:
+
+def _build_config(args: argparse.Namespace, mode: str) -> RunConfig:
+    """Config keys are RunConfig's fields; params and pseudo hold OscParams' and
+    PseudoConfig's. A flag's dest is the field it sets, RunConfig's if both
+    have it (tolerance). mode comes from the subcommand.
+    """
+    cfg_source = args.config or os.environ.get(CONFIG_ENV)
+    cfg = _load_json_object(cfg_source) if cfg_source else {}
+    _reject_unknown(cfg, RunConfig, "config")
+    if args.params:
+        cfg["params"] = _load_json_object(args.params)
+    if cfg.get("params") is None:
         raise DomainError(
             "oscillation parameters are required: pass --params or a config "
             "file with a 'params' object"
         )
-    _reject_unknown(params_dict, _PARAM_KEYS, "params")
-    try:
-        params = OscParams(**params_dict)
-    except TypeError as exc:
-        raise DomainError(f"params: {exc}") from exc
+    params = cfg.pop("params")
+    _reject_unknown(params, OscParams, "params")
+    params = _construct(OscParams, params, "params")
 
-    pseudo_dict = dict(file_cfg.get("pseudo", {}))
-    _reject_unknown(pseudo_dict, _PSEUDO_KEYS, "pseudo")
-    for dest, key in (
-        ("replicas", "replicas"),
-        ("seed", "seed"),
-        ("systematics", "include_systematics"),
-        ("sys_amplitude_sigma", "sys_amplitude_sigma"),
-        ("sys_phase_sigma", "sys_phase_sigma"),
-    ):
-        value = getattr(args, dest, None)
+    pseudo = cfg.pop("pseudo", {})
+    _reject_unknown(pseudo, PseudoConfig, "pseudo")
+    into = {name: pseudo for name in _fields(PseudoConfig)}
+    into.update((name, cfg) for name in _fields(RunConfig) - {"params"})
+    for dest, value in vars(args).items():
+        if value is not None and dest in into:
+            into[dest][dest] = value
+    pseudo = _construct(PseudoConfig, pseudo, "pseudo")
+
+    for key in ("data", "out_dir"):
+        value = cfg.pop(key, None)
         if value is not None:
-            pseudo_dict[key] = value
-    try:
-        pseudo = PseudoConfig(**pseudo_dict)
-    except TypeError as exc:
-        raise DomainError(f"pseudo: {exc}") from exc
-
-    kw: dict = {}
-    for key in _TOP_KEYS - {"params", "pseudo", "mode", "data", "out_dir"}:
-        if key in file_cfg:
-            kw[key] = file_cfg[key]
-    for dest, key in _PASSTHROUGH:
-        value = getattr(args, dest, None)
-        if value is not None:
-            kw[key] = value
-
-    data = file_cfg.get("data")
-    if getattr(args, "data", None) is not None:
-        data = args.data
-    out_dir = file_cfg.get("out_dir")
-    if getattr(args, "out_dir", None) is not None:
-        out_dir = args.out_dir
-    if data is not None:
-        kw["data"] = Path(data)
-    if out_dir is not None:
-        kw["out_dir"] = Path(out_dir)
-
-    return RunConfig(params=params, mode=mode, pseudo=pseudo, **kw)
+            cfg[key] = Path(value)
+    return RunConfig(**{**cfg, "mode": mode}, params=params, pseudo=pseudo)
 
 
 def _emit_rows(header, rows, out: Optional[Path]) -> None:
     if out is None:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+        print(table_csv_text(header, rows), end="")
     else:
         write_table_csv(out, header, rows)
         print(f"wrote {out}")
@@ -244,8 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", type=Path, help="artifact directory")
 
     span = argparse.ArgumentParser(add_help=False)
-    span.add_argument("--emin", type=float, help="lowest energy in GeV")
-    span.add_argument("--emax", type=float, help="highest energy in GeV")
+    span.add_argument(
+        "--emin", dest="e_min_gev", metavar="EMIN", type=float, help="lowest energy in GeV"
+    )
+    span.add_argument(
+        "--emax", dest="e_max_gev", metavar="EMAX", type=float, help="highest energy in GeV"
+    )
 
     select = argparse.ArgumentParser(add_help=False)
     select.add_argument("--data", type=Path, help="input spectrum CSV")
@@ -303,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--seed", type=int, help="pseudo-experiment seed")
     p_ana.add_argument(
         "--systematics",
+        dest="include_systematics",
         action=argparse.BooleanOptionalAction,
         default=None,
         help="draw correlated nuisance shifts per replica",

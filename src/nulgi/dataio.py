@@ -219,11 +219,16 @@ def emit_report(report: SignificanceReport, path) -> None:
         out.write(f"\n  ]{tail}\n")
 
 
-def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write a simple table: a string cell as it is, a float at repr precision."""
+def table_csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
+    """A simple table as CSV text: a string cell as it is, a float at repr precision."""
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             v if type(v) is str else repr(v) if isinstance(v, float) else str(v) for v in row
         ))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+    """Write the table_csv_text of a table to path."""
+    Path(path).write_text(table_csv_text(header, rows), encoding="utf-8")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import warnings as _warnings
 from dataclasses import dataclass, field
 from functools import reduce
@@ -65,6 +66,12 @@ class RunConfig:
     allow_high_order: bool = False
 
     def __post_init__(self) -> None:
+        # A bool is a number to Python, and a string would fail only where
+        # the field is first compared, with a TypeError.
+        for name in ("tolerance", "e_min_gev", "e_max_gev", "rel_error", "flat_p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.order, int) or self.order < 3:
@@ -86,6 +93,8 @@ def curve_table(
     """Dense model survival curve on a log energy grid."""
     if not 0.0 < e_min_gev < e_max_gev:
         raise DomainError("need 0 < e_min_gev < e_max_gev")
+    if points < 2:
+        raise DomainError(f"points must be at least 2, got {points}")
     energies = np.geomspace(e_min_gev, e_max_gev, points)
     psis = np.array([accumulated_phase(params, e) for e in energies])
     return energies, np.asarray(survival_probability(params.sin2_2theta, psis))

@@ -61,6 +61,8 @@ def generate_synthetic(
         raise DomainError("need 0 < e_min_gev < e_max_gev")
     if rel_error < 0.0:
         raise DomainError("rel_error must be non-negative")
+    if not np.isfinite(rel_error):
+        raise DomainError(f"rel_error must be finite, got {rel_error}")
     if not 0.0 <= flat_p <= 1.0:
         raise DomainError(f"flat_p must lie in [0, 1], got {flat_p}")
 

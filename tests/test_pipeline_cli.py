@@ -1,9 +1,12 @@
 """End-to-end runs, artifact layout, CLI exit codes and config precedence."""
 
+import argparse
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,8 @@ from nulgi.cli import (
     EXIT_DOMAIN,
     EXIT_NO_TUPLES,
     EXIT_OK,
+    _build_config,
+    build_parser,
     main,
 )
 from nulgi.dataio import write_dataset_csv
@@ -417,6 +422,140 @@ def test_cli_rejects_a_pseudo_count_that_is_not_an_integer(tmp_path, capsys, key
     assert code == EXIT_DOMAIN
     assert capsys.readouterr().err == f"config error: {key} must be an integer, got {value!r}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [
+    {"params": 5}, {"params": [1]}, {"params": "abc"},
+    {"params": json.loads(PARAMS_JSON), "pseudo": 5},
+    {"params": json.loads(PARAMS_JSON), "pseudo": [1]},
+    {"params": json.loads(PARAMS_JSON), "pseudo": None},
+    {"params": json.loads(PARAMS_JSON), "pseudo": []},
+])
+def test_cli_rejects_a_config_section_that_is_not_an_object(tmp_path, capsys, config):
+    # Numbers, null and most lists used to end in a TypeError traceback; a
+    # string was read as its characters, and an empty list passed as {}.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["curve", "--config", str(path), "--points", "2"]) == EXIT_DOMAIN
+    section = "pseudo" if "pseudo" in config else "params"
+    assert capsys.readouterr() == ("", f"config error: {section} must be a JSON object\n")
+
+
+@pytest.mark.parametrize("value", ["x", True])
+@pytest.mark.parametrize("key", ["tolerance", "e_min_gev", "e_max_gev", "rel_error", "flat_p"])
+def test_cli_rejects_a_run_setting_that_is_not_a_number(tmp_path, capsys, key, value):
+    # A string used to end in a TypeError traceback where the field was
+    # first compared; true ran as 1.
+    config = config_file(tmp_path, "c.json", **{key: value})
+    out = tmp_path / "sim.csv"
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"config error: {key} must be a number, got {value!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rel_error", ["inf", "nan"])
+def test_cli_simulate_rejects_a_non_finite_rel_error(tmp_path, capsys, rel_error):
+    out = tmp_path / "sim.csv"
+    code = main(
+        ["simulate", "--params", PARAMS_JSON, "--rel-error", rel_error, "--out", str(out)]
+    )
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"config error: rel_error must be finite, got {rel_error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [-1, 0, 1])
+def test_cli_curve_rejects_fewer_than_two_points(capsys, points):
+    assert main(["curve", "--params", PARAMS_JSON, "--points", str(points)]) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"config error: points must be at least 2, got {points}\n")
+
+
+def test_cli_curve_stdout_is_the_bytes_of_its_file(tmp_path, capsys):
+    argv = ["curve", "--params", PARAMS_JSON, "--points", "25"]
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    out = tmp_path / "curve.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    assert stdout.encode("utf-8") == out.read_bytes()
+
+
+# Flags that are not settings: where the config and the params come from,
+# and curve's and simulate's own output.
+NON_FIELD_FLAGS = {"--help", "--config", "--params", "--out", "--points"}
+
+
+def test_every_flag_dest_is_a_config_field():
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    fields |= {f.name for f in dataclasses.fields(PseudoConfig)}
+    (subcommands,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    checked = set()
+    for name, parser in subcommands.choices.items():
+        for action in parser._actions:
+            if NON_FIELD_FLAGS.isdisjoint(action.option_strings):
+                assert action.dest in fields, (name, action.option_strings)
+                checked.add(action.option_strings[0])
+    assert {"--emin", "--emax", "--systematics", "--seed", "--tolerance"} <= checked
+
+
+def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
+    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+    params = {"dm2": 1.1e-3, "sin2_2theta": 0.5, "baseline_km": 810.0, "v_c": 1e-13,
+              "v_n": 2e-13}
+    pseudo = {"replicas": 77, "seed": 5, "tolerance": 0.02, "include_systematics": True,
+              "sys_amplitude_sigma": 0.01, "sys_phase_sigma": 0.03}
+    top = {"order": 4, "tolerance": 0.007, "mismatch_mode": "absolute",
+           "truth": "classical_flat", "bins": 12, "e_min_gev": 0.7, "e_max_gev": 40.0,
+           "rel_error": 0.03, "flat_p": 0.4, "fit_curve": True, "allow_high_order": True}
+    path = tmp_path / "all.json"
+    path.write_text(json.dumps({
+        "params": params, "pseudo": pseudo, "mode": "curve", "data": "spec.csv",
+        "out_dir": "elsewhere", **top,
+    }))
+    config = _build_config(build_parser().parse_args(["analyze", "--config", str(path)]),
+                           "analyze")
+    # mode comes from the subcommand, not the file.
+    assert config == RunConfig(
+        params=OscParams(**params), pseudo=PseudoConfig(**pseudo), mode="analyze",
+        data=Path("spec.csv"), out_dir=Path("elsewhere"), **top,
+    )
+    for built, default in (
+        (config, RunConfig(params=PARAMS)), (config.pseudo, PseudoConfig()),
+        (config.params, OscParams(dm2=0.0, sin2_2theta=0.0, baseline_km=1.0)),
+    ):
+        for f in dataclasses.fields(built):
+            if f.name != "mode":
+                assert getattr(built, f.name) != getattr(default, f.name), f.name
+
+
+def test_span_flags_set_their_fields(tmp_path, capsys):
+    assert main(
+        ["curve", "--params", PARAMS_JSON, "--emin", "1.5", "--emax", "6", "--points", "2"]
+    ) == EXIT_OK
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows] == ["energy_gev", "1.5", "6.0"]
+
+    out = tmp_path / "sim.csv"
+    assert main(
+        ["simulate", "--params", PARAMS_JSON, "--emin", "2", "--emax", "20", "--bins", "5",
+         "--out", str(out)]
+    ) == EXIT_OK
+    energies = [float(row["energy_gev"]) for row in read_table(out)]
+    assert (energies[0], energies[-1]) == (2.0, 20.0)
+
+
+def test_systematics_flags_set_their_fields(tmp_path):
+    flags = ["--params", PARAMS_JSON, "--systematics", "--sys-amplitude-sigma", "0.02",
+             "--sys-phase-sigma", "0.01"]
+    echo = run_analyze_with(tmp_path, flags, "sys")["pseudo"]
+    assert (echo["include_systematics"], echo["sys_amplitude_sigma"],
+            echo["sys_phase_sigma"]) == (True, 0.02, 0.01)
+
+    config = config_file(tmp_path, "sys.json", pseudo={"include_systematics": True})
+    echo = run_analyze_with(tmp_path, ["--config", str(config), "--no-systematics"], "nosys")
+    assert echo["pseudo"]["include_systematics"] is False
 
 
 def test_module_entry_point_runs(tmp_path):
