@@ -330,3 +330,29 @@ def counter_uniform(seed, stream, *words):
 def counter_normal(seed, stream, *words, mean=0.0, sd=1.0):
     """Normal by inversion of counter_uniform, with a trailing attempt word 0."""
     return mean + sd * ndtri(counter_uniform(seed, stream, *words, 0))
+
+
+def counter_truncated_normal(seed, stream, index_a, index_b, mean, sd):
+    """Per element, the first counter normal that lands in [0, 1].
+
+    The indices, mean and sd broadcast together. Element by element, attempt
+    0, 1, 2, ... draws mean + sd * ndtri(counter_uniform(seed, stream,
+    index_a, index_b, attempt)) until a draw lies in [0, 1]. An element with
+    sd 0 is its mean clamped to [0, 1].
+    """
+    a, b, m, s = np.broadcast_arrays(
+        np.asarray(index_a), np.asarray(index_b),
+        np.asarray(mean, dtype=float), np.asarray(sd, dtype=float),
+    )
+    out = np.empty(a.shape)
+    for pos in np.ndindex(a.shape):
+        if s[pos] == 0.0:
+            out[pos] = min(max(m[pos], 0.0), 1.0)
+            continue
+        for attempt in itertools.count():
+            u = counter_uniform(seed, stream, int(a[pos]), int(b[pos]), attempt)
+            draw = m[pos] + s[pos] * ndtri(u)
+            if 0.0 <= draw <= 1.0:
+                out[pos] = draw
+                break
+    return out

@@ -14,6 +14,10 @@ The digests were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1
 on x86-64 Linux. Other library versions can move the last bits of a
 transcendental function and with them the digests, so a mismatch under
 different versions is not by itself a regression.
+
+The sampler is pinned apart: `simulate` on a classical_flat truth, with
+--rel-error 0 (every sd is 0, so each bin is its clamped mean) and with
+--rel-error 0.3 (many bins redraw), and the `curve` table on stdout.
 """
 
 import hashlib
@@ -87,6 +91,28 @@ DIGESTS_100 = {
     "triples-n4/tuples.csv": "091758ee213171355c7a4f2acbaf7d42aafcafe6a285d14d50690c906a86fa60",
 }
 
+# (label, subcommand and its flags, file written); every run also gets --params.
+RUNS_SAMPLER = (
+    ("simulate-flat", ["simulate", "--truth", "classical_flat", "--out", "flat.csv"], "flat.csv"),
+    ("simulate-exact", ["simulate", "--rel-error", "0", "--out", "exact.csv"], "exact.csv"),
+    ("simulate-wide", ["simulate", "--rel-error", "0.3", "--out", "wide.csv"], "wide.csv"),
+    ("curve", ["curve"], None),
+)
+
+DIGESTS_SAMPLER = {
+    "simulate-flat/stdout": "d6fc33738b6e425c776a7edc41883a3e1ca26a228ff1b9c6c5f7e774dfc1a9a2",
+    "simulate-flat/stderr": EMPTY,
+    "simulate-flat/flat.csv": "de5b47e55703b52814bafb68a2c0e4f836ae84c4a5ec14eed5f40c93e320cf0e",
+    "simulate-exact/stdout": "effedc5a6629ba94d1ac66c0a652615ee5e5d7d94907a174c03d221edd036f50",
+    "simulate-exact/stderr": EMPTY,
+    "simulate-exact/exact.csv": "42da130f3c97e85f10b96d8a27fb4ddd9c9f2bf4a7f898de232b48499b762a8c",
+    "simulate-wide/stdout": "9b51c6ede841024c2b4e0f292f7cdf2913929a89c7e996ab86291f343858ebcc",
+    "simulate-wide/stderr": EMPTY,
+    "simulate-wide/wide.csv": "77fe47afbf9684857f9316bdbc92f08682d47aa1fb102f547bf8805c2d93de39",
+    "curve/stdout": "6662bc52a3382502cb215a7da71404b425e7aebba9454ee31b82d74fd2d0cdf0",
+    "curve/stderr": EMPTY,
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -130,3 +156,16 @@ def test_100_bin_artifacts_and_cli_output_match_their_golden_digests(
 ):
     monkeypatch.chdir(tmp_path)
     assert_golden(golden_outputs(tmp_path, capsys, 100, RUNS_100), DIGESTS_100)
+
+
+def test_sampler_outputs_match_their_golden_digests(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    digests = {}
+    for label, argv, written in RUNS_SAMPLER:
+        assert main([argv[0], "--params", PARAMS_JSON] + argv[1:]) == EXIT_OK, label
+        captured = capsys.readouterr()
+        digests[f"{label}/stdout"] = _sha256(captured.out.encode("utf-8"))
+        digests[f"{label}/stderr"] = _sha256(captured.err.encode("utf-8"))
+        if written is not None:
+            digests[f"{label}/{written}"] = _sha256((tmp_path / written).read_bytes())
+    assert_golden(digests, DIGESTS_SAMPLER)

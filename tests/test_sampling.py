@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from nulgi.errors import DomainError
 from nulgi.sampling import (
     KEY_LIMIT,
     STREAM_PSEUDODATA,
+    STREAM_SYNTH_PROB,
     draw_keys,
     normal,
+    truncated_normal,
     uniform_from_keys,
     uniform_open,
 )
@@ -63,3 +66,35 @@ def test_keys_written_into_reused_buffers_are_the_same_keys():
         bits(uniform_from_keys(fresh)), bits(oracles.counter_uniform(*words))
     )
     assert fresh.max() < KEY_LIMIT
+
+
+# Per point: sd 0 below, inside and above [0, 1]; means outside the
+# interval, which take many redraws; means at and near its ends.
+TRUNC_MEANS = np.array([-0.2, 0.5, 1.2, -0.3, 1.4, 0.0, 1.0, 0.02, 0.98, 0.5, 0.7, 0.3])
+TRUNC_SDS = np.array([0.0, 0.0, 0.0, 0.2, 0.3, 0.05, 0.05, 0.05, 0.05, 2.0, 0.1, 0.01])
+
+TRUNCATED = {
+    "scalars": (5, STREAM_SYNTH_PROB, 3, 4, 0.9, 0.2),
+    "broadcast": (
+        7, STREAM_PSEUDODATA, np.arange(40)[None, :], np.arange(12)[:, None],
+        TRUNC_MEANS[:, None], TRUNC_SDS[:, None],
+    ),
+    "negative": (
+        2**64 - 1, STREAM_PSEUDODATA, -np.arange(30)[:, None], -3, TRUNC_MEANS, TRUNC_SDS,
+    ),
+    "synthetic": (0, STREAM_SYNTH_PROB, 0, np.arange(12), TRUNC_MEANS, TRUNC_SDS),
+}
+
+
+@pytest.mark.parametrize("case", TRUNCATED)
+def test_truncated_normal_is_bit_equal_to_a_redraw_loop(case):
+    got = truncated_normal(*TRUNCATED[case])
+    want = oracles.counter_truncated_normal(*TRUNCATED[case])
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(bits(got), bits(want))
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+
+
+def test_truncated_normal_rejects_a_negative_sd():
+    with pytest.raises(DomainError, match="sd must be non-negative"):
+        truncated_normal(0, STREAM_SYNTH_PROB, 0, np.arange(3), 0.5, np.array([0.1, -0.1, 0.1]))
