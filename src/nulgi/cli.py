@@ -103,6 +103,8 @@ def _build_config(args: argparse.Namespace, mode: str) -> RunConfig:
     for key in ("data", "out_dir"):
         value = cfg.pop(key, None)
         if value is not None:
+            if not isinstance(value, (str, os.PathLike)):
+                raise DomainError(f"{key} must be a path string, got {value!r}")
             cfg[key] = Path(value)
     return RunConfig(**{**cfg, "mode": mode}, params=params, pseudo=pseudo)
 

@@ -98,10 +98,8 @@ def parse_dataset(path) -> list[MeasuredPoint]:
 
 def write_dataset_csv(points: Sequence[MeasuredPoint], path) -> None:
     """Write a spectrum CSV that parse_dataset reproduces exactly."""
-    lines = ["energy_gev,p_mumu,sigma_stat,sigma_sys"]
-    for p in points:
-        lines.append(f"{p.energy_gev!r},{p.p_mumu!r},{p.sigma_stat!r},{p.sigma_sys!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
+    write_table_csv(path, columns, ([getattr(p, c) for c in columns] for p in points))
 
 
 class TupleTable:

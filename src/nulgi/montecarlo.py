@@ -93,6 +93,10 @@ class PseudoConfig:
             raise DomainError(f"replicas must be a positive integer, got {self.replicas}")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
+        # Any JSON value has a truth value: "false" would turn the nuisances on.
+        flag = self.include_systematics
+        if not isinstance(flag, (bool, np.bool_)):
+            raise DomainError(f"include_systematics must be true or false, got {flag!r}")
         if self.sys_amplitude_sigma < 0.0 or self.sys_phase_sigma < 0.0:
             raise DomainError("systematic sigmas must be non-negative")
 
@@ -294,18 +298,18 @@ def classical_null_distribution(
     # Only the points some tuple reads are drawn, one row each.
     used, local = np.unique(tuples.comp_idx, return_inverse=True)
     local = local.reshape(tuples.comp_idx.shape)
-    point_ids = used[:, None]
     means, sds = probs[used], point_sd[used]
 
     use_sys = config.include_systematics and (
         config.sys_amplitude_sigma > 0.0 or config.sys_phase_sigma > 0.0
     )
+    counts = np.zeros(config.replicas, dtype=np.int64)
+    replica_ids = np.arange(config.replicas)
     if tuples.n == 3 and not use_sys:
         # Key path; only the replicas it returns need the float expression.
-        counts, replica_ids = _order3_cut_counts(means, sds, point_ids, local, config, chunk_size)
-    else:
-        counts = np.empty(config.replicas, dtype=np.int64)
-        replica_ids = np.arange(config.replicas)
+        block_replicas, _ = null_block_shape(0, used.size, chunk_size)
+        blocks = _key_blocks(config.seed, replica_ids, used, block_replicas)
+        replica_ids = _order3_cut_counts(means, sds, local, blocks, counts)
     skip_blocks = tuples.n >= 4 and not use_sys
     if skip_blocks:
         # The keys of a point's in-margin draws are [low, high).
@@ -317,20 +321,10 @@ def classical_null_distribution(
     block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
     # One contiguous index row per component: block slices stay contiguous.
     components = np.ascontiguousarray(local.T)
-    # Block buffers, reused: fresh arrays of this size cost page faults.
-    width = min(block_replicas, replica_ids.size)
-    key_buf, scratch_buf = np.empty((2, used.size, width), dtype=np.uint64)
 
-    for start in range(0, replica_ids.size, block_replicas):
-        ids = replica_ids[start:start + block_replicas]
-        span = slice(0, ids.size)
-        keys = draw_keys(
-            config.seed, STREAM_PSEUDODATA, ids[None, :], point_ids, 0,
-            out=key_buf[:, span], scratch=scratch_buf[:, span],
-        )
+    for ids, keys in _key_blocks(config.seed, replica_ids, used, block_replicas):
         # Most out-of-margin draws lie above 1 - b: test the top end first.
         if skip_blocks and (keys.max(axis=1) < high).all() and (keys.min(axis=1) >= low).all():
-            counts[ids] = 0
             continue
 
         block_means = means
@@ -367,6 +361,24 @@ def classical_null_distribution(
     return counts
 
 
+def _key_blocks(seed: int, replica_ids: np.ndarray, points: np.ndarray, block_replicas: int):
+    """Yield (ids, keys): blocks of replica_ids and their STREAM_PSEUDODATA keys.
+
+    keys[i, j] is the key of replica ids[j] at point points[i]. Each block's
+    keys overwrite the last block's, in the same buffers.
+    """
+    # Block buffers, reused: fresh arrays of this size cost page faults.
+    width = min(block_replicas, replica_ids.size)
+    key_buf, scratch_buf = np.empty((2, points.size, width), dtype=np.uint64)
+    for start in range(0, replica_ids.size, block_replicas):
+        ids = replica_ids[start:start + block_replicas]
+        span = slice(0, ids.size)
+        yield ids, draw_keys(
+            seed, STREAM_PSEUDODATA, ids[None, :], points[:, None], 0,
+            out=key_buf[:, span], scratch=scratch_buf[:, span],
+        )
+
+
 def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
     """Per point, the first key whose correlation lies above each edge.
 
@@ -399,19 +411,15 @@ def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
 
 
 def _order3_cut_counts(
-    means: np.ndarray,
-    sds: np.ndarray,
-    point_ids: np.ndarray,
-    local: np.ndarray,
-    config: PseudoConfig,
-    chunk_size: Optional[int],
-) -> tuple[np.ndarray, np.ndarray]:
+    means: np.ndarray, sds: np.ndarray, local: np.ndarray, blocks, counts: np.ndarray
+) -> np.ndarray:
     """Order-3 counts as cut sizes of key flags; see classical_null_distribution.
 
-    means, sds and point_ids hold one row per point that a tuple uses, and
-    local holds the tuples' components as indices into those rows. Returns
-    the counts and the replicas that hold a guarded draw, whose counts the
-    caller must evaluate in floating point.
+    means and sds hold one row per point that a tuple uses, and local holds
+    the tuples' components as indices into those rows. blocks yields the
+    (ids, keys) of _key_blocks over those rows; each block's cut sizes are
+    written to counts[ids]. Returns the replicas that hold a guarded draw,
+    whose counts the caller must evaluate in floating point.
     """
     # The edges of the tuple graph over the used points; (a, a) adds nothing.
     ends_a, ends_b = local[local[:, 0] != local[:, 1]].T
@@ -425,30 +433,18 @@ def _order3_cut_counts(
     # low after adding band_hi - low back.
     upper_width, lower_width, hi_to_low = high - band_hi, band_lo - low, band_hi - low
 
-    block_replicas, _ = null_block_shape(0, point_ids.size, chunk_size)
-    # Block buffers, reused: fresh arrays of this size cost page faults.
-    width = min(block_replicas, config.replicas)
-    key_buf, scratch_buf = np.empty((2, point_ids.size, width), dtype=np.uint64)
-    upper_buf, safe_buf = np.empty((2, point_ids.size, width), dtype=bool)
-    counts = np.empty(config.replicas, dtype=np.int64)
     guarded = []
-    for start in range(0, config.replicas, block_replicas):
-        stop = min(start + block_replicas, config.replicas)
-        cols = slice(0, stop - start)
-        keys = draw_keys(
-            config.seed, STREAM_PSEUDODATA, np.arange(start, stop)[None, :], point_ids, 0,
-            out=key_buf[:, cols], scratch=scratch_buf[:, cols],
-        )
+    for ids, keys in blocks:
         keys -= band_hi
-        upper = np.less(keys, upper_width, out=upper_buf[:, cols])
+        upper = keys < upper_width
         # Cut size x^T L x: the tuple edges whose ends differ in "C > 1".
-        counts[start:stop] = np.count_nonzero(upper[ends_a] != upper[ends_b], axis=0)
+        counts[ids] = np.count_nonzero(upper[ends_a] != upper[ends_b], axis=0)
 
         keys += hi_to_low
-        safe = np.less(keys, lower_width, out=safe_buf[:, cols])
+        safe = keys < lower_width
         safe |= upper
-        guarded.append(start + np.flatnonzero(~safe.all(axis=0)))
-    return counts, np.concatenate(guarded)
+        guarded.append(ids[~safe.all(axis=0)])
+    return np.concatenate(guarded)
 
 
 def fit_beta_binomial(counts: Sequence[int], trials_n: int) -> BetaBinomialFit:

@@ -43,6 +43,14 @@ CHI2_CAVEAT = (
     "a descriptive summary, not a calibrated goodness-of-fit."
 )
 
+# fit_curve_params scans dm2 on a FIT_GRID-point log grid over [FIT_DM2_LO,
+# FIT_DM2_HI] in eV^2, then FIT_ROUNDS - 1 times on a grid of the same size
+# within four steps of the best point.
+FIT_DM2_LO = 1.0e-4
+FIT_DM2_HI = 1.0e-2
+FIT_GRID = 201
+FIT_ROUNDS = 4
+
 
 @dataclass
 class RunConfig:
@@ -72,6 +80,11 @@ class RunConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a number, got {value!r}")
+        # Any JSON value has a truth value: "no" would run the fit.
+        for name in ("fit_curve", "allow_high_order"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise DomainError(f"{name} must be true or false, got {value!r}")
         if self.mode not in MODES:
             raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.order, int) or self.order < 3:
@@ -100,14 +113,7 @@ def curve_table(
     return energies, np.asarray(survival_probability(params.sin2_2theta, psis))
 
 
-def fit_curve_params(
-    dataset: Sequence[MeasuredPoint],
-    params: OscParams,
-    dm2_lo: float = 1.0e-4,
-    dm2_hi: float = 1.0e-2,
-    grid: int = 201,
-    rounds: int = 4,
-) -> OscParams:
+def fit_curve_params(dataset: Sequence[MeasuredPoint], params: OscParams) -> OscParams:
     """Least-squares fit of the mass splitting and amplitude to the data.
 
     For a fixed splitting the model is linear in the amplitude, so the
@@ -137,13 +143,13 @@ def fit_curve_params(
                 best = (chi2, float(dm2), amp)
         return best
 
-    lo, hi = dm2_lo, dm2_hi
-    best = best_for(np.geomspace(lo, hi, grid))
-    for _ in range(rounds - 1):
-        step = (hi / lo) ** (1.0 / (grid - 1))
+    lo, hi = FIT_DM2_LO, FIT_DM2_HI
+    best = best_for(np.geomspace(lo, hi, FIT_GRID))
+    for _ in range(FIT_ROUNDS - 1):
+        step = (hi / lo) ** (1.0 / (FIT_GRID - 1))
         lo = best[1] / step**4
         hi = best[1] * step**4
-        best = best_for(np.geomspace(lo, hi, grid))
+        best = best_for(np.geomspace(lo, hi, FIT_GRID))
     return dataclasses.replace(params, dm2=best[1], sin2_2theta=best[2])
 
 

@@ -4,8 +4,8 @@ Every variate is a pure function of (seed, stream, index words..., attempt),
 hashed through a splitmix64-style mixer to a 53-bit key (draw_keys) and
 mapped to a normal via the inverse CDF. Draws therefore never depend on
 evaluation order, chunking, or worker count, and any single (replica,
-point) value can be reproduced in isolation. Truncation to an interval is
-done by re-drawing with an incremented attempt counter, never by clipping.
+point) value can be reproduced in isolation. Truncation to [0, 1] is done
+by re-drawing with an incremented attempt counter, never by clipping.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ _U64_MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # draw_keys returns keys in [0, KEY_LIMIT): the top 53 bits of the hash.
 KEY_LIMIT = 1 << 53
+# truncated_normal gives up on an element after this many draws.
+TRUNCATION_ATTEMPTS = 10000
 
 # Stream identifiers; each independent use of randomness gets its own lane.
 STREAM_PSEUDODATA = 1       # per-(replica, point) pseudo-measurement draws
@@ -124,63 +126,34 @@ def normal(seed: int, stream: int, *index_words, mean=0.0, sd=1.0) -> np.ndarray
     return normal_from_keys(draw_keys(seed, stream, *index_words, 0), mean, sd)
 
 
-def truncated_normal(
-    seed: int,
-    stream: int,
-    index_a,
-    index_b,
-    mean,
-    sd,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    max_attempts: int = 10000,
-) -> np.ndarray:
-    """Normal draws truncated to [lo, hi] by resampling.
+def truncated_normal(seed: int, stream: int, index_a, index_b, mean, sd) -> np.ndarray:
+    """Normal draws truncated to [0, 1] by resampling.
 
-    index_a and index_b are integer arrays (broadcast together) keying each
-    element, e.g. replica and point indices. Elements with sd == 0 return
-    their mean clamped to the interval. Raises if an element fails to land
-    inside the interval within max_attempts redraws, which for sane inputs
-    (mean within a few sd of the interval) cannot happen.
+    index_a and index_b are integer arrays keying each element (e.g. replica
+    and point indices), broadcast with mean and sd. Attempt a of an element
+    draws normal_from_keys(draw_keys(seed, stream, index_a, index_b, a)).
+    An element with sd == 0 returns its mean clamped to [0, 1]. Raises if
+    an element fails to land within TRUNCATION_ATTEMPTS draws, which for
+    sane inputs (mean within a few sd of the interval) cannot happen.
     """
-    idx_a, idx_b = np.broadcast_arrays(np.asarray(index_a), np.asarray(index_b))
-    mean_b, sd_b = np.broadcast_arrays(
-        np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
-    )
-    if np.any(sd_b < 0.0):
+    means, sds = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
+    idx_a, idx_b, means, sds = np.broadcast_arrays(index_a, index_b, means, sds)
+    if np.any(sds < 0.0):
         raise DomainError("sd must be non-negative")
-    shape = np.broadcast_shapes(idx_a.shape, mean_b.shape)
-    out = np.empty(shape, dtype=np.float64)
-
-    frozen = np.broadcast_to(sd_b == 0.0, shape)
-    if frozen.any():
-        out[frozen] = np.clip(np.broadcast_to(mean_b, shape)[frozen], lo, hi)
-
-    active = ~frozen
-    if not active.any():
-        return out
-
-    idx_a = np.broadcast_to(idx_a, shape)[active]
-    idx_b = np.broadcast_to(idx_b, shape)[active]
-    means = np.broadcast_to(mean_b, shape)[active]
-    sds = np.broadcast_to(sd_b, shape)[active]
-    flat_pos = np.flatnonzero(active.ravel())
-    values = np.empty(means.shape, dtype=np.float64)
-    pending = np.ones(means.shape, dtype=bool)
-
-    for attempt in range(max_attempts):
-        if not pending.any():
+    out = np.clip(means, 0.0, 1.0, out=np.empty(means.shape))
+    idx_a, idx_b, means, sds = (arr.ravel() for arr in (idx_a, idx_b, means, sds))
+    # Flat positions of the elements still to land, in increasing order.
+    pending = np.flatnonzero(sds != 0.0)
+    for attempt in range(TRUNCATION_ATTEMPTS):
+        if not pending.size:
             break
-        u = uniform_open(seed, stream, idx_a[pending], idx_b[pending], attempt)
-        draw = means[pending] + sds[pending] * ndtri(u)
-        ok = (draw >= lo) & (draw <= hi)
-        sel = np.flatnonzero(pending)
-        values[sel[ok]] = draw[ok]
-        pending[sel[ok]] = False
-    if pending.any():
+        keys = draw_keys(seed, stream, idx_a[pending], idx_b[pending], attempt)
+        draw = normal_from_keys(keys, means[pending], sds[pending])
+        ok = (draw >= 0.0) & (draw <= 1.0)
+        out.ravel()[pending[ok]] = draw[ok]
+        pending = pending[~ok]
+    if pending.size:
         raise RuntimeError(
-            f"truncated draw failed to land in [{lo}, {hi}] after {max_attempts} attempts"
+            f"truncated draw failed to land in [0.0, 1.0] after {TRUNCATION_ATTEMPTS} attempts"
         )
-
-    out.ravel()[flat_pos] = values
     return out

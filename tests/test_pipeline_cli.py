@@ -454,6 +454,36 @@ def test_cli_rejects_a_run_setting_that_is_not_a_number(tmp_path, capsys, key, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config", [
+    {"fit_curve": "no"}, {"fit_curve": 1}, {"allow_high_order": "false"},
+    {"allow_high_order": None}, {"pseudo": {"include_systematics": "false"}},
+    {"pseudo": {"include_systematics": 0}},
+])
+def test_cli_rejects_a_switch_that_is_not_a_bool(tmp_path, capsys, config):
+    # These used to be read by their truth value: "no" ran the fit and
+    # "false" turned the nuisances on.
+    ((key, value),) = config.get("pseudo", config).items()
+    path = config_file(tmp_path, "c.json", **config)
+    out = tmp_path / "out"
+    code = main(
+        ["analyze", "--config", str(path), "--data", str(shared_csv(tmp_path)),
+         "--out-dir", str(out)]
+    )
+    assert code == EXIT_DOMAIN
+    err = f"config error: {key} must be true or false, got {value!r}\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("out_dir", 5), ("data", ["x"]), ("data", {})])
+def test_cli_rejects_a_path_that_is_not_a_string(tmp_path, capsys, key, value):
+    # These used to end in a TypeError traceback from Path(value).
+    path = config_file(tmp_path, "c.json", **{key: value})
+    assert main(["triples", "--config", str(path)]) == EXIT_DOMAIN
+    err = f"config error: {key} must be a path string, got {value!r}\n"
+    assert capsys.readouterr() == ("", err)
+
+
 @pytest.mark.parametrize("rel_error", ["inf", "nan"])
 def test_cli_simulate_rejects_a_non_finite_rel_error(tmp_path, capsys, rel_error):
     out = tmp_path / "sim.csv"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nulgi import sampling
 from nulgi.errors import DomainError
 from nulgi.sampling import (
     KEY_LIMIT,
@@ -98,3 +99,9 @@ def test_truncated_normal_is_bit_equal_to_a_redraw_loop(case):
 def test_truncated_normal_rejects_a_negative_sd():
     with pytest.raises(DomainError, match="sd must be non-negative"):
         truncated_normal(0, STREAM_SYNTH_PROB, 0, np.arange(3), 0.5, np.array([0.1, -0.1, 0.1]))
+
+
+def test_truncated_normal_gives_up_after_its_attempts(monkeypatch):
+    monkeypatch.setattr(sampling, "TRUNCATION_ATTEMPTS", 3)
+    with pytest.raises(RuntimeError, match="after 3 attempts"):
+        truncated_normal(0, STREAM_SYNTH_PROB, 0, np.arange(4), -50.0, 1.0)
