@@ -218,11 +218,16 @@ def emit_report(report: SignificanceReport, path) -> None:
 
 
 def table_csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """A simple table as CSV text: a string cell as it is, a float at repr precision."""
+    """A simple table as CSV text: a string cell as it is, a float at repr precision.
+
+    A np.float64 is a float whose own repr is np.float64(...), so floats are
+    written as the repr of their Python float.
+    """
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            v if type(v) is str else repr(v) if isinstance(v, float) else str(v) for v in row
+            v if type(v) is str else repr(float(v)) if isinstance(v, float) else str(v)
+            for v in row
         ))
     return "\n".join(lines) + "\n"
 

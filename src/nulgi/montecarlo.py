@@ -19,11 +19,14 @@ what the beta-binomial's overdispersion absorbs.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DomainError
 from .leggett_garg import lgi_bound
@@ -62,6 +65,10 @@ ORDER3_EDGES = (
 # classical_null_distribution). Its edges: C >= -1 + b and C > 1 - b.
 NULL_MARGIN = 1e-5
 MARGIN_EDGES = (np.nextafter(-1.0 + NULL_MARGIN, -np.inf), 1.0 - NULL_MARGIN)
+
+# Half-width, in keys, of the bracket _key_thresholds checks around the
+# ndtr estimate of each threshold key before bisecting inside it.
+KEY_BRACKET = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -252,14 +259,31 @@ def classical_null_distribution(
     Runs with systematics, whose means move per replica, evaluate every
     replica with the float expression.
 
-    Work runs in blocks of replicas x tuples sized by null_block_shape
-    from the fixed NULL_BLOCK_BYTES budget, so the memory a block holds is
-    a small constant multiple of that budget whatever the replica or tuple
-    count (only a spectrum of thousands of points could push its draws
-    past it). Within a block the keys and draws are laid out point-major,
-    one row per point that a tuple uses, so each tuple component is a row
-    gather and the sum and product accumulate in place. Each block's keys
-    are drawn once, into buffers reused across blocks.
+    Work runs in blocks sized from the fixed NULL_BLOCK_BYTES budget.
+    Keys are drawn in key blocks of null_block_shape(0, points) replicas,
+    laid out point-major with one row per point that a tuple uses, into two
+    buffers reused from block to block; a key block is long enough that
+    numpy's per-call overhead is small beside the hash. The block skip and
+    the float expression run on column slices of a key block, tuple blocks
+    of null_block_shape(tuples, points) replicas, each evaluating as many
+    tuples at a time as the budget leaves. So the memory a block holds is a
+    small constant multiple of the budget whatever the replica or tuple
+    count (only a spectrum of thousands of points could push its draws past
+    it). Each tuple component is a row gather and the sum and product
+    accumulate in place.
+
+    The replicas are cut at key-block edges into contiguous shards, one per
+    core in the process's affinity mask and at most one per key block, and
+    the shards run on a thread pool: numpy's ufuncs and gathers and scipy's
+    ndtri release the GIL. The key thresholds and systematic responses are
+    computed once, before the shards. Each shard owns its key buffers and
+    writes only its own replicas' counts; at order 3 it runs the cut pass
+    and then the float pass over its own guarded replicas. The counts do
+    not depend on the worker count or on any blocking: every draw is keyed
+    by (seed, stream, replica, point), a replica's count reads only its own
+    draws, every tuple's statistic is evaluated with the same operations in
+    the same order, and the key shortcuts return the counts of the float
+    expression exactly (the proofs above).
 
     Parameters
     ----------
@@ -270,10 +294,8 @@ def classical_null_distribution(
     config : PseudoConfig
         Replica count, seed, and systematics settings.
     chunk_size : int, optional
-        Replicas per block; by default derived from NULL_BLOCK_BYTES. The
-        counts are identical for every chunking, because every draw is
-        keyed by (seed, stream, replica, point) and every tuple's
-        statistic is evaluated with the same operations in the same order.
+        Replicas per key block and per tuple block; by default derived
+        from NULL_BLOCK_BYTES. The counts are identical for every chunking.
 
     Returns
     -------
@@ -304,61 +326,89 @@ def classical_null_distribution(
         config.sys_amplitude_sigma > 0.0 or config.sys_phase_sigma > 0.0
     )
     counts = np.zeros(config.replicas, dtype=np.int64)
-    replica_ids = np.arange(config.replicas)
-    if tuples.n == 3 and not use_sys:
-        # Key path; only the replicas it returns need the float expression.
-        block_replicas, _ = null_block_shape(0, used.size, chunk_size)
-        blocks = _key_blocks(config.seed, replica_ids, used, block_replicas)
-        replica_ids = _order3_cut_counts(means, sds, local, blocks, counts)
+    key_replicas, _ = null_block_shape(0, used.size, chunk_size)
+    block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
+    bound = lgi_bound(tuples.n)
+    # One contiguous index row per component: block slices stay contiguous.
+    components = np.ascontiguousarray(local.T)
+
+    # Computed once, read by every shard.
+    cut_order3 = tuples.n == 3 and not use_sys
     skip_blocks = tuples.n >= 4 and not use_sys
+    if cut_order3:
+        order3_edges = _key_thresholds(means, sds, ORDER3_EDGES)
     if skip_blocks:
         # The keys of a point's in-margin draws are [low, high).
         low, high = _key_thresholds(means, sds, MARGIN_EDGES).astype(np.uint64)
     if use_sys:
         amp_resp, phase_resp = (resp[used][:, None] for resp in _systematic_responses(dataset))
 
-    bound = lgi_bound(tuples.n)
-    block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
-    # One contiguous index row per component: block slices stay contiguous.
-    components = np.ascontiguousarray(local.T)
+    def run_shard(replica_ids: np.ndarray) -> None:
+        if cut_order3:
+            # Key path; only the replicas it returns need the float expression.
+            blocks = _key_blocks(config.seed, replica_ids, used, key_replicas)
+            replica_ids = _order3_cut_counts(order3_edges, local, blocks, counts)
+        blocks = _key_blocks(config.seed, replica_ids, used, key_replicas)
+        for ids, keys in _column_blocks(blocks, block_replicas):
+            # Most out-of-margin draws lie above 1 - b: test the top end first.
+            if (
+                skip_blocks
+                and (keys.max(axis=1) < high).all()
+                and (keys.min(axis=1) >= low).all()
+            ):
+                continue
 
-    for ids, keys in _key_blocks(config.seed, replica_ids, used, block_replicas):
-        # Most out-of-margin draws lie above 1 - b: test the top end first.
-        if skip_blocks and (keys.max(axis=1) < high).all() and (keys.min(axis=1) >= low).all():
-            continue
+            block_means = means
+            if use_sys:
+                rows = ids[None, :]
+                d_amp = normal(
+                    config.seed, STREAM_SYS_AMPLITUDE, rows, 0,
+                    sd=config.sys_amplitude_sigma,
+                )
+                d_phase = normal(
+                    config.seed, STREAM_SYS_PHASE, rows, 0,
+                    sd=config.sys_phase_sigma,
+                )
+                block_means = means + d_amp * amp_resp + d_phase * phase_resp
 
-        block_means = means
-        if use_sys:
-            rows = ids[None, :]
-            d_amp = normal(
-                config.seed, STREAM_SYS_AMPLITUDE, rows, 0,
-                sd=config.sys_amplitude_sigma,
-            )
-            d_phase = normal(
-                config.seed, STREAM_SYS_PHASE, rows, 0,
-                sd=config.sys_phase_sigma,
-            )
-            block_means = means + d_amp * amp_resp + d_phase * phase_resp
+            # Point-major draws: corr[point, replica] = 2 P - 1.
+            corr = normal_from_keys(keys, mean=block_means, sd=sds)
+            corr *= 2.0
+            corr -= 1.0
 
-        # Point-major draws: corr[point, replica] = 2 P - 1.
-        corr = normal_from_keys(keys, mean=block_means, sd=sds)
-        corr *= 2.0
-        corr -= 1.0
+            block_counts = np.zeros(ids.size, dtype=np.int64)
+            for start in range(0, len(tuples), block_tuples):
+                cols = components[:, start:start + block_tuples]
+                corr_sum = corr[cols[0]]
+                corr_prod = corr_sum.copy()
+                for col in cols[1:]:
+                    c = corr[col]
+                    corr_sum += c
+                    corr_prod *= c
+                corr_sum -= corr_prod
+                block_counts += np.count_nonzero(corr_sum > bound, axis=0)
+            counts[ids] = block_counts
 
-        block_counts = np.zeros(ids.size, dtype=np.int64)
-        for first in range(0, len(tuples), block_tuples):
-            cols = components[:, first:first + block_tuples]
-            corr_sum = corr[cols[0]]
-            corr_prod = corr_sum.copy()
-            for col in cols[1:]:
-                c = corr[col]
-                corr_sum += c
-                corr_prod *= c
-            corr_sum -= corr_prod
-            block_counts += np.count_nonzero(corr_sum > bound, axis=0)
-        counts[ids] = block_counts
-
+    # Shards of whole key blocks, as even as the blocks allow.
+    n_blocks = -(-config.replicas // key_replicas)
+    workers = min(_available_cores(), n_blocks)
+    cuts = [min(config.replicas, key_replicas * (n_blocks * i // workers))
+            for i in range(workers + 1)]
+    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        shards = [pool.submit(run_shard, np.arange(start, stop))
+                  for start, stop in zip(cuts, cuts[1:])]
+        # Re-raises the first failed shard's exception; leaving the block
+        # waits for every worker to finish.
+        for shard in shards:
+            shard.result()
     return counts
+
+
+def _available_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _key_blocks(seed: int, replica_ids: np.ndarray, points: np.ndarray, block_replicas: int):
@@ -379,6 +429,13 @@ def _key_blocks(seed: int, replica_ids: np.ndarray, points: np.ndarray, block_re
         )
 
 
+def _column_blocks(blocks, width: int):
+    """Yield (ids, keys) column slices, width replicas wide, of each (ids, keys) block."""
+    for ids, keys in blocks:
+        for first in range(0, ids.size, width):
+            yield ids[first:first + width], keys[:, first:first + width]
+
+
 def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
     """Per point, the first key whose correlation lies above each edge.
 
@@ -388,45 +445,65 @@ def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
     every edge. A non-strict edge C >= e is given as the float just below
     e. Found by bisection on the assumption that C is non-decreasing in
     the key; KEY_LIMIT means no key reaches the edge.
+
+    The bisection starts from a bracket of KEY_BRACKET keys either side of
+    an ndtr estimate of the threshold where both its ends check out with
+    the draws' float operations: the key below the bracket does not reach
+    the edge, unless the bracket starts at 0, and its top key does, unless
+    it is KEY_LIMIT. Where a check fails, at sigma 0 and where the estimate
+    is not finite, the search starts from [0, KEY_LIMIT]. For a
+    non-decreasing C both hold the same first key, so the bracket only
+    shortens the search.
     """
     probs = np.ravel(probs)
     sds = np.ravel(sds)
     edges = np.asarray(edges, dtype=float)[:, None]
-    lo = np.zeros((edges.shape[0], probs.size), dtype=np.int64)
-    hi = np.full_like(lo, KEY_LIMIT)
-    # Every key at or past KEY_LIMIT - 1 maps to u = 1 and reaches every
-    # edge (0 * inf is nan at sigma 0), so once lo == hi the step below
-    # leaves both in place.
-    with np.errstate(invalid="ignore"):
-        for _ in range(KEY_LIMIT.bit_length()):
+
+    def reached(keys):
+        # C = 2 P - 1 with the float operations of the draws' path.
+        corr = normal_from_keys(keys, mean=probs, sd=sds)
+        corr *= 2.0
+        corr -= 1.0
+        return ~(corr <= edges)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # u = (k + 0.5) 2**-53 = ndtr((P - p) / sigma) at P = (1 + e) / 2.
+        guess = ndtr(((1.0 + edges) / 2.0 - probs) / sds) * KEY_LIMIT - 0.5
+        usable = np.isfinite(guess) & (sds > 0.0)
+        guess = np.where(usable, guess, 0.0).astype(np.int64)
+        lo = np.clip(guess - KEY_BRACKET, 0, KEY_LIMIT)
+        hi = np.clip(guess + KEY_BRACKET, 0, KEY_LIMIT)
+        usable &= (lo == 0) | ~reached(np.maximum(lo - 1, 0))
+        usable &= (hi == KEY_LIMIT) | reached(np.minimum(hi, KEY_LIMIT - 1))
+        lo = np.where(usable, lo, 0)
+        hi = np.where(usable, hi, KEY_LIMIT)
+        # Every key at or past KEY_LIMIT - 1 maps to u = 1 and reaches every
+        # edge (0 * inf is nan at sigma 0), so once lo == hi the step below
+        # leaves both in place; each step at least halves hi - lo.
+        for _ in range(int((hi - lo).max()).bit_length()):
             mid = (lo + hi) >> 1
-            # C = 2 P - 1 with the float operations of the draws' path.
-            corr = normal_from_keys(mid, mean=probs, sd=sds)
-            corr *= 2.0
-            corr -= 1.0
-            reached = ~(corr <= edges)
-            hi = np.where(reached, mid, hi)
-            lo = np.where(reached, lo, mid + 1)
+            now = reached(mid)
+            hi = np.where(now, mid, hi)
+            lo = np.where(now, lo, mid + 1)
     return lo
 
 
 def _order3_cut_counts(
-    means: np.ndarray, sds: np.ndarray, local: np.ndarray, blocks, counts: np.ndarray
+    edges: np.ndarray, local: np.ndarray, blocks, counts: np.ndarray
 ) -> np.ndarray:
     """Order-3 counts as cut sizes of key flags; see classical_null_distribution.
 
-    means and sds hold one row per point that a tuple uses, and local holds
-    the tuples' components as indices into those rows. blocks yields the
-    (ids, keys) of _key_blocks over those rows; each block's cut sizes are
-    written to counts[ids]. Returns the replicas that hold a guarded draw,
-    whose counts the caller must evaluate in floating point.
+    edges holds the _key_thresholds of ORDER3_EDGES, one column per point
+    that a tuple uses, and local holds the tuples' components as indices
+    into those points. blocks yields the (ids, keys) of _key_blocks over
+    those points; each block's cut sizes are written to counts[ids].
+    Returns the replicas that hold a guarded draw, whose counts the caller
+    must evaluate in floating point.
     """
     # The edges of the tuple graph over the used points; (a, a) adds nothing.
     ends_a, ends_b = local[local[:, 0] != local[:, 1]].T
 
-    low, band_lo, band_hi, high = (
-        edge[:, None].astype(np.uint64) for edge in _key_thresholds(means, sds, ORDER3_EDGES)
-    )
+    low, band_lo, band_hi, high = (edge[:, None].astype(np.uint64) for edge in edges)
     # The safe keys of a point are [low, band_lo), C <= 1 - b, and
     # [band_hi, high), C >= 1 + b. Unsigned wraparound makes each a single
     # comparison: key - band_hi < high - band_hi, then key - low < band_lo -

@@ -356,3 +356,24 @@ def counter_truncated_normal(seed, stream, index_a, index_b, mean, sd):
                 out[pos] = draw
                 break
     return out
+
+
+def key_thresholds_by_bisection(probs, sds, edges):
+    """Per edge and point, the first 53-bit key k whose C is not C <= edge.
+
+    C = 2 (p + sigma ndtri((k + 0.5) 2**-53)) - 1, and the search is a plain
+    bisection over all of [0, 2**53], 54 halvings, assuming C is
+    non-decreasing in k. Returns an int64 array of shape (edges, points).
+    """
+    probs, sds = np.asarray(probs, dtype=float), np.asarray(sds, dtype=float)
+    edges = np.asarray(edges, dtype=float)[:, None]
+    lo = np.zeros((edges.shape[0], probs.size), dtype=np.int64)
+    hi = np.full_like(lo, 1 << 53)
+    with np.errstate(invalid="ignore"):  # sigma 0 times the top key's inf
+        for _ in range(54):
+            mid = (lo + hi) >> 1
+            corr = 2.0 * (probs + sds * ndtri((mid + 0.5) * 2.0**-53)) - 1.0
+            reached = ~(corr <= edges)
+            hi = np.where(reached, mid, hi)
+            lo = np.where(reached, lo, mid + 1)
+    return lo

@@ -36,6 +36,19 @@ def test_write_parse_round_trip(tmp_path):
     assert parsed == sorted(POINTS, key=lambda p: p.energy_gev)
 
 
+def test_write_parse_round_trip_of_numpy_scalars(tmp_path):
+    # np.float64 is a float whose repr is np.float64(...): each cell must
+    # still be written as a plain number.
+    points = [
+        MeasuredPoint(*map(np.float64, (p.energy_gev, p.p_mumu, p.sigma_stat, p.sigma_sys)))
+        for p in POINTS
+    ]
+    path = tmp_path / "spectrum.csv"
+    write_dataset_csv(points, path)
+    assert "np." not in path.read_text()
+    assert parse_dataset(path) == sorted(POINTS, key=lambda p: p.energy_gev)
+
+
 def test_header_order_is_free_and_sigma_sys_optional(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text(

@@ -7,6 +7,7 @@ headline protocol at full size.
 
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -350,6 +351,39 @@ def test_order3_key_thresholds_bracket_each_edge(probs, sigmas):
         assert (thresholds[-1] <= KEY_LIMIT - 1).all()
 
 
+@pytest.mark.parametrize("given", [ORDER3_EDGES, MARGIN_EDGES])
+@pytest.mark.parametrize("probs, sigmas", ADVERSARIAL_SPECTRA.values())
+def test_key_thresholds_equal_a_full_bisection(probs, sigmas, given):
+    # The ndtr bracket only shortens the search: sigma 0, a bracket whose
+    # ends do not check out and a first key of 0 or KEY_LIMIT all land where
+    # a bisection over every key does.
+    assert np.array_equal(
+        montecarlo._key_thresholds(np.array(probs), np.array(sigmas), given),
+        oracles.key_thresholds_by_bisection(probs, sigmas, given),
+    )
+
+
+def test_key_thresholds_bisect_inside_the_bracket(monkeypatch):
+    pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    probs = np.array([p.p_mumu for p in pts])
+    sigmas = np.array([p.sigma for p in pts])
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(1)
+        return normal_from_keys(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "normal_from_keys", counted)
+    for given in (ORDER3_EDGES, MARGIN_EDGES):
+        probes.clear()
+        thresholds = montecarlo._key_thresholds(probs, sigmas, given)
+        assert np.array_equal(
+            thresholds, oracles.key_thresholds_by_bisection(probs, sigmas, given)
+        )
+        # Two checks of the bracket's ends, then one probe per halving of it.
+        assert len(probes) == 2 + (2 * montecarlo.KEY_BRACKET).bit_length()
+
+
 def test_order3_takes_the_key_path_only_without_systematics(monkeypatch):
     pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
     dec = attach_phases(pts, PARAMS)
@@ -431,6 +465,56 @@ def test_order4_null_skips_blocks_and_stays_exact(seed, truth, monkeypatch):
         assert not drawn and not counts.any()
     else:
         assert expected.any() and sum(drawn) > 0
+
+
+# Above three key blocks of the six adversarial points (65536 // 6 = 10922
+# replicas each): three workers get a shard each at the default chunking.
+SHARDED_REPLICAS = 2**15 - 1
+SYSTEMATICS = dict(include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05)
+
+
+@pytest.mark.filterwarnings("ignore:.*replicas is below")
+@pytest.mark.parametrize("systematics", [False, True])
+@pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_counts_do_not_depend_on_the_worker_count(n, case, systematics, monkeypatch):
+    dec, tuples = adversarial_fixture(*ADVERSARIAL_SPECTRA[case], ADVERSARIAL_COMPONENTS[n])
+    cfg = PseudoConfig(replicas=SHARDED_REPLICAS, seed=27, **(SYSTEMATICS if systematics else {}))
+    assert null_block_shape(0, len(dec))[0] * 3 < cfg.replicas
+    monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
+    serial = classical_null_distribution(dec, tuples, cfg)
+    assert serial.any()
+    # Long chunkings run on every replica, short ones on the first few,
+    # which a longer run draws with the same keys.
+    runs = [(None, cfg.replicas), (ORACLE_REPLICAS, cfg.replicas), (7, 211), (1, 31)]
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_available_cores", lambda: workers)
+        for chunk_size, replicas in runs:
+            counts = classical_null_distribution(
+                dec, tuples, dataclasses.replace(cfg, replicas=replicas), chunk_size=chunk_size
+            )
+            assert np.array_equal(counts, serial[:replicas]), (workers, chunk_size)
+
+
+def test_a_failing_shard_raises_and_leaves_no_thread_behind(monkeypatch):
+    dec, tuples = adversarial_fixture(*ADVERSARIAL_SPECTRA["p near 0 and 1"],
+                                      ADVERSARIAL_COMPONENTS[4])
+    cfg = PseudoConfig(replicas=SHARDED_REPLICAS, seed=28, **SYSTEMATICS)
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(threading.current_thread())
+        if len(calls) == 2:
+            raise RuntimeError("shard failed")
+        return normal_from_keys(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "_available_cores", lambda: 3)
+    monkeypatch.setattr(montecarlo, "normal_from_keys", fail_second)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="shard failed"):
+        classical_null_distribution(dec, tuples, cfg)
+    assert threading.active_count() == threads
+    assert calls[1] is not threading.main_thread()
 
 
 def block_bytes(replicas, tuples, points):
