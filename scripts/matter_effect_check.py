@@ -10,6 +10,7 @@ direct matrix-exponential evolution so the number can be trusted.
 import argparse
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,15 +20,68 @@ from scipy.linalg import expm
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nulgi.dataio import write_table_csv
+from nulgi.errors import DomainError
 from nulgi.oscillation import (
+    HBARC_EV_M,
     OscParams,
     accumulated_phase,
-    matter_survival_probability,
     survival_probability,
 )
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+
+# The analysis runs in vacuum (OscParams rejects a nonzero v_c). The
+# closed-form matter curve lives here, with the potential as an argument.
+
+
+@dataclass(frozen=True)
+class MatterParams:
+    """Effective oscillation parameters in constant-density matter.
+
+    degenerate is set when the effective splitting vanishes (the two
+    Hamiltonian eigenvalues coincide), where the mixing angle is undefined.
+    """
+
+    omega_m: float
+    sin2_2theta_m: float
+    degenerate: bool = False
+
+
+def osc_frequency(params: OscParams, energy_gev: float) -> float:
+    """Vacuum oscillation frequency dm2 / (2 E) in eV. Linear in dm2, signed."""
+    if not energy_gev > 0.0:
+        raise DomainError(f"energy must be positive, got {energy_gev} GeV")
+    return params.dm2 / (2.0e9 * energy_gev)
+
+
+def phase_from_frequency(omega_ev: float, baseline_km: float) -> float:
+    """Phase |omega| * L / 2 in natural units for a frequency given in eV."""
+    return abs(omega_ev) * baseline_km * 1.0e3 / (2.0 * HBARC_EV_M)
+
+
+def matter_params(params: OscParams, v_c: float, energy_gev: float) -> MatterParams:
+    """Effective (frequency, amplitude) under a charged-current potential v_c in eV.
+
+    The traceless part of the flavor Hamiltonian is (r . sigma)/2 with
+    r = (omega sin2theta, 0, v_c - omega cos2theta); the effective frequency
+    is |r| and the effective amplitude is (omega sin2theta)^2 / |r|^2.
+    At the resonance v_c = omega cos2theta the amplitude reaches 1.
+    """
+    omega = osc_frequency(params, energy_gev)
+    r_x = omega * math.sqrt(params.sin2_2theta)
+    r_z = v_c - omega * math.sqrt(max(0.0, 1.0 - params.sin2_2theta))
+    omega_m = math.hypot(r_x, r_z)
+    if omega_m == 0.0:
+        return MatterParams(omega_m=0.0, sin2_2theta_m=0.0, degenerate=True)
+    return MatterParams(omega_m=omega_m, sin2_2theta_m=(r_x / omega_m) ** 2)
+
+
+def matter_survival_probability(params: OscParams, v_c: float, energy_gev: float) -> float:
+    """Survival probability with the matter-modified frequency and amplitude."""
+    eff = matter_params(params, v_c, energy_gev)
+    psi_m = phase_from_frequency(eff.omega_m, params.baseline_km)
+    return float(survival_probability(eff.sin2_2theta_m, psi_m))
 
 
 def charged_current_potential_ev(rho_ye: float) -> float:
@@ -38,13 +92,13 @@ def charged_current_potential_ev(rho_ye: float) -> float:
     return math.sqrt(2.0) * g_f * hbarc_gev_cm**3 * n_e * 1.0e9
 
 
-def expm_survival(params: OscParams, energy_gev: float) -> float:
+def expm_survival(params: OscParams, v_c: float, energy_gev: float) -> float:
     # Independent check: build H in eV, evolve over the baseline, project.
     hbarc_ev_m = constants.hbar * constants.c / constants.e
     omega = params.dm2 / (2.0 * energy_gev * 1.0e9)
     h = 0.5 * (
-        omega * params.sin_2theta * SIGMA_X
-        + (params.v_c - omega * params.cos_2theta) * SIGMA_Z
+        omega * math.sqrt(params.sin2_2theta) * SIGMA_X
+        + (v_c - omega * math.sqrt(max(0.0, 1.0 - params.sin2_2theta))) * SIGMA_Z
     )
     length = params.baseline_km * 1.0e3 / hbarc_ev_m
     u = expm(-1.0j * h * length)
@@ -67,26 +121,25 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     v_c = charged_current_potential_ev(args.rho_ye)
-    vacuum_params = OscParams(
+    params = OscParams(
         dm2=args.dm2, sin2_2theta=args.sin2_2theta, baseline_km=args.baseline_km
-    )
-    matter_params = OscParams(
-        dm2=args.dm2, sin2_2theta=args.sin2_2theta,
-        baseline_km=args.baseline_km, v_c=v_c,
     )
 
     energies = np.geomspace(args.emin, args.emax, args.points)
     vacuum = np.array(
         [
-            survival_probability(args.sin2_2theta, accumulated_phase(vacuum_params, e))
+            survival_probability(args.sin2_2theta, accumulated_phase(params, e))
             for e in energies
         ]
     )
-    matter = np.array([matter_survival_probability(matter_params, e) for e in energies])
+    matter = np.array([matter_survival_probability(params, v_c, e) for e in energies])
     shift = np.abs(matter - vacuum)
 
     oracle_gap = max(
-        abs(matter_survival_probability(matter_params, float(e)) - expm_survival(matter_params, float(e)))
+        abs(
+            matter_survival_probability(params, v_c, float(e))
+            - expm_survival(params, v_c, float(e))
+        )
         for e in energies[:: max(1, args.points // 40)]
     )
 

@@ -163,15 +163,16 @@ def tuple_table(
 ) -> TupleTable:
     """Every per-tuple column of an analysis, each computed once as an array.
 
-    The K values repeat, tuple for tuple, the scalar operations of
-    leggett_garg in the same order: k_value and k_sigma those of
-    k_n_quantum_from_survival on the measured points (sd per point from
-    math.hypot), k_classical_data those of k_n_classical on C = 2 P - 1,
-    and k_quantum_model those of k_n_quantum_from_survival on the model
-    curve at the component phases and their sum. Sums run left to right in
-    component order and products likewise (functools.reduce), as Python's
-    sum and math.prod do on floats, so every column equals its scalar
-    counterpart bit for bit.
+    The K values repeat, tuple for tuple, the scalar float forms of
+    tests/oracles.py in the same order: k_value those of
+    k_n_quantum_from_survival on the measured points, k_sigma those of
+    k_n_uncertainty (sd per point from math.hypot), k_classical_data those
+    of k_n_classical on C = 2 P - 1, and k_quantum_model those of
+    k_n_quantum_from_survival on the model curve at the component phases
+    and their sum. Sums run left to right in component order and products
+    likewise (functools.reduce), as Python's sum and math.prod do on
+    floats, so every column equals its scalar counterpart bit for bit.
+    A classical K above n - 2 would be a bug upstream and raises.
     """
     psi = np.array([p.psi for p in points], dtype=float)
     prob = np.array([p.p_mumu for p in points], dtype=float)

@@ -74,7 +74,9 @@ class TupleSet:
 
     comp_idx holds one row of n-1 component indices per tuple; target_idx
     and mismatch one entry per tuple. Every index is checked against
-    [0, size) once, here. ts[i] is tuple i as a PhaseTuple.
+    [0, size) once, here. The analysis reads only the columns; ts[i], tuple
+    i as a PhaseTuple, is kept for perfbench/tracing.py, which reads
+    tuples[0].n.
     """
 
     n: int

@@ -74,6 +74,46 @@ def bloch_evolved_z(sin2_2theta, psi):
     )
 
 
+def correlation(sin2_2theta, psi):
+    """Two-time correlation 1 - 2 sin^2(2 theta) sin^2(psi) = 2 P - 1."""
+    s = np.sin(psi)
+    return 1.0 - 2.0 * sin2_2theta * s * s
+
+
+def accumulated_phase_interval(dm2, energy_gev, start_km, end_km):
+    """Vacuum phase accumulated between two positions along the beam.
+
+    Depends on the positions only through their separation.
+    """
+    return vacuum_phase(abs(dm2), end_km - start_km, energy_gev)
+
+
+# The scalar K forms. pipeline.tuple_table repeats their float operations
+# in the same order, so its columns equal these values bit for bit: sums
+# run left to right, as Python's sum and math.prod do.
+
+
+def k_n_quantum_from_survival(probs, prob_sum):
+    """K_n = (2 - n) + 2 sum_a P_a - 2 P_sum: the correlation form through C = 2 P - 1."""
+    return float((2 - (len(probs) + 1)) + 2.0 * sum(probs) - 2.0 * prob_sum)
+
+
+def k_n_uncertainty(sigmas, sigma_sum):
+    """The sd of k_n_quantum_from_survival for independent per-probability sds."""
+    return 2.0 * math.sqrt(sum(s * s for s in sigmas) + sigma_sum * sigma_sum)
+
+
+def k_n_from_correlations(corrs, corr_end):
+    """K_n from n-1 sequential correlations and an end-to-end one."""
+    return float(sum(corrs) - corr_end)
+
+
+def k_n_classical(corrs):
+    """Markov-realistic K_n: the end-to-end correlation is the product of the
+    sequential ones, giving sum(C) - prod(C), which never exceeds n - 2."""
+    return float(sum(corrs) - math.prod(corrs))
+
+
 def brute_force_ntuples(psis, n, tolerance, mode="relative"):
     """Exhaustive sum-rule tuple search over every candidate target.
 

@@ -17,6 +17,7 @@ the tolerance only admits tuples. Both print the measured power and z.
 The README's acceptance section carries the analysis.
 """
 
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -24,32 +25,25 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import constants
 from scipy.stats import binom
 
-from nulgi.leggett_garg import (
-    k_n_classical,
-    k_n_from_correlations,
-    k_n_quantum_from_survival,
-    lgi_bound,
-    quantum_bound,
-)
+from nulgi.leggett_garg import lgi_bound, quantum_bound
 from nulgi.montecarlo import PseudoConfig
-from nulgi.oscillation import (
-    OscParams,
-    accumulated_phase,
-    accumulated_phase_interval,
-    correlation,
-    matter_survival_probability,
-    survival_probability,
-)
+from nulgi.oscillation import OscParams, accumulated_phase, survival_probability
 from nulgi.dataio import parse_dataset
-from nulgi.pipeline import RunConfig, analyze_dataset
+from nulgi.pipeline import RunConfig, analyze_dataset, tuple_table
+from nulgi.selection import MeasuredPoint, TupleSet
 from nulgi.synthetic import generate_synthetic
 
 import oracles
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
+
+# The constant-density matter curve lives in its one script.
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "matter_effect_check.py"
+_spec = importlib.util.spec_from_file_location("matter_effect_check", _SCRIPT)
+matter = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(matter)
 
 
 @pytest.fixture
@@ -63,6 +57,25 @@ def verdict(capsys):
     return emit
 
 
+def package_k(comp_probs, target_probs):
+    """tuple_table's k_value and k_classical_data for the given probabilities.
+
+    comp_probs holds one row of n - 1 component probabilities per tuple and
+    target_probs one target probability; every tuple gets points of its own.
+    """
+    comp_probs = np.atleast_2d(np.asarray(comp_probs, dtype=float))
+    rows, width = comp_probs.shape
+    probs = np.column_stack([comp_probs, target_probs]).ravel().tolist()
+    points = [MeasuredPoint(1.0 + i, p, 0.0, psi=1.0) for i, p in enumerate(probs)]
+    index = np.arange(len(points)).reshape(rows, width + 1)
+    tuples = TupleSet(
+        n=width + 1, size=len(points), comp_idx=index[:, :width],
+        target_idx=index[:, width], mismatch=np.zeros(rows),
+    )
+    table = tuple_table(tuples, points, PARAMS)
+    return table["k_value"], table["k_classical_data"]
+
+
 def equal_phase_peak(n: int) -> float:
     """Best K_n over a dense equal-phase grid at full mixing."""
     psis = np.linspace(1e-4, math.pi / 2, 30_001)
@@ -70,9 +83,8 @@ def equal_phase_peak(n: int) -> float:
     prob_sum = survival_probability(1.0, (n - 1) * psis)
     k = 2.0 * (n - 1) * probs - (n - 1) - 2.0 * prob_sum + 1.0
     best = int(np.argmax(k))
-    return k_n_quantum_from_survival(
-        [float(probs[best])] * (n - 1), float(prob_sum[best])
-    ).value
+    k_value, _ = package_k([float(probs[best])] * (n - 1), [float(prob_sum[best])])
+    return float(k_value[0])
 
 
 def test_a1_bound_values_and_attainment(verdict):
@@ -95,10 +107,9 @@ def test_a2_classical_bound_soundness(verdict):
         draws = rng.uniform(-1.0, 1.0, size=(1_000_000, n - 1))
         k = draws.sum(axis=1) - draws.prod(axis=1)
         top = int(np.argmax(k))
-        # the package function agrees with the vectorized scan where it matters
-        assert math.isclose(
-            k_n_classical(list(draws[top])).value, float(k[top]), rel_tol=1e-12
-        )
+        # the package's column agrees with the vectorized scan where it matters
+        _, k_classical = package_k((draws[top] + 1.0) / 2.0, [0.5])
+        assert math.isclose(float(k_classical[0]), float(k[top]), rel_tol=1e-12)
         worst.append(float(k.max()) - (n - 2))
     ok = all(w <= 0.0 for w in worst)
     assert verdict(
@@ -110,30 +121,29 @@ def test_a2_classical_bound_soundness(verdict):
 
 def test_a3_three_paths_agree(verdict):
     rng = np.random.default_rng(3)
-    worst = 0.0
+    by_order = {3: ([], [], []), 4: ([], [], [])}
     for trial in range(10_000):
         n = 3 + (trial % 2)
         s2t = float(rng.uniform(0.0, 1.0))
         phases = rng.uniform(0.05, 1.5, size=n - 1)
         total = float(phases.sum())
 
-        survival_path = k_n_quantum_from_survival(
-            [float(survival_probability(s2t, p)) for p in phases],
-            float(survival_probability(s2t, total)),
-        ).value
-        correlation_path = k_n_from_correlations(
-            [float(correlation(s2t, p)) for p in phases],
-            float(correlation(s2t, total)),
-        ).value
+        comps, targets, others = by_order[n]
+        comps.append([float(survival_probability(s2t, p)) for p in phases])
+        targets.append(float(survival_probability(s2t, total)))
+        correlation_path = oracles.k_n_from_correlations(
+            [float(oracles.correlation(s2t, p)) for p in phases],
+            float(oracles.correlation(s2t, total)),
+        )
         bloch_path = sum(
             oracles.bloch_evolved_z(s2t, float(p))[2] for p in phases
         ) - oracles.bloch_evolved_z(s2t, total)[2]
+        others.append((correlation_path, bloch_path))
 
-        worst = max(
-            worst,
-            abs(survival_path - correlation_path),
-            abs(survival_path - bloch_path),
-        )
+    worst = 0.0
+    for comps, targets, others in by_order.values():
+        survival_path, _ = package_k(comps, targets)
+        worst = max(worst, float(np.abs(survival_path[:, None] - np.array(others)).max()))
     ok = worst < 1e-10
     assert verdict(
         "A3", ok,
@@ -314,8 +324,8 @@ def test_a6_sum_rule_and_stationarity(verdict):
         start = float(rng.uniform(0.0, 500.0))
         end = start + float(rng.uniform(0.0, 800.0))
         e = float(rng.uniform(0.1, 100.0))
-        lhs = accumulated_phase_interval(PARAMS, e, start, end)
-        rhs = accumulated_phase_interval(PARAMS, e, 0.0, end - start)
+        lhs = oracles.accumulated_phase_interval(PARAMS.dm2, e, start, end)
+        rhs = oracles.accumulated_phase_interval(PARAMS.dm2, e, 0.0, end - start)
         stationary = stationary and lhs == rhs
     ok = worst < 1e-12 and stationary
     assert verdict(
@@ -325,31 +335,21 @@ def test_a6_sum_rule_and_stationarity(verdict):
     )
 
 
-def earth_crust_potential_ev() -> float:
-    # Charged-current forward scattering in rock: sqrt(2) G_F n_e with
-    # rho Y_e of 1.35 g/cm^3.
-    g_f = constants.value("Fermi coupling constant")  # GeV^-2
-    hbarc_gev_cm = constants.hbar * constants.c / constants.e * 1.0e-7
-    n_e = 1.35 * constants.Avogadro  # cm^-3
-    return math.sqrt(2.0) * g_f * hbarc_gev_cm**3 * n_e * 1.0e9
-
-
 def test_a7_matter_effect_negligibility(verdict):
-    v_c = earth_crust_potential_ev()
-    in_matter = OscParams(
-        dm2=PARAMS.dm2, sin2_2theta=PARAMS.sin2_2theta,
-        baseline_km=PARAMS.baseline_km, v_c=v_c,
-    )
+    # Charged-current forward scattering in rock: rho Y_e of 1.35 g/cm^3.
+    v_c = matter.charged_current_potential_ev(1.35)
     energies = np.geomspace(0.5, 50.0, 400)
     vacuum = np.array(
         [survival_probability(PARAMS.sin2_2theta, accumulated_phase(PARAMS, e))
          for e in energies]
     )
-    matter = np.array([matter_survival_probability(in_matter, e) for e in energies])
-    shift = float(np.abs(matter - vacuum).max())
+    in_matter = np.array(
+        [matter.matter_survival_probability(PARAMS, v_c, e) for e in energies]
+    )
+    shift = float(np.abs(in_matter - vacuum).max())
 
     worst = max(
-        abs(matter_survival_probability(in_matter, float(e))
+        abs(matter.matter_survival_probability(PARAMS, v_c, float(e))
             - oracles.expm_survival(PARAMS.dm2, PARAMS.sin2_2theta, 735.0, float(e), v_c=v_c))
         for e in energies[::10]
     )

@@ -1,10 +1,17 @@
-"""Temporal-correlation combinations, their bounds, and the Bloch oracle."""
+"""The K_n bounds, the scalar K forms of tests/oracles.py, and the Bloch oracle.
 
+The package keeps only lgi_bound and quantum_bound; the scalar K forms
+are the oracles' reference for pipeline.tuple_table (see
+test_tuple_table.py), so these tests pin them to hand values and bounds.
+"""
+
+import inspect
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,22 +21,18 @@ from numpy.testing import assert_allclose
 
 import nulgi
 from nulgi.errors import DomainError
-from nulgi.leggett_garg import (
-    BlochObservable,
-    KKind,
-    KValue,
-    correlation_bloch,
+from nulgi.leggett_garg import lgi_bound, quantum_bound
+from nulgi.oscillation import OscParams, survival_probability
+from nulgi.pipeline import tuple_table
+from nulgi.selection import MeasuredPoint, TupleSet
+
+import oracles
+from oracles import (
+    correlation,
     k_n_classical,
     k_n_from_correlations,
     k_n_quantum_from_survival,
-    lgi_bound,
-    quantum_bound,
 )
-from nulgi.oscillation import correlation, survival_probability
-
-import oracles
-
-Z_HAT = BlochObservable((0.0, 0.0, 1.0))
 
 
 def test_bound_values():
@@ -50,76 +53,48 @@ def test_bounds_reject_bad_order():
             quantum_bound(bad)
 
 
-def test_bloch_observable_requires_unit_vector():
-    with pytest.raises(DomainError):
-        BlochObservable((0.0, 0.0, 1.1))
-    with pytest.raises(DomainError):
-        BlochObservable((0.5, 0.5, 0.5))
-
-
 def test_correlation_bloch_degenerate_pairs():
-    assert correlation_bloch(Z_HAT, Z_HAT) == 1.0
-    anti = BlochObservable((0.0, 0.0, -1.0))
-    assert correlation_bloch(Z_HAT, anti) == -1.0
+    # No evolution leaves sigma_z on +z; half a period at full mixing
+    # flips it to -z.
+    assert oracles.bloch_evolved_z(0.7, 0.0) == (0.0, 0.0, 1.0)
+    assert_allclose(oracles.bloch_evolved_z(1.0, math.pi / 2), (0.0, 0.0, -1.0), atol=1e-15)
 
 
 def test_bloch_evolution_reproduces_survival_correlation():
     # Evolving sigma_z through psi and projecting back on z must match the
-    # closed-form two-time correlation; the evolved vector comes from an
-    # explicit 2x2 unitary, not from the package.
+    # two-time correlation 2 P - 1 of the package's survival probability;
+    # the evolved vector comes from an explicit 2x2 unitary.
     rng = np.random.default_rng(2)
     for _ in range(200):
         s2t = float(rng.uniform(0.0, 1.0))
         psi = float(rng.uniform(0.0, 2.0 * math.pi))
-        evolved = BlochObservable(oracles.bloch_evolved_z(s2t, psi))
+        evolved = oracles.bloch_evolved_z(s2t, psi)
+        assert_allclose(math.fsum(c * c for c in evolved), 1.0, atol=1e-12)
         assert_allclose(
-            correlation_bloch(Z_HAT, evolved),
-            float(correlation(s2t, psi)),
-            atol=1e-12,
+            evolved[2], 2.0 * float(survival_probability(s2t, psi)) - 1.0, atol=1e-12
         )
 
 
 def test_k3_from_correlations_hand_value():
-    kv = k_n_from_correlations([0.5, 0.5], -0.5)
-    assert kv.n == 3
-    assert kv.value == pytest.approx(1.5, abs=1e-15)
-    assert kv.value == pytest.approx(quantum_bound(3), abs=1e-12)
+    k = k_n_from_correlations([0.5, 0.5], -0.5)
+    assert k == pytest.approx(1.5, abs=1e-15)
+    assert k == pytest.approx(quantum_bound(3), abs=1e-12)
 
 
 def test_k_from_correlations_saturates_classical_bound():
     for n in (3, 4, 5):
-        kv = k_n_from_correlations([1.0] * (n - 1), 1.0)
-        assert kv.value == lgi_bound(n)
-    assert k_n_from_correlations([0.0, 0.0], 0.0).value == 0.0
-
-
-def test_k_from_correlations_validation():
-    with pytest.raises(DomainError):
-        k_n_from_correlations([0.5], 0.5)
-    with pytest.raises(DomainError):
-        k_n_from_correlations([0.5, 1.5], 0.5)
-    with pytest.raises(DomainError):
-        k_n_from_correlations([0.5, 0.5], -2.0)
+        assert k_n_from_correlations([1.0] * (n - 1), 1.0) == lgi_bound(n)
+    assert k_n_from_correlations([0.0, 0.0], 0.0) == 0.0
 
 
 def test_k3_from_survival_hand_values():
-    kv = k_n_quantum_from_survival([0.75, 0.75], 0.25)
-    assert kv.value == pytest.approx(1.5, abs=1e-15)
-    assert kv.kind is KKind.QUANTUM_FROM_DATA
-    assert k_n_quantum_from_survival([1.0, 1.0], 1.0).value == pytest.approx(1.0)
-    assert k_n_quantum_from_survival([1.0] * 3, 1.0).value == pytest.approx(2.0)
-    assert k_n_quantum_from_survival([0.9, 0.9], 0.9).value == pytest.approx(
-        0.8, abs=1e-15
+    assert k_n_quantum_from_survival([0.75, 0.75], 0.25) == pytest.approx(1.5, abs=1e-15)
+    assert k_n_quantum_from_survival([1.0, 1.0], 1.0) == pytest.approx(1.0)
+    assert k_n_quantum_from_survival([1.0] * 3, 1.0) == pytest.approx(2.0)
+    assert k_n_quantum_from_survival([0.9, 0.9], 0.9) == pytest.approx(0.8, abs=1e-15)
+    assert oracles.k_n_uncertainty([0.3, 0.1], 0.2) == pytest.approx(
+        2.0 * math.sqrt(0.14), abs=1e-15
     )
-
-
-def test_k_from_survival_validation():
-    with pytest.raises(DomainError):
-        k_n_quantum_from_survival([0.75, 0.75], 0.25, n=4)
-    with pytest.raises(DomainError):
-        k_n_quantum_from_survival([0.75, 1.25], 0.25)
-    with pytest.raises(DomainError):
-        k_n_quantum_from_survival([0.75], 0.25)
 
 
 def test_survival_and_correlation_paths_agree_in_bulk():
@@ -133,12 +108,12 @@ def test_survival_and_correlation_paths_agree_in_bulk():
         assert_allclose(via_probs, via_corrs, atol=1e-12)
         # Spot-check the vectorized arithmetic against the real API.
         for i in range(0, probs.shape[0], 10_000):
-            kv_p = k_n_quantum_from_survival(list(probs[i]), float(prob_sum[i]))
-            kv_c = k_n_from_correlations(
+            k_p = k_n_quantum_from_survival(list(probs[i]), float(prob_sum[i]))
+            k_c = k_n_from_correlations(
                 list(2.0 * probs[i] - 1.0), float(2.0 * prob_sum[i] - 1.0)
             )
-            assert_allclose(kv_p.value, kv_c.value, atol=1e-12)
-            assert_allclose(kv_p.value, via_probs[i], atol=1e-12)
+            assert_allclose(k_p, k_c, atol=1e-12)
+            assert_allclose(k_p, via_probs[i], atol=1e-12)
 
 
 @given(
@@ -147,24 +122,15 @@ def test_survival_and_correlation_paths_agree_in_bulk():
 )
 @settings(max_examples=300)
 def test_survival_correlation_equivalence_property(probs, prob_sum):
-    kv_p = k_n_quantum_from_survival(probs, prob_sum)
-    kv_c = k_n_from_correlations([2.0 * p - 1.0 for p in probs], 2.0 * prob_sum - 1.0)
-    assert_allclose(kv_p.value, kv_c.value, atol=1e-12)
+    k_p = k_n_quantum_from_survival(probs, prob_sum)
+    k_c = k_n_from_correlations([2.0 * p - 1.0 for p in probs], 2.0 * prob_sum - 1.0)
+    assert_allclose(k_p, k_c, atol=1e-12)
 
 
 def test_classical_k_hand_values():
-    kv = k_n_classical([0.5, 0.5])
-    assert kv.value == pytest.approx(0.75, abs=1e-15)
-    assert kv.kind is KKind.CLASSICAL_NULL
+    assert k_n_classical([0.5, 0.5]) == pytest.approx(0.75, abs=1e-15)
     for n in (3, 4, 5):
-        assert k_n_classical([1.0] * (n - 1)).value == lgi_bound(n)
-
-
-def test_classical_k_validation():
-    with pytest.raises(DomainError):
-        k_n_classical([0.5])
-    with pytest.raises(DomainError):
-        k_n_classical([0.5, -1.5])
+        assert k_n_classical([1.0] * (n - 1)) == lgi_bound(n)
 
 
 def test_classical_bound_on_exhaustive_grid():
@@ -176,7 +142,7 @@ def test_classical_bound_on_exhaustive_grid():
         values = stacked.sum(axis=1) - stacked.prod(axis=1)
         assert values.max() <= lgi_bound(n)
         worst = stacked[np.argmax(values)]
-        assert k_n_classical(list(worst)).value <= lgi_bound(n)
+        assert k_n_classical(list(worst)) <= lgi_bound(n)
 
 
 def test_classical_bound_on_random_draws():
@@ -212,8 +178,7 @@ def test_zero_mixing_forces_classical_saturation():
         psis = np.linspace(0.3, 1.2, n - 1)
         probs = [float(survival_probability(0.0, p)) for p in psis]
         prob_sum = float(survival_probability(0.0, psis.sum()))
-        kv = k_n_quantum_from_survival(probs, prob_sum)
-        assert kv.value == lgi_bound(n)
+        assert k_n_quantum_from_survival(probs, prob_sum) == lgi_bound(n)
 
 
 def test_quantum_and_classical_agree_at_commuting_phases():
@@ -228,41 +193,52 @@ def test_quantum_and_classical_agree_at_commuting_phases():
         corr_end = float(correlation(1.0, float(psis.sum())))
         quantum = k_n_from_correlations(corrs, corr_end)
         classical = k_n_classical([float(round(c)) for c in corrs])
-        assert_allclose(quantum.value, classical.value, atol=1e-9)
+        assert_allclose(quantum, classical, atol=1e-9)
 
 
-def test_kvalue_validation():
-    with pytest.raises(DomainError):
-        KValue(n=2, value=0.5, kind=KKind.QUANTUM_THEORY)
-    with pytest.raises(DomainError):
-        KValue(n=3, value=math.nan, kind=KKind.QUANTUM_THEORY)
-    with pytest.raises(DomainError):
-        KValue(n=3, value=0.5, kind=KKind.QUANTUM_THEORY, uncertainty=-0.1)
-    # The classical kind defends its own bound.
-    with pytest.raises(DomainError):
-        KValue(n=3, value=1.5, kind=KKind.CLASSICAL_NULL)
+def table_with_classical_k(n, excess):
+    """tuple_table on one hand-built order-n tuple with classical K n - 2 + excess.
+
+    The components sit at C = (1 + excess, 1, ..., 1, 0). tuple_table reads
+    only psi, p_mumu and sigma of a point, so a stand-in for MeasuredPoint
+    may carry P above 1, which validated data never does.
+    """
+    probs = [1.0 + excess / 2.0] + [1.0] * (n - 3) + [0.5, 0.5]
+    points = [SimpleNamespace(psi=1.0, p_mumu=p, sigma=0.0) for p in probs]
+    tuples = TupleSet(
+        n=n, size=n, comp_idx=[list(range(n - 1))], target_idx=[n - 1], mismatch=[0.0]
+    )
+    return tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
 
 
 def test_classical_kvalue_rejects_values_above_its_bound():
     for n in (3, 4, 6):
         # The check keeps a 1e-9 slack for rounding at the bound.
-        KValue(n=n, value=n - 2 + 1e-9, kind=KKind.CLASSICAL_NULL)
+        table = table_with_classical_k(n, 5e-10)
+        assert n - 2 < table["k_classical_data"][0] <= n - 2 + 1e-9
         with pytest.raises(DomainError, match="above its bound"):
-            KValue(n=n, value=n - 2 + 1e-6, kind=KKind.CLASSICAL_NULL)
-        # Other kinds may exceed it: that is what a violation is.
-        KValue(n=n, value=n - 2 + 0.5, kind=KKind.QUANTUM_THEORY)
+            table_with_classical_k(n, 1e-6)
+    # The measured K may exceed it: that is what a violation is.
+    points = [MeasuredPoint(1.0 + i, p, 0.0, psi=1.0) for i, p in enumerate((0.75, 0.75, 0.25))]
+    tuples = TupleSet(n=3, size=3, comp_idx=[[0, 1]], target_idx=[2], mismatch=[0.0])
+    table = tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
+    assert table["k_value"][0] == 1.5 and table["violation"][0]
 
 
 def test_classical_bound_check_survives_optimized_mode():
     # python -O strips assert statements; the bound check must not be one.
     code = (
         "import sys\n"
+        "from types import SimpleNamespace\n"
         "from nulgi.errors import DomainError\n"
-        "from nulgi.leggett_garg import KKind, KValue\n"
+        "from nulgi.oscillation import OscParams\n"
+        "from nulgi.pipeline import tuple_table\n"
+        "from nulgi.selection import TupleSet\n"
+        + inspect.getsource(table_with_classical_k) +
         "if not sys.flags.optimize:\n"
         "    sys.exit('not running under -O')\n"
         "try:\n"
-        "    KValue(n=4, value=2.5, kind=KKind.CLASSICAL_NULL)\n"
+        "    table_with_classical_k(4, 0.5)\n"
         "except DomainError:\n"
         "    sys.exit(0)\n"
         "sys.exit('over-bound classical K accepted')\n"

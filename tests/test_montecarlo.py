@@ -123,8 +123,8 @@ def test_null_ignores_points_used_only_as_targets():
     # The highest-phase point serves only as a target in this fixture;
     # the classical statistic is built from component legs alone.
     dec, tuples = shared_fixture()
-    assert all(0 not in t.indices for t in tuples)
-    assert any(t.target_index == 0 for t in tuples)
+    assert all(0 not in indices for indices in tuples.comp_idx.tolist())
+    assert any(t == 0 for t in tuples.target_idx.tolist())
     moved = [
         dataclasses.replace(p, p_mumu=0.9, sigma_stat=0.01) if i == 0 else p
         for i, p in enumerate(dec)
@@ -160,8 +160,7 @@ def reference_counts(dec, tuples, cfg):
         mean=np.array([p.p_mumu for p in dec])[None, :],
         sd=np.array([p.sigma for p in dec])[None, :],
     )
-    comp_idx = [t.indices for t in tuples]
-    return oracles.product_rule_null_counts(draws, comp_idx, tuples[0].n)
+    return oracles.product_rule_null_counts(draws, tuples.comp_idx, tuples.n)
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -1,6 +1,12 @@
-"""Oscillation kinematics against hand values and the 2x2 matrix oracle."""
+"""Oscillation kinematics against hand values and the 2x2 matrix oracle.
 
+The constant-density matter curve lives in scripts/matter_effect_check.py,
+its one caller; the matter tests load that script by path.
+"""
+
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,19 +17,23 @@ from numpy.testing import assert_allclose
 from nulgi.errors import DomainError
 from nulgi.oscillation import (
     PHASE_PER_EV2_KM_OVER_GEV,
-    MatterParams,
     OscParams,
     accumulated_phase,
-    accumulated_phase_interval,
-    correlation,
-    matter_params,
-    matter_survival_probability,
-    osc_frequency,
-    phase_from_frequency,
     survival_probability,
 )
 
 import oracles
+from oracles import accumulated_phase_interval, correlation
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "matter_effect_check.py"
+_spec = importlib.util.spec_from_file_location("matter_effect_check", _SCRIPT)
+matter = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(matter)
+MatterParams = matter.MatterParams
+matter_params = matter.matter_params
+matter_survival_probability = matter.matter_survival_probability
+osc_frequency = matter.osc_frequency
+phase_from_frequency = matter.phase_from_frequency
 
 # Hand evaluation of 1e3 / (4e9 * hbar*c[eV m]) with hbar*c = 197.3269804 MeV fm.
 KAPPA_BY_HAND = 1.2669327
@@ -102,19 +112,14 @@ def test_phase_span_of_standard_energy_window():
 )
 def test_interval_phase_is_stationary(e, start, length):
     end = start + length
-    value = accumulated_phase_interval(MINOS_LIKE, e, start, end)
-    assert value == accumulated_phase_interval(MINOS_LIKE, e, 0.0, end - start)
+    value = accumulated_phase_interval(MINOS_LIKE.dm2, e, start, end)
+    assert value == accumulated_phase_interval(MINOS_LIKE.dm2, e, 0.0, end - start)
 
 
 def test_interval_phase_stationary_exact_on_representable_endpoints():
-    a = accumulated_phase_interval(MINOS_LIKE, 2.0, 128.0, 192.0)
-    b = accumulated_phase_interval(MINOS_LIKE, 2.0, 0.0, 64.0)
+    a = accumulated_phase_interval(MINOS_LIKE.dm2, 2.0, 128.0, 192.0)
+    b = accumulated_phase_interval(MINOS_LIKE.dm2, 2.0, 0.0, 64.0)
     assert a == b
-
-
-def test_interval_phase_rejects_reversed_interval():
-    with pytest.raises(DomainError):
-        accumulated_phase_interval(MINOS_LIKE, 1.0, 10.0, 5.0)
 
 
 @given(e_a=st.floats(0.2, 80.0), e_b=st.floats(0.2, 80.0))
@@ -179,7 +184,7 @@ def test_correlation_hand_values():
 
 
 def test_matter_params_vacuum_limit():
-    eff = matter_params(MINOS_LIKE, 2.25)
+    eff = matter_params(MINOS_LIKE, 0.0, 2.25)
     assert_allclose(eff.omega_m, osc_frequency(MINOS_LIKE, 2.25), rtol=1e-14)
     assert_allclose(eff.sin2_2theta_m, MINOS_LIKE.sin2_2theta, rtol=1e-14)
     assert not eff.degenerate
@@ -188,31 +193,25 @@ def test_matter_params_vacuum_limit():
 def test_matter_resonance_saturates_amplitude():
     params = OscParams(dm2=2.5e-3, sin2_2theta=0.6, baseline_km=735.0)
     omega = osc_frequency(params, 2.0)
-    resonant = OscParams(
-        dm2=2.5e-3, sin2_2theta=0.6, baseline_km=735.0,
-        v_c=omega * params.cos_2theta,
-    )
-    assert_allclose(matter_params(resonant, 2.0).sin2_2theta_m, 1.0, rtol=1e-12)
+    resonant = omega * math.sqrt(1.0 - params.sin2_2theta)
+    assert_allclose(matter_params(params, resonant, 2.0).sin2_2theta_m, 1.0, rtol=1e-12)
 
 
 def test_matter_suppression_at_large_potential():
     params = OscParams(dm2=2.5e-3, sin2_2theta=0.6, baseline_km=735.0)
     omega = osc_frequency(params, 2.0)
-    heavy = OscParams(
-        dm2=2.5e-3, sin2_2theta=0.6, baseline_km=735.0, v_c=100.0 * omega
-    )
-    eff = matter_params(heavy, 2.0)
+    eff = matter_params(params, 100.0 * omega, 2.0)
     # Amplitude falls like (omega/v_c)^2; the oracle value is the exact target.
     direct = oracles.expm_survival(2.5e-3, 0.6, 735.0, 2.0, v_c=100.0 * omega)
     assert eff.sin2_2theta_m < 1e-3
-    assert_allclose(matter_survival_probability(heavy, 2.0), direct, atol=1e-10)
+    assert_allclose(matter_survival_probability(params, 100.0 * omega, 2.0), direct, atol=1e-10)
 
 
 def test_matter_degenerate_case_flagged():
     flat = OscParams(dm2=0.0, sin2_2theta=0.6, baseline_km=735.0)
-    eff = matter_params(flat, 2.0)
+    eff = matter_params(flat, 0.0, 2.0)
     assert eff == MatterParams(omega_m=0.0, sin2_2theta_m=0.0, degenerate=True)
-    assert matter_survival_probability(flat, 2.0) == 1.0
+    assert matter_survival_probability(flat, 0.0, 2.0) == 1.0
 
 
 def test_matter_survival_matches_expm_oracle():
@@ -224,9 +223,9 @@ def test_matter_survival_matches_expm_oracle():
         e = float(rng.uniform(0.5, 30.0))
         omega = dm2 / (2.0e9 * e)
         v_c = float(rng.choice([0.0, 0.1, 1.0, 10.0])) * omega
-        params = OscParams(dm2=dm2, sin2_2theta=s2t, baseline_km=735.0, v_c=v_c)
+        params = OscParams(dm2=dm2, sin2_2theta=s2t, baseline_km=735.0)
         assert_allclose(
-            matter_survival_probability(params, e),
+            matter_survival_probability(params, v_c, e),
             oracles.expm_survival(dm2, s2t, 735.0, e, v_c=v_c),
             atol=1e-10,
         )
@@ -241,11 +240,6 @@ def test_identity_terms_never_move_probabilities():
             2.5e-3, 0.95, 735.0, 2.25, identity_ev=identity_ev
         )
         assert_allclose(shifted, base, atol=1e-9)
-    with_vn = OscParams(dm2=2.5e-3, sin2_2theta=0.95, baseline_km=735.0, v_n=1e-13)
-    without = OscParams(dm2=2.5e-3, sin2_2theta=0.95, baseline_km=735.0)
-    assert matter_survival_probability(with_vn, 2.25) == matter_survival_probability(
-        without, 2.25
-    )
 
 
 def test_params_validation():
@@ -257,3 +251,14 @@ def test_params_validation():
         OscParams(dm2=2.5e-3, sin2_2theta=0.95, baseline_km=735.0, v_c=-1.0)
     with pytest.raises(DomainError):
         OscParams(dm2=math.inf, sin2_2theta=0.95, baseline_km=735.0)
+
+
+@pytest.mark.parametrize("name", ["v_c", "v_n"])
+@pytest.mark.parametrize("value", [1e-13, -1e-13, math.inf, math.nan])
+def test_params_reject_matter_potentials(name, value):
+    # Every analysis runs in vacuum: a potential would be silently ignored.
+    message = f"{name} must be 0 (analyses run in vacuum), got {value!r}"
+    with pytest.raises(DomainError) as err:
+        OscParams(dm2=2.5e-3, sin2_2theta=0.95, baseline_km=735.0, **{name: value})
+    assert str(err.value) == message
+    assert OscParams(2.5e-3, 0.95, 735.0, **{name: 0.0}) == OscParams(2.5e-3, 0.95, 735.0)

@@ -532,8 +532,9 @@ def test_every_flag_dest_is_a_config_field():
 
 def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
     monkeypatch.delenv("NULGI_CONFIG", raising=False)
-    params = {"dm2": 1.1e-3, "sin2_2theta": 0.5, "baseline_km": 810.0, "v_c": 1e-13,
-              "v_n": 2e-13}
+    # v_c and v_n must be 0 (test_cli_rejects_a_matter_potential).
+    params = {"dm2": 1.1e-3, "sin2_2theta": 0.5, "baseline_km": 810.0, "v_c": 0.0,
+              "v_n": 0.0}
     pseudo = {"replicas": 77, "seed": 5, "tolerance": 0.02, "include_systematics": True,
               "sys_amplitude_sigma": 0.01, "sys_phase_sigma": 0.03}
     top = {"order": 4, "tolerance": 0.007, "mismatch_mode": "absolute",
@@ -556,8 +557,36 @@ def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
         (config.params, OscParams(dm2=0.0, sin2_2theta=0.0, baseline_km=1.0)),
     ):
         for f in dataclasses.fields(built):
-            if f.name != "mode":
+            if f.name not in ("mode", "v_c", "v_n"):
                 assert getattr(built, f.name) != getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize("command", ["analyze", "curve"])
+def test_cli_rejects_a_matter_potential(tmp_path, capsys, monkeypatch, command):
+    # Every analysis runs in vacuum: a potential was accepted, echoed and ignored.
+    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+    params = {**json.loads(PARAMS_JSON), "v_c": 1e-11}
+    argv = [command, "--config", str(config_file(tmp_path, "c.json", params=params))]
+    out = tmp_path / "out"
+    if command == "analyze":
+        argv += ["--data", str(synthetic_csv(tmp_path)), "--out-dir", str(out)]
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_DOMAIN
+    err = "config error: v_c must be 0 (analyses run in vacuum), got 1e-11\n"
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
+def test_cli_zero_matter_potentials_change_no_byte(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+    params = {**json.loads(PARAMS_JSON), "v_c": 0.0, "v_n": 0.0}
+    zero = config_file(tmp_path, "zero.json", params=params)
+    outputs = []
+    for argv in (["--config", str(zero)], ["--params", PARAMS_JSON]):
+        assert main(["curve", "--points", "25", *argv]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[0].out.startswith("energy_gev,p_model")
 
 
 def test_span_flags_set_their_fields(tmp_path, capsys):

@@ -44,6 +44,13 @@ def decorated(phases, **kw):
     return attach_phases(points_with_phases(phases, **kw), PARAMS)
 
 
+def rows(ts):
+    """(component indices, target index, mismatch) per tuple, read from the columns."""
+    return list(zip(
+        map(tuple, ts.comp_idx.tolist()), ts.target_idx.tolist(), ts.mismatch.tolist()
+    ))
+
+
 def test_attach_phases_sorts_and_fills():
     pts = [
         MeasuredPoint(5.0, 0.6, 0.02),
@@ -89,12 +96,12 @@ def test_exact_sum_triple_found():
     dec = decorated([0.5, 0.7, 1.2])
     found = select_ntuples(dec, 3, 0.005)
     assert len(found) == 1
-    (t,) = found
+    ((indices, target, mismatch),) = rows(found)
     # Dataset is energy-ascending, so phases run 1.2, 0.7, 0.5.
-    assert t.indices == (1, 2)
-    assert t.target_index == 0
-    assert t.n == 3
-    assert abs(t.mismatch) < 1e-12
+    assert indices == (1, 2)
+    assert target == 0
+    assert found.n == 3
+    assert abs(mismatch) < 1e-12
 
 
 def test_offset_sum_finds_nothing():
@@ -108,19 +115,18 @@ def test_exact_sum_quadruples_include_repeated_components():
     dec = decorated([0.3, 0.4, 0.5, 1.2])
     found = select_ntuples(dec, 4, 0.005)
     assert len(found) == 2
-    multisets = {t.indices for t in found}
+    multisets = {c for c, _, _ in rows(found)}
     # Phase order in the dataset is 1.2, 0.5, 0.4, 0.3.
     assert multisets == {(1, 2, 3), (2, 2, 2)}
-    assert all(t.target_index == 0 for t in found)
-    assert all(abs(t.mismatch) < 1e-12 for t in found)
+    assert all(t == 0 for _, t, _ in rows(found))
+    assert all(abs(m) < 1e-12 for _, _, m in rows(found))
 
 
 def test_unique_exact_quadruple():
     dec = decorated([0.3, 0.45, 0.5, 1.25])
     found = select_ntuples(dec, 4, 0.005)
     assert len(found) == 1
-    assert found[0].indices == (1, 2, 3)
-    assert found[0].target_index == 0
+    assert rows(found)[0][:2] == ((1, 2, 3), 0)
 
 
 def test_selection_matches_brute_force_oracle():
@@ -137,12 +143,10 @@ def test_selection_matches_brute_force_oracle():
         tol = float(rng.choice([0.002, 0.01, 0.05]))
         got = select_ntuples(dec, n, tol, mode)
         want = oracles.brute_force_ntuples(psis, n, tol, mode)
-        assert {(t.indices, t.target_index) for t in got} == {
-            (c, t) for c, t, _ in want
-        }
+        assert {(c, t) for c, t, _ in rows(got)} == {(c, t) for c, t, _ in want}
         by_key = {(c, t): m for c, t, m in want}
-        for t in got:
-            assert_allclose(t.mismatch, by_key[(t.indices, t.target_index)], atol=1e-15)
+        for c, t, m in rows(got):
+            assert_allclose(m, by_key[(c, t)], atol=1e-15)
 
 
 def test_tolerance_monotonicity():
@@ -153,7 +157,7 @@ def test_tolerance_monotonicity():
         keys = []
         for tol in (0.0005, 0.005, 0.01):
             found = select_ntuples(dec, 3, tol)
-            keys.append({(t.indices, t.target_index) for t in found})
+            keys.append({(c, t) for c, t, _ in rows(found)})
         assert keys[0] <= keys[1] <= keys[2]
 
 
@@ -166,15 +170,15 @@ def test_selection_is_deterministic_and_order_insensitive():
     shuffled = select_ntuples(attach_phases(pts[::-1], PARAMS), 3, 0.01)
     assert first == again == shuffled
     # Canonical output order: ascending target phase.
-    target_psis = [attach_phases(pts, PARAMS)[t.target_index].psi for t in first]
+    target_psis = [attach_phases(pts, PARAMS)[t].psi for t in first.target_idx.tolist()]
     assert target_psis == sorted(target_psis)
 
 
 def test_component_indices_run_descending_in_phase():
     rng = np.random.default_rng(12)
     dec = decorated(list(rng.uniform(0.1, 4.0, size=12)))
-    for t in select_ntuples(dec, 4, 0.05):
-        comp_psis = [dec[i].psi for i in t.indices]
+    for indices in select_ntuples(dec, 4, 0.05).comp_idx.tolist():
+        comp_psis = [dec[i].psi for i in indices]
         assert comp_psis == sorted(comp_psis, reverse=True)
 
 
@@ -190,11 +194,11 @@ def test_returned_mismatch_always_within_tolerance(phases, tol):
     # rejects as a duplicate: such a draw is not a valid spectrum.
     assume(min(b / a for a, b in itertools.pairwise(sorted(phases))) > 1 + 1e-9)
     dec = decorated(phases)
-    for t in select_ntuples(dec, 3, tol):
-        assert abs(t.mismatch) <= tol
-        total = sum(dec[i].psi for i in t.indices)
-        target = dec[t.target_index].psi
-        assert_allclose(t.mismatch, (total - target) / target, atol=1e-12)
+    for indices, target_index, mismatch in rows(select_ntuples(dec, 3, tol)):
+        assert abs(mismatch) <= tol
+        total = sum(dec[i].psi for i in indices)
+        target = dec[target_index].psi
+        assert_allclose(mismatch, (total - target) / target, atol=1e-12)
 
 
 def test_selection_validation():
@@ -269,6 +273,7 @@ def test_tuple_set_rejects_negative_indices_and_bad_shapes():
 
 
 def test_tuple_set_rows_are_phase_tuples():
+    # The analysis reads the columns; perfbench/tracing.py reads tuples[0].n.
     ts = select_ntuples(decorated([0.3, 0.4, 0.5, 1.2]), 4, 0.005)
     assert len(ts) == 2 and ts[0].n == 4
     assert list(ts) == [ts[0], ts[1]]
@@ -282,7 +287,7 @@ def assert_matches_the_scan(dec, n, tol, mode):
     """select_ntuples equals the neighbour-scan oracle exactly, in order."""
     got = select_ntuples(dec, n, tol, mode)
     want = oracles.neighbour_scan_ntuples([p.psi for p in dec], n, tol, mode)
-    assert [(t.indices, t.target_index, t.mismatch) for t in got] == want
+    assert rows(got) == want
     return got
 
 
@@ -309,12 +314,12 @@ def test_equidistant_neighbours_resolve_to_the_smaller_phase():
     # Relative mode: 0.75 + 0.75 = 1.5 sits 50% above 1 and 50% below 3.
     dec = phase_points([3.0, 1.0, 0.75, 0.5])
     got = assert_matches_the_scan(dec, 3, 0.6, "relative")
-    assert (2, 2) in [t.indices for t in got]
-    assert {t.indices: t.target_index for t in got}[(2, 2)] == 1
+    assert (2, 2) in [c for c, _, _ in rows(got)]
+    assert {c: t for c, t, _ in rows(got)}[(2, 2)] == 1
     # Absolute mode: 0.5 + 0.75 = 1.25 sits 0.25 from 1 and from 1.5.
     dec = phase_points([1.5, 1.0, 0.75, 0.5])
     got = assert_matches_the_scan(dec, 3, 0.3, "absolute")
-    assert {t.indices: t.target_index for t in got}[(2, 3)] == 1
+    assert {c: t for c, t, _ in rows(got)}[(2, 3)] == 1
 
 
 def test_equal_phases_from_distinct_energies():

@@ -1,8 +1,9 @@
-"""The per-tuple columns against the scalar K functions, bit for bit.
+"""The per-tuple columns against the scalar K forms of the oracles, bit for bit.
 
 pipeline.tuple_table computes every K column as an array. Each column must
-equal, tuple for tuple and with ==, what the scalar functions of
-leggett_garg give, and the chi-square over the columns must equal the
+equal, tuple for tuple and with ==, what the scalar float forms of
+tests/oracles.py give (k_n_quantum_from_survival, k_n_uncertainty and
+k_n_classical), and the chi-square over the columns must equal the
 per-tuple loop it replaced, on the 29 560 order-4 tuples of a 100-bin
 spectrum.
 """
@@ -10,12 +11,13 @@ spectrum.
 import numpy as np
 import pytest
 
-from nulgi.leggett_garg import KKind, k_n_classical, k_n_quantum_from_survival
 from nulgi.montecarlo import chi_square_quantum
 from nulgi.oscillation import OscParams, survival_probability
 from nulgi.pipeline import fit_curve_params, tuple_table
 from nulgi.selection import attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
+
+import oracles
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 
@@ -31,44 +33,41 @@ def fine():
 
 
 def scalar_rows(dec, tuples, model):
-    """Per tuple, the KValues and numbers the scalar functions give."""
+    """Per tuple, the numbers the scalar K forms give."""
     s2t = model.sin2_2theta
-    for t in tuples:
-        comps = [dec[i] for i in t.indices]
-        target = dec[t.target_index]
+    for indices, target_index in zip(tuples.comp_idx.tolist(), tuples.target_idx.tolist()):
+        comps = [dec[i] for i in indices]
+        target = dec[target_index]
         phases = [p.psi for p in comps]
-        measured = k_n_quantum_from_survival(
-            [p.p_mumu for p in comps], target.p_mumu, n=t.n,
-            sigmas=[p.sigma for p in comps], sigma_sum=target.sigma,
-        )
-        theory = k_n_quantum_from_survival(
+        measured = oracles.k_n_quantum_from_survival([p.p_mumu for p in comps], target.p_mumu)
+        sigma = oracles.k_n_uncertainty([p.sigma for p in comps], target.sigma)
+        theory = oracles.k_n_quantum_from_survival(
             [float(survival_probability(s2t, p)) for p in phases],
             float(survival_probability(s2t, sum(phases))),
-            kind=KKind.QUANTUM_THEORY,
         )
-        classical = k_n_classical([2.0 * p.p_mumu - 1.0 for p in comps])
-        yield measured, theory.value, classical.value, phases, target.psi
+        classical = oracles.k_n_classical([2.0 * p.p_mumu - 1.0 for p in comps])
+        yield measured, sigma, theory, classical, phases, target.psi
 
 
 def test_k_columns_equal_the_scalar_functions_bit_for_bit(fine):
     dec, tuples, model, table = fine
     assert len(table) == 29_560
-    measured, theory, classical, phases, target_psi = zip(
+    measured, sigma, theory, classical, phases, target_psi = zip(
         *scalar_rows(dec, tuples, model)
     )
-    assert table["k_value"].tolist() == [kv.value for kv in measured]
-    assert table["k_sigma"].tolist() == [kv.uncertainty for kv in measured]
-    assert table["violation"].tolist() == [kv.value > 2.0 for kv in measured]
+    assert table["k_value"].tolist() == list(measured)
+    assert table["k_sigma"].tolist() == list(sigma)
+    assert table["violation"].tolist() == [k > 2.0 for k in measured]
     assert table["k_quantum_model"].tolist() == list(theory)
     assert table["k_classical_data"].tolist() == list(classical)
     assert table["component_phases"].tolist() == [list(p) for p in phases]
     assert table["phase_sum"].tolist() == [sum(p) for p in phases]
     assert table["target_psi"].tolist() == list(target_psi)
 
-    # The chi-square loop over KValues that the columns replaced.
+    # The per-tuple chi-square loop that the columns replaced.
     chi2 = 0.0
-    for kv, model_k in zip(measured, theory):
-        chi2 += ((kv.value - model_k) / kv.uncertainty) ** 2
+    for k, sd, model_k in zip(measured, sigma, theory):
+        chi2 += ((k - model_k) / sd) ** 2
     assert chi_square_quantum(
         table["k_value"], table["k_sigma"], table["k_quantum_model"]
     ) == (chi2, len(table) - 1)
