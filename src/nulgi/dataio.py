@@ -139,6 +139,14 @@ class TupleTable:
             for name in names
         ))
 
+    def csv_text(self, names: Sequence[str]) -> str:
+        """The table_csv_text of the named columns, joined from their cell strings.
+
+        Every cell is a string already, so the rows are joined as they are,
+        with no per-cell type test.
+        """
+        return "\n".join([",".join(names), *map(",".join, self.csv_rows(names))]) + "\n"
+
     def json_rows(self):
         """The rows as json.dumps(indent=2) writes row dicts in a top-level list."""
         fields, slots = [], []

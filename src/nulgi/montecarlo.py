@@ -38,6 +38,7 @@ from .sampling import (
     draw_keys,
     normal,
     normal_from_keys,
+    replicas_drawing_key,
 )
 from .selection import MeasuredPoint, TupleSet
 
@@ -104,6 +105,16 @@ class PseudoConfig:
         flag = self.include_systematics
         if not isinstance(flag, (bool, np.bool_)):
             raise DomainError(f"include_systematics must be true or false, got {flag!r}")
+        # A nan or inf width would run and write NaN or Infinity into the
+        # report, which is not JSON.
+        for name in ("sys_amplitude_sigma", "sys_phase_sigma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise DomainError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         if self.sys_amplitude_sigma < 0.0 or self.sys_phase_sigma < 0.0:
             raise DomainError("systematic sigmas must be non-negative")
 
@@ -256,14 +267,44 @@ def classical_null_distribution(
     the physical boundary nearly every replica holds an out-of-margin
     draw, and compacting to those replicas costs more than it saves.
 
+    Neither key pass draws the keys of an inert point: a used point whose
+    keys below the top one, KEY_LIMIT - 1, are all safe. The top key is
+    unsafe at every point. Its k + 0.5 = 2**53 - 0.5 is no float64 and
+    rounds to even, to 2**53, so u = 1, ndtri(u) = inf and C is inf (nan at
+    sigma 0), above every edge. Every lower key has k + 0.5 <= 2**53 - 1.5,
+    which rounds to at most 2**53 - 2, so its u < 1. At order 3 the test is
+    low == 0 and band_lo >= KEY_LIMIT - 1: every key below the top has C in
+    [-M, 1 - b], flag 0. At order >= 4 it is low == 0 and high >=
+    KEY_LIMIT - 1: every key below the top lies in the margin. An inert
+    point's flag is 0 in every replica, the top key's inf or nan included,
+    so a tuple edge from a live point to an inert one is cut exactly when
+    the live flag is 1 and an edge between two inert points never is; the
+    cut pass and the block skip's test draw the live points' rows only. The
+    replicas in which an inert point does draw the top key are found by
+    running the hash backwards (sampling.replicas_drawing_key), which is
+    exact: draw_keys hashes the words (seed, stream, replica, point, 0),
+    each round adding a word to the state modulo 2**64 and mixing it, and
+    every round is a bijection of 64-bit words (_mix64's xorshifts and odd
+    multiplications invert). So the hash, seen as a function of the replica
+    word alone, is a bijection; the top key is drawn by exactly one replica
+    word per hash word whose top 53 bits are ones, 2**11 in all, and those
+    below the replica count are every replica that draws it. At order 3
+    they join the guarded replicas; at order >= 4 a slice holding one is
+    not skipped. With no live point no key block is drawn at all, and only
+    those replicas reach the float expression, which still reads every used
+    point's draw: at order >= 4 the inert rows of a key block are drawn
+    once, when one of its slices is not skipped.
+
     Runs with systematics, whose means move per replica, evaluate every
     replica with the float expression.
 
     Work runs in blocks sized from the fixed NULL_BLOCK_BYTES budget.
     Keys are drawn in key blocks of null_block_shape(0, points) replicas,
-    laid out point-major with one row per point that a tuple uses, into two
-    buffers reused from block to block; a key block is long enough that
-    numpy's per-call overhead is small beside the hash. The block skip and
+    laid out point-major with one row per point that a tuple uses, live
+    points first, into two buffers reused from block to block; a key block
+    is long enough that numpy's per-call overhead is small beside the hash.
+    The order-3 cut pass draws the live rows only, in key blocks of
+    null_block_shape(0, live points) replicas. The block skip and
     the float expression run on column slices of a key block, tuple blocks
     of null_block_shape(tuples, points) replicas, each evaluating as many
     tuples at a time as the budget leaves. So the memory a block holds is a
@@ -275,15 +316,16 @@ def classical_null_distribution(
     The replicas are cut at key-block edges into contiguous shards, one per
     core in the process's affinity mask and at most one per key block, and
     the shards run on a thread pool: numpy's ufuncs and gathers and scipy's
-    ndtri release the GIL. The key thresholds and systematic responses are
-    computed once, before the shards. Each shard owns its key buffers and
-    writes only its own replicas' counts; at order 3 it runs the cut pass
-    and then the float pass over its own guarded replicas. The counts do
-    not depend on the worker count or on any blocking: every draw is keyed
-    by (seed, stream, replica, point), a replica's count reads only its own
-    draws, every tuple's statistic is evaluated with the same operations in
-    the same order, and the key shortcuts return the counts of the float
-    expression exactly (the proofs above).
+    ndtri release the GIL. The key thresholds, the top-key replicas and the
+    systematic responses are computed once, before the shards. Each shard
+    owns its key buffers and writes only its own replicas' counts; at order
+    3 it runs the cut pass and then the float pass over its own guarded and
+    top-key replicas. The counts do not depend on the worker count or on
+    any blocking: every draw is keyed by (seed, stream, replica, point), a
+    replica's count reads only its own draws, every tuple's statistic is
+    evaluated with the same operations in the same order, and the key
+    shortcuts return the counts of the float expression exactly (the proofs
+    above).
 
     Parameters
     ----------
@@ -320,7 +362,6 @@ def classical_null_distribution(
     # Only the points some tuple reads are drawn, one row each.
     used, local = np.unique(tuples.comp_idx, return_inverse=True)
     local = local.reshape(tuples.comp_idx.shape)
-    means, sds = probs[used], point_sd[used]
 
     use_sys = config.include_systematics and (
         config.sys_amplitude_sigma > 0.0 or config.sys_phase_sigma > 0.0
@@ -329,65 +370,112 @@ def classical_null_distribution(
     key_replicas, _ = null_block_shape(0, used.size, chunk_size)
     block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
     bound = lgi_bound(tuples.n)
-    # One contiguous index row per component: block slices stay contiguous.
-    components = np.ascontiguousarray(local.T)
 
     # Computed once, read by every shard.
     cut_order3 = tuples.n == 3 and not use_sys
     skip_blocks = tuples.n >= 4 and not use_sys
+    inert = np.zeros(used.size, dtype=bool)
+    if cut_order3 or skip_blocks:
+        edges = _key_thresholds(
+            probs[used], point_sd[used], ORDER3_EDGES if cut_order3 else MARGIN_EDGES
+        )
+        # Every key below the top one is safe: C in [-M, 1 - b], or in the margin.
+        inert = (edges[0] == 0) & (edges[1] >= KEY_LIMIT - 1)
+    # Live points first: the key passes draw rows [0, live) only.
+    order = np.argsort(inert, kind="stable")
+    live = used.size - int(np.count_nonzero(inert))
+    used, local = used[order], np.argsort(order)[local]
+    means, sds = probs[used], point_sd[used]
+    # One contiguous index row per component: block slices stay contiguous.
+    components = np.ascontiguousarray(local.T)
+    # The replicas in which an inert point draws its one unsafe key.
+    top_keyed = np.empty(0, dtype=np.int64)
+    if live < used.size:
+        top_keyed = replicas_drawing_key(
+            config.seed, STREAM_PSEUDODATA, used[live:], KEY_LIMIT - 1, config.replicas
+        )
+    if cut_order3 or skip_blocks:
+        edges = edges[:, order[:live]]
     if cut_order3:
-        order3_edges = _key_thresholds(means, sds, ORDER3_EDGES)
+        # The tuple graph's edges, an inert end as row live, whose flag is
+        # always 0; a repeated pair (a, a) and an inert pair add nothing.
+        ends = np.minimum(local, live)
+        ends = ends[ends[:, 0] != ends[:, 1]].T
     if skip_blocks:
-        # The keys of a point's in-margin draws are [low, high).
-        low, high = _key_thresholds(means, sds, MARGIN_EDGES).astype(np.uint64)
+        # The keys of a live point's in-margin draws are [low, high).
+        low, high = edges.astype(np.uint64)
     if use_sys:
         amp_resp, phase_resp = (resp[used][:, None] for resp in _systematic_responses(dataset))
 
+    def settled(ids: np.ndarray, live_keys: np.ndarray, unsettled: np.ndarray) -> bool:
+        """Whether a slice of replicas counts 0 without the float expression."""
+        # Most out-of-margin draws lie above 1 - b: test the top end first.
+        return (
+            (live_keys.max(axis=1) < high).all()
+            and (live_keys.min(axis=1) >= low).all()
+            and not (unsettled.size and np.isin(ids, unsettled).any())
+        )
+
     def run_shard(replica_ids: np.ndarray) -> None:
-        if cut_order3:
-            # Key path; only the replicas it returns need the float expression.
-            blocks = _key_blocks(config.seed, replica_ids, used, key_replicas)
-            replica_ids = _order3_cut_counts(order3_edges, local, blocks, counts)
-        blocks = _key_blocks(config.seed, replica_ids, used, key_replicas)
-        for ids, keys in _column_blocks(blocks, block_replicas):
-            # Most out-of-margin draws lie above 1 - b: test the top end first.
-            if (
-                skip_blocks
-                and (keys.max(axis=1) < high).all()
-                and (keys.min(axis=1) >= low).all()
-            ):
-                continue
+        # Replicas that the key passes cannot settle.
+        unsettled = top_keyed[
+            (top_keyed >= replica_ids[0]) & (top_keyed <= replica_ids[-1])
+        ]
+        if cut_order3 and live:
+            blocks = _key_blocks(
+                config.seed, replica_ids, used[:live],
+                null_block_shape(0, live, chunk_size)[0],
+            )
+            guarded = _order3_cut_counts(edges, ends, blocks, counts)
+            unsettled = np.union1d(unsettled, guarded)
+        if cut_order3 or (skip_blocks and not live):
+            # Every other replica's count is settled: only these need the
+            # float expression.
+            replica_ids = unsettled
+        eager = live if skip_blocks else used.size
+        for block_ids, keys, draw_rest in _key_blocks(
+            config.seed, replica_ids, used, key_replicas, eager
+        ):
+            spans = [slice(first, first + block_replicas)
+                     for first in range(0, block_ids.size, block_replicas)]
+            if skip_blocks:
+                spans = [span for span in spans
+                         if not settled(block_ids[span], keys[:live, span], unsettled)]
+                if not spans:
+                    continue
+                draw_rest()
+            for span in spans:
+                ids = block_ids[span]
+                block_means = means
+                if use_sys:
+                    rows = ids[None, :]
+                    d_amp = normal(
+                        config.seed, STREAM_SYS_AMPLITUDE, rows, 0,
+                        sd=config.sys_amplitude_sigma,
+                    )
+                    d_phase = normal(
+                        config.seed, STREAM_SYS_PHASE, rows, 0,
+                        sd=config.sys_phase_sigma,
+                    )
+                    block_means = means + d_amp * amp_resp + d_phase * phase_resp
 
-            block_means = means
-            if use_sys:
-                rows = ids[None, :]
-                d_amp = normal(
-                    config.seed, STREAM_SYS_AMPLITUDE, rows, 0,
-                    sd=config.sys_amplitude_sigma,
-                )
-                d_phase = normal(
-                    config.seed, STREAM_SYS_PHASE, rows, 0,
-                    sd=config.sys_phase_sigma,
-                )
-                block_means = means + d_amp * amp_resp + d_phase * phase_resp
+                # Point-major draws: corr[point, replica] = 2 P - 1.
+                corr = normal_from_keys(keys[:, span], mean=block_means, sd=sds)
+                corr *= 2.0
+                corr -= 1.0
 
-            # Point-major draws: corr[point, replica] = 2 P - 1.
-            corr = normal_from_keys(keys, mean=block_means, sd=sds)
-            corr *= 2.0
-            corr -= 1.0
-
-            block_counts = np.zeros(ids.size, dtype=np.int64)
-            for start in range(0, len(tuples), block_tuples):
-                cols = components[:, start:start + block_tuples]
-                corr_sum = corr[cols[0]]
-                corr_prod = corr_sum.copy()
-                for col in cols[1:]:
-                    c = corr[col]
-                    corr_sum += c
-                    corr_prod *= c
-                corr_sum -= corr_prod
-                block_counts += np.count_nonzero(corr_sum > bound, axis=0)
-            counts[ids] = block_counts
+                block_counts = np.zeros(ids.size, dtype=np.int64)
+                for start in range(0, len(tuples), block_tuples):
+                    cols = components[:, start:start + block_tuples]
+                    corr_sum = corr[cols[0]]
+                    corr_prod = corr_sum.copy()
+                    for col in cols[1:]:
+                        c = corr[col]
+                        corr_sum += c
+                        corr_prod *= c
+                    corr_sum -= corr_prod
+                    block_counts += np.count_nonzero(corr_sum > bound, axis=0)
+                counts[ids] = block_counts
 
     # Shards of whole key blocks, as even as the blocks allow.
     n_blocks = -(-config.replicas // key_replicas)
@@ -411,29 +499,34 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _key_blocks(seed: int, replica_ids: np.ndarray, points: np.ndarray, block_replicas: int):
-    """Yield (ids, keys): blocks of replica_ids and their STREAM_PSEUDODATA keys.
+def _key_blocks(
+    seed: int, replica_ids: np.ndarray, points: np.ndarray, block_replicas: int,
+    eager: Optional[int] = None,
+):
+    """Yield (ids, keys, draw_rest): blocks of replica_ids and their STREAM_PSEUDODATA keys.
 
-    keys[i, j] is the key of replica ids[j] at point points[i]. Each block's
-    keys overwrite the last block's, in the same buffers.
+    keys[i, j] is the key of replica ids[j] at point points[i]. The rows of
+    the first eager points (all by default) are drawn before the block is
+    yielded, and draw_rest() draws the others. Each block's keys overwrite
+    the last block's, in the same buffers.
     """
     # Block buffers, reused: fresh arrays of this size cost page faults.
     width = min(block_replicas, replica_ids.size)
     key_buf, scratch_buf = np.empty((2, points.size, width), dtype=np.uint64)
+    eager = points.size if eager is None else eager
+
+    def draw(ids, rows):
+        if points[rows].size:
+            span = slice(0, ids.size)
+            draw_keys(
+                seed, STREAM_PSEUDODATA, ids[None, :], points[rows, None], 0,
+                out=key_buf[rows, span], scratch=scratch_buf[rows, span],
+            )
+
     for start in range(0, replica_ids.size, block_replicas):
         ids = replica_ids[start:start + block_replicas]
-        span = slice(0, ids.size)
-        yield ids, draw_keys(
-            seed, STREAM_PSEUDODATA, ids[None, :], points[:, None], 0,
-            out=key_buf[:, span], scratch=scratch_buf[:, span],
-        )
-
-
-def _column_blocks(blocks, width: int):
-    """Yield (ids, keys) column slices, width replicas wide, of each (ids, keys) block."""
-    for ids, keys in blocks:
-        for first in range(0, ids.size, width):
-            yield ids[first:first + width], keys[:, first:first + width]
+        draw(ids, slice(0, eager))
+        yield ids, key_buf[:, :ids.size], lambda ids=ids: draw(ids, slice(eager, None))
 
 
 def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
@@ -489,20 +582,19 @@ def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
 
 
 def _order3_cut_counts(
-    edges: np.ndarray, local: np.ndarray, blocks, counts: np.ndarray
+    edges: np.ndarray, ends: np.ndarray, blocks, counts: np.ndarray
 ) -> np.ndarray:
     """Order-3 counts as cut sizes of key flags; see classical_null_distribution.
 
-    edges holds the _key_thresholds of ORDER3_EDGES, one column per point
-    that a tuple uses, and local holds the tuples' components as indices
-    into those points. blocks yields the (ids, keys) of _key_blocks over
-    those points; each block's cut sizes are written to counts[ids].
-    Returns the replicas that hold a guarded draw, whose counts the caller
-    must evaluate in floating point.
+    edges holds the _key_thresholds of ORDER3_EDGES, one column per live
+    point. ends holds the tuple graph's edges as two rows of point indices,
+    where index edges.shape[1] stands for every inert point, whose flag is
+    always 0. blocks yields the (ids, keys, _) of _key_blocks over the live
+    points; each block's cut sizes are written to counts[ids]. Returns the
+    replicas that hold a guarded draw on a live point, whose counts the
+    caller must evaluate in floating point.
     """
-    # The edges of the tuple graph over the used points; (a, a) adds nothing.
-    ends_a, ends_b = local[local[:, 0] != local[:, 1]].T
-
+    live = edges.shape[1]
     low, band_lo, band_hi, high = (edge[:, None].astype(np.uint64) for edge in edges)
     # The safe keys of a point are [low, band_lo), C <= 1 - b, and
     # [band_hi, high), C >= 1 + b. Unsigned wraparound makes each a single
@@ -511,15 +603,20 @@ def _order3_cut_counts(
     upper_width, lower_width, hi_to_low = high - band_hi, band_lo - low, band_hi - low
 
     guarded = []
-    for ids, keys in blocks:
+    flags = None
+    for ids, keys, _ in blocks:
+        if flags is None:
+            # The "C > 1" flags of the live points, and a last row of 0s.
+            flags = np.zeros((live + 1, ids.size), dtype=bool)
         keys -= band_hi
-        upper = keys < upper_width
+        upper = flags[:, :ids.size]
+        np.less(keys, upper_width, out=upper[:live])
         # Cut size x^T L x: the tuple edges whose ends differ in "C > 1".
-        counts[ids] = np.count_nonzero(upper[ends_a] != upper[ends_b], axis=0)
+        counts[ids] = np.count_nonzero(upper[ends[0]] != upper[ends[1]], axis=0)
 
         keys += hi_to_low
         safe = keys < lower_width
-        safe |= upper
+        safe |= upper[:live]
         guarded.append(ids[~safe.all(axis=0)])
     return np.concatenate(guarded)
 

@@ -55,6 +55,14 @@ class OscParams:
     v_n: float = 0.0
 
     def __post_init__(self) -> None:
+        # A bool is a number to Python, and a string would fail only where
+        # the field is first compared, with a TypeError.
+        for name in ("dm2", "sin2_2theta", "baseline_km", "v_c", "v_n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                value, (int, float, np.integer, np.floating)
+            ):
+                raise DomainError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.sin2_2theta <= 1.0:
             raise DomainError(f"sin2_2theta must lie in [0, 1], got {self.sin2_2theta}")
         if not self.baseline_km > 0.0:
@@ -66,7 +74,7 @@ class OscParams:
                 )
         for name in ("dm2", "sin2_2theta", "baseline_km"):
             if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
 def accumulated_phase(params: OscParams, energy_gev: float) -> float:

@@ -341,7 +341,7 @@ def _write_artifacts(
     for name, columns in (
         ("tuples.csv", TUPLE_COLUMNS), ("k_vs_phase.csv", K_VS_PHASE_COLUMNS)
     ):
-        write_table_csv(out / name, columns, report.tuples.csv_rows(columns))
+        (out / name).write_text(report.tuples.csv_text(columns), encoding="utf-8")
     if counts is not None:
         values, freq = np.unique(counts, return_counts=True)
         write_table_csv(
@@ -397,5 +397,5 @@ def run_triples(config: RunConfig) -> TupleTable:
     if len(table):
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_table_csv(out / "tuples.csv", TRIPLES_COLUMNS, table.csv_rows(TRIPLES_COLUMNS))
+        (out / "tuples.csv").write_text(table.csv_text(TRIPLES_COLUMNS), encoding="utf-8")
     return table

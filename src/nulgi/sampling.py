@@ -47,6 +47,39 @@ def _mix64(h: np.ndarray) -> np.ndarray:
     return h ^ (h >> np.uint64(31))
 
 
+# _mix64's steps in reverse: each xorshift, then the inverse modulo 2**64 of
+# the odd factor applied before it.
+_UNMIX_STEPS = tuple(
+    (np.uint64(shift), None if factor is None else np.uint64(pow(factor, -1, 1 << 64)))
+    for shift, factor in ((31, 0x94D049BB133111EB), (27, 0xBF58476D1CE4E5B9), (30, None))
+)
+
+
+def _unmix64(h: np.ndarray) -> np.ndarray:
+    """The inverse of _mix64, as a new array."""
+    h = np.array(h, dtype=np.uint64)
+    _unmix64_into(h, np.empty_like(h), np.empty_like(h))
+    return h
+
+
+def _unmix64_into(h: np.ndarray, scratch: np.ndarray, partial: np.ndarray) -> None:
+    """_mix64 undone in place on h, with scratch and partial (same shape) for temporaries.
+
+    Each step of _mix64 is a bijection of 64-bit words. A multiplication by
+    an odd factor is undone by the factor's inverse modulo 2**64. h = x ^
+    (x >> s) shows the top s bits of x, and x_1 = h ^ (h >> s) then holds
+    its top 2 s bits, and h ^ (x_1 >> s) its top 3 s bits: all of x, for
+    every shift s >= 22 the mixer uses.
+    """
+    for shift, factor in _UNMIX_STEPS:
+        np.right_shift(h, shift, out=scratch)
+        np.bitwise_xor(h, scratch, out=partial)
+        np.right_shift(partial, shift, out=scratch)
+        h ^= scratch
+        if factor is not None:
+            h *= factor
+
+
 def _mix64_into(h: np.ndarray, scratch: np.ndarray) -> None:
     """_mix64 in place on h, with scratch (same shape) for the shifts."""
     for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
@@ -104,6 +137,34 @@ def draw_keys(seed: int, stream: int, *index_words, out=None, scratch=None) -> n
         h >>= np.uint64(11)
         return h
     return h >> np.uint64(11)
+
+
+def replicas_drawing_key(seed: int, stream: int, points, key: int, replicas: int) -> np.ndarray:
+    """The replicas r < replicas that draw key at some p in points, sorted.
+
+    A replica r draws key at p when draw_keys(seed, stream, r, p, 0) ==
+    key. The search runs the hash backwards: the 2**11 hash words whose
+    top 53 bits are key are unmixed, and the words added before each mix
+    subtracted, round by round down to the replica word. Each round adds a
+    word and mixes, a bijection of 64-bit words while the other words stay
+    fixed, so each hash word has exactly one replica word, and the words
+    found below replicas are every replica that draws key. Temporaries
+    hold 2**11 words, whatever the point or replica count.
+    """
+    words = np.uint64(key) << np.uint64(11) | np.arange(1 << 11, dtype=np.uint64)
+    # Wraparound is the mixer's working principle, not an error.
+    with np.errstate(over="ignore"):
+        # Back through the attempt round (word 0), to the point round's sum.
+        lifted = _unmix64(_unmix64(words) - _GOLDEN) - _GOLDEN
+        offset = _hash_words(seed, stream) + _GOLDEN
+        h, scratch, partial = np.empty((3, lifted.size), dtype=np.uint64)
+        found = [np.empty(0, dtype=np.uint64)]
+        for point in np.ravel(points).tolist():
+            np.subtract(lifted, _as_u64(point), out=h)
+            _unmix64_into(h, scratch, partial)
+            h -= offset
+            found.append(h[h < np.uint64(replicas)])
+    return np.unique(np.concatenate(found)).astype(np.int64)
 
 
 def uniform_from_keys(keys) -> np.ndarray:

@@ -12,13 +12,20 @@ from nulgi.dataio import (
     TupleTable,
     emit_report,
     parse_dataset,
+    table_csv_text,
     write_dataset_csv,
     write_table_csv,
 )
 from nulgi.errors import DataError, DomainError
 from nulgi.montecarlo import BetaBinomialFit, PseudoConfig, SignificanceReport
 from nulgi.oscillation import OscParams, accumulated_phase
-from nulgi.pipeline import RunConfig, analyze_dataset
+from nulgi.pipeline import (
+    K_VS_PHASE_COLUMNS,
+    TRIPLES_COLUMNS,
+    TUPLE_COLUMNS,
+    RunConfig,
+    analyze_dataset,
+)
 from nulgi.selection import MeasuredPoint
 from nulgi.synthetic import generate_synthetic
 
@@ -322,6 +329,17 @@ def test_table_text_is_formatted_once_and_shared(tmp_path):
     rows = list(table.csv_rows(["component_indices", "violation"]))
     assert rows[0][0] == ";".join(map(str, table["component_indices"][0].tolist()))
     assert {cell for _, cell in rows} == {"0", "1"}
+
+
+@pytest.mark.parametrize("case", ["no_tuples", "order_4"])
+def test_tuple_csv_text_is_the_table_writers_text(case):
+    # The tuple tables join their cells column by column; the bytes are
+    # those of the generic writer, which tests every cell's type.
+    report = analyzed(phases=(0.5, 0.6, 0.8)) if case == "no_tuples" else analyzed(order=4)
+    for columns in (TUPLE_COLUMNS, K_VS_PHASE_COLUMNS, TRIPLES_COLUMNS):
+        text = report.tuples.csv_text(columns)
+        assert text == table_csv_text(columns, report.tuples.csv_rows(columns))
+        assert text.count("\n") == len(report.tuples) + 1
 
 
 def test_repeated_cells_format_like_their_values():

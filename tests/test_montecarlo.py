@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nulgi import montecarlo
+from nulgi import montecarlo, sampling
 from nulgi.errors import DomainError
 from nulgi.montecarlo import (
     MARGIN_EDGES,
@@ -41,9 +41,11 @@ from nulgi.sampling import (
     STREAM_PSEUDODATA,
     STREAM_SYNTH_ENERGY,
     STREAM_SYNTH_PROB,
+    draw_keys,
     normal,
     normal_from_keys,
     truncated_normal,
+    uniform_from_keys,
     uniform_open,
 )
 from nulgi.selection import (
@@ -152,14 +154,21 @@ def test_engine_is_deterministic_and_chunk_invariant():
 ORACLE_REPLICAS = 5003
 
 
-def reference_counts(dec, tuples, cfg):
-    """Oracle counts from a replica-major draw matrix built by the test."""
+def reference_counts(dec, tuples, cfg, keys_at=None):
+    """Oracle counts from a replica-major draw matrix built by the test.
+
+    keys_at maps (replica, point) pairs to a key whose draw replaces theirs.
+    """
     draws = normal(
         cfg.seed, STREAM_PSEUDODATA,
         np.arange(cfg.replicas)[:, None], np.arange(len(dec))[None, :],
         mean=np.array([p.p_mumu for p in dec])[None, :],
         sd=np.array([p.sigma for p in dec])[None, :],
     )
+    for (replica, point), key in (keys_at or {}).items():
+        draws[replica, point] = normal_from_keys(
+            np.uint64(key), dec[point].p_mumu, dec[point].sigma
+        )
     return oracles.product_rule_null_counts(draws, tuples.comp_idx, tuples.n)
 
 
@@ -464,6 +473,156 @@ def test_order4_null_skips_blocks_and_stays_exact(seed, truth, monkeypatch):
         assert not drawn and not counts.any()
     else:
         assert expected.any() and sum(drawn) > 0
+
+
+def counting_keys(monkeypatch):
+    """Count the keys the engine hashes, through montecarlo.draw_keys."""
+    hashed = []
+
+    def counted(*args, **kwargs):
+        keys = draw_keys(*args, **kwargs)
+        hashed.append(keys.size)
+        return keys
+
+    monkeypatch.setattr(montecarlo, "draw_keys", counted)
+    return hashed
+
+
+def seed_drawing(key, replica, point):
+    """A null seed whose draw at (replica, point) has the given key.
+
+    Runs the hash of (seed, stream, replica, point, 0) backwards from a
+    word whose top 53 bits are the key, down to the seed word.
+    """
+    h = np.array([key << 11], dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for word in (0, point, replica, STREAM_PSEUDODATA, 0):
+            h = sampling._unmix64(h) - np.uint64(oracles.SPLITMIX_GOLDEN) - np.uint64(word)
+    seed = int(h[0])
+    hashed = oracles.splitmix_hash_words(seed, STREAM_PSEUDODATA, replica, point, 0)
+    assert int(hashed) >> 11 == key
+    return seed
+
+
+# Point 1 (C within 0.83 of 0) and points 0, 2 and 3 (C always below 0) are
+# inert at every order: no key below the top one leaves the order-3 safe
+# set or the margin. Points 4 and 5 reach past C = 1: live.
+TOP_KEY_SPECTRA = {
+    "mixed": ([0.3, 0.5, 0.3, 0.3, 0.97, 0.9], [0.02, 0.05, 0.02, 0.02, 0.03, 0.05]),
+    "all inert": ([0.3, 0.5, 0.3, 0.3, 0.5, 0.5], [0.02, 0.05, 0.02, 0.02, 0.05, 0.05]),
+}
+TOP_KEY_REPLICAS = 1009
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("spectrum", TOP_KEY_SPECTRA)
+@pytest.mark.parametrize("replica", [0, 17, TOP_KEY_REPLICAS - 1])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_an_inert_point_drawing_the_top_key_is_recounted(n, replica, spectrum, monkeypatch):
+    # The seed makes point 1 draw the top key in one replica for real. Its
+    # u is 1 and its C inf, which no key comparison settles: sum(C) -
+    # prod(C) is inf where the other components' product is negative.
+    dec, tuples = adversarial_fixture(*TOP_KEY_SPECTRA[spectrum], ADVERSARIAL_COMPONENTS[n])
+    cfg = PseudoConfig(replicas=TOP_KEY_REPLICAS, seed=seed_drawing(KEY_LIMIT - 1, replica, 1))
+    assert uniform_from_keys(np.uint64(KEY_LIMIT - 1)) == 1.0
+    with np.errstate(invalid="ignore"):
+        expected = reference_counts(dec, tuples, cfg)
+        finite = reference_counts(dec, tuples, cfg, {(replica, 1): KEY_LIMIT - 2})
+    assert expected[replica] > finite[replica]
+    if spectrum == "all inert":
+        assert np.flatnonzero(expected).tolist() == [replica]
+    hashed = counting_keys(monkeypatch)
+    for chunk_size in (None, 7):
+        hashed.clear()
+        counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
+        assert np.array_equal(counts, expected), chunk_size
+        if spectrum == "all inert":
+            # No key pass runs: only the top-key replica's draws are hashed.
+            assert sum(hashed) == np.unique(tuples.comp_idx).size
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_point_unsafe_just_below_the_top_key_stays_live(n, monkeypatch):
+    # (k + 0.5) rounds to even, so keys KEY_LIMIT - 3 and KEY_LIMIT - 2
+    # share the last u below 1: KEY_LIMIT - 3 is the highest first unsafe
+    # key a point can have short of the top one.
+    top = uniform_from_keys(np.arange(KEY_LIMIT - 4, KEY_LIMIT, dtype=np.uint64))
+    assert top[0] < top[1] == top[2] < top[3] == 1.0
+
+    # Bisect sigma for the smallest at which point 1, at p 0.6, draws C > 1
+    # there; its lowest draw stays inside the margin.
+    def above(sd):
+        return 2.0 * normal_from_keys(np.uint64(KEY_LIMIT - 3), 0.6, sd) - 1.0 > 1.0
+
+    lo, hi = 0.0, 1.0
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if above(mid) else (mid, hi)
+    probs, sigmas = (
+        [*column[:1], value, *column[2:]]
+        for column, value in zip(TOP_KEY_SPECTRA["all inert"], (0.6, hi))
+    )
+    for given in (ORDER3_EDGES, MARGIN_EDGES):
+        low, first_unsafe = oracles.key_thresholds_by_bisection(probs, sigmas, given)[:2]
+        assert low[1] == 0 and first_unsafe[1] == KEY_LIMIT - 3
+        assert (low[2:] == 0).all() and (first_unsafe[2:] == KEY_LIMIT - 1).all()
+
+    dec, tuples = adversarial_fixture(probs, sigmas, ADVERSARIAL_COMPONENTS[n])
+    cfg = PseudoConfig(replicas=TOP_KEY_REPLICAS, seed=seed_drawing(KEY_LIMIT - 3, 17, 1))
+    expected = reference_counts(dec, tuples, cfg)
+    if n == 3:
+        # C just above 1 with partners below 0 violates; an inert point's
+        # flag, 0, would not.
+        below = reference_counts(dec, tuples, cfg, {(17, 1): KEY_LIMIT - 4})
+        assert expected[17] > below[17]
+    hashed = counting_keys(monkeypatch)
+    counts = classical_null_distribution(dec, tuples, cfg)
+    assert np.array_equal(counts, expected)
+    # Its row is hashed in every replica: it is live.
+    assert sum(hashed) >= cfg.replicas
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_classical_flat_nulls_hash_no_key(n, monkeypatch):
+    pts = generate_synthetic(PARAMS, "classical_flat", 30, 0.5, 50.0, 0.05, seed=0)
+    dec = attach_phases(pts, PARAMS)
+    tuples = select_ntuples(dec, n, 0.005)
+    hashed = counting_keys(monkeypatch)
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=29)
+    counts = classical_null_distribution(dec, tuples, cfg)
+    assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
+    assert not counts.any()
+    # Every used point is inert: no key pass runs, at any replica count.
+    classical_null_distribution(dec, tuples, PseudoConfig(replicas=100_000, seed=29))
+    assert not hashed
+
+
+def test_a_quantum_order3_null_hashes_live_points_and_guarded_replicas(monkeypatch):
+    pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    dec = attach_phases(pts, PARAMS)
+    tuples = select_ntuples(dec, 3, 0.005)
+    cfg = PseudoConfig(replicas=20_000, seed=30)
+    used = np.unique(tuples.comp_idx)
+    probs = np.array([dec[i].p_mumu for i in used])
+    sigmas = np.array([dec[i].sigma for i in used])
+    low, band_lo, band_hi, high = (
+        edge.astype(np.uint64)
+        for edge in oracles.key_thresholds_by_bisection(probs, sigmas, ORDER3_EDGES)
+    )
+    inert = (low == 0) & (band_lo >= KEY_LIMIT - 1)
+    assert 0 < np.count_nonzero(inert) < used.size
+    keys = draw_keys(cfg.seed, STREAM_PSEUDODATA, np.arange(cfg.replicas)[:, None], used, 0)
+    safe = ((keys >= low) & (keys < band_lo)) | ((keys >= band_hi) & (keys < high))
+    guarded = np.count_nonzero(~safe.all(axis=1))
+    assert guarded > 0
+
+    hashed = counting_keys(monkeypatch)
+    drawn = counting_draws(monkeypatch)
+    counts = classical_null_distribution(dec, tuples, cfg)
+    assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
+    live = used.size - np.count_nonzero(inert)
+    assert sum(hashed) == cfg.replicas * live + guarded * used.size
+    assert sum(drawn) == guarded * used.size
 
 
 # Above three key blocks of the six adversarial points (65536 // 6 = 10922

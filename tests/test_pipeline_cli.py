@@ -4,6 +4,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -559,6 +560,58 @@ def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
         for f in dataclasses.fields(built):
             if f.name not in ("mode", "v_c", "v_n"):
                 assert getattr(built, f.name) != getattr(default, f.name), f.name
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dm2", True, "must be a number, got True"),
+    ("baseline_km", "735", "must be a number, got '735'"),
+    ("sin2_2theta", None, "must be a number, got None"),
+    ("v_n", False, "must be a number, got False"),
+    ("dm2", math.nan, "must be finite, got nan"),
+    ("baseline_km", math.inf, "must be finite, got inf"),
+])
+def test_cli_rejects_a_param_that_is_not_a_finite_number(
+    tmp_path, capsys, monkeypatch, key, value, message
+):
+    # "dm2": true ran at 1 eV^2 and echoed true, and "735" failed with a
+    # TypeError from the first comparison.
+    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+    params = json.dumps({**json.loads(PARAMS_JSON), key: value})
+    out = tmp_path / "out"
+    code = main(
+        ["analyze", "--params", params, "--data", str(shared_csv(tmp_path)),
+         "--out-dir", str(out)]
+    )
+    assert code == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"config error: {key} {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, value, message", [
+    ("config", math.nan, "must be finite, got nan"),
+    ("config", math.inf, "must be finite, got inf"),
+    ("config", True, "must be a number, got True"),
+    ("config", "0.1", "must be a number, got '0.1'"),
+    ("flag", math.nan, "must be finite, got nan"),
+    ("flag", -math.inf, "must be finite, got -inf"),
+])
+@pytest.mark.parametrize("key", ["sys_amplitude_sigma", "sys_phase_sigma"])
+def test_cli_rejects_a_systematic_width_that_is_not_a_finite_number(
+    tmp_path, capsys, monkeypatch, key, source, value, message
+):
+    # NaN and Infinity ran and were written into report.json, which is then
+    # not JSON.
+    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+    out = tmp_path / "out"
+    argv = ["analyze", "--data", str(shared_csv(tmp_path)), "--out-dir", str(out),
+            "--systematics"]
+    if source == "config":
+        argv += ["--config", str(config_file(tmp_path, "c.json", pseudo={key: value}))]
+    else:
+        argv += ["--params", PARAMS_JSON, f"--{key.replace('_', '-')}={value!r}"]
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", f"config error: {key} {message}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "curve"])

@@ -69,6 +69,37 @@ def test_keys_written_into_reused_buffers_are_the_same_keys():
     assert fresh.max() < KEY_LIMIT
 
 
+def test_unmix_inverts_the_mixer():
+    words = np.random.default_rng(0).integers(0, 2**64, 10_000, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(sampling._unmix64(sampling._mix64(words)), words)
+        assert np.array_equal(sampling._mix64(sampling._unmix64(words)), words)
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_replicas_drawing_a_key_are_found_by_running_the_hash_backwards(trial):
+    rng = np.random.default_rng(trial)
+    seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+    replica, point = int(rng.integers(0, 10**6)), int(rng.integers(0, 200))
+    key = int(oracles.splitmix_hash_words(seed, STREAM_PSEUDODATA, replica, point, 0)) >> 11
+
+    def find(points, replicas):
+        found = sampling.replicas_drawing_key(seed, STREAM_PSEUDODATA, points, key, replicas)
+        assert found.dtype == np.int64 and (np.diff(found) > 0).all()
+        return found.tolist()
+
+    assert find([point], 10**6) == [replica]
+    assert find([point], replica + 1) == [replica]
+    assert find([point], replica) == []
+    assert replica in find([point + 1, point], 10**6)
+    # One replica word per hash word with the key's top 53 bits, 2**11 in
+    # all: about half of them lie below 2**63, and each draws the key.
+    every = np.array(find([point], 2**63))
+    assert replica in every and 800 < every.size < 1250
+    forward = oracles.splitmix_hash_words(seed, STREAM_PSEUDODATA, every, point, 0)
+    assert (forward >> np.uint64(11) == key).all()
+
+
 # Per point: sd 0 below, inside and above [0, 1]; means outside the
 # interval, which take many redraws; means at and near its ends.
 TRUNC_MEANS = np.array([-0.2, 0.5, 1.2, -0.3, 1.4, 0.0, 1.0, 0.02, 0.98, 0.5, 0.7, 0.3])
