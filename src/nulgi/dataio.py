@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from functools import cached_property
+from contextlib import ExitStack
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -103,11 +104,7 @@ def write_dataset_csv(points: Sequence[MeasuredPoint], path) -> None:
 
 
 class TupleTable:
-    """An analysis's per-tuple columns by name; 2-D where a tuple holds a list.
-
-    text holds each cell once as its JSON literal (repr, or true/false for
-    a flag); report.json and the CSV tables are joined from those strings.
-    """
+    """An analysis's per-tuple columns by name; 2-D where a tuple holds a list."""
 
     def __init__(self, columns: dict[str, np.ndarray]) -> None:
         self.columns = columns
@@ -125,54 +122,23 @@ class TupleTable:
             np.array_equal(v, other.columns[k]) for k, v in self.columns.items()
         )
 
-    @cached_property
-    def text(self) -> dict[str, list]:
-        """Per column its cell strings; a 2-D column gives a list per entry."""
-        return {name: _cell_text(name, values) for name, values in self.columns.items()}
 
-    def csv_rows(self, names: Sequence[str]):
-        """Rows of CSV cells: list entries joined by ';', a flag as 0 or 1."""
-        return zip(*(
-            list(map(";".join, zip(*self.text[name]))) if self.columns[name].ndim == 2
-            else [_CSV_FLAGS[c] for c in self.text[name]] if self.columns[name].dtype == bool
-            else self.text[name]
-            for name in names
-        ))
-
-    def csv_text(self, names: Sequence[str]) -> str:
-        """The table_csv_text of the named columns, joined from their cell strings.
-
-        Every cell is a string already, so the rows are joined as they are,
-        with no per-cell type test.
-        """
-        return "\n".join([",".join(names), *map(",".join, self.csv_rows(names))]) + "\n"
-
-    def json_rows(self):
-        """The rows as json.dumps(indent=2) writes row dicts in a top-level list."""
-        fields, slots = [], []
-        for name in sorted(self.columns):
-            text = self.text[name]
-            if self.columns[name].ndim == 2:
-                entries = ",\n        ".join(["%s"] * len(text))
-                fields.append(f"{json.dumps(name)}: [\n        {entries}\n      ]")
-                slots.extend(text)
-            else:
-                fields.append(f"{json.dumps(name)}: %s")
-                slots.append(text)
-        template = "{\n      " + ",\n      ".join(fields) + "\n    }"
-        return map(template.__mod__, zip(*slots))
-
+# Rows of a TupleTable formatted and written at a time: the tuple text held
+# in memory is bounded by this, not by the tuple count.
+CHUNK_ROWS = 1024
 
 _CSV_FLAGS = {"true": "1", "false": "0"}
 
 
-def _cell_text(name: str, values: np.ndarray) -> list:
+def _cell_text(values: np.ndarray) -> list:
+    """The JSON literal of each cell: repr, or true/false for a flag.
+
+    A 2-D column gives one list per component.
+    """
     if values.ndim == 2:
-        return [_cell_text(name, column) for column in values.T]
+        return [_cell_text(column) for column in values.T]
     if values.dtype == bool:
         return ["true" if v else "false" for v in values.tolist()]
-    if values.dtype.kind == "f" and not np.isfinite(values).all():
-        raise DomainError(f"column {name!r} holds a non-finite value")
     # Indices, phases and target psi repeat per-point values: format each
     # distinct value once. Floats are told apart by their bits, so -0.0
     # keeps its own repr.
@@ -180,6 +146,86 @@ def _cell_text(name: str, values: np.ndarray) -> list:
     _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
     text = np.array(list(map(repr, values[first].tolist())), dtype=object)
     return text[inverse].tolist()
+
+
+def _json_row_layout(table: TupleTable) -> list:
+    """A row object as json.dumps(indent=2) writes it in a top-level list.
+
+    Pieces are literal strings and (column, part) cell keys; each row is
+    led by the separator from the previous one.
+    """
+    pieces = [",\n    {"]
+    for i, name in enumerate(sorted(table.columns)):
+        pieces.append(("\n      " if i == 0 else ",\n      ") + json.dumps(name) + ": ")
+        if table[name].ndim == 2:
+            for j in range(table[name].shape[1]):
+                pieces += ["[\n        " if j == 0 else ",\n        ", (name, j)]
+            pieces.append("\n      ]")
+        else:
+            pieces.append((name, None))
+    pieces.append("\n    }")
+    return pieces
+
+
+def _csv_row_layout(table: TupleTable, names: Sequence[str]) -> list:
+    """A CSV line: list entries joined by ';', a flag as 0 or 1."""
+    pieces = []
+    for i, name in enumerate(names):
+        if i:
+            pieces.append(",")
+        if table[name].ndim == 2:
+            for j in range(table[name].shape[1]):
+                if j:
+                    pieces.append(";")
+                pieces.append((name, j))
+        else:
+            pieces.append((name, "flag" if table[name].dtype == bool else None))
+    pieces.append("\n")
+    return pieces
+
+
+class _RowWriter:
+    """One file of the tuple writer: a head, the rows chunk by chunk, a tail.
+
+    lead characters are dropped from the start of the first rows written:
+    the separator a row carries from the one before it.
+    """
+
+    def __init__(self, path, head: str, pieces: list, tail: str, lead: int = 0) -> None:
+        self.path, self.head, self.tail, self.lead = path, head, tail, lead
+        # Literals alternate with cell keys: literals[i] precedes keys[i].
+        self.literals, self.keys, text = [], [], ""
+        for piece in pieces:
+            if isinstance(piece, str):
+                text += piece
+            else:
+                self.literals.append(text)
+                self.keys.append(piece)
+                text = ""
+        self.end = text
+
+    def write_rows(self, out, cells: dict) -> None:
+        """Write a chunk's rows, joined once from its column-wise cell strings."""
+        slots = []
+        for literal, key in zip(self.literals, self.keys):
+            slots += (repeat(literal), cells[key])
+        slots.append(repeat(self.end))
+        out.write("".join(chain.from_iterable(zip(*slots)))[self.lead:])
+        self.lead = 0
+
+
+def _chunk_cells(table: TupleTable, keys: set, rows: slice) -> dict:
+    """Each needed column of the chunk formatted once, by cell key."""
+    text = {name: _cell_text(table[name][rows]) for name in {name for name, _ in keys}}
+    cells = {}
+    for name, part in keys:
+        if part is None:
+            cells[name, part] = text[name]
+        elif part == "flag":
+            cells[name, part] = [_CSV_FLAGS[c] for c in text[name]]
+        else:
+            cells[name, part] = text[name][part]
+    return cells
 
 
 def _json_fallback(obj):
@@ -197,33 +243,67 @@ def _json_fallback(obj):
 _EMPTY_TUPLES = '\n  "tuples": []'
 
 
-def emit_report(report: SignificanceReport, path) -> None:
-    """Serialize a report to JSON with sorted keys and full float precision.
+def emit_report(
+    report: SignificanceReport | TupleTable, path=None, tables: Sequence[tuple] = ()
+) -> None:
+    """Write report.json and CSV tables of the report's tuples in one pass.
 
-    The bytes are those of json.dumps(report, indent=2, sort_keys=True) with
-    dataclasses entered as their fields, paths as strings, numpy scalars as
-    Python numbers and a TupleTable as its list of row objects. Everything
-    but the table is encoded in one json.dumps pass; the table's rows are
-    joined from its cell strings and written one by one, so the text is
-    never held whole. A value that cannot be encoded raises before the file
-    is opened.
+    report is a SignificanceReport, or a bare TupleTable when path is None
+    and only tables are written. tables holds (path, column names) pairs:
+    each is written as the table_csv_text of those columns, with index and
+    phase lists joined by ';' and a flag as 0 or 1.
+
+    The report's bytes are those of json.dumps(report, indent=2,
+    sort_keys=True) with dataclasses entered as their fields, paths as
+    strings, numpy scalars as Python numbers and a TupleTable as its list
+    of row objects. Everything but the table is encoded in one json.dumps
+    pass. The table is then written in chunks of CHUNK_ROWS rows: each
+    column of a chunk is formatted once (repr, or true/false for a flag),
+    every file's rows are joined from those strings, and the chunk is
+    written to every file before the next one is formatted. So the text in
+    memory does not grow with the tuple count. A value that cannot be
+    encoded, and a non-finite cell in any float column of the table, raise
+    before any file is opened.
     """
-    fields = _json_fallback(report)
-    rows = iter(())
-    if isinstance(fields["tuples"], TupleTable):
-        rows = fields["tuples"].json_rows()
-        fields["tuples"] = []
-    text = json.dumps(fields, default=_json_fallback, indent=2, sort_keys=True)
-    first = next(rows, None)
-    with Path(path).open("w", encoding="utf-8") as out:
-        if first is None:
-            out.write(text + "\n")
-            return
-        head, tail = text.split(_EMPTY_TUPLES, 1)
-        out.write(f'{head}\n  "tuples": [\n    {first}')
-        out.writelines(map(",\n    ".__add__, rows))
-        out.write(f"\n  ]{tail}\n")
-
+    table = report if isinstance(report, TupleTable) else report.tuples
+    chunked = isinstance(table, TupleTable)
+    if chunked:
+        for name, values in table.columns.items():
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                raise DomainError(f"column {name!r} holds a non-finite value")
+    writers = []
+    if path is not None:
+        fields = _json_fallback(report)
+        if chunked:
+            fields["tuples"] = []
+        text = json.dumps(fields, default=_json_fallback, indent=2, sort_keys=True)
+        if chunked and len(table):
+            head, tail = text.split(_EMPTY_TUPLES, 1)
+            writers.append(_RowWriter(
+                path, f'{head}\n  "tuples": [', _json_row_layout(table),
+                f"\n  ]{tail}\n", lead=1,
+            ))
+        else:
+            writers.append(_RowWriter(path, text + "\n", [], ""))
+    for csv_path, names in tables:
+        writers.append(_RowWriter(
+            csv_path, ",".join(names) + "\n", _csv_row_layout(table, names), ""
+        ))
+    keys = {key for writer in writers for key in writer.keys}
+    with ExitStack() as stack:
+        files = {
+            writer: stack.enter_context(Path(writer.path).open("w", encoding="utf-8"))
+            for writer in writers
+        }
+        for writer, out in files.items():
+            out.write(writer.head)
+        for start in range(0, len(table) if keys else 0, CHUNK_ROWS):
+            cells = _chunk_cells(table, keys, slice(start, start + CHUNK_ROWS))
+            for writer, out in files.items():
+                if writer.keys:
+                    writer.write_rows(out, cells)
+        for writer, out in files.items():
+            out.write(writer.tail)
 
 def table_csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """A simple table as CSV text: a string cell as it is, a float at repr precision.

@@ -78,7 +78,8 @@ class PseudoConfig:
 
     tolerance is never read: the engine does not re-select, and the tuples
     come from RunConfig.tolerance. It remains because the report's config
-    echo and the accepted pseudo config keys carry it. Systematic nuisances,
+    echo and the accepted pseudo config keys carry it, so it must be a
+    finite number like the widths. Systematic nuisances,
     when enabled, are drawn once per replica and shift every point
     coherently, so they are the only cross-bin correlation mechanism.
     """
@@ -105,9 +106,9 @@ class PseudoConfig:
         flag = self.include_systematics
         if not isinstance(flag, (bool, np.bool_)):
             raise DomainError(f"include_systematics must be true or false, got {flag!r}")
-        # A nan or inf width would run and write NaN or Infinity into the
-        # report, which is not JSON.
-        for name in ("sys_amplitude_sigma", "sys_phase_sigma"):
+        # A nan or inf width or tolerance would run and write NaN or
+        # Infinity into the report, which is not JSON.
+        for name in ("tolerance", "sys_amplitude_sigma", "sys_phase_sigma"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(
                 value, (int, float, np.integer, np.floating)
@@ -459,22 +460,26 @@ def classical_null_distribution(
                     )
                     block_means = means + d_amp * amp_resp + d_phase * phase_resp
 
-                # Point-major draws: corr[point, replica] = 2 P - 1.
-                corr = normal_from_keys(keys[:, span], mean=block_means, sd=sds)
-                corr *= 2.0
-                corr -= 1.0
+                # A top-key draw has C inf (nan at sd 0), and sum(C) -
+                # prod(C) can then be inf - inf: a nan, which is rightly no
+                # violation. errstate is per thread, so each shard sets it.
+                with np.errstate(invalid="ignore"):
+                    # Point-major draws: corr[point, replica] = 2 P - 1.
+                    corr = normal_from_keys(keys[:, span], mean=block_means, sd=sds)
+                    corr *= 2.0
+                    corr -= 1.0
 
-                block_counts = np.zeros(ids.size, dtype=np.int64)
-                for start in range(0, len(tuples), block_tuples):
-                    cols = components[:, start:start + block_tuples]
-                    corr_sum = corr[cols[0]]
-                    corr_prod = corr_sum.copy()
-                    for col in cols[1:]:
-                        c = corr[col]
-                        corr_sum += c
-                        corr_prod *= c
-                    corr_sum -= corr_prod
-                    block_counts += np.count_nonzero(corr_sum > bound, axis=0)
+                    block_counts = np.zeros(ids.size, dtype=np.int64)
+                    for start in range(0, len(tuples), block_tuples):
+                        cols = components[:, start:start + block_tuples]
+                        corr_sum = corr[cols[0]]
+                        corr_prod = corr_sum.copy()
+                        for col in cols[1:]:
+                            c = corr[col]
+                            corr_sum += c
+                            corr_prod *= c
+                        corr_sum -= corr_prod
+                        block_counts += np.count_nonzero(corr_sum > bound, axis=0)
                 counts[ids] = block_counts
 
     # Shards of whole key blocks, as even as the blocks allow.

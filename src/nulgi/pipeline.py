@@ -337,11 +337,9 @@ def _write_artifacts(
 ) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_report(report, out / "report.json")
-    for name, columns in (
-        ("tuples.csv", TUPLE_COLUMNS), ("k_vs_phase.csv", K_VS_PHASE_COLUMNS)
-    ):
-        (out / name).write_text(report.tuples.csv_text(columns), encoding="utf-8")
+    emit_report(report, out / "report.json", (
+        (out / "tuples.csv", TUPLE_COLUMNS), (out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS)
+    ))
     if counts is not None:
         values, freq = np.unique(counts, return_counts=True)
         write_table_csv(
@@ -397,5 +395,5 @@ def run_triples(config: RunConfig) -> TupleTable:
     if len(table):
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "tuples.csv").write_text(table.csv_text(TRIPLES_COLUMNS), encoding="utf-8")
+        emit_report(table, tables=((out / "tuples.csv", TRIPLES_COLUMNS),))
     return table

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,9 @@ from nulgi.pipeline import (
     TUPLE_COLUMNS,
     RunConfig,
     analyze_dataset,
+    tuple_table,
 )
-from nulgi.selection import MeasuredPoint
+from nulgi.selection import MeasuredPoint, attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
 POINTS = [
@@ -320,45 +322,113 @@ def test_column_built_report_equals_json_dumps(tmp_path, case):
     assert path.read_bytes() == json_oracle(report)
 
 
-def test_table_text_is_formatted_once_and_shared(tmp_path):
-    report = analyzed(order=4)
+def csv_oracle(table, columns) -> bytes:
+    """The bytes table_csv_text gives for the columns, row by row.
+
+    A list cell is its entries' reprs joined by ';' and a flag is 0 or 1.
+    """
+    rows = [
+        [
+            ";".join(map(repr, values[i].tolist())) if values.ndim == 2
+            else int(values[i]) if values.dtype == bool
+            else values[i].tolist()
+            for values in (table[name] for name in columns)
+        ]
+        for i in range(len(table))
+    ]
+    return table_csv_text(columns, rows).encode("utf-8")
+
+
+def write_artifacts(report, out) -> dict:
+    """analyze's report and tuple tables and the tuples.csv of triples, by name."""
+    out.mkdir()
+    tables = {"tuples.csv": TUPLE_COLUMNS, "k_vs_phase.csv": K_VS_PHASE_COLUMNS}
+    emit_report(report, out / "report.json", [(out / n, c) for n, c in tables.items()])
+    emit_report(report.tuples, tables=[(out / "triples.csv", TRIPLES_COLUMNS)])
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+@pytest.mark.parametrize("case", ["order_4", "edge_floats", "no_tuples"])
+def test_tuple_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, case):
+    if case == "no_tuples":
+        report = analyzed(phases=(0.5, 0.6, 0.8))
+        assert len(report.tuples) == 0
+    elif case == "order_4":
+        report = analyzed(order=4)
+        assert len(report.tuples) > 200
+    else:
+        # Each distinct value is formatted once per chunk; 0.0 and -0.0
+        # compare equal but print differently, so they must stay apart.
+        report = analyzed()
+        edges = np.array([-0.0, 0.0, 1e-05, -0.0, 1e16, 5e-324, 0.0, 1e-05])
+        table = report.tuples
+        mismatch = table["mismatch"].copy()
+        mismatch[:8] = edges
+        phases = table["component_phases"].copy()
+        phases[:8, 1] = edges[::-1]
+        report.tuples = with_columns(table, mismatch=mismatch, component_phases=phases)
     table = report.tuples
-    assert table.text is table.text
-    assert table.text["k_value"] == list(map(repr, table["k_value"].tolist()))
-    assert set(table.text["violation"]) == {"true", "false"}
-    rows = list(table.csv_rows(["component_indices", "violation"]))
-    assert rows[0][0] == ";".join(map(str, table["component_indices"][0].tolist()))
-    assert {cell for _, cell in rows} == {"0", "1"}
+    written = write_artifacts(report, tmp_path / "default")
+    for i, rows in enumerate((1, 7, len(table) + 1)):
+        monkeypatch.setattr(dataio, "CHUNK_ROWS", rows)
+        assert write_artifacts(report, tmp_path / f"chunk_{i}") == written, rows
+
+    assert written["report.json"] == json_oracle(report)
+    for name, columns in (
+        ("tuples.csv", TUPLE_COLUMNS), ("k_vs_phase.csv", K_VS_PHASE_COLUMNS),
+        ("triples.csv", TRIPLES_COLUMNS),
+    ):
+        assert written[name] == csv_oracle(table, columns), name
+        assert written[name].count(b"\n") == len(table) + 1
+    if case == "no_tuples":
+        return
+    # Cells are their repr, and a flag is true/false in JSON and 0/1 in CSV.
+    rows = json.loads(written["report.json"])["tuples"]
+    assert [row["k_value"] for row in rows] == table["k_value"].tolist()
+    assert {row["violation"] for row in rows} <= {True, False}
+    lines = [line.split(",") for line in written["tuples.csv"].decode().splitlines()[1:]]
+    assert [line[7] for line in lines] == list(map(repr, table["k_value"].tolist()))
+    assert {line[9] for line in lines} <= {"0", "1"}
+    assert [line[9] == "1" for line in lines] == table["violation"].tolist()
+    if case == "edge_floats":
+        assert [line[3] for line in lines[:8]] == list(map(repr, edges.tolist()))
+        assert [line[4].split(";")[1] for line in lines[:8]] == list(
+            map(repr, edges[::-1].tolist())
+        )
 
 
-@pytest.mark.parametrize("case", ["no_tuples", "order_4"])
-def test_tuple_csv_text_is_the_table_writers_text(case):
-    # The tuple tables join their cells column by column; the bytes are
-    # those of the generic writer, which tests every cell's type.
-    report = analyzed(phases=(0.5, 0.6, 0.8)) if case == "no_tuples" else analyzed(order=4)
-    for columns in (TUPLE_COLUMNS, K_VS_PHASE_COLUMNS, TRIPLES_COLUMNS):
-        text = report.tuples.csv_text(columns)
-        assert text == table_csv_text(columns, report.tuples.csv_rows(columns))
-        assert text.count("\n") == len(report.tuples) + 1
+def test_writing_a_large_table_holds_a_bounded_text(tmp_path):
+    # The 29 560 order-4 tuples of a 100-bin spectrum: every cell's text at
+    # once would take about 15 MiB.
+    points = attach_phases(
+        generate_synthetic(PARAMS, "quantum", 100, 0.5, 50.0, 0.05, seed=0), PARAMS
+    )
+    table = tuple_table(select_ntuples(points, 4, 0.005), points, PARAMS)
+    assert len(table) >= 29_000
+    report = SignificanceReport(
+        n_tuples=len(table), n_violations_observed=0, null_fit=None, z_score=None,
+        chi2_quantum=None, dof=None, status="ok", config={}, tuples=table,
+    )
+    out = tmp_path
+    tracemalloc.start()
+    try:
+        emit_report(report, out / "report.json", [
+            (out / "tuples.csv", TUPLE_COLUMNS), (out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS)
+        ])
+        emit_report(table, tables=[(out / "triples.csv", TRIPLES_COLUMNS)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
-def test_repeated_cells_format_like_their_values():
-    # Each distinct value is formatted once; 0.0 and -0.0 compare equal but
-    # print differently, so they must stay apart.
-    values = np.array([0.0, -0.0, 0.1, -0.0, 0.0, 0.1, 5e-324, 1e16])
-    ints = np.array([3, 1, 3, 1, 2, 2, 0, -1])
-    pairs = np.stack([values, values[::-1]], axis=1)
-    text = TupleTable({"x": values, "i": ints, "pairs": pairs}).text
-    assert text["x"] == list(map(repr, values.tolist()))
-    assert text["i"] == list(map(repr, ints.tolist()))
-    assert text["pairs"] == [list(map(repr, column.tolist())) for column in pairs.T]
-
-
-def test_non_finite_table_cells_raise(tmp_path):
+@pytest.mark.parametrize("column", ["k_value", "component_phases"])
+def test_non_finite_table_cells_raise(tmp_path, column):
     report = analyzed()
-    k = report.tuples["k_value"].copy()
-    k[0] = np.nan
-    report.tuples = with_columns(report.tuples, k_value=k)
-    with pytest.raises(DomainError, match="k_value"):
-        emit_report(report, tmp_path / "r.json")
-    assert not (tmp_path / "r.json").exists()
+    values = report.tuples[column].copy()
+    values.flat[-1] = np.nan
+    report.tuples = with_columns(report.tuples, **{column: values})
+    with pytest.raises(DomainError, match=column):
+        write_artifacts(report, tmp_path / "out")
+    # The cells are checked before any file is opened.
+    assert list((tmp_path / "out").iterdir()) == []

@@ -514,7 +514,6 @@ TOP_KEY_SPECTRA = {
 TOP_KEY_REPLICAS = 1009
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("spectrum", TOP_KEY_SPECTRA)
 @pytest.mark.parametrize("replica", [0, 17, TOP_KEY_REPLICAS - 1])
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -587,20 +587,30 @@ def test_cli_rejects_a_param_that_is_not_a_finite_number(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("source, value, message", [
+WIDTH_CASES = [
     ("config", math.nan, "must be finite, got nan"),
     ("config", math.inf, "must be finite, got inf"),
     ("config", True, "must be a number, got True"),
     ("config", "0.1", "must be a number, got '0.1'"),
     ("flag", math.nan, "must be finite, got nan"),
     ("flag", -math.inf, "must be finite, got -inf"),
+]
+
+
+@pytest.mark.parametrize("key, source, value, message", [
+    *((key, *case) for key in ("sys_amplitude_sigma", "sys_phase_sigma")
+      for case in WIDTH_CASES),
+    # pseudo.tolerance has no flag.
+    ("tolerance", "config", math.nan, "must be finite, got nan"),
+    ("tolerance", "config", math.inf, "must be finite, got inf"),
+    ("tolerance", "config", False, "must be a number, got False"),
+    ("tolerance", "config", "x", "must be a number, got 'x'"),
 ])
-@pytest.mark.parametrize("key", ["sys_amplitude_sigma", "sys_phase_sigma"])
 def test_cli_rejects_a_systematic_width_that_is_not_a_finite_number(
     tmp_path, capsys, monkeypatch, key, source, value, message
 ):
     # NaN and Infinity ran and were written into report.json, which is then
-    # not JSON.
+    # not JSON. The pseudo tolerance is checked like the widths.
     monkeypatch.delenv("NULGI_CONFIG", raising=False)
     out = tmp_path / "out"
     argv = ["analyze", "--data", str(shared_csv(tmp_path)), "--out-dir", str(out),
