@@ -5,6 +5,10 @@ Runs the full pipeline on synthetic spectra for a grid of relative errors
 under both a quantum truth and a flat classical truth, and prints median
 and quantile z-scores per cell. The classical rows double as a calibration
 check: their medians should sit near zero.
+
+At order 3 each cell also prints the share of spectra whose exact tail
+P(count >= observed), under the null's exact count law, reaches 6 sigma
+(p <= Phi(-6)), out of the spectra that have the law; "-" where none does.
 """
 
 import argparse
@@ -12,17 +16,30 @@ import sys
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nulgi.montecarlo import PseudoConfig
 from nulgi.oscillation import OscParams
-from nulgi.pipeline import RunConfig, analyze_dataset
+from nulgi.pipeline import RunConfig, analyze_dataset, exact_null_law
+from nulgi.selection import attach_phases, select_ntuples
 from nulgi.synthetic import TRUTH_MODES, generate_synthetic
 
+SIX_SIGMA_P = ndtr(-6.0)
 
-def z_scores(params, truth, rel_error, args) -> list:
-    values = []
+
+def exact_tail(points, params, config, observed):
+    """P(count >= observed) under the exact null law, or None without one."""
+    decorated = attach_phases(points, params)
+    tuples = select_ntuples(decorated, config.order, config.tolerance, config.mismatch_mode)
+    law = exact_null_law(decorated, tuples, config)
+    return None if law is None else float(law[observed:].sum())
+
+
+def z_scores(params, truth, rel_error, args) -> tuple[list, list]:
+    """The z of every analysed spectrum, and the exact tails of those that have one."""
+    values, tails = [], []
     for seed in range(args.seeds):
         points = generate_synthetic(
             params, truth, args.bins, args.emin, args.emax, rel_error, seed
@@ -36,7 +53,10 @@ def z_scores(params, truth, rel_error, args) -> list:
         report = analyze_dataset(points, config)
         if report.status == "ok":
             values.append(report.z_score)
-    return values
+            tail = exact_tail(points, params, config, report.n_violations_observed)
+            if tail is not None:
+                tails.append(tail)
+    return values, tails
 
 
 def main(argv=None) -> int:
@@ -64,17 +84,24 @@ def main(argv=None) -> int:
         f"{args.seeds} seeds, {args.replicas} replicas, order {args.order}, "
         f"tolerance {args.tolerance}"
     )
-    print(f"{'truth':>16} {'rel_err':>8} {'n':>4} {'z16':>8} {'median':>8} {'z84':>8}")
+    print(
+        f"{'truth':>16} {'rel_err':>8} {'n':>4} {'z16':>8} {'median':>8} {'z84':>8} "
+        f"{'exact>=6s':>10}"
+    )
     for truth in TRUTH_MODES:
         for rel_error in args.rel_errors:
-            zs = z_scores(params, truth, rel_error, args)
+            zs, tails = z_scores(params, truth, rel_error, args)
             if not zs:
                 print(f"{truth:>16} {rel_error:>8.3f}    no tuples selected")
                 continue
             lo, med, hi = np.percentile(zs, [16, 50, 84])
+            share = (
+                f"{np.mean(np.array(tails) <= SIX_SIGMA_P):.0%} of {len(tails)}"
+                if tails else "-"
+            )
             print(
                 f"{truth:>16} {rel_error:>8.3f} {len(zs):>4} "
-                f"{lo:>8.3f} {med:>8.3f} {hi:>8.3f}"
+                f"{lo:>8.3f} {med:>8.3f} {hi:>8.3f} {share:>10}"
             )
     return 0
 

@@ -66,9 +66,10 @@ def _reject_unknown(given, schema, what: str) -> None:
 
 
 def _construct(schema, kw: dict, what: str):
+    """schema(**kw), its errors prefixed with the group they came from."""
     try:
         return schema(**kw)
-    except TypeError as exc:
+    except (TypeError, DomainError) as exc:
         raise DomainError(f"{what}: {exc}") from exc
 
 

@@ -9,7 +9,8 @@ never exceeds n - 2, so false positives arise exactly when estimator noise
 carries a drawn correlation outside the physical interval, which is how
 noisy estimates of bounded quantities actually behave. With zero
 uncertainties the draws collapse to the data and every replica count is
-zero.
+zero. At order 3 the count's whole law is also available exactly
+(order3_count_law), and counts_from_law draws replica counts from it.
 
 Counts of bound violations across replicas are summarized by a
 beta-binomial moment fit; shared points make tuples correlated, which is
@@ -32,6 +33,7 @@ from .errors import DomainError
 from .leggett_garg import lgi_bound
 from .sampling import (
     KEY_LIMIT,
+    STREAM_NULL_COUNT,
     STREAM_PSEUDODATA,
     STREAM_SYS_AMPLITUDE,
     STREAM_SYS_PHASE,
@@ -39,6 +41,7 @@ from .sampling import (
     normal,
     normal_from_keys,
     replicas_drawing_key,
+    uniform_from_keys,
 )
 from .selection import MeasuredPoint, TupleSet
 
@@ -70,6 +73,14 @@ MARGIN_EDGES = (np.nextafter(-1.0 + NULL_MARGIN, -np.inf), 1.0 - NULL_MARGIN)
 # Half-width, in keys, of the bracket _key_thresholds checks around the
 # ndtr estimate of each threshold key before bisecting inside it.
 KEY_BRACKET = 1 << 10
+
+# order3_count_law fixes a point whose less likely "C > 1" state has a
+# chance below ORDER3_FIXED_MASS at its likely state, and gives up (returns
+# None) when its largest factor would exceed ORDER3_LAW_ENTRIES float64s.
+ORDER3_FIXED_MASS = 1e-16
+ORDER3_LAW_ENTRIES = 1 << 20
+# counts_from_law draws keys in blocks of LAW_BLOCK replicas.
+LAW_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -118,6 +129,13 @@ class PseudoConfig:
                 raise DomainError(f"{name} must be finite, got {value!r}")
         if self.sys_amplitude_sigma < 0.0 or self.sys_phase_sigma < 0.0:
             raise DomainError("systematic sigmas must be non-negative")
+
+    @property
+    def draws_systematics(self) -> bool:
+        """Whether replicas draw nuisances: enabled, with a positive width."""
+        return self.include_systematics and (
+            self.sys_amplitude_sigma > 0.0 or self.sys_phase_sigma > 0.0
+        )
 
 
 @dataclass(frozen=True)
@@ -364,9 +382,7 @@ def classical_null_distribution(
     used, local = np.unique(tuples.comp_idx, return_inverse=True)
     local = local.reshape(tuples.comp_idx.shape)
 
-    use_sys = config.include_systematics and (
-        config.sys_amplitude_sigma > 0.0 or config.sys_phase_sigma > 0.0
-    )
+    use_sys = config.draws_systematics
     counts = np.zeros(config.replicas, dtype=np.int64)
     key_replicas, _ = null_block_shape(0, used.size, chunk_size)
     block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
@@ -624,6 +640,162 @@ def _order3_cut_counts(
         safe |= upper[:live]
         guarded.append(ids[~safe.all(axis=0)])
     return np.concatenate(guarded)
+
+
+def order3_count_law(
+    dataset: Sequence[MeasuredPoint], tuples: TupleSet
+) -> Optional[np.ndarray]:
+    """Exact law of the order-3 null count without systematics, or None.
+
+    Returns pmf, float64, with pmf[k] the probability that a replica of the
+    classical null counts k violations, trailing zeros trimmed; None when
+    the tuple graph is too wide for exact work. As classical_null_distribution
+    explains, a pair violates exactly when one component draw has C > 1 and
+    the other C < 1, so the count is the cut size of independent flags x_i =
+    [P_i > 1], Bernoulli(q_i) with q_i = Phi((p_i - 1) / sigma_i), on the
+    tuple graph. Every sigma a tuple reads must be positive. The law is that
+    of the exact arithmetic; the float expression departs from it only
+    inside the order-3 guard band, which the key path's proof bounds.
+
+    A point whose less likely state has probability below ORDER3_FIXED_MASS
+    is fixed at its likely state. The law is exact conditional on those
+    states, so the neglected mass, its total variation distance from the
+    unconditional law, is at most the sum over fixed points of min(q_i, 1 -
+    q_i), below ORDER3_FIXED_MASS times the point count.
+
+    The other, active points are summed out by bucket elimination (Dechter
+    1999) with factors that are count polynomials: an array over the flags
+    of the factor's points whose last axis holds the probability of each
+    count. A repeated pair (a, a) adds nothing, a pair that appears m times
+    is one edge of weight m (the polynomial t**m where its flags differ),
+    an edge between two fixed points shifts the whole law, and an edge to
+    one fixed point is a unary shift of the active end's polynomial. Points
+    are eliminated in min-degree order; eliminating one multiplies the
+    factors that hold it and sums its flag out. With width the most
+    neighbours a point has when eliminated, the largest factor has 2**(width
+    + 1) x (edges + 1) entries, edges being the tuples that are not a
+    repeated pair, and the law is None when that exceeds ORDER3_LAW_ENTRIES.
+    A 30-bin spectrum's graph is a forest or nearly one (width 1 to 4); at
+    100 bins the width is 33 to 39.
+    """
+    if tuples.n != 3:
+        raise DomainError(f"the exact count law is for order 3, got order {tuples.n}")
+    if len(tuples) == 0:
+        raise DomainError("no tuples to evaluate")
+    if tuples.size != len(dataset):
+        raise IndexError(f"tuples of a {tuples.size}-point dataset, given {len(dataset)} points")
+    pairs = np.sort(tuples.comp_idx, axis=1)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    edges = len(pairs)
+    if not edges:
+        return np.ones(1)
+    pairs, weights = np.unique(pairs, axis=0, return_counts=True)
+    used, ends = np.unique(pairs, return_inverse=True)
+    ends = ends.reshape(pairs.shape)
+    sds = np.array([dataset[i].sigma for i in used], dtype=float)
+    if not (sds > 0.0).all():
+        raise DomainError("the exact count law needs a positive sigma at every used point")
+    scaled = (np.array([dataset[i].p_mumu for i in used], dtype=float) - 1.0) / sds
+    # Each state's probability from its own tail keeps a rare one's digits.
+    above, below = ndtr(scaled), ndtr(-scaled)
+    fixed = np.minimum(above, below) < ORDER3_FIXED_MASS
+    likely = (above > below).astype(np.int64)
+
+    # Count added to a point's polynomial when its flag is 0 and when 1.
+    unary = np.zeros((used.size, 2), dtype=np.int64)
+    shift = 0
+    neighbours = {int(v): set() for v in np.flatnonzero(~fixed)}
+    active_edges = []
+    for (a, b), weight in zip(ends.tolist(), weights.tolist()):
+        if fixed[a] and fixed[b]:
+            shift += weight * int(likely[a] != likely[b])
+        elif fixed[a] or fixed[b]:
+            free, pinned = (b, a) if fixed[a] else (a, b)
+            unary[free, 1 - likely[pinned]] += weight
+        else:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+            active_edges.append(((a, b), _edge_factor(weight)))
+
+    order, width = [], 0
+    while neighbours:
+        point = min(neighbours, key=lambda v: (len(neighbours[v]), v))
+        clique = neighbours.pop(point)
+        width = max(width, len(clique))
+        if 2 ** (width + 1) * (edges + 1) > ORDER3_LAW_ENTRIES:
+            return None
+        for other in clique:
+            neighbours[other] |= clique - {other}
+            neighbours[other].discard(point)
+        order.append(point)
+
+    factors = active_edges
+    for point in order:
+        bucket = [factor for factor in factors if point in factor[0]]
+        factors = [factor for factor in factors if point not in factor[0]]
+        scope = sorted({point}.union(*(vars_ for vars_, _ in bucket)))
+        axis = scope.index(point)
+        flags = np.zeros((2, int(unary[point].max()) + 1))
+        flags[0, unary[point, 0]] = below[point]
+        flags[1, unary[point, 1]] = above[point]
+        table = flags.reshape([2 if i == axis else 1 for i in range(len(scope))] + [-1])
+        for vars_, factor in bucket:
+            shape = [2 if v in vars_ else 1 for v in scope] + [factor.shape[-1]]
+            table = _poly_mul(table, factor.reshape(shape))
+        factors.append((tuple(v for v in scope if v != point), table.sum(axis=axis)))
+
+    pmf = np.ones(1)
+    for _, factor in factors:
+        pmf = _poly_mul(pmf, factor)
+    return np.trim_zeros(np.concatenate([np.zeros(shift), pmf]), "b")
+
+
+def _edge_factor(weight: int) -> np.ndarray:
+    """The count polynomial of a tuple edge: t**weight where its two flags differ."""
+    factor = np.zeros((2, 2, weight + 1))
+    factor[0, 0, 0] = factor[1, 1, 0] = 1.0
+    factor[0, 1, weight] = factor[1, 0, weight] = 1.0
+    return factor
+
+
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Product of count polynomials (last axis), broadcast over the flag axes."""
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    flags = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.zeros(flags + (a.shape[-1] + b.shape[-1] - 1,))
+    for j in range(b.shape[-1]):
+        out[..., j:j + a.shape[-1]] += b[..., j, None] * a
+    return out
+
+
+def counts_from_law(law: np.ndarray, config: PseudoConfig) -> np.ndarray:
+    """Per-replica null counts drawn from the law of order3_count_law.
+
+    Replica r's count is the law's inverse CDF at its uniform
+    sampling.uniform_from_keys(draw_keys(seed, STREAM_NULL_COUNT, r, 0)):
+    the number of cumulative sums of the law at or below it, clipped to the
+    top of the support, which a uniform above the last sum (rounding keeps
+    it from being 1 exactly) would pass. A law with one support point
+    returns that count for every replica and draws no key. Like every
+    stream, a replica's count depends on (seed, r) alone. Keys are drawn
+    in blocks of LAW_BLOCK replicas into reused buffers, so the temporaries
+    stay small whatever the replica count.
+    """
+    support = np.flatnonzero(law)
+    if support.size == 1:
+        return np.full(config.replicas, support[0], dtype=np.int64)
+    cdf = np.cumsum(law)
+    counts = np.empty(config.replicas, dtype=np.int64)
+    keys, scratch = np.empty((2, min(config.replicas, LAW_BLOCK)), dtype=np.uint64)
+    for start in range(0, config.replicas, LAW_BLOCK):
+        ids = np.arange(start, min(config.replicas, start + LAW_BLOCK))
+        block_keys = draw_keys(
+            config.seed, STREAM_NULL_COUNT, ids, 0,
+            out=keys[:ids.size], scratch=scratch[:ids.size],
+        )
+        counts[ids] = np.searchsorted(cdf, uniform_from_keys(block_keys), side="right")
+    return np.minimum(counts, support[-1], out=counts)
 
 
 def fit_beta_binomial(counts: Sequence[int], trials_n: int) -> BetaBinomialFit:

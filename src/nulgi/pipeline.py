@@ -22,7 +22,9 @@ from .montecarlo import (
     SignificanceReport,
     chi_square_quantum,
     classical_null_distribution,
+    counts_from_law,
     fit_beta_binomial,
+    order3_count_law,
     z_significance,
 )
 from .oscillation import OscParams, accumulated_phase, survival_probability
@@ -235,6 +237,22 @@ def _config_echo(config: RunConfig, fitted: Optional[OscParams]) -> dict:
     return echo
 
 
+def exact_null_law(
+    points: Sequence[MeasuredPoint], tuples: TupleSet, config: RunConfig
+) -> Optional[np.ndarray]:
+    """The exact law the analysis draws its null counts from, or None.
+
+    Order 3 without systematics, with a positive sigma at every point a
+    tuple reads, takes montecarlo.order3_count_law where its tuple graph is
+    narrow enough; every other analysis runs the Monte Carlo null.
+    """
+    if config.order != 3 or config.pseudo.draws_systematics:
+        return None
+    if not all(points[i].sigma > 0.0 for i in np.unique(tuples.comp_idx).tolist()):
+        return None
+    return order3_count_law(points, tuples)
+
+
 def _analyze(
     points: Sequence[MeasuredPoint], config: RunConfig
 ) -> tuple[SignificanceReport, Optional[np.ndarray]]:
@@ -282,9 +300,13 @@ def _analyze(
     if all(p.sigma == 0.0 for p in decorated):
         report_warnings.append("all uncertainties are zero; the null is a point mass")
 
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        counts = classical_null_distribution(decorated, tuples, config.pseudo)
+    law = exact_null_law(decorated, tuples, config)
+    if law is not None:
+        counts = counts_from_law(law, config.pseudo)
+    else:
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore")
+            counts = classical_null_distribution(decorated, tuples, config.pseudo)
     fit = fit_beta_binomial(counts, len(tuples))
     z = z_significance(observed, fit)
     if fit.kind == "degenerate":

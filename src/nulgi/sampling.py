@@ -28,6 +28,7 @@ STREAM_SYS_AMPLITUDE = 2    # per-replica amplitude nuisance
 STREAM_SYS_PHASE = 3        # per-replica phase-scale nuisance
 STREAM_SYNTH_PROB = 4       # synthetic dataset probability noise
 STREAM_SYNTH_ENERGY = 5     # synthetic dataset bin placement jitter
+STREAM_NULL_COUNT = 6       # per-replica count drawn from an exact null law
 
 
 def _as_u64(word) -> np.ndarray:

@@ -1,0 +1,252 @@
+"""The exact order-3 null law, its sampler, and when the pipeline takes it.
+
+order3_count_law is checked against exhaustive enumeration of the 2^k
+above/below outcomes on hand-built graphs, and against the closed-form
+moments of oracles.exact_order3_null_moments on every spectrum the MINOS-like
+benchmark pool holds. counts_from_law is checked against the inverse CDF
+it documents and, by a G-test, against the law itself.
+"""
+
+import dataclasses
+import itertools
+import math
+from collections import namedtuple
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+from scipy.stats import chi2
+
+from nulgi import montecarlo, pipeline
+from nulgi.errors import DomainError
+from nulgi.montecarlo import PseudoConfig, counts_from_law, order3_count_law
+from nulgi.oscillation import OscParams
+from nulgi.pipeline import RunConfig
+from nulgi.sampling import STREAM_NULL_COUNT, draw_keys, uniform_from_keys
+from nulgi.selection import TupleSet, attach_phases, select_ntuples
+from nulgi.synthetic import generate_synthetic
+
+import oracles
+from test_montecarlo import counting_keys
+
+PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
+
+# The law reads a point's p_mumu and sigma only. A measured P lies in [0, 1],
+# so a point fixed above P = 1 needs this stand-in.
+Point = namedtuple("Point", "p_mumu sigma")
+
+# (points as (p, sigma), component pairs). Points at p 0.3, sigma 0.02 have
+# q = Phi(-35), which underflows: they are fixed below 1. A point at p 1.4 is
+# fixed above it.
+GRAPHS = {
+    "repeated pair": (
+        [(0.97, 0.05), (0.93, 0.04), (0.99, 0.02)],
+        [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)],
+    ),
+    "multi-edge": (
+        [(0.97, 0.05), (0.93, 0.04), (0.99, 0.02), (0.9, 0.1)],
+        [(0, 1), (0, 1), (1, 0), (1, 2), (2, 3), (3, 2)],
+    ),
+    "cycle": (
+        [(0.97, 0.05), (0.93, 0.04), (0.99, 0.02), (0.9, 0.1), (1.0, 0.03)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)],
+    ),
+    "complete": (
+        [(0.97, 0.05), (0.93, 0.04), (0.99, 0.02), (0.9, 0.1), (0.95, 0.03)],
+        list(itertools.combinations(range(5), 2)),
+    ),
+    "fixed points": (
+        [(0.97, 0.05), (0.93, 0.04), (0.3, 0.02), (1.4, 0.02), (0.99, 0.02), (0.3, 0.02)],
+        [(0, 2), (1, 3), (2, 3), (3, 2), (0, 1), (4, 3), (2, 5), (4, 4)],
+    ),
+    "all fixed": (
+        [(0.3, 0.02), (1.4, 0.02), (0.2, 0.01)],
+        [(0, 1), (1, 2), (0, 2), (0, 2)],
+    ),
+}
+
+
+def graph(name):
+    points, pairs = GRAPHS[name]
+    dataset = [Point(p, sigma) for p, sigma in points]
+    tuples = TupleSet(
+        n=3, size=len(dataset), comp_idx=pairs, target_idx=[0] * len(pairs),
+        mismatch=[0.0] * len(pairs),
+    )
+    return dataset, tuples
+
+
+def enumerated_law(dataset, pairs):
+    """The count's pmf over all 2^k above/below outcomes of every point."""
+    q = oracles.exceedance_probabilities(
+        [p.p_mumu for p in dataset], [p.sigma for p in dataset]
+    )
+    pmf = np.zeros(len(pairs) + 1)
+    for above in itertools.product((False, True), repeat=len(q)):
+        weight = math.prod(qi if a else 1.0 - qi for qi, a in zip(q, above))
+        pmf[sum(above[a] != above[b] for a, b in pairs)] += weight
+    return pmf
+
+
+@pytest.mark.parametrize("name", GRAPHS)
+def test_law_matches_enumeration(name):
+    dataset, tuples = graph(name)
+    law = order3_count_law(dataset, tuples)
+    want = enumerated_law(dataset, GRAPHS[name][1])
+    assert law[-1] > 0.0 and law.size <= want.size
+    # Beyond the law's support lies at most the fixed points' neglected mass.
+    assert_allclose(np.pad(law, (0, want.size - law.size)), want, rtol=0.0, atol=1e-12)
+
+
+def test_all_fixed_graph_is_one_shifted_point():
+    # Points 0 and 2 sit below P = 1 and point 1 above: the edges (0, 1)
+    # and (1, 2) are cut in every replica, the double edge (0, 2) never.
+    law = order3_count_law(*graph("all fixed"))
+    assert law.tolist() == [0.0, 0.0, 1.0]
+
+
+def pool_spectrum(truth, seed):
+    points = attach_phases(
+        generate_synthetic(PARAMS, truth, 30, 0.5, 50.0, 0.05, seed), PARAMS
+    )
+    return points, select_ntuples(points, 3, 0.005)
+
+
+@pytest.mark.parametrize("truth", ["quantum", "classical_flat"])
+def test_law_moments_match_the_oracle_on_the_minos_pool(truth):
+    for seed in range(32):
+        points, tuples = pool_spectrum(truth, seed)
+        law = order3_count_law(points, tuples)
+        q = oracles.exceedance_probabilities(
+            [p.p_mumu for p in points], [p.sigma for p in points]
+        )
+        want_mean, want_sd = oracles.exact_order3_null_moments(tuples.comp_idx, q)
+        counts = np.arange(law.size)
+        mean = float(law @ counts)
+        sd = math.sqrt(float(law @ (counts - mean) ** 2))
+        assert_allclose((mean, sd), (want_mean, want_sd), rtol=1e-12, atol=0.0)
+        if truth == "classical_flat":
+            assert law.tolist() == [1.0]
+
+
+def test_law_is_none_beyond_its_budget(monkeypatch):
+    # Quantum seed 0 has width 1 and 20 edges (one of its 21 tuples is a
+    # repeated pair): a largest factor of 2**2 x 21 entries.
+    points, tuples = pool_spectrum("quantum", 0)
+    monkeypatch.setattr(montecarlo, "ORDER3_LAW_ENTRIES", 4 * 21)
+    assert order3_count_law(points, tuples) is not None
+    monkeypatch.setattr(montecarlo, "ORDER3_LAW_ENTRIES", 4 * 21 - 1)
+    assert order3_count_law(points, tuples) is None
+
+
+def test_law_validation():
+    points, tuples = pool_spectrum("quantum", 0)
+    with pytest.raises(DomainError, match="order 3"):
+        order3_count_law(points, select_ntuples(points, 4, 0.005))
+    empty = TupleSet(n=3, size=len(points), comp_idx=[], target_idx=[], mismatch=[])
+    with pytest.raises(DomainError, match="no tuples"):
+        order3_count_law(points, empty)
+    used = int(tuples.comp_idx[0, 0])
+    points[used] = dataclasses.replace(points[used], sigma_stat=0.0)
+    with pytest.raises(DomainError, match="positive sigma"):
+        order3_count_law(points, tuples)
+
+
+@pytest.mark.parametrize("replicas", [1, 5, montecarlo.LAW_BLOCK, 3 * montecarlo.LAW_BLOCK + 7])
+def test_sampled_counts_are_the_inverse_cdf_of_each_replica_uniform(replicas):
+    law = order3_count_law(*pool_spectrum("quantum", 0))
+    counts = counts_from_law(law, PseudoConfig(replicas=replicas, seed=6))
+    uniform = uniform_from_keys(draw_keys(6, STREAM_NULL_COUNT, np.arange(replicas), 0))
+    want = np.minimum(np.searchsorted(np.cumsum(law), uniform, side="right"), law.size - 1)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, want)
+
+
+def test_counts_above_the_last_cumulative_sum_are_clipped_to_the_support():
+    # The sums reach only 0.75: every uniform above lands on the top count.
+    law = np.array([0.25, 0.0, 0.5])
+    counts = counts_from_law(law, PseudoConfig(replicas=20_000, seed=3))
+    assert counts.max() == 2
+    assert np.count_nonzero(counts == 1) == 0
+
+
+def test_sampled_histogram_agrees_with_the_law_by_a_g_test():
+    law = order3_count_law(*pool_spectrum("quantum", 1))
+    replicas = 200_000
+    counts = counts_from_law(law, PseudoConfig(replicas=replicas, seed=41))
+    observed = np.bincount(counts, minlength=law.size).astype(float)
+    expected = law * replicas
+    assert not observed[expected == 0.0].any()
+    observed, expected = observed[expected > 0.0], expected[expected > 0.0]
+    # Pool the sparse tail into one cell so that every cell expects >= 5.
+    cut = int(np.flatnonzero(expected[::-1].cumsum()[::-1] >= 5.0)[-1])
+    observed = np.append(observed[:cut], observed[cut:].sum())
+    expected = np.append(expected[:cut], expected[cut:].sum())
+    assert expected.min() >= 5.0
+    seen = observed > 0
+    g = 2.0 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+    assert observed.size >= 6
+    assert chi2.sf(g, observed.size - 1) > 1e-3
+
+
+def test_a_single_point_law_hashes_no_key(monkeypatch):
+    hashed = counting_keys(monkeypatch)
+    counts = counts_from_law(np.array([0.0, 0.0, 1.0]), PseudoConfig(replicas=1000, seed=2))
+    assert counts.tolist() == [2] * 1000 and counts.dtype == np.int64
+    # A classical_flat spectrum's law is one point at 0, so its analysis
+    # hashes no key either.
+    points, _ = pool_spectrum("classical_flat", 0)
+    report, counts = pipeline._analyze(points, RunConfig(params=PARAMS))
+    assert not counts.any() and report.null_fit.kind == "degenerate"
+    assert not hashed
+
+
+def recording_null(monkeypatch):
+    """Record the calls the pipeline makes to classical_null_distribution."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return montecarlo.classical_null_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "classical_null_distribution", recorded)
+    return calls
+
+
+def dispatched(monkeypatch, points, **overrides):
+    """Whether an analysis reached the Monte Carlo null, and its counts."""
+    calls = recording_null(monkeypatch)
+    pseudo = PseudoConfig(replicas=2000, seed=5, **overrides.pop("pseudo", {}))
+    config = RunConfig(params=PARAMS, pseudo=pseudo, **overrides)
+    _, counts = pipeline._analyze(points, config)
+    return bool(calls), counts
+
+
+def test_the_law_serves_order3_without_systematics(monkeypatch):
+    points, tuples = pool_spectrum("quantum", 0)
+    called, counts = dispatched(monkeypatch, points)
+    assert not called
+    law = order3_count_law(points, tuples)
+    assert np.array_equal(counts, counts_from_law(law, PseudoConfig(replicas=2000, seed=5)))
+    # Enabled systematics with zero widths draw no nuisance: still the law.
+    called, same = dispatched(
+        monkeypatch, points, pseudo={"include_systematics": True}
+    )
+    assert not called and np.array_equal(same, counts)
+
+
+@pytest.mark.parametrize("case", ["order 4", "over budget", "zero sigma", "systematics"])
+def test_other_nulls_reach_the_monte_carlo(monkeypatch, case):
+    points, tuples = pool_spectrum("quantum", 0)
+    overrides = {}
+    if case == "order 4":
+        overrides["order"] = 4
+    elif case == "over budget":
+        monkeypatch.setattr(montecarlo, "ORDER3_LAW_ENTRIES", 1)
+    elif case == "zero sigma":
+        used = int(tuples.comp_idx[0, 0])
+        points[used] = dataclasses.replace(points[used], sigma_stat=0.0)
+    else:
+        overrides["pseudo"] = {"include_systematics": True, "sys_amplitude_sigma": 0.05}
+    called, _ = dispatched(monkeypatch, points, **overrides)
+    assert called

@@ -55,12 +55,12 @@ EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 DIGESTS = {
     "spectrum.csv": "277b16b2719a123664c2033f2bf1c756e430c45d50ed13269eb2b4f0804f7b94",
-    "analyze-n3/stdout": "c92b2e9ec350a78f74be335e7ef6e21fa4ecd7da58ce5c64a6b761d10634938d",
+    "analyze-n3/stdout": "3faf9e28644cf55888c3be6575c1ad65982651156af3a31d010b25767c64c75c",
     "analyze-n3/stderr": EMPTY,
-    "analyze-n3/report.json": "b2819324ab271d8bbd9081bee90df16929b737a1f3284df553ddd7c30a11d00a",
+    "analyze-n3/report.json": "56c5aeda52705804cd36d099c6251889af0f3ac627503c038a009fbbd778196a",
     "analyze-n3/tuples.csv": "f33536eac094cabbd76fba918bba8acd90787ca75dc7a53bdb9fa4ab1bdd0663",
     "analyze-n3/k_vs_phase.csv": "957f05c709e39495d9743a467ff60cd70f45510cae68ba88f7d6051b35ea34dc",
-    "analyze-n3/null_counts.csv": "2a27ea1cd877f837672f8cca182370b2819f94502ced43335bd84e64e3dbb167",
+    "analyze-n3/null_counts.csv": "955ccc7cbc4e27ec35e45e6dee0788897c53501f2a6b96653a95c71df35683fa",
     "analyze-n3/curve.csv": "6662bc52a3382502cb215a7da71404b425e7aebba9454ee31b82d74fd2d0cdf0",
     "analyze-n4-fit/stdout": "25b797a72f4e8046b0134c5d8164e44afa134dc15b388302f268b9295ecb9397",
     "analyze-n4-fit/stderr": EMPTY,

@@ -421,7 +421,9 @@ def test_cli_rejects_a_pseudo_count_that_is_not_an_integer(tmp_path, capsys, key
          "--out-dir", str(out)]
     )
     assert code == EXIT_DOMAIN
-    assert capsys.readouterr().err == f"config error: {key} must be an integer, got {value!r}\n"
+    assert capsys.readouterr().err == (
+        f"config error: pseudo: {key} must be an integer, got {value!r}\n"
+    )
     assert not out.exists()
 
 
@@ -471,7 +473,8 @@ def test_cli_rejects_a_switch_that_is_not_a_bool(tmp_path, capsys, config):
          "--out-dir", str(out)]
     )
     assert code == EXIT_DOMAIN
-    err = f"config error: {key} must be true or false, got {value!r}\n"
+    group = "pseudo: " if "pseudo" in config else ""
+    err = f"config error: {group}{key} must be true or false, got {value!r}\n"
     assert capsys.readouterr() == ("", err)
     assert not out.exists()
 
@@ -583,7 +586,7 @@ def test_cli_rejects_a_param_that_is_not_a_finite_number(
          "--out-dir", str(out)]
     )
     assert code == EXIT_DOMAIN
-    assert capsys.readouterr() == ("", f"config error: {key} {message}\n")
+    assert capsys.readouterr() == ("", f"config error: params: {key} {message}\n")
     assert not out.exists()
 
 
@@ -620,7 +623,25 @@ def test_cli_rejects_a_systematic_width_that_is_not_a_finite_number(
     else:
         argv += ["--params", PARAMS_JSON, f"--{key.replace('_', '-')}={value!r}"]
     assert main(argv) == EXIT_DOMAIN
-    assert capsys.readouterr() == ("", f"config error: {key} {message}\n")
+    assert capsys.readouterr() == ("", f"config error: pseudo: {key} {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, err", [
+    ("pseudo", "config error: pseudo: tolerance must be finite, got nan\n"),
+    ("config", "config error: tolerance must be positive, got nan\n"),
+])
+def test_cli_names_the_group_of_a_bad_nested_setting(tmp_path, capsys, monkeypatch, section, err):
+    # Both tolerances used to be reported under the bare field name.
+    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+    overrides = {"pseudo": {"tolerance": math.nan}} if section == "pseudo" else {
+        "tolerance": math.nan
+    }
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", str(config_file(tmp_path, "c.json", **overrides)),
+            "--data", str(shared_csv(tmp_path)), "--out-dir", str(out)]
+    assert main(argv) == EXIT_DOMAIN
+    assert capsys.readouterr() == ("", err)
     assert not out.exists()
 
 
@@ -636,7 +657,7 @@ def test_cli_rejects_a_matter_potential(tmp_path, capsys, monkeypatch, command):
     else:
         argv += ["--out", str(out)]
     assert main(argv) == EXIT_DOMAIN
-    err = "config error: v_c must be 0 (analyses run in vacuum), got 1e-11\n"
+    err = "config error: params: v_c must be 0 (analyses run in vacuum), got 1e-11\n"
     assert capsys.readouterr() == ("", err)
     assert not out.exists()
 
