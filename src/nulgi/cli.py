@@ -6,7 +6,8 @@ Settings merge in fixed precedence: package defaults, then the JSON config
 file (--config flag or NULGI_CONFIG env var), then explicit flags.
 
 Exit codes: 0 success, 2 unusable input data, 3 bad configuration or
-out-of-domain argument, 4 analysis ran but no tuples satisfied the sum rule.
+out-of-domain argument (a selection past the tuple budget among them), 4
+analysis ran but no tuples satisfied the sum rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dataio import table_csv_text, write_dataset_csv, write_table_csv
 from .errors import DataError, DomainError
 from .montecarlo import PseudoConfig
 from .oscillation import OscParams
-from .pipeline import RunConfig, curve_table, run_analysis, run_triples
+from .pipeline import RunConfig, curve_rows, run_analysis, run_triples
 from .synthetic import TRUTH_MODES, generate_synthetic
 
 CONFIG_ENV = "NULGI_CONFIG"
@@ -120,11 +121,8 @@ def _emit_rows(header, rows, out: Optional[Path]) -> None:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     config = _build_config(args, "curve")
-    energies, probs = curve_table(
-        config.params, config.e_min_gev, config.e_max_gev, args.points
-    )
-    rows = [(float(e), float(p)) for e, p in zip(energies, probs)]
-    _emit_rows(("energy_gev", "p_model"), rows, args.out)
+    header, rows = curve_rows(config.params, config.e_min_gev, config.e_max_gev, args.points)
+    _emit_rows(header, rows, args.out)
     return EXIT_OK
 
 

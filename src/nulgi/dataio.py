@@ -314,7 +314,8 @@ def table_csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            v if type(v) is str else repr(float(v)) if isinstance(v, float) else str(v)
+            repr(v) if type(v) is float else v if type(v) is str
+            else repr(float(v)) if isinstance(v, float) else str(v)
             for v in row
         ))
     return "\n".join(lines) + "\n"

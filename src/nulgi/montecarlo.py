@@ -79,8 +79,11 @@ KEY_BRACKET = 1 << 10
 # None) when its largest factor would exceed ORDER3_LAW_ENTRIES float64s.
 ORDER3_FIXED_MASS = 1e-16
 ORDER3_LAW_ENTRIES = 1 << 20
-# counts_from_law draws keys in blocks of LAW_BLOCK replicas.
+# counts_from_law draws keys in blocks of LAW_BLOCK replicas. It compares
+# each key with up to LAW_SCAN_LEVELS thresholds, one pass each, and
+# binary-searches larger sets.
 LAW_BLOCK = 1 << 14
+LAW_SCAN_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -560,14 +563,9 @@ def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
     e. Found by bisection on the assumption that C is non-decreasing in
     the key; KEY_LIMIT means no key reaches the edge.
 
-    The bisection starts from a bracket of KEY_BRACKET keys either side of
-    an ndtr estimate of the threshold where both its ends check out with
-    the draws' float operations: the key below the bracket does not reach
-    the edge, unless the bracket starts at 0, and its top key does, unless
-    it is KEY_LIMIT. Where a check fails, at sigma 0 and where the estimate
-    is not finite, the search starts from [0, KEY_LIMIT]. For a
-    non-decreasing C both hold the same first key, so the bracket only
-    shortens the search.
+    The bisection (_first_keys) starts from a bracket of KEY_BRACKET keys
+    either side of an ndtr estimate of the threshold; at sigma 0 and where
+    the estimate is not finite it searches all of [0, KEY_LIMIT].
     """
     probs = np.ravel(probs)
     sds = np.ravel(sds)
@@ -585,20 +583,32 @@ def _key_thresholds(probs: np.ndarray, sds: np.ndarray, edges) -> np.ndarray:
         guess = ndtr(((1.0 + edges) / 2.0 - probs) / sds) * KEY_LIMIT - 0.5
         usable = np.isfinite(guess) & (sds > 0.0)
         guess = np.where(usable, guess, 0.0).astype(np.int64)
-        lo = np.clip(guess - KEY_BRACKET, 0, KEY_LIMIT)
-        hi = np.clip(guess + KEY_BRACKET, 0, KEY_LIMIT)
-        usable &= (lo == 0) | ~reached(np.maximum(lo - 1, 0))
-        usable &= (hi == KEY_LIMIT) | reached(np.minimum(hi, KEY_LIMIT - 1))
-        lo = np.where(usable, lo, 0)
-        hi = np.where(usable, hi, KEY_LIMIT)
-        # Every key at or past KEY_LIMIT - 1 maps to u = 1 and reaches every
-        # edge (0 * inf is nan at sigma 0), so once lo == hi the step below
-        # leaves both in place; each step at least halves hi - lo.
-        for _ in range(int((hi - lo).max()).bit_length()):
-            mid = (lo + hi) >> 1
-            now = reached(mid)
-            hi = np.where(now, mid, hi)
-            lo = np.where(now, lo, mid + 1)
+        return _first_keys(reached, guess, usable, KEY_BRACKET)
+
+
+def _first_keys(reached, guess: np.ndarray, usable: np.ndarray, bracket: int) -> np.ndarray:
+    """Per element, the first key below KEY_LIMIT at which reached holds, else KEY_LIMIT.
+
+    reached maps an int64 array of keys to a bool array of the same shape
+    and is non-decreasing in each key. The search
+    bisects the bracket guess +- bracket where usable and both its ends
+    check out (the key below it does not reach, unless it starts at 0, and
+    its top key does, unless it is KEY_LIMIT), and [0, KEY_LIMIT] elsewhere.
+    For a non-decreasing reached both hold the same first key, so the
+    bracket only shortens the search.
+    """
+    lo = np.clip(guess - bracket, 0, KEY_LIMIT)
+    hi = np.clip(guess + bracket, 0, KEY_LIMIT)
+    usable = usable & ((lo == 0) | ~reached(np.maximum(lo - 1, 0)))
+    usable &= (hi == KEY_LIMIT) | reached(np.minimum(hi, KEY_LIMIT - 1))
+    lo = np.where(usable, lo, 0)
+    hi = np.where(usable, hi, KEY_LIMIT)
+    # Each step at least halves hi - lo and leaves lo == hi in place.
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) >> 1
+        now = reached(mid)
+        hi = np.where(now, mid, hi)
+        lo = np.where(now, lo, np.minimum(mid + 1, hi))
     return lo
 
 
@@ -769,6 +779,23 @@ def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def law_thresholds(law: np.ndarray) -> np.ndarray:
+    """Per cumulative sum c of law, the first key whose uniform reaches it.
+
+    Returns int64 keys in [0, KEY_LIMIT], non-decreasing: per c, the first
+    key k with sampling.uniform_from_keys(k) >= c, computed with those float
+    operations, and KEY_LIMIT when no key reaches c. A key's uniform is at
+    or above c exactly when the key is at or above c's threshold, since the
+    uniform is non-decreasing in the key.
+    """
+    cdf = np.cumsum(law)
+    # u = (k + 0.5) 2**-53 first reaches c within two keys of c 2**53.
+    guess = np.floor(cdf * float(KEY_LIMIT))
+    usable = np.isfinite(guess)
+    guess = np.where(usable, np.clip(guess, 0, KEY_LIMIT), 0).astype(np.int64)
+    return _first_keys(lambda keys: uniform_from_keys(keys) >= cdf, guess, usable, 2)
+
+
 def counts_from_law(law: np.ndarray, config: PseudoConfig) -> np.ndarray:
     """Per-replica null counts drawn from the law of order3_count_law.
 
@@ -776,17 +803,18 @@ def counts_from_law(law: np.ndarray, config: PseudoConfig) -> np.ndarray:
     sampling.uniform_from_keys(draw_keys(seed, STREAM_NULL_COUNT, r, 0)):
     the number of cumulative sums of the law at or below it, clipped to the
     top of the support, which a uniform above the last sum (rounding keeps
-    it from being 1 exactly) would pass. A law with one support point
-    returns that count for every replica and draws no key. Like every
-    stream, a replica's count depends on (seed, r) alone. Keys are drawn
-    in blocks of LAW_BLOCK replicas into reused buffers, so the temporaries
-    stay small whatever the replica count.
+    it from being 1 exactly) would pass. A law under which every key gets
+    one count, such as a law with one support point, draws no key. Like
+    every stream, a replica's count depends on (seed, r) alone. Keys are
+    drawn in blocks of LAW_BLOCK replicas into reused buffers, so the
+    temporaries stay small whatever the replica count, and LawCounter
+    counts each block.
     """
-    support = np.flatnonzero(law)
-    if support.size == 1:
-        return np.full(config.replicas, support[0], dtype=np.int64)
-    cdf = np.cumsum(law)
+    counter = LawCounter(law)
     counts = np.empty(config.replicas, dtype=np.int64)
+    if counter.constant is not None:
+        counts.fill(counter.constant)
+        return counts
     keys, scratch = np.empty((2, min(config.replicas, LAW_BLOCK)), dtype=np.uint64)
     for start in range(0, config.replicas, LAW_BLOCK):
         ids = np.arange(start, min(config.replicas, start + LAW_BLOCK))
@@ -794,8 +822,47 @@ def counts_from_law(law: np.ndarray, config: PseudoConfig) -> np.ndarray:
             config.seed, STREAM_NULL_COUNT, ids, 0,
             out=keys[:ids.size], scratch=scratch[:ids.size],
         )
-        counts[ids] = np.searchsorted(cdf, uniform_from_keys(block_keys), side="right")
-    return np.minimum(counts, support[-1], out=counts)
+        counter.count(block_keys, out=counts[start:start + ids.size])
+    return counts
+
+
+class LawCounter:
+    """Counts of keys under a law, by integer comparison with law_thresholds.
+
+    Clipping to the top of the support S drops every sum from the S-th on:
+    the thresholds are non-decreasing, so min(#{j : t_j <= k}, S) is #{j <
+    S : t_j <= k}. Equal sums (a zero inside the law) share a threshold, so
+    a key counts the distinct thresholds, the levels, at or below it, one
+    comparison pass each into a uint8 buffer, and table maps that number of
+    levels to the count. Level 0 is at or below every key and level
+    KEY_LIMIT above every key, so neither takes a pass; with no level in
+    between every key gets the same count, constant. Past LAW_SCAN_LEVELS
+    levels a binary search replaces the passes.
+    """
+
+    def __init__(self, law: np.ndarray) -> None:
+        thresholds = law_thresholds(law)[:np.flatnonzero(law)[-1]]
+        levels, first = np.unique(thresholds, return_index=True)
+        self.table = np.append(first, thresholds.size)
+        self.base = int(np.count_nonzero(levels == 0))
+        inner = (levels > 0) & (levels < KEY_LIMIT)
+        self.levels = levels[inner].astype(np.uint64)
+        self.constant = None if self.levels.size else int(self.table[self.base])
+
+    def count(self, keys: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The count of each uint64 key, written to out (int64) when given."""
+        if out is None:
+            out = np.empty(keys.shape, dtype=np.int64)
+        if self.levels.size > LAW_SCAN_LEVELS:
+            below = np.searchsorted(self.levels, keys, side="right")
+            below += self.base
+        else:
+            below = np.full(keys.shape, self.base, dtype=np.uint8)
+            flags = np.empty(keys.shape, dtype=bool)
+            for level in self.levels:
+                np.greater_equal(keys, level, out=flags)
+                below += flags
+        return np.take(self.table, below, out=out, mode="clip")
 
 
 def fit_beta_binomial(counts: Sequence[int], trials_n: int) -> BetaBinomialFit:

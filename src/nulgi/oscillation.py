@@ -77,6 +77,16 @@ class OscParams:
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")
 
 
+def phase_scale(params: OscParams) -> float:
+    """The phase at 1 GeV: accumulated_phase(params, E) is phase_scale(params) / E.
+
+    Dividing it by an array of energies gives, element by element, the
+    float accumulated_phase gives for each energy: both evaluate the one
+    expression ((kappa |dm2|) baseline) / E.
+    """
+    return PHASE_PER_EV2_KM_OVER_GEV * abs(params.dm2) * params.baseline_km
+
+
 def accumulated_phase(params: OscParams, energy_gev: float) -> float:
     """Vacuum phase |dm2| * baseline / (4 E) in natural units, in radians.
 
@@ -85,7 +95,7 @@ def accumulated_phase(params: OscParams, energy_gev: float) -> float:
     """
     if not energy_gev > 0.0:
         raise DomainError(f"energy must be positive, got {energy_gev} GeV")
-    return PHASE_PER_EV2_KM_OVER_GEV * abs(params.dm2) * params.baseline_km / energy_gev
+    return phase_scale(params) / energy_gev
 
 
 def survival_probability(sin2_2theta: float, psi):

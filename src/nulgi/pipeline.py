@@ -27,7 +27,7 @@ from .montecarlo import (
     order3_count_law,
     z_significance,
 )
-from .oscillation import OscParams, accumulated_phase, survival_probability
+from .oscillation import OscParams, phase_scale, survival_probability
 from .selection import (
     MISMATCH_MODES,
     MeasuredPoint,
@@ -105,14 +105,35 @@ class RunConfig:
 def curve_table(
     params: OscParams, e_min_gev: float, e_max_gev: float, points: int = 400
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense model survival curve on a log energy grid."""
+    """Dense model survival curve on a log energy grid.
+
+    Each phase is the float accumulated_phase gives for its energy.
+    """
     if not 0.0 < e_min_gev < e_max_gev:
         raise DomainError("need 0 < e_min_gev < e_max_gev")
     if points < 2:
         raise DomainError(f"points must be at least 2, got {points}")
     energies = np.geomspace(e_min_gev, e_max_gev, points)
-    psis = np.array([accumulated_phase(params, e) for e in energies])
+    psis = phase_scale(params) / energies
     return energies, np.asarray(survival_probability(params.sin2_2theta, psis))
+
+
+def curve_rows(
+    params: OscParams, e_min_gev: float, e_max_gev: float, points: int = 400,
+    fitted: Optional[OscParams] = None,
+) -> tuple[list, list]:
+    """Header and rows of a curve table, for `nulgi curve` and analyze's curve.csv.
+
+    Columns energy_gev and p_model of curve_table, then p_model_fitted, the
+    fitted model on the same energies, when fitted is given. Cells are
+    Python floats.
+    """
+    energies, model = curve_table(params, e_min_gev, e_max_gev, points)
+    header, columns = ["energy_gev", "p_model"], [energies, model]
+    if fitted is not None:
+        header.append("p_model_fitted")
+        columns.append(curve_table(fitted, e_min_gev, e_max_gev, points)[1])
+    return header, list(zip(*(column.tolist() for column in columns)))
 
 
 def fit_curve_params(dataset: Sequence[MeasuredPoint], params: OscParams) -> OscParams:
@@ -128,8 +149,7 @@ def fit_curve_params(dataset: Sequence[MeasuredPoint], params: OscParams) -> Osc
     sigmas = np.array([max(p.sigma, 1.0e-6) for p in dataset])
     weights = 1.0 / sigmas**2
 
-    base = dataclasses.replace(params, dm2=1.0)
-    psi_per_dm2 = np.array([accumulated_phase(base, e) for e in energies])
+    psi_per_dm2 = phase_scale(dataclasses.replace(params, dm2=1.0)) / energies
 
     def best_for(dm2_values: np.ndarray) -> tuple[float, float, float]:
         best = (math.inf, params.dm2, params.sin2_2theta)
@@ -363,27 +383,23 @@ def _write_artifacts(
         (out / "tuples.csv", TUPLE_COLUMNS), (out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS)
     ))
     if counts is not None:
-        values, freq = np.unique(counts, return_counts=True)
         write_table_csv(
-            out / "null_counts.csv",
-            ("violations", "replicas"),
-            [(int(v), int(f)) for v, f in zip(values, freq)],
+            out / "null_counts.csv", ("violations", "replicas"), null_count_rows(counts)
         )
     if points:
         lo = min(p.energy_gev for p in points)
         hi = max(p.energy_gev for p in points)
-        energies, model = curve_table(config.params, lo, hi)
-        header = ["energy_gev", "p_model"]
-        cols = [energies, model]
-        if "fitted_params" in report.config:
-            fitted = OscParams(**report.config["fitted_params"])
-            cols.append(curve_table(fitted, lo, hi)[1])
-            header.append("p_model_fitted")
-        write_table_csv(
-            out / "curve.csv",
-            header,
-            [tuple(float(c[i]) for c in cols) for i in range(len(energies))],
-        )
+        fitted = report.config.get("fitted_params")
+        write_table_csv(out / "curve.csv", *curve_rows(
+            config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
+        ))
+
+
+def null_count_rows(counts: np.ndarray) -> list:
+    """(violations, replicas) of each count the null drew, in ascending order."""
+    replicas = np.bincount(counts)
+    violations = np.flatnonzero(replicas)
+    return list(zip(violations.tolist(), replicas[violations].tolist()))
 
 
 def run_analysis(config: RunConfig) -> SignificanceReport:

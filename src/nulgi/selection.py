@@ -147,14 +147,26 @@ def _require_phases(dataset: Sequence[MeasuredPoint]) -> np.ndarray:
 # Candidate component multisets evaluated per block of selection.
 SELECT_BLOCK_ROWS = 1 << 13
 
+# select_ntuples refuses a selection of more than SELECT_BUDGET_BYTES //
+# TUPLE_BYTES tuples. TUPLE_BYTES is about what one order-4 tuple costs
+# through an analysis: its selection row, held twice while it is sorted,
+# and the float and index columns of pipeline.tuple_table. The budget
+# admits the 7.1M tuples of a 400-bin order-4 spectrum at the default
+# tolerance and refuses the roughly sixteen times as many at 800 bins
+# before they fill memory.
+TUPLE_BYTES = 256
+SELECT_BUDGET_BYTES = 1 << 31
+
 
 def _multiset_blocks(size: int, k: int):
     """Every k-multiset of range(size) as a nondecreasing row, in lexicographic
-    order, in blocks of at most SELECT_BLOCK_ROWS rows sharing a leading index.
+    order, in blocks of at most SELECT_BLOCK_ROWS rows.
 
-    Each block's rows are its leading index a followed by a slice of the
-    (k-1)-multisets whose first entry is a or more, so only that smaller
-    table and one block exist at a time.
+    The rows led by index a are a followed by each (k-1)-multiset whose first
+    entry is a or more, a suffix of that smaller table. A block takes
+    SELECT_BLOCK_ROWS consecutive rows of the runs for a = 0, 1, ..., so it
+    may span several leading indices; only the smaller table and one block
+    exist at a time.
     """
     rest = np.fromiter(
         itertools.chain.from_iterable(
@@ -162,10 +174,21 @@ def _multiset_blocks(size: int, k: int):
         ),
         dtype=np.int64,
     ).reshape(-1, k - 1)
+    left = math.comb(size + k - 1, k)
+    fill = 0
     for a, start in enumerate(np.searchsorted(rest[:, 0], np.arange(size)).tolist()):
-        for lo in range(start, len(rest), SELECT_BLOCK_ROWS):
-            tail = rest[lo:lo + SELECT_BLOCK_ROWS]
-            yield np.column_stack((np.full(len(tail), a, dtype=np.int64), tail))
+        while start < len(rest):
+            if not fill:
+                block = np.empty((min(SELECT_BLOCK_ROWS, left), k), dtype=np.int64)
+            rows = min(len(rest) - start, len(block) - fill)
+            block[fill:fill + rows, 0] = a
+            block[fill:fill + rows, 1:] = rest[start:start + rows]
+            start += rows
+            fill += rows
+            if fill == len(block):
+                left -= fill
+                fill = 0
+                yield block
 
 
 def _residual(total: np.ndarray, psi_c: np.ndarray, mismatch_mode: str) -> np.ndarray:
@@ -210,6 +233,10 @@ def select_ntuples(
     sum is located among the sorted phases by binary search (Gajentaan and
     Overmars' 3SUM scan). Of the two neighbouring phases the one with the
     smaller key (|residual|, phase, dataset index) is the target.
+
+    The scan keeps a running count of the tuples it has accepted and raises
+    DomainError once it passes SELECT_BUDGET_BYTES // TUPLE_BYTES, before
+    the tuples and the analysis of them could fill memory.
     """
     if not isinstance(n, int) or n < 3:
         raise DomainError(f"order must be an integer >= 3, got {n}")
@@ -229,6 +256,8 @@ def select_ntuples(
     # phase <= 0, never serves as a target.
     cand_psi = np.concatenate(([0.0], psis[order], [0.0]))
     cand_idx = np.concatenate(([-1], order, [-1]))
+    budget = SELECT_BUDGET_BYTES // TUPLE_BYTES
+    kept = 0
     found = []
     for combos in _multiset_blocks(size, n - 1):
         total = psis[combos[:, 0]]
@@ -243,6 +272,13 @@ def select_ntuples(
         take_upper = np.abs(upper_resid) < np.abs(lower_resid)
         resid = np.where(take_upper, upper_resid, lower_resid)
         keep = np.abs(resid) <= tolerance
+        kept += int(np.count_nonzero(keep))
+        if kept > budget:
+            raise DomainError(
+                f"order-{n} selection reached {kept} tuples, past its budget of "
+                f"{budget} ({SELECT_BUDGET_BYTES} bytes at {TUPLE_BYTES} a tuple); "
+                "use a smaller tolerance or a lower order"
+            )
         found.append((combos[keep], cand_idx[upper - 1 + take_upper][keep], resid[keep]))
 
     comp_idx, target_idx, mismatch = map(np.concatenate, zip(*found))

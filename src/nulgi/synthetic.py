@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .oscillation import OscParams, accumulated_phase, survival_probability
+from .oscillation import OscParams, phase_scale, survival_probability
 from .sampling import STREAM_SYNTH_ENERGY, STREAM_SYNTH_PROB, truncated_normal, uniform_open
 from .selection import MeasuredPoint
 
@@ -74,7 +74,7 @@ def generate_synthetic(
     energies = e_min_gev * (e_max_gev / e_min_gev) ** (positions / (bins - 1))
 
     if truth == "quantum":
-        psis = np.array([accumulated_phase(params, e) for e in energies])
+        psis = phase_scale(params) / energies
         p_true = np.asarray(survival_probability(params.sin2_2theta, psis))
     else:
         p_true = np.full(bins, flat_p)

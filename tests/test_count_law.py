@@ -22,7 +22,7 @@ from nulgi.errors import DomainError
 from nulgi.montecarlo import PseudoConfig, counts_from_law, order3_count_law
 from nulgi.oscillation import OscParams
 from nulgi.pipeline import RunConfig
-from nulgi.sampling import STREAM_NULL_COUNT, draw_keys, uniform_from_keys
+from nulgi.sampling import KEY_LIMIT, STREAM_NULL_COUNT, draw_keys, uniform_from_keys
 from nulgi.selection import TupleSet, attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
@@ -168,6 +168,61 @@ def test_counts_above_the_last_cumulative_sum_are_clipped_to_the_support():
     counts = counts_from_law(law, PseudoConfig(replicas=20_000, seed=3))
     assert counts.max() == 2
     assert np.count_nonzero(counts == 1) == 0
+
+
+def reference_counts(law, keys):
+    """The float inverse CDF counts_from_law documents, clipped to the support."""
+    cdf = np.cumsum(law)
+    counts = np.searchsorted(cdf, uniform_from_keys(keys), side="right")
+    return np.minimum(counts, np.flatnonzero(law)[-1])
+
+
+# Laws whose thresholds the key counter must respect: a pool law, interior
+# zeros (repeated sums), a last sum below 1, a sum that no key reaches
+# (above 1), a mass too small for any key (threshold 0), and more levels
+# than the counter takes one pass each for, after such a mass.
+EDGE_LAWS = {
+    "pool": None,
+    "interior zeros": np.array([0.125, 0.0, 0.0, 0.375, 0.0, 0.5]),
+    "last sum below 1": np.array([0.25, 0.0, 0.5]),
+    "sum above 1": np.array([0.5, 0.5000000000000002, 1e-300]),
+    "tiny mass": np.array([1e-300, 0.25, 0.75 - 1e-17, 1e-17]),
+    "many levels": np.append(1e-300, np.full(200, 1.0 / 200)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_LAWS)
+def test_key_counts_equal_the_float_inverse_cdf_at_every_threshold(name):
+    law = EDGE_LAWS[name]
+    if law is None:
+        law = order3_count_law(*pool_spectrum("quantum", 0))
+    thresholds = montecarlo.law_thresholds(law)
+    cdf = np.cumsum(law)
+    # Each threshold is the first key whose uniform reaches its sum, and
+    # KEY_LIMIT where no key does.
+    assert ((0 <= thresholds) & (thresholds <= KEY_LIMIT)).all()
+    inside = (thresholds > 0) & (thresholds < KEY_LIMIT)
+    assert inside.any()
+    assert (uniform_from_keys(thresholds[inside] - 1) < cdf[inside]).all()
+    assert (uniform_from_keys(thresholds[inside]) >= cdf[inside]).all()
+    never = thresholds == KEY_LIMIT
+    assert (uniform_from_keys(np.array([KEY_LIMIT - 1])) < cdf[never]).all()
+    assert never.any() or name != "sum above 1"
+    keys = np.concatenate([thresholds - 1, thresholds, thresholds + 1, [0, KEY_LIMIT - 1]])
+    keys = np.unique(np.clip(keys, 0, KEY_LIMIT - 1)).astype(np.uint64)
+    counter = montecarlo.LawCounter(law)
+    assert np.array_equal(counter.count(keys), reference_counts(law, keys))
+    assert (counter.levels.size > montecarlo.LAW_SCAN_LEVELS) == (name == "many levels")
+
+
+def test_both_key_counters_give_the_sampled_counts(monkeypatch):
+    law = order3_count_law(*pool_spectrum("quantum", 1))
+    config = PseudoConfig(replicas=2 * montecarlo.LAW_BLOCK + 3, seed=8)
+    scanned = counts_from_law(law, config)
+    monkeypatch.setattr(montecarlo, "LAW_SCAN_LEVELS", 0)
+    assert np.array_equal(counts_from_law(law, config), scanned)
+    keys = draw_keys(8, STREAM_NULL_COUNT, np.arange(config.replicas), 0)
+    assert np.array_equal(scanned, reference_counts(law, keys))
 
 
 def test_sampled_histogram_agrees_with_the_law_by_a_g_test():

@@ -9,8 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from nulgi import cli, pipeline, selection
 from nulgi.cli import (
     EXIT_DATA,
     EXIT_DOMAIN,
@@ -20,15 +22,21 @@ from nulgi.cli import (
     build_parser,
     main,
 )
-from nulgi.dataio import write_dataset_csv
+from nulgi.dataio import table_csv_text, write_dataset_csv
 from nulgi.errors import DataError, DomainError
 from nulgi.montecarlo import PseudoConfig
-from nulgi.oscillation import OscParams, accumulated_phase
+from nulgi.oscillation import (
+    OscParams,
+    accumulated_phase,
+    phase_scale,
+    survival_probability,
+)
 from nulgi.pipeline import (
     RunConfig,
     analyze_dataset,
     curve_table,
     fit_curve_params,
+    null_count_rows,
     run_analysis,
 )
 from nulgi.selection import MeasuredPoint, attach_phases
@@ -153,6 +161,56 @@ def test_curve_table_shape_and_endpoints():
         curve_table(PARAMS, 5.0, 0.5)
 
 
+@pytest.mark.parametrize("params", [
+    PARAMS,
+    OscParams(dm2=-7.5e-5, sin2_2theta=0.31, baseline_km=180.0),
+    OscParams(dm2=1.7, sin2_2theta=1.0, baseline_km=0.3),
+])
+def test_curve_phases_equal_the_scalar_phase_bit_for_bit(params):
+    energies, probs = curve_table(params, 0.3, 80.0)
+    scalar = np.array([accumulated_phase(params, e) for e in energies.tolist()])
+    psis = phase_scale(params) / energies
+    assert np.array_equal(psis.view(np.int64), scalar.view(np.int64))
+    want = survival_probability(params.sin2_2theta, scalar)
+    assert np.array_equal(probs.view(np.int64), want.view(np.int64))
+
+
+def test_curve_and_analyze_take_their_rows_from_curve_rows(tmp_path, capsys, monkeypatch):
+    original = pipeline.curve_rows
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args[1:3])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "curve_rows", recorded)
+    monkeypatch.setattr(pipeline, "curve_rows", recorded)
+    data = synthetic_csv(tmp_path)
+    out = tmp_path / "out"
+    assert main([
+        "analyze", "--params", PARAMS_JSON, "--data", str(data), "--replicas", "1000",
+        "--out-dir", str(out),
+    ]) == EXIT_OK
+    energies = [p.energy_gev for p in generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, 2)]
+    lo, hi = min(energies), max(energies)
+    capsys.readouterr()
+    assert main(["curve", "--params", PARAMS_JSON, "--emin", repr(lo), "--emax", repr(hi)]) == EXIT_OK
+    assert calls == [(lo, hi), (lo, hi)]
+    assert capsys.readouterr().out == (out / "curve.csv").read_text()
+
+
+@pytest.mark.parametrize("counts", [[7, 0, 3, 3, 0, 7, 7, 0], [5, 5, 5], [0]])
+def test_null_count_rows_equal_the_unique_form(counts):
+    counts = np.array(counts, dtype=np.int64)
+    values, freq = np.unique(counts, return_counts=True)
+    want = [(int(v), int(f)) for v, f in zip(values, freq)]
+    rows = null_count_rows(counts)
+    assert rows == want
+    assert all(type(cell) is int for row in rows for cell in row)
+    header = ("violations", "replicas")
+    assert table_csv_text(header, rows) == table_csv_text(header, want)
+
+
 def test_fit_recovers_generating_parameters(tmp_path):
     points = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.01, seed=5)
     start = OscParams(dm2=1.5e-3, sin2_2theta=0.80, baseline_km=735.0)
@@ -244,6 +302,25 @@ def test_cli_triples(tmp_path, capsys):
         ]
     )
     assert code == EXIT_NO_TUPLES
+
+
+@pytest.mark.parametrize("command", ["analyze", "triples"])
+def test_cli_refuses_a_selection_past_the_tuple_budget(tmp_path, capsys, monkeypatch, command):
+    # A budget of one tuple: shared.csv has four exact-sum triples.
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", selection.TUPLE_BYTES)
+    out = tmp_path / "out"
+    code = main([
+        command, "--params", PARAMS_JSON, "--data", str(shared_csv(tmp_path)),
+        "--out-dir", str(out),
+    ])
+    assert code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: order-3 selection reached 4 tuples, past its budget of 1 "
+        "(256 bytes at 256 a tuple); use a smaller tolerance or a lower order\n"
+    )
+    assert not out.exists()
 
 
 def read_table(path):

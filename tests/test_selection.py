@@ -341,9 +341,11 @@ def test_equal_phases_from_distinct_energies():
             assert_matches_the_scan(dec, n, tol, mode)
 
 
-@pytest.mark.parametrize("block_rows", [1, 2, 7, 64])
+@pytest.mark.parametrize("block_rows", [1, 2, 7, 64, 4096])
 def test_selection_does_not_depend_on_the_block_size(monkeypatch, block_rows):
-    # 16 points: 16 to 136 rows per leading index, so every size splits blocks.
+    # 16 points: 16 to 136 rows per leading index, so the small sizes split
+    # a leading index's rows, 64 spans leading indices, and 4096 holds the
+    # whole scan at every order here (3876 multisets at order 5).
     points = generate_synthetic(PARAMS, "quantum", 16, 0.5, 50.0, 0.05, seed=3)
     dec = attach_phases(points, PARAMS)
     default = {n: select_ntuples(dec, n, 0.02) for n in (3, 4, 5)}
@@ -370,3 +372,43 @@ def test_selection_memory_is_one_block_plus_the_output():
     assert peak < 2 * output + budget, (peak, output, budget)
     # All 595 665 candidate rows of four indices at once would not fit.
     assert 595_665 * 4 * 8 > 2 * output + budget
+
+
+def test_a_block_spans_leading_indices():
+    # The 465 pairs of 30 points are one block, in lexicographic order.
+    blocks = list(selection._multiset_blocks(30, 2))
+    assert len(blocks) == 1
+    assert blocks[0].tolist() == [
+        list(pair) for pair in itertools.combinations_with_replacement(range(30), 2)
+    ]
+    # 171 700 triples of 100 points: 21 blocks, each full but the last.
+    blocks = list(selection._multiset_blocks(100, 3))
+    assert [len(b) for b in blocks] == [selection.SELECT_BLOCK_ROWS] * 20 + [7860]
+    assert np.concatenate(blocks).tolist() == [
+        list(triple) for triple in itertools.combinations_with_replacement(range(100), 3)
+    ]
+
+
+def test_selection_refuses_a_tuple_count_past_its_budget(monkeypatch):
+    points = generate_synthetic(PARAMS, "quantum", 16, 0.5, 50.0, 0.05, seed=3)
+    dec = attach_phases(points, PARAMS)
+    found = select_ntuples(dec, 4, 0.02)
+    assert len(found) > 1
+    # A budget of exactly the count admits it; one tuple less refuses it.
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", len(found) * selection.TUPLE_BYTES)
+    assert select_ntuples(dec, 4, 0.02) == found
+    budget = len(found) - 1
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget * selection.TUPLE_BYTES)
+    # One block holds the whole scan, so the count reached is every tuple.
+    message = (
+        f"order-4 selection reached {len(found)} tuples, past its budget of {budget} "
+        f"({budget * 256} bytes at 256 a tuple); use a smaller tolerance or a lower order"
+    )
+    with pytest.raises(DomainError) as refused:
+        select_ntuples(dec, 4, 0.02)
+    assert str(refused.value) == message
+    # With one multiset per block the scan stops at the first tuple past it.
+    monkeypatch.setattr(selection, "SELECT_BLOCK_ROWS", 1)
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", 2 * selection.TUPLE_BYTES)
+    with pytest.raises(DomainError, match="reached 3 tuples, past its budget of 2 "):
+        select_ntuples(dec, 4, 0.02)
