@@ -11,7 +11,7 @@ from .montecarlo import (
     z_significance,
 )
 from .oscillation import OscParams, accumulated_phase, survival_probability
-from .pipeline import RunConfig, analyze_dataset, curve_rows, run_analysis
+from .pipeline import RunConfig, analyze_dataset, curve_table, run_analysis
 from .selection import MeasuredPoint, TupleSet, attach_phases, select_ntuples
 from .synthetic import generate_synthetic
 
@@ -31,7 +31,7 @@ __all__ = [
     "attach_phases",
     "chi_square_quantum",
     "classical_null_distribution",
-    "curve_rows",
+    "curve_table",
     "fit_beta_binomial",
     "generate_synthetic",
     "lgi_bound",

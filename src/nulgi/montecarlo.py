@@ -79,11 +79,8 @@ KEY_BRACKET = 1 << 10
 # None) when its largest factor would exceed ORDER3_LAW_ENTRIES float64s.
 ORDER3_FIXED_MASS = 1e-16
 ORDER3_LAW_ENTRIES = 1 << 20
-# counts_from_law draws keys in blocks of LAW_BLOCK replicas. It compares
-# each key with up to LAW_SCAN_LEVELS thresholds, one pass each, and
-# binary-searches larger sets.
+# counts_from_law draws keys in blocks of LAW_BLOCK replicas.
 LAW_BLOCK = 1 << 14
-LAW_SCAN_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -833,11 +830,11 @@ class LawCounter:
     the thresholds are non-decreasing, so min(#{j : t_j <= k}, S) is #{j <
     S : t_j <= k}. Equal sums (a zero inside the law) share a threshold, so
     a key counts the distinct thresholds, the levels, at or below it, one
-    comparison pass each into a uint8 buffer, and table maps that number of
-    levels to the count. Level 0 is at or below every key and level
-    KEY_LIMIT above every key, so neither takes a pass; with no level in
-    between every key gets the same count, constant. Past LAW_SCAN_LEVELS
-    levels a binary search replaces the passes.
+    comparison pass each into a buffer of the narrowest unsigned dtype that
+    holds the number of levels, and table maps that number to the count.
+    Level 0 is at or below every key and level KEY_LIMIT above every key,
+    so neither takes a pass; with no level in between every key gets the
+    same count, constant.
     """
 
     def __init__(self, law: np.ndarray) -> None:
@@ -847,21 +844,18 @@ class LawCounter:
         self.base = int(np.count_nonzero(levels == 0))
         inner = (levels > 0) & (levels < KEY_LIMIT)
         self.levels = levels[inner].astype(np.uint64)
+        self.dtype = np.min_scalar_type(self.base + self.levels.size)
         self.constant = None if self.levels.size else int(self.table[self.base])
 
     def count(self, keys: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The count of each uint64 key, written to out (int64) when given."""
         if out is None:
             out = np.empty(keys.shape, dtype=np.int64)
-        if self.levels.size > LAW_SCAN_LEVELS:
-            below = np.searchsorted(self.levels, keys, side="right")
-            below += self.base
-        else:
-            below = np.full(keys.shape, self.base, dtype=np.uint8)
-            flags = np.empty(keys.shape, dtype=bool)
-            for level in self.levels:
-                np.greater_equal(keys, level, out=flags)
-                below += flags
+        below = np.full(keys.shape, self.base, dtype=self.dtype)
+        flags = np.empty(keys.shape, dtype=bool)
+        for level in self.levels:
+            np.greater_equal(keys, level, out=flags)
+            below += flags
         return np.take(self.table, below, out=out, mode="clip")
 
 
