@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .leggett_garg import lgi_bound
 from .sampling import (
     KEY_LIMIT,
@@ -40,12 +40,14 @@ from .sampling import (
     draw_keys,
     normal,
     normal_from_keys,
-    replicas_drawing_key,
     uniform_from_keys,
 )
 from .selection import MeasuredPoint, TupleSet
 
 MIN_REPLICAS_FOR_CLAIM = 1000
+# Bytes an analysis holds per replica of its null: the int64 count and one
+# int64 or float64 temporary as long (16 measured, 1M to 4M replicas).
+REPLICA_BYTES = 16
 
 # Budget of one block of the classical null, counted as one float64 row of
 # the block's replicas per point (the draws) and per tuple. The block's
@@ -53,18 +55,7 @@ MIN_REPLICAS_FOR_CLAIM = 1000
 NULL_BLOCK_BYTES = 1 << 19
 MIN_BLOCK_REPLICAS = 128
 
-# Guard band of the order-3 key classification: a draw whose correlation C
-# lies within ORDER3_BAND of 1, or beyond ORDER3_MAX_CORR in magnitude, is
-# classified by the float expression (see classical_null_distribution).
-ORDER3_BAND = 1e-5
-ORDER3_MAX_CORR = 64.0
-# Its edges as _key_thresholds takes them: C >= -M, C > 1 - b, C >= 1 + b, C > M.
-ORDER3_EDGES = (
-    np.nextafter(-ORDER3_MAX_CORR, -np.inf), 1.0 - ORDER3_BAND,
-    np.nextafter(1.0 + ORDER3_BAND, -np.inf), ORDER3_MAX_CORR,
-)
-
-# Margin of the order >= 4 block skip: a block whose draws all have C in
+# Margin of the block skip: a block whose draws all have C in
 # [-1 + NULL_MARGIN, 1 - NULL_MARGIN] cannot violate the bound (see
 # classical_null_distribution). Its edges: C >= -1 + b and C > 1 - b.
 NULL_MARGIN = 1e-5
@@ -224,95 +215,51 @@ def classical_null_distribution(
     interval: an estimator of a bounded quantity still fluctuates past the
     boundary, and those excursions are the only way this form can exceed
     the bound, so clamping would silence the false-positive rate the null
-    exists to measure.
+    exists to measure. Every order takes this one engine; at order 3 the
+    pipeline draws from order3_count_law instead where that law exists.
 
     The bound n - 2 holds for components inside [-1, 1] in exact
     arithmetic only. In floating point the form can land one ulp above it
     when components sit within a few ulp of 1: C = (1, 1 - 2**-53,
     1 - 2**-52), summed and multiplied in component order, gives
     2.0000000000000004 > 2. The counts are those of this float expression
-    in every replica. Without systematics, two shortcuts return them
-    without evaluating it wherever they can prove its outcome.
+    in every replica. Without systematics, one shortcut, the block skip,
+    returns them without evaluating it wherever it can prove its outcome.
 
-    Both classify draws by their integer keys. A draw is C(k) = 2 (p +
-    sigma ndtri((k + 0.5) 2**-53)) - 1 of its 53-bit key k
-    (sampling.draw_keys), and C(k) is non-decreasing in k: k -> u rounds
-    monotonically, the affine steps do for sigma >= 0, and scipy's ndtri
-    is assumed monotone. Per point, a bisection over the key
+    The skip classifies draws by their integer keys. A draw is C(k) = 2 (p
+    + sigma ndtri(u(k))) - 1 of its 53-bit key k (sampling.draw_keys), u
+    being sampling.uniform_from_keys, and C(k) is non-decreasing in k: k ->
+    u rounds monotonically, the affine steps do for sigma >= 0, and scipy's
+    ndtri is assumed monotone. Every u lies in (0, 1), the top key's
+    included, so every C is finite. Per point, a bisection over the key
     (_key_thresholds, computing C with the float operations of the draws)
-    finds the first key at which C passes each edge, nan ordering above
-    every edge, so a draw's side of an edge is an integer comparison of
-    its key.
+    finds the first key at which C passes each edge, so a draw's side of an
+    edge is an integer comparison of its key.
 
-    Order 3 calls ndtri only for a few replicas. In exact arithmetic C_a +
-    C_b - C_a C_b - 1 = -(1 - C_a)(1 - C_b), so a pair violates exactly
-    when one of its components has C > 1 and the other C < 1. With x the
-    replica's vector of "C > 1" flags over the points and L the Laplacian
-    of the tuple graph (one edge per tuple, a repeated pair (a, a) adding
-    nothing), the count is the cut size x^T L x. The edges are -M, 1 - b,
-    1 + b and M (b = ORDER3_BAND, M = ORDER3_MAX_CORR), so each draw's
-    flag and whether it sits in the guard band |C - 1| < b or |C| > M are
-    key comparisons. A replica with a guard-band draw on a point that some
-    tuple uses is recomputed with the float expression; only those
-    replicas' draws go through ndtri.
+    With b = NULL_MARGIN, the keys of a point whose draws have C in [-1 +
+    b, 1 - b] form one interval [low, high). A block in which every draw of
+    every point that some tuple uses has its key inside its point's
+    interval counts 0 in all its replicas, and its draws never go through
+    ndtri. Proof: on the box [-a, a]**k, a = 1 - b, k = n - 1 >= 2, the
+    form sum(C) - prod(C) is multilinear and peaks at a vertex. A vertex
+    with m components at -a gives (k - 2m) a - (-1)**m a**k, which is
+    largest at m = 0. g(a) = a**k - k a + k - 1 has g(1) = g'(1) = 0 and
+    g'' = k (k - 1) a**(k-2), so that peak lies at least k (k - 1) / 2 (1 -
+    b)**(k-2) b**2 below n - 2 = k - 1: b**2 = 1e-10 at n = 3 and about
+    3e-10 at n = 4 (the float edges move b by at most 2**-53). Summing and
+    multiplying k numbers of magnitude at most 1 in component order and
+    subtracting errs by at most about (k**2 + k) 2**-53, about 6.7e-16 at n
+    = 3 and 1.3e-15 at n = 4 and below the gap for every order under 10**6,
+    so the float form stays at or below n - 2 too. Whole blocks are
+    skipped, not replicas or tuples: where the noise reaches the physical
+    boundary nearly every replica holds an out-of-margin draw, and
+    compacting to those replicas costs more than it saves.
 
-    The guard band keeps the order-3 counts bit-identical. For components
-    x, y with |x|, |y| <= M the computed fl(fl(x + y) - fl(x y)) differs
-    from x + y - x y by at most u (2 + u)(|x| + |y| + |x y|) < 2.0001 u
-    (M + 1)**2, about 9.4e-13 at u = 2**-53 and M = 64, while |(1 - x)(1 -
-    y)| is at least about b**2 = 1e-10 when neither lies within b of 1
-    (the edges 1 - b and 1 + b are floats, off by at most 2**-53). Outside
-    the band the float comparison with 1 therefore has the sign of the
-    exact product; the magnitude guard also sends infinite and nan draws
-    to the float path. The monotonicity of ndtri is needed outside the
-    band only: inside it every draw is evaluated in floating point anyway.
-
-    Order >= 4 skips blocks of replicas. With b = NULL_MARGIN, the keys of
-    a point whose draws have C in [-1 + b, 1 - b] form one interval [low,
-    high). A block in which every draw of every point that some tuple uses
-    has its key inside its point's interval counts 0 in all its replicas,
-    and its draws never go through ndtri; a nan or infinite draw lies
-    outside. Proof: on the box [-a, a]**k, a = 1 - b, k = n - 1, the form
-    sum(C) - prod(C) is multilinear and peaks at a vertex. A vertex with m
-    components at -a gives (k - 2m) a - (-1)**m a**k, which is largest at
-    m = 0. g(a) = a**k - k a + k - 1 has g(1) = g'(1) = 0 and g'' = k (k -
-    1) a**(k-2), so that peak lies at least k (k - 1) / 2 (1 - b)**(k-2)
-    b**2 below n - 2 = k - 1, about 3e-10 at n = 4 (the float edges move b
-    by at most 2**-53). Summing and multiplying k numbers of magnitude at
-    most 1 in component order and subtracting errs by at most about (k**2 +
-    k) 2**-53, about 1.3e-15 at n = 4 and below the gap for every order
-    under 10**6, so the float form stays at or below n - 2 too. Whole
-    blocks are skipped, not replicas or tuples: where the noise reaches
-    the physical boundary nearly every replica holds an out-of-margin
-    draw, and compacting to those replicas costs more than it saves.
-
-    Neither key pass draws the keys of an inert point: a used point whose
-    keys below the top one, KEY_LIMIT - 1, are all safe. The top key is
-    unsafe at every point. Its k + 0.5 = 2**53 - 0.5 is no float64 and
-    rounds to even, to 2**53, so u = 1, ndtri(u) = inf and C is inf (nan at
-    sigma 0), above every edge. Every lower key has k + 0.5 <= 2**53 - 1.5,
-    which rounds to at most 2**53 - 2, so its u < 1. At order 3 the test is
-    low == 0 and band_lo >= KEY_LIMIT - 1: every key below the top has C in
-    [-M, 1 - b], flag 0. At order >= 4 it is low == 0 and high >=
-    KEY_LIMIT - 1: every key below the top lies in the margin. An inert
-    point's flag is 0 in every replica, the top key's inf or nan included,
-    so a tuple edge from a live point to an inert one is cut exactly when
-    the live flag is 1 and an edge between two inert points never is; the
-    cut pass and the block skip's test draw the live points' rows only. The
-    replicas in which an inert point does draw the top key are found by
-    running the hash backwards (sampling.replicas_drawing_key), which is
-    exact: draw_keys hashes the words (seed, stream, replica, point, 0),
-    each round adding a word to the state modulo 2**64 and mixing it, and
-    every round is a bijection of 64-bit words (_mix64's xorshifts and odd
-    multiplications invert). So the hash, seen as a function of the replica
-    word alone, is a bijection; the top key is drawn by exactly one replica
-    word per hash word whose top 53 bits are ones, 2**11 in all, and those
-    below the replica count are every replica that draws it. At order 3
-    they join the guarded replicas; at order >= 4 a slice holding one is
-    not skipped. With no live point no key block is drawn at all, and only
-    those replicas reach the float expression, which still reads every used
-    point's draw: at order >= 4 the inert rows of a key block are drawn
-    once, when one of its slices is not skipped.
+    An inert point, one whose every key lies in its interval (low == 0 and
+    high == KEY_LIMIT), cannot stop a block from being skipped, so the
+    skip's test draws and reads the live points' rows only; a key block's
+    inert rows are drawn once, when one of its slices is not skipped. With
+    no live point every count is 0 and no key is drawn at all.
 
     Runs with systematics, whose means move per replica, evaluate every
     replica with the float expression.
@@ -322,29 +269,25 @@ def classical_null_distribution(
     laid out point-major with one row per point that a tuple uses, live
     points first, into two buffers reused from block to block; a key block
     is long enough that numpy's per-call overhead is small beside the hash.
-    The order-3 cut pass draws the live rows only, in key blocks of
-    null_block_shape(0, live points) replicas. The block skip and
-    the float expression run on column slices of a key block, tuple blocks
-    of null_block_shape(tuples, points) replicas, each evaluating as many
-    tuples at a time as the budget leaves. So the memory a block holds is a
-    small constant multiple of the budget whatever the replica or tuple
-    count (only a spectrum of thousands of points could push its draws past
-    it). Each tuple component is a row gather and the sum and product
-    accumulate in place.
+    The block skip and the float expression run on column slices of a key
+    block, tuple blocks of null_block_shape(tuples, points) replicas, each
+    evaluating as many tuples at a time as the budget leaves. So the memory
+    a block holds is a small constant multiple of the budget whatever the
+    replica or tuple count (only a spectrum of thousands of points could
+    push its draws past it). Each tuple component is a row gather and the
+    sum and product accumulate in place.
 
     The replicas are cut at key-block edges into contiguous shards, one per
     core in the process's affinity mask and at most one per key block, and
     the shards run on a thread pool: numpy's ufuncs and gathers and scipy's
-    ndtri release the GIL. The key thresholds, the top-key replicas and the
-    systematic responses are computed once, before the shards. Each shard
-    owns its key buffers and writes only its own replicas' counts; at order
-    3 it runs the cut pass and then the float pass over its own guarded and
-    top-key replicas. The counts do not depend on the worker count or on
-    any blocking: every draw is keyed by (seed, stream, replica, point), a
-    replica's count reads only its own draws, every tuple's statistic is
-    evaluated with the same operations in the same order, and the key
-    shortcuts return the counts of the float expression exactly (the proofs
-    above).
+    ndtri release the GIL. The key thresholds and the systematic responses
+    are computed once, before the shards. Each shard owns its key buffers
+    and writes only its own replicas' counts. The counts do not depend on
+    the worker count or on any blocking: every draw is keyed by (seed,
+    stream, replica, point), a replica's count reads only its own draws,
+    every tuple's statistic is evaluated with the same operations in the
+    same order, and the block skip returns the counts of the float
+    expression exactly (the proof above).
 
     Parameters
     ----------
@@ -361,12 +304,15 @@ def classical_null_distribution(
     Returns
     -------
     int64 array of shape (replicas,): per replica, the number of tuples
-    whose product-rule statistic lands strictly above n - 2.
+    whose product-rule statistic lands strictly above n - 2. A replica
+    count past REPLICA_BYTES of errors.SIZE_BUDGET_BYTES raises DomainError
+    before anything is allocated.
     """
     if len(tuples) == 0:
         raise DomainError("no tuples to evaluate")
     if chunk_size is not None and (not isinstance(chunk_size, int) or chunk_size < 1):
         raise DomainError(f"chunk_size must be a positive integer, got {chunk_size}")
+    check_budget("replicas", config.replicas, REPLICA_BYTES)
     if config.replicas < MIN_REPLICAS_FOR_CLAIM:
         warnings.warn(
             f"{config.replicas} replicas is below {MIN_REPLICAS_FOR_CLAIM}; "
@@ -389,75 +335,37 @@ def classical_null_distribution(
     bound = lgi_bound(tuples.n)
 
     # Computed once, read by every shard.
-    cut_order3 = tuples.n == 3 and not use_sys
-    skip_blocks = tuples.n >= 4 and not use_sys
-    inert = np.zeros(used.size, dtype=bool)
-    if cut_order3 or skip_blocks:
-        edges = _key_thresholds(
-            probs[used], point_sd[used], ORDER3_EDGES if cut_order3 else MARGIN_EDGES
-        )
-        # Every key below the top one is safe: C in [-M, 1 - b], or in the margin.
-        inert = (edges[0] == 0) & (edges[1] >= KEY_LIMIT - 1)
-    # Live points first: the key passes draw rows [0, live) only.
-    order = np.argsort(inert, kind="stable")
-    live = used.size - int(np.count_nonzero(inert))
-    used, local = used[order], np.argsort(order)[local]
+    live = used.size
+    if not use_sys:
+        low, high = _key_thresholds(probs[used], point_sd[used], MARGIN_EDGES)
+        inert = (low == 0) & (high == KEY_LIMIT)
+        if inert.all():
+            return counts
+        # Live points first: the skip's test draws rows [0, live) only.
+        order = np.argsort(inert, kind="stable")
+        live -= int(np.count_nonzero(inert))
+        used, local = used[order], np.argsort(order)[local]
+        # The keys of a live point's in-margin draws are [low, high).
+        low, high = (edge[order[:live]].astype(np.uint64) for edge in (low, high))
     means, sds = probs[used], point_sd[used]
     # One contiguous index row per component: block slices stay contiguous.
     components = np.ascontiguousarray(local.T)
-    # The replicas in which an inert point draws its one unsafe key.
-    top_keyed = np.empty(0, dtype=np.int64)
-    if live < used.size:
-        top_keyed = replicas_drawing_key(
-            config.seed, STREAM_PSEUDODATA, used[live:], KEY_LIMIT - 1, config.replicas
-        )
-    if cut_order3 or skip_blocks:
-        edges = edges[:, order[:live]]
-    if cut_order3:
-        # The tuple graph's edges, an inert end as row live, whose flag is
-        # always 0; a repeated pair (a, a) and an inert pair add nothing.
-        ends = np.minimum(local, live)
-        ends = ends[ends[:, 0] != ends[:, 1]].T
-    if skip_blocks:
-        # The keys of a live point's in-margin draws are [low, high).
-        low, high = edges.astype(np.uint64)
     if use_sys:
         amp_resp, phase_resp = (resp[used][:, None] for resp in _systematic_responses(dataset))
 
-    def settled(ids: np.ndarray, live_keys: np.ndarray, unsettled: np.ndarray) -> bool:
-        """Whether a slice of replicas counts 0 without the float expression."""
+    def skipped(live_keys: np.ndarray) -> bool:
+        """Whether every live draw of a slice of replicas lies in the margin."""
         # Most out-of-margin draws lie above 1 - b: test the top end first.
-        return (
-            (live_keys.max(axis=1) < high).all()
-            and (live_keys.min(axis=1) >= low).all()
-            and not (unsettled.size and np.isin(ids, unsettled).any())
-        )
+        return (live_keys.max(axis=1) < high).all() and (live_keys.min(axis=1) >= low).all()
 
     def run_shard(replica_ids: np.ndarray) -> None:
-        # Replicas that the key passes cannot settle.
-        unsettled = top_keyed[
-            (top_keyed >= replica_ids[0]) & (top_keyed <= replica_ids[-1])
-        ]
-        if cut_order3 and live:
-            blocks = _key_blocks(
-                config.seed, replica_ids, used[:live],
-                null_block_shape(0, live, chunk_size)[0],
-            )
-            guarded = _order3_cut_counts(edges, ends, blocks, counts)
-            unsettled = np.union1d(unsettled, guarded)
-        if cut_order3 or (skip_blocks and not live):
-            # Every other replica's count is settled: only these need the
-            # float expression.
-            replica_ids = unsettled
-        eager = live if skip_blocks else used.size
         for block_ids, keys, draw_rest in _key_blocks(
-            config.seed, replica_ids, used, key_replicas, eager
+            config.seed, replica_ids, used, key_replicas, live
         ):
             spans = [slice(first, first + block_replicas)
                      for first in range(0, block_ids.size, block_replicas)]
-            if skip_blocks:
-                spans = [span for span in spans
-                         if not settled(block_ids[span], keys[:live, span], unsettled)]
+            if not use_sys:
+                spans = [span for span in spans if not skipped(keys[:live, span])]
                 if not spans:
                     continue
                 draw_rest()
@@ -476,26 +384,24 @@ def classical_null_distribution(
                     )
                     block_means = means + d_amp * amp_resp + d_phase * phase_resp
 
-                # A top-key draw has C inf (nan at sd 0), and sum(C) -
-                # prod(C) can then be inf - inf: a nan, which is rightly no
-                # violation. errstate is per thread, so each shard sets it.
-                with np.errstate(invalid="ignore"):
-                    # Point-major draws: corr[point, replica] = 2 P - 1.
-                    corr = normal_from_keys(keys[:, span], mean=block_means, sd=sds)
-                    corr *= 2.0
-                    corr -= 1.0
+                # Point-major draws: corr[point, replica] = 2 P - 1.
+                corr = normal_from_keys(keys[:, span], mean=block_means, sd=sds)
+                corr *= 2.0
+                corr -= 1.0
 
-                    block_counts = np.zeros(ids.size, dtype=np.int64)
-                    for start in range(0, len(tuples), block_tuples):
-                        cols = components[:, start:start + block_tuples]
-                        corr_sum = corr[cols[0]]
-                        corr_prod = corr_sum.copy()
-                        for col in cols[1:]:
-                            c = corr[col]
-                            corr_sum += c
-                            corr_prod *= c
-                        corr_sum -= corr_prod
-                        block_counts += np.count_nonzero(corr_sum > bound, axis=0)
+                block_counts = np.zeros(ids.size, dtype=np.int64)
+                for start in range(0, len(tuples), block_tuples):
+                    cols = components[:, start:start + block_tuples]
+                    corr_sum = corr[cols[0]]
+                    c = corr[cols[1]]
+                    corr_prod = corr_sum * c
+                    corr_sum += c
+                    for col in cols[2:]:
+                        c = corr[col]
+                        corr_sum += c
+                        corr_prod *= c
+                    corr_sum -= corr_prod
+                    block_counts += np.count_nonzero(corr_sum > bound, axis=0)
                 counts[ids] = block_counts
 
     # Shards of whole key blocks, as even as the blocks allow.
@@ -521,20 +427,18 @@ def _available_cores() -> int:
 
 
 def _key_blocks(
-    seed: int, replica_ids: np.ndarray, points: np.ndarray, block_replicas: int,
-    eager: Optional[int] = None,
+    seed: int, replica_ids: np.ndarray, points: np.ndarray, block_replicas: int, eager: int
 ):
     """Yield (ids, keys, draw_rest): blocks of replica_ids and their STREAM_PSEUDODATA keys.
 
     keys[i, j] is the key of replica ids[j] at point points[i]. The rows of
-    the first eager points (all by default) are drawn before the block is
-    yielded, and draw_rest() draws the others. Each block's keys overwrite
+    the first eager points are drawn before the block is yielded, and
+    draw_rest() draws the others. Each block's keys overwrite
     the last block's, in the same buffers.
     """
     # Block buffers, reused: fresh arrays of this size cost page faults.
     width = min(block_replicas, replica_ids.size)
     key_buf, scratch_buf = np.empty((2, points.size, width), dtype=np.uint64)
-    eager = points.size if eager is None else eager
 
     def draw(ids, rows):
         if points[rows].size:
@@ -609,46 +513,6 @@ def _first_keys(reached, guess: np.ndarray, usable: np.ndarray, bracket: int) ->
     return lo
 
 
-def _order3_cut_counts(
-    edges: np.ndarray, ends: np.ndarray, blocks, counts: np.ndarray
-) -> np.ndarray:
-    """Order-3 counts as cut sizes of key flags; see classical_null_distribution.
-
-    edges holds the _key_thresholds of ORDER3_EDGES, one column per live
-    point. ends holds the tuple graph's edges as two rows of point indices,
-    where index edges.shape[1] stands for every inert point, whose flag is
-    always 0. blocks yields the (ids, keys, _) of _key_blocks over the live
-    points; each block's cut sizes are written to counts[ids]. Returns the
-    replicas that hold a guarded draw on a live point, whose counts the
-    caller must evaluate in floating point.
-    """
-    live = edges.shape[1]
-    low, band_lo, band_hi, high = (edge[:, None].astype(np.uint64) for edge in edges)
-    # The safe keys of a point are [low, band_lo), C <= 1 - b, and
-    # [band_hi, high), C >= 1 + b. Unsigned wraparound makes each a single
-    # comparison: key - band_hi < high - band_hi, then key - low < band_lo -
-    # low after adding band_hi - low back.
-    upper_width, lower_width, hi_to_low = high - band_hi, band_lo - low, band_hi - low
-
-    guarded = []
-    flags = None
-    for ids, keys, _ in blocks:
-        if flags is None:
-            # The "C > 1" flags of the live points, and a last row of 0s.
-            flags = np.zeros((live + 1, ids.size), dtype=bool)
-        keys -= band_hi
-        upper = flags[:, :ids.size]
-        np.less(keys, upper_width, out=upper[:live])
-        # Cut size x^T L x: the tuple edges whose ends differ in "C > 1".
-        counts[ids] = np.count_nonzero(upper[ends[0]] != upper[ends[1]], axis=0)
-
-        keys += hi_to_low
-        safe = keys < lower_width
-        safe |= upper[:live]
-        guarded.append(ids[~safe.all(axis=0)])
-    return np.concatenate(guarded)
-
-
 def order3_count_law(
     dataset: Sequence[MeasuredPoint], tuples: TupleSet
 ) -> Optional[np.ndarray]:
@@ -661,8 +525,9 @@ def order3_count_law(
     the other C < 1, so the count is the cut size of independent flags x_i =
     [P_i > 1], Bernoulli(q_i) with q_i = Phi((p_i - 1) / sigma_i), on the
     tuple graph. Every sigma a tuple reads must be positive. The law is that
-    of the exact arithmetic; the float expression departs from it only
-    inside the order-3 guard band, which the key path's proof bounds.
+    of the exact arithmetic; the float expression's sign can differ from
+    that of -(1 - C_a)(1 - C_b) only where the product is within rounding,
+    about 1e-15, of 0.
 
     A point whose less likely state has probability below ORDER3_FIXED_MASS
     is fixed at its likely state. The law is exact conditional on those
@@ -805,8 +670,10 @@ def counts_from_law(law: np.ndarray, config: PseudoConfig) -> np.ndarray:
     every stream, a replica's count depends on (seed, r) alone. Keys are
     drawn in blocks of LAW_BLOCK replicas into reused buffers, so the
     temporaries stay small whatever the replica count, and LawCounter
-    counts each block.
+    counts each block. A replica count past the budget raises DomainError,
+    as in classical_null_distribution.
     """
+    check_budget("replicas", config.replicas, REPLICA_BYTES)
     counter = LawCounter(law)
     counts = np.empty(config.replicas, dtype=np.int64)
     if counter.constant is not None:

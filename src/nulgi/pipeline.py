@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dataio import TupleTable, emit_report, parse_dataset, write_table_csv
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, check_budget
 from .leggett_garg import lgi_bound
 from .montecarlo import (
     MIN_REPLICAS_FOR_CLAIM,
@@ -52,6 +52,10 @@ FIT_DM2_LO = 1.0e-4
 FIT_DM2_HI = 1.0e-2
 FIT_GRID = 201
 FIT_ROUNDS = 4
+
+# Bytes a curve table holds per point: its arrays, its Python rows and its
+# CSV text (about 340 measured, 200k to 1M points).
+CURVE_POINT_BYTES = 384
 
 
 @dataclass
@@ -107,12 +111,15 @@ def curve_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense model survival curve on a log energy grid.
 
-    Each phase is the float accumulated_phase gives for its energy.
+    Each phase is the float accumulated_phase gives for its energy. A
+    point count past CURVE_POINT_BYTES of errors.SIZE_BUDGET_BYTES raises
+    DomainError.
     """
     if not 0.0 < e_min_gev < e_max_gev:
         raise DomainError("need 0 < e_min_gev < e_max_gev")
     if points < 2:
         raise DomainError(f"points must be at least 2, got {points}")
+    check_budget("points", points, CURVE_POINT_BYTES)
     energies = np.geomspace(e_min_gev, e_max_gev, points)
     psis = phase_scale(params) / energies
     return energies, np.asarray(survival_probability(params.sin2_2theta, psis))

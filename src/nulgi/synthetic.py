@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_budget
 from .oscillation import OscParams, phase_scale, survival_probability
 from .sampling import STREAM_SYNTH_ENERGY, STREAM_SYNTH_PROB, truncated_normal, uniform_open
 from .selection import MeasuredPoint
@@ -22,6 +22,10 @@ _PLACEMENT_JITTER = 0.25
 # Relative errors reference at least this probability so bins near a deep
 # oscillation minimum keep a usable uncertainty.
 _REL_ERROR_FLOOR = 0.05
+
+# Bytes a simulate run holds per bin: its arrays, its MeasuredPoint and its
+# CSV row (about 475 measured, 200k to 1M bins).
+BIN_BYTES = 512
 
 
 def generate_synthetic(
@@ -51,12 +55,14 @@ def generate_synthetic(
     Returns
     -------
     list of MeasuredPoint sorted by ascending energy, sigma_stat set to the
-    generating standard deviation, phases not attached.
+    generating standard deviation, phases not attached. A bin count past
+    BIN_BYTES of errors.SIZE_BUDGET_BYTES raises DomainError.
     """
     if truth not in TRUTH_MODES:
         raise DomainError(f"truth must be one of {TRUTH_MODES}, got {truth!r}")
     if not isinstance(bins, int) or bins < 3:
         raise DomainError(f"bins must be an integer >= 3, got {bins}")
+    check_budget("bins", bins, BIN_BYTES)
     if not 0.0 < e_min_gev < e_max_gev:
         raise DomainError("need 0 < e_min_gev < e_max_gev")
     if rel_error < 0.0:

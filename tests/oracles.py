@@ -361,10 +361,15 @@ def splitmix_hash_words(*words):
     return h
 
 
+def key_uniform(keys):
+    """(k + 0.5) 2**-53 of each 53-bit key k, the top key 2**53 - 1 taking
+    the value of 2**53 - 2: its own would round to 1."""
+    return (np.minimum(keys, 2**53 - 2).astype(np.float64) + 0.5) * 2.0**-53
+
+
 def counter_uniform(seed, stream, *words):
-    """Open-interval uniform of the top 53 hash bits: (k + 0.5) 2**-53."""
-    h = splitmix_hash_words(seed, stream, *words)
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """Open-interval uniform of the top 53 hash bits, by key_uniform."""
+    return key_uniform(splitmix_hash_words(seed, stream, *words) >> np.uint64(11))
 
 
 def counter_normal(seed, stream, *words, mean=0.0, sd=1.0):
@@ -401,7 +406,7 @@ def counter_truncated_normal(seed, stream, index_a, index_b, mean, sd):
 def key_thresholds_by_bisection(probs, sds, edges):
     """Per edge and point, the first 53-bit key k whose C is not C <= edge.
 
-    C = 2 (p + sigma ndtri((k + 0.5) 2**-53)) - 1, and the search is a plain
+    C = 2 (p + sigma ndtri(key_uniform(k))) - 1, and the search is a plain
     bisection over all of [0, 2**53], 54 halvings, assuming C is
     non-decreasing in k. Returns an int64 array of shape (edges, points).
     """
@@ -409,11 +414,10 @@ def key_thresholds_by_bisection(probs, sds, edges):
     edges = np.asarray(edges, dtype=float)[:, None]
     lo = np.zeros((edges.shape[0], probs.size), dtype=np.int64)
     hi = np.full_like(lo, 1 << 53)
-    with np.errstate(invalid="ignore"):  # sigma 0 times the top key's inf
-        for _ in range(54):
-            mid = (lo + hi) >> 1
-            corr = 2.0 * (probs + sds * ndtri((mid + 0.5) * 2.0**-53)) - 1.0
-            reached = ~(corr <= edges)
-            hi = np.where(reached, mid, hi)
-            lo = np.where(reached, lo, mid + 1)
+    for _ in range(54):
+        mid = (lo + hi) >> 1
+        corr = 2.0 * (probs + sds * ndtri(key_uniform(mid))) - 1.0
+        reached = ~(corr <= edges)
+        hi = np.where(reached, mid, hi)
+        lo = np.where(reached, lo, np.minimum(mid + 1, hi))
     return lo

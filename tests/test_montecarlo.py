@@ -16,14 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from nulgi import montecarlo, sampling
+from nulgi import errors, montecarlo
 from nulgi.errors import DomainError
 from nulgi.montecarlo import (
     MARGIN_EDGES,
     NULL_MARGIN,
-    ORDER3_BAND,
-    ORDER3_EDGES,
-    ORDER3_MAX_CORR,
     BetaBinomialFit,
     PseudoConfig,
     chi_square_quantum,
@@ -278,39 +275,12 @@ def counting_draws(monkeypatch):
     return drawn
 
 
-# How many replicas a case recomputes with the float expression: C = 1
-# exactly is always inside the band, and sigma >= 10 reaches |C| > 64.
-RECOMPUTED = {"sigma 0 at p 1": "all", "sigma 10 and more": "some"}
-
-
-@pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
-def test_order3_counts_match_the_oracle_on_adversarial_spectra(case, monkeypatch):
-    dec, tuples = adversarial_fixture(*ADVERSARIAL_SPECTRA[case])
-    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=21)
-    expected = reference_counts(dec, tuples, cfg)
-    assert expected.any()
-    drawn = counting_draws(monkeypatch)
-    for chunk_size in (None, 7, ORACLE_REPLICAS):
-        counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
-        assert np.array_equal(counts, expected), chunk_size
-    recomputed = sum(drawn) // (3 * len(dec))
-    if RECOMPUTED.get(case) == "all":
-        assert recomputed == cfg.replicas
-    elif RECOMPUTED.get(case) == "some":
-        assert 0 < recomputed < cfg.replicas
-    # One replica per block: the first 1009 replicas, which a longer run
-    # draws with the same keys.
-    short = dataclasses.replace(cfg, replicas=1009)
-    counts = classical_null_distribution(dec, tuples, short, chunk_size=1)
-    assert np.array_equal(counts, expected[:1009])
-
-
-def test_order3_guard_band_catches_where_float_and_exact_algebra_disagree():
+def test_order3_counts_follow_the_float_form_where_exact_algebra_disagrees():
     # Two points at p = 1 with sigma 1e-16 draw C = 1 + 2**-51, 1, 1 - 2**-52,
     # ...: for C = (1 + 2**-51, 1 - 2**-52) the exact product -(1 - C_a)(1 -
     # C_b) is positive, yet fl(fl(C_a + C_b) - fl(C_a C_b)) = 1 - 2**-52. The
-    # flags alone would count such a pair; the engine must count what the
-    # float expression counts.
+    # "C > 1" flags alone would count such a pair; the engine must count
+    # what the float expression counts.
     dec, tuples = adversarial_fixture([1.0, 1.0, 0.5, 0.5, 0.5, 0.5],
                                       [1e-16, 1e-16] + [0.05] * 4, [(0, 1)])
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=22)
@@ -328,22 +298,24 @@ def test_order3_guard_band_catches_where_float_and_exact_algebra_disagree():
         )
 
 
-# The edge sets the engine bisects for, each as (given edges, the edges
-# they stand for, whether each is strict): C >= e or C > e.
+# Four edges from C = -64 to 64, which sigma 10 and more reaches, as
+# _key_thresholds takes them: C >= -64, C > 1 - 1e-5, C >= 1 + 1e-5, C > 64.
+WIDE_EDGES = (np.nextafter(-64.0, -np.inf), 1.0 - 1e-5, np.nextafter(1.0 + 1e-5, -np.inf), 64.0)
+
+# Edge sets to bisect for, each as (given edges, the edges they stand for,
+# whether each is strict): C >= e or C > e. The engine bisects the margin's.
 EDGE_SETS = [
-    (ORDER3_EDGES, [-ORDER3_MAX_CORR, 1.0 - ORDER3_BAND, 1.0 + ORDER3_BAND, ORDER3_MAX_CORR],
-     [False, True, False, True]),
+    (WIDE_EDGES, [-64.0, 1.0 - 1e-5, 1.0 + 1e-5, 64.0], [False, True, False, True]),
     (MARGIN_EDGES, [-1.0 + NULL_MARGIN, 1.0 - NULL_MARGIN], [False, True]),
 ]
 
 
 @pytest.mark.parametrize("probs, sigmas", ADVERSARIAL_SPECTRA.values())
-def test_order3_key_thresholds_bracket_each_edge(probs, sigmas):
+def test_key_thresholds_bracket_each_edge(probs, sigmas):
     probs, sigmas = np.array(probs), np.array(sigmas)
 
     def reached(keys, edge, is_strict):
-        with np.errstate(invalid="ignore"):  # sigma 0 times the top key's inf
-            corr = 2.0 * normal_from_keys(keys, probs, sigmas) - 1.0
+        corr = 2.0 * normal_from_keys(keys, probs, sigmas) - 1.0
         return ~(corr <= edge) if is_strict else ~(corr < edge)
 
     for given, edges, strict in EDGE_SETS:
@@ -354,12 +326,13 @@ def test_order3_key_thresholds_bracket_each_edge(probs, sigmas):
             below, at = np.maximum(keys - 1, 0), np.minimum(keys, KEY_LIMIT - 1)
             assert not reached(below, edge, is_strict)[keys > 0].any()
             assert reached(at, edge, is_strict)[keys < KEY_LIMIT].all()
-        # Every point's top key maps to u = 1: an infinite or nan draw, which
-        # lies above the last edge and so is guarded or outside the margin.
-        assert (thresholds[-1] <= KEY_LIMIT - 1).all()
+        # The top key draws what the key below it draws, so it is never the
+        # first to reach an edge: a point whose every other key is safe is
+        # safe at the top key too.
+        assert (thresholds != KEY_LIMIT - 1).all()
 
 
-@pytest.mark.parametrize("given", [ORDER3_EDGES, MARGIN_EDGES])
+@pytest.mark.parametrize("given", [WIDE_EDGES, MARGIN_EDGES])
 @pytest.mark.parametrize("probs, sigmas", ADVERSARIAL_SPECTRA.values())
 def test_key_thresholds_equal_a_full_bisection(probs, sigmas, given):
     # The ndtr bracket only shortens the search: sigma 0, a bracket whose
@@ -382,7 +355,7 @@ def test_key_thresholds_bisect_inside_the_bracket(monkeypatch):
         return normal_from_keys(*args, **kwargs)
 
     monkeypatch.setattr(montecarlo, "normal_from_keys", counted)
-    for given in (ORDER3_EDGES, MARGIN_EDGES):
+    for given in (WIDE_EDGES, MARGIN_EDGES):
         probes.clear()
         thresholds = montecarlo._key_thresholds(probs, sigmas, given)
         assert np.array_equal(
@@ -392,19 +365,17 @@ def test_key_thresholds_bisect_inside_the_bracket(monkeypatch):
         assert len(probes) == 2 + (2 * montecarlo.KEY_BRACKET).bit_length()
 
 
-def test_order3_takes_the_key_path_only_without_systematics(monkeypatch):
+def test_order3_systematics_take_the_float_form_in_every_replica(monkeypatch):
     pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
     dec = attach_phases(pts, PARAMS)
     tuples = select_ntuples(dec, 3, 0.005)
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=23)
-    drawn = counting_draws(monkeypatch)
     counts = classical_null_distribution(dec, tuples, cfg)
     assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
-    assert sum(drawn) < 0.01 * cfg.replicas * len(dec)
     # Systematics move the means per replica: every draw is a float draw,
     # and the float path's counts do not depend on the chunking either.
     # Only the points some tuple reads are drawn, plus two nuisances.
-    drawn.clear()
+    drawn = counting_draws(monkeypatch)
     sys_cfg = dataclasses.replace(
         cfg, include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05
     )
@@ -418,7 +389,7 @@ def test_order3_takes_the_key_path_only_without_systematics(monkeypatch):
 
 
 @pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5])
 def test_margin_counts_match_the_oracle_on_adversarial_spectra(n, case):
     dec, tuples = adversarial_fixture(*ADVERSARIAL_SPECTRA[case], ADVERSARIAL_COMPONENTS[n])
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=24)
@@ -458,10 +429,11 @@ def test_margin_keeps_violations_of_components_inside_the_interval(monkeypatch):
 
 @pytest.mark.parametrize("truth", ["quantum", "classical_flat"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_order4_null_skips_blocks_and_stays_exact(seed, truth, monkeypatch):
+@pytest.mark.parametrize("n", [3, 4])
+def test_null_skips_blocks_and_stays_exact(n, seed, truth, monkeypatch):
     pts = generate_synthetic(PARAMS, truth, 30, 0.5, 50.0, 0.05, seed=seed)
     dec = attach_phases(pts, PARAMS)
-    tuples = select_ntuples(dec, 4, 0.005)
+    tuples = select_ntuples(dec, n, 0.005)
     cfg = PseudoConfig(replicas=20_000, seed=26)
     expected = reference_counts(dec, tuples, cfg)
     drawn = counting_draws(monkeypatch)
@@ -475,38 +447,30 @@ def test_order4_null_skips_blocks_and_stays_exact(seed, truth, monkeypatch):
         assert expected.any() and sum(drawn) > 0
 
 
-def counting_keys(monkeypatch):
-    """Count the keys the engine hashes, through montecarlo.draw_keys."""
+def counting_keys(monkeypatch, planted=None):
+    """Count the keys the engine hashes, through montecarlo.draw_keys.
+
+    planted maps (replica, point) pairs to a key that the null's stream
+    returns there in place of the hashed one, as if the hash had drawn it.
+    """
     hashed = []
 
-    def counted(*args, **kwargs):
-        keys = draw_keys(*args, **kwargs)
+    def counted(seed, stream, *words, **kwargs):
+        keys = draw_keys(seed, stream, *words, **kwargs)
         hashed.append(keys.size)
+        if stream == STREAM_PSEUDODATA:
+            replicas, points = words[:2]
+            for (replica, point), key in (planted or {}).items():
+                keys[(replicas == replica) & (points == point)] = key
         return keys
 
     monkeypatch.setattr(montecarlo, "draw_keys", counted)
     return hashed
 
 
-def seed_drawing(key, replica, point):
-    """A null seed whose draw at (replica, point) has the given key.
-
-    Runs the hash of (seed, stream, replica, point, 0) backwards from a
-    word whose top 53 bits are the key, down to the seed word.
-    """
-    h = np.array([key << 11], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for word in (0, point, replica, STREAM_PSEUDODATA, 0):
-            h = sampling._unmix64(h) - np.uint64(oracles.SPLITMIX_GOLDEN) - np.uint64(word)
-    seed = int(h[0])
-    hashed = oracles.splitmix_hash_words(seed, STREAM_PSEUDODATA, replica, point, 0)
-    assert int(hashed) >> 11 == key
-    return seed
-
-
 # Point 1 (C within 0.83 of 0) and points 0, 2 and 3 (C always below 0) are
-# inert at every order: no key below the top one leaves the order-3 safe
-# set or the margin. Points 4 and 5 reach past C = 1: live.
+# inert at every order: every key's draw lies in the margin. Points 4 and 5
+# reach past C = 1: live.
 TOP_KEY_SPECTRA = {
     "mixed": ([0.3, 0.5, 0.3, 0.3, 0.97, 0.9], [0.02, 0.05, 0.02, 0.02, 0.03, 0.05]),
     "all inert": ([0.3, 0.5, 0.3, 0.3, 0.5, 0.5], [0.02, 0.05, 0.02, 0.02, 0.05, 0.05]),
@@ -517,36 +481,35 @@ TOP_KEY_REPLICAS = 1009
 @pytest.mark.parametrize("spectrum", TOP_KEY_SPECTRA)
 @pytest.mark.parametrize("replica", [0, 17, TOP_KEY_REPLICAS - 1])
 @pytest.mark.parametrize("n", [3, 4, 5])
-def test_an_inert_point_drawing_the_top_key_is_recounted(n, replica, spectrum, monkeypatch):
-    # The seed makes point 1 draw the top key in one replica for real. Its
-    # u is 1 and its C inf, which no key comparison settles: sum(C) -
-    # prod(C) is inf where the other components' product is negative.
+def test_an_inert_point_drawing_the_top_key_stays_inert(n, replica, spectrum, monkeypatch):
+    # Point 1 draws the top key in one replica. It draws the value of the
+    # key below it, inside the margin, so the key passes may leave the
+    # point out: the float form's counts are the same either way.
     dec, tuples = adversarial_fixture(*TOP_KEY_SPECTRA[spectrum], ADVERSARIAL_COMPONENTS[n])
-    cfg = PseudoConfig(replicas=TOP_KEY_REPLICAS, seed=seed_drawing(KEY_LIMIT - 1, replica, 1))
-    assert uniform_from_keys(np.uint64(KEY_LIMIT - 1)) == 1.0
-    with np.errstate(invalid="ignore"):
-        expected = reference_counts(dec, tuples, cfg)
-        finite = reference_counts(dec, tuples, cfg, {(replica, 1): KEY_LIMIT - 2})
-    assert expected[replica] > finite[replica]
+    cfg = PseudoConfig(replicas=TOP_KEY_REPLICAS, seed=31)
+    planted = {(replica, 1): KEY_LIMIT - 1}
+    expected = reference_counts(dec, tuples, cfg, planted)
+    assert np.array_equal(
+        expected, reference_counts(dec, tuples, cfg, {(replica, 1): KEY_LIMIT - 2})
+    )
     if spectrum == "all inert":
-        assert np.flatnonzero(expected).tolist() == [replica]
-    hashed = counting_keys(monkeypatch)
+        assert not expected.any()
+    hashed = counting_keys(monkeypatch, planted)
     for chunk_size in (None, 7):
         hashed.clear()
         counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
         assert np.array_equal(counts, expected), chunk_size
-        if spectrum == "all inert":
-            # No key pass runs: only the top-key replica's draws are hashed.
-            assert sum(hashed) == np.unique(tuples.comp_idx).size
+        # With every point inert no key is hashed at all.
+        assert bool(hashed) == (spectrum == "mixed")
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_a_point_unsafe_just_below_the_top_key_stays_live(n, monkeypatch):
-    # (k + 0.5) rounds to even, so keys KEY_LIMIT - 3 and KEY_LIMIT - 2
-    # share the last u below 1: KEY_LIMIT - 3 is the highest first unsafe
-    # key a point can have short of the top one.
+    # (k + 0.5) rounds to even, and the top key takes the uniform of the key
+    # below it, so keys KEY_LIMIT - 3 to KEY_LIMIT - 1 share the last u:
+    # KEY_LIMIT - 3 is the highest first unsafe key a point can have.
     top = uniform_from_keys(np.arange(KEY_LIMIT - 4, KEY_LIMIT, dtype=np.uint64))
-    assert top[0] < top[1] == top[2] < top[3] == 1.0
+    assert top[0] < top[1] == top[2] == top[3] < 1.0
 
     # Bisect sigma for the smallest at which point 1, at p 0.6, draws C > 1
     # there; its lowest draw stays inside the margin.
@@ -561,20 +524,20 @@ def test_a_point_unsafe_just_below_the_top_key_stays_live(n, monkeypatch):
         [*column[:1], value, *column[2:]]
         for column, value in zip(TOP_KEY_SPECTRA["all inert"], (0.6, hi))
     )
-    for given in (ORDER3_EDGES, MARGIN_EDGES):
-        low, first_unsafe = oracles.key_thresholds_by_bisection(probs, sigmas, given)[:2]
-        assert low[1] == 0 and first_unsafe[1] == KEY_LIMIT - 3
-        assert (low[2:] == 0).all() and (first_unsafe[2:] == KEY_LIMIT - 1).all()
+    low, first_unsafe = oracles.key_thresholds_by_bisection(probs, sigmas, MARGIN_EDGES)
+    assert low[1] == 0 and first_unsafe[1] == KEY_LIMIT - 3
+    assert (low[2:] == 0).all() and (first_unsafe[2:] == KEY_LIMIT).all()
 
     dec, tuples = adversarial_fixture(probs, sigmas, ADVERSARIAL_COMPONENTS[n])
-    cfg = PseudoConfig(replicas=TOP_KEY_REPLICAS, seed=seed_drawing(KEY_LIMIT - 3, 17, 1))
-    expected = reference_counts(dec, tuples, cfg)
+    cfg = PseudoConfig(replicas=TOP_KEY_REPLICAS, seed=32)
+    planted = {(17, 1): KEY_LIMIT - 3}
+    expected = reference_counts(dec, tuples, cfg, planted)
     if n == 3:
-        # C just above 1 with partners below 0 violates; an inert point's
-        # flag, 0, would not.
+        # C just above 1 with partners below 0 violates; a draw inside the
+        # margin would not.
         below = reference_counts(dec, tuples, cfg, {(17, 1): KEY_LIMIT - 4})
         assert expected[17] > below[17]
-    hashed = counting_keys(monkeypatch)
+    hashed = counting_keys(monkeypatch, planted)
     counts = classical_null_distribution(dec, tuples, cfg)
     assert np.array_equal(counts, expected)
     # Its row is hashed in every replica: it is live.
@@ -596,32 +559,38 @@ def test_classical_flat_nulls_hash_no_key(n, monkeypatch):
     assert not hashed
 
 
-def test_a_quantum_order3_null_hashes_live_points_and_guarded_replicas(monkeypatch):
+def test_a_quantum_order3_null_hashes_live_rows_and_draws_unskipped_blocks(monkeypatch):
     pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
     dec = attach_phases(pts, PARAMS)
     tuples = select_ntuples(dec, 3, 0.005)
-    cfg = PseudoConfig(replicas=20_000, seed=30)
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=30)
+    chunk = 2
     used = np.unique(tuples.comp_idx)
     probs = np.array([dec[i].p_mumu for i in used])
     sigmas = np.array([dec[i].sigma for i in used])
-    low, band_lo, band_hi, high = (
+    low, high = (
         edge.astype(np.uint64)
-        for edge in oracles.key_thresholds_by_bisection(probs, sigmas, ORDER3_EDGES)
+        for edge in oracles.key_thresholds_by_bisection(probs, sigmas, MARGIN_EDGES)
     )
-    inert = (low == 0) & (band_lo >= KEY_LIMIT - 1)
+    inert = (low == 0) & (high == KEY_LIMIT)
     assert 0 < np.count_nonzero(inert) < used.size
     keys = draw_keys(cfg.seed, STREAM_PSEUDODATA, np.arange(cfg.replicas)[:, None], used, 0)
-    safe = ((keys >= low) & (keys < band_lo)) | ((keys >= band_hi) & (keys < high))
-    guarded = np.count_nonzero(~safe.all(axis=1))
-    assert guarded > 0
+    in_margin = ((keys >= low) & (keys < high)).all(axis=1)
+    # Replicas in blocks of chunk that hold an out-of-margin draw.
+    drawn_blocks = [
+        min(chunk, cfg.replicas - start) for start in range(0, cfg.replicas, chunk)
+        if not in_margin[start:start + chunk].all()
+    ]
+    unskipped = sum(drawn_blocks)
+    assert 0 < unskipped < cfg.replicas
 
     hashed = counting_keys(monkeypatch)
     drawn = counting_draws(monkeypatch)
-    counts = classical_null_distribution(dec, tuples, cfg)
+    counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk)
     assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
     live = used.size - np.count_nonzero(inert)
-    assert sum(hashed) == cfg.replicas * live + guarded * used.size
-    assert sum(drawn) == guarded * used.size
+    assert sum(hashed) == cfg.replicas * live + unskipped * (used.size - live)
+    assert sum(drawn) == unskipped * used.size
 
 
 # Above three key blocks of the six adversarial points (65536 // 6 = 10922
@@ -731,6 +700,19 @@ def test_engine_validation():
             classical_null_distribution(
                 dec, tuples, PseudoConfig(replicas=2000), chunk_size=chunk_size
             )
+
+
+def test_both_null_engines_refuse_replicas_past_the_budget(monkeypatch):
+    dec, tuples = shared_fixture()
+    law = montecarlo.order3_count_law(dec, tuples)
+    monkeypatch.setattr(errors, "SIZE_BUDGET_BYTES", 2000 * montecarlo.REPLICA_BYTES)
+    for engine in (
+        lambda cfg: classical_null_distribution(dec, tuples, cfg),
+        lambda cfg: montecarlo.counts_from_law(law, cfg),
+    ):
+        assert engine(PseudoConfig(replicas=2000)).size == 2000
+        with pytest.raises(DomainError, match="^replicas 2001 is past the budget of 2000 "):
+            engine(PseudoConfig(replicas=2001))
 
 
 def test_pseudo_config_validation():

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nulgi import cli, pipeline, selection
+from nulgi import cli, errors, montecarlo, pipeline, selection, synthetic
 from nulgi.cli import (
     EXIT_DATA,
     EXIT_DOMAIN,
@@ -321,6 +321,37 @@ def test_cli_refuses_a_selection_past_the_tuple_budget(tmp_path, capsys, monkeyp
         "(256 bytes at 256 a tuple); use a smaller tolerance or a lower order\n"
     )
     assert not out.exists()
+
+
+# Per command: its size flag, the size's name in the refusal, the bytes the
+# command holds per item and the most items a test budget admits. The
+# budget is shared, so analyze's must also admit its 400-point curve.csv.
+OVERSIZE = {
+    "curve": ("--points", "points", pipeline.CURVE_POINT_BYTES, 2000),
+    "simulate": ("--bins", "bins", synthetic.BIN_BYTES, 2000),
+    "analyze": ("--replicas", "replicas", montecarlo.REPLICA_BYTES, 10_000),
+}
+
+
+@pytest.mark.parametrize("command", OVERSIZE)
+def test_cli_refuses_a_size_past_the_budget(tmp_path, capsys, monkeypatch, command):
+    flag, name, item_bytes, most = OVERSIZE[command]
+    monkeypatch.setattr(errors, "SIZE_BUDGET_BYTES", most * item_bytes)
+    data = synthetic_csv(tmp_path)
+    for size, code in ((most, EXIT_OK), (most + 1, EXIT_DOMAIN)):
+        out = tmp_path / f"out-{size}"
+        where = ["--data", str(data), "--out-dir", str(out)] if command == "analyze" else [
+            "--out", str(out)
+        ]
+        capsys.readouterr()
+        assert main([command, "--params", PARAMS_JSON, flag, str(size), *where]) == code
+        assert out.exists() == (code == EXIT_OK)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {name} {most + 1} is past the budget of {most} "
+        f"({most * item_bytes} bytes at {item_bytes} each)\n"
+    )
 
 
 def read_table(path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nulgi import sampling
 from nulgi.errors import DomainError
@@ -11,6 +13,7 @@ from nulgi.sampling import (
     STREAM_SYNTH_PROB,
     draw_keys,
     normal,
+    normal_from_keys,
     truncated_normal,
     uniform_from_keys,
     uniform_open,
@@ -69,35 +72,28 @@ def test_keys_written_into_reused_buffers_are_the_same_keys():
     assert fresh.max() < KEY_LIMIT
 
 
-def test_unmix_inverts_the_mixer():
-    words = np.random.default_rng(0).integers(0, 2**64, 10_000, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        assert np.array_equal(sampling._unmix64(sampling._mix64(words)), words)
-        assert np.array_equal(sampling._mix64(sampling._unmix64(words)), words)
+@given(
+    st.lists(st.integers(0, KEY_LIMIT - 1), max_size=64),
+    st.floats(-1e300, 1e300),
+    st.floats(0.0, 1e300),
+)
+def test_every_key_draws_a_finite_value_inside_the_open_interval(keys, mean, sd):
+    keys = sorted({0, KEY_LIMIT - 2, KEY_LIMIT - 1, *keys})
+    u = uniform_from_keys(np.array(keys, dtype=np.uint64))
+    assert ((0.0 < u) & (u < 1.0)).all()
+    assert (np.diff(u) >= 0.0).all()
+    # Below the top key u is (k + 0.5) 2**-53 in float64; the top key
+    # takes the value of the key below it.
+    want = [(float(k) + 0.5) * 2.0**-53 for k in keys[:-1]]
+    assert u[:-1].tolist() == want and u[-1] == u[-2]
+    assert np.isfinite(normal_from_keys(np.array(keys, dtype=np.uint64), mean, sd)).all()
 
 
-@pytest.mark.parametrize("trial", range(6))
-def test_replicas_drawing_a_key_are_found_by_running_the_hash_backwards(trial):
-    rng = np.random.default_rng(trial)
-    seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-    replica, point = int(rng.integers(0, 10**6)), int(rng.integers(0, 200))
-    key = int(oracles.splitmix_hash_words(seed, STREAM_PSEUDODATA, replica, point, 0)) >> 11
-
-    def find(points, replicas):
-        found = sampling.replicas_drawing_key(seed, STREAM_PSEUDODATA, points, key, replicas)
-        assert found.dtype == np.int64 and (np.diff(found) > 0).all()
-        return found.tolist()
-
-    assert find([point], 10**6) == [replica]
-    assert find([point], replica + 1) == [replica]
-    assert find([point], replica) == []
-    assert replica in find([point + 1, point], 10**6)
-    # One replica word per hash word with the key's top 53 bits, 2**11 in
-    # all: about half of them lie below 2**63, and each draws the key.
-    every = np.array(find([point], 2**63))
-    assert replica in every and 800 < every.size < 1250
-    forward = oracles.splitmix_hash_words(seed, STREAM_PSEUDODATA, every, point, 0)
-    assert (forward >> np.uint64(11) == key).all()
+def test_the_top_key_draws_what_the_key_below_it_draws_at_every_point():
+    keys = np.array([[KEY_LIMIT - 1], [KEY_LIMIT - 2]], dtype=np.uint64)
+    top, below = normal_from_keys(keys, mean=MEANS.T, sd=SDS.T)
+    assert np.array_equal(bits(top), bits(below))
+    assert np.isfinite(top).all()
 
 
 # Per point: sd 0 below, inside and above [0, 1]; means outside the
