@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .dataio import table_csv_text, write_dataset_csv, write_table_csv
-from .errors import DataError, DomainError
-from .montecarlo import PseudoConfig
+from .errors import DataError, DomainError, check_budget
+from .montecarlo import REPLICA_BYTES, PseudoConfig
 from .oscillation import OscParams
 from .pipeline import RunConfig, curve_rows, run_analysis, run_triples
 from .synthetic import TRUTH_MODES, generate_synthetic
@@ -170,6 +170,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args, "analyze")
     if config.data is None:
         raise DomainError("analyze requires a dataset: pass --data")
+    # The null refuses it too, but only after selection has run.
+    check_budget("replicas", config.pseudo.replicas, REPLICA_BYTES)
     report = run_analysis(config)
     if report.status == "no_tuples":
         print(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from contextlib import ExitStack
-from itertools import chain, repeat
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -103,23 +103,53 @@ def write_dataset_csv(points: Sequence[MeasuredPoint], path) -> None:
     write_table_csv(path, columns, ([getattr(p, c) for c in columns] for p in points))
 
 
-class TupleTable:
-    """An analysis's per-tuple columns by name; 2-D where a tuple holds a list."""
+@dataclass(frozen=True, eq=False)
+class PointColumn:
+    """A per-tuple column of per-point values: values[index].
 
-    def __init__(self, columns: dict[str, np.ndarray]) -> None:
+    index holds one entry per tuple, or one row of entries per tuple where
+    a tuple holds a list. The writer formats each of values once and
+    gathers that text by index.
+    """
+
+    values: np.ndarray
+    index: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.index.shape
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.values.dtype
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
+class TupleTable:
+    """An analysis's per-tuple columns by name; 2-D where a tuple holds a list.
+
+    A column is an array or a PointColumn; table[name] is always the array.
+    """
+
+    def __init__(self, columns: dict[str, np.ndarray | PointColumn]) -> None:
         self.columns = columns
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self.columns[name]
+        column = self.columns[name]
+        if isinstance(column, PointColumn):
+            return column.values[column.index]
+        return column
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TupleTable):
             return NotImplemented
         return self.columns.keys() == other.columns.keys() and all(
-            np.array_equal(v, other.columns[k]) for k, v in self.columns.items()
+            np.array_equal(self[name], other[name]) for name in self.columns
         )
 
 
@@ -127,25 +157,23 @@ class TupleTable:
 # in memory is bounded by this, not by the tuple count.
 CHUNK_ROWS = 1024
 
-_CSV_FLAGS = {"true": "1", "false": "0"}
+# A flag's text, indexed by the flag: in JSON, and in a CSV cell.
+_FLAG_TEXT = {
+    False: np.array(["false", "true"], dtype=object),
+    True: np.array(["0", "1"], dtype=object),
+}
 
 
-def _cell_text(values: np.ndarray) -> list:
-    """The JSON literal of each cell: repr, or true/false for a flag.
+def _cell_text(values: np.ndarray, csv_flag: bool = False) -> list:
+    """The literal of each cell of a 1-D array: its repr, or a flag's text.
 
-    A 2-D column gives one list per component.
+    A flag maps through a two-entry lookup to true/false, or to 0/1 where
+    csv_flag is set. Every other cell takes one repr of its Python value,
+    with no cache, so -0.0 keeps its own text and an int its full width.
     """
-    if values.ndim == 2:
-        return [_cell_text(column) for column in values.T]
     if values.dtype == bool:
-        return ["true" if v else "false" for v in values.tolist()]
-    # Indices, phases and target psi repeat per-point values: format each
-    # distinct value once. Floats are told apart by their bits, so -0.0
-    # keeps its own repr.
-    bits = values.view(f"i{values.itemsize}") if values.dtype.kind == "f" else values
-    _, first, inverse = np.unique(bits, return_index=True, return_inverse=True)
-    text = np.array(list(map(repr, values[first].tolist())), dtype=object)
-    return text[inverse].tolist()
+        return _FLAG_TEXT[csv_flag][values.view(np.uint8)].tolist()
+    return list(map(repr, values.tolist()))
 
 
 def _json_row_layout(table: TupleTable) -> list:
@@ -157,8 +185,9 @@ def _json_row_layout(table: TupleTable) -> list:
     pieces = [",\n    {"]
     for i, name in enumerate(sorted(table.columns)):
         pieces.append(("\n      " if i == 0 else ",\n      ") + json.dumps(name) + ": ")
-        if table[name].ndim == 2:
-            for j in range(table[name].shape[1]):
+        shape = table.columns[name].shape
+        if len(shape) == 2:
+            for j in range(shape[1]):
                 pieces += ["[\n        " if j == 0 else ",\n        ", (name, j)]
             pieces.append("\n      ]")
         else:
@@ -173,13 +202,14 @@ def _csv_row_layout(table: TupleTable, names: Sequence[str]) -> list:
     for i, name in enumerate(names):
         if i:
             pieces.append(",")
-        if table[name].ndim == 2:
-            for j in range(table[name].shape[1]):
+        column = table.columns[name]
+        if len(column.shape) == 2:
+            for j in range(column.shape[1]):
                 if j:
                     pieces.append(";")
                 pieces.append((name, j))
         else:
-            pieces.append((name, "flag" if table[name].dtype == bool else None))
+            pieces.append((name, "flag" if column.dtype == bool else None))
     pieces.append("\n")
     return pieces
 
@@ -193,38 +223,59 @@ class _RowWriter:
 
     def __init__(self, path, head: str, pieces: list, tail: str, lead: int = 0) -> None:
         self.path, self.head, self.tail, self.lead = path, head, tail, lead
-        # Literals alternate with cell keys: literals[i] precedes keys[i].
-        self.literals, self.keys, text = [], [], ""
+        # One row's literals, with a None in each cell's slot: slots[i] is
+        # where keys[i] goes.
+        self.row, self.slots, self.keys, text = [], [], [], ""
         for piece in pieces:
             if isinstance(piece, str):
                 text += piece
-            else:
-                self.literals.append(text)
-                self.keys.append(piece)
-                text = ""
-        self.end = text
+                continue
+            if text:
+                self.row.append(text)
+            self.slots.append(len(self.row))
+            self.row.append(None)
+            self.keys.append(piece)
+            text = ""
+        if text:
+            self.row.append(text)
 
-    def write_rows(self, out, cells: dict) -> None:
-        """Write a chunk's rows, joined once from its column-wise cell strings."""
-        slots = []
-        for literal, key in zip(self.literals, self.keys):
-            slots += (repeat(literal), cells[key])
-        slots.append(repeat(self.end))
-        out.write("".join(chain.from_iterable(zip(*slots)))[self.lead:])
+    def write_rows(self, out, cells: dict, rows: int) -> None:
+        """Write a chunk's rows, joined once from the literals and the cells."""
+        flat = self.row * rows
+        width = len(self.row)
+        for slot, key in zip(self.slots, self.keys):
+            flat[slot::width] = cells[key]
+        out.write("".join(flat)[self.lead:])
         self.lead = 0
 
 
-def _chunk_cells(table: TupleTable, keys: set, rows: slice) -> dict:
-    """Each needed column of the chunk formatted once, by cell key."""
-    text = {name: _cell_text(table[name][rows]) for name in {name for name, _ in keys}}
+def _chunk_cells(table: TupleTable, keys: set, rows: slice, point_text: dict) -> dict:
+    """The chunk's text of every cell key.
+
+    A PointColumn gathers its points' text from point_text, an object
+    array per (column, csv flag) formatted once per table; every other
+    column formats its cells.
+    """
     cells = {}
-    for name, part in keys:
-        if part is None:
-            cells[name, part] = text[name]
-        elif part == "flag":
-            cells[name, part] = [_CSV_FLAGS[c] for c in text[name]]
+    for key in keys:
+        name, part = key
+        column = table.columns[name]
+        csv_flag = part == "flag"
+        if isinstance(column, PointColumn):
+            index = column.index[rows]
+            if isinstance(part, int):
+                index = index[:, part]
+            text = point_text.get((name, csv_flag))
+            if text is None:
+                text = point_text[name, csv_flag] = np.array(
+                    _cell_text(column.values, csv_flag), dtype=object
+                )
+            cells[key] = text[index].tolist()
         else:
-            cells[name, part] = text[name][part]
+            values = column[rows]
+            if isinstance(part, int):
+                values = values[:, part]
+            cells[key] = _cell_text(values, csv_flag)
     return cells
 
 
@@ -257,19 +308,28 @@ def emit_report(
     sort_keys=True) with dataclasses entered as their fields, paths as
     strings, numpy scalars as Python numbers and a TupleTable as its list
     of row objects. Everything but the table is encoded in one json.dumps
-    pass. The table is then written in chunks of CHUNK_ROWS rows: each
-    column of a chunk is formatted once (repr, or true/false for a flag),
-    every file's rows are joined from those strings, and the chunk is
-    written to every file before the next one is formatted. So the text in
-    memory does not grow with the tuple count. A value that cannot be
+    pass. The table is then written in chunks of CHUNK_ROWS rows. A
+    PointColumn's points are formatted once per call and their text is
+    gathered by index; every other cell of a chunk takes one repr, or its
+    flag text, once for all files (_cell_text). Each file's rows of the
+    chunk are one flat list, the row's literals repeated with the cells
+    slice-assigned into it, joined once; the chunk is written to every
+    file before the next one is formatted. So the text in memory does not
+    grow with the tuple count. A value that cannot be
     encoded, and a non-finite cell in any float column of the table, raise
     before any file is opened.
     """
     table = report if isinstance(report, TupleTable) else report.tuples
     chunked = isinstance(table, TupleTable)
     if chunked:
-        for name, values in table.columns.items():
-            if values.dtype.kind == "f" and not np.isfinite(values).all():
+        for name, column in table.columns.items():
+            if column.dtype.kind != "f":
+                continue
+            if isinstance(column, PointColumn):
+                finite = np.isfinite(column.values)[column.index]
+            else:
+                finite = np.isfinite(column)
+            if not finite.all():
                 raise DomainError(f"column {name!r} holds a non-finite value")
     writers = []
     if path is not None:
@@ -297,13 +357,16 @@ def emit_report(
         }
         for writer, out in files.items():
             out.write(writer.head)
+        point_text = {}
         for start in range(0, len(table) if keys else 0, CHUNK_ROWS):
-            cells = _chunk_cells(table, keys, slice(start, start + CHUNK_ROWS))
+            rows = slice(start, min(start + CHUNK_ROWS, len(table)))
+            cells = _chunk_cells(table, keys, rows, point_text)
             for writer, out in files.items():
                 if writer.keys:
-                    writer.write_rows(out, cells)
+                    writer.write_rows(out, cells, rows.stop - rows.start)
         for writer, out in files.items():
             out.write(writer.tail)
+
 
 def table_csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     """A simple table as CSV text: a string cell as it is, a float at repr precision.

@@ -198,6 +198,38 @@ def null_block_shape(
     return replicas, tuples
 
 
+def null_shards(
+    replicas: int, n_points: int, workers: int, chunk_size: Optional[int] = None
+) -> list[list[range]]:
+    """The key blocks of each shard of the classical null, as replica ranges.
+
+    The key-block budget is null_block_shape(0, n_points, chunk_size)'s
+    replica count, and there are at most workers shards and at most one
+    per budget's worth of replicas. By default the replicas are cut into
+    equal shards, whose sizes differ by at most one, and each shard into
+    the fewest key blocks that fit the budget, whose sizes differ by at
+    most one too. A given chunk_size is kept exactly: every key block but
+    the last holds chunk_size replicas, from replica 0 on, and the shards
+    are runs of whole blocks, as even as the blocks allow. Pure
+    arithmetic: nothing is allocated.
+    """
+    budget, _ = null_block_shape(0, n_points, chunk_size)
+    n_blocks = -(-replicas // budget)
+    workers = min(workers, n_blocks)
+    if chunk_size is not None:
+        edges = [min(replicas, budget * (n_blocks * i // workers)) for i in range(workers + 1)]
+        return [[range(first, min(first + budget, stop)) for first in range(start, stop, budget)]
+                for start, stop in zip(edges, edges[1:])]
+    shards = []
+    for i in range(workers):
+        start = replicas * i // workers
+        size = replicas * (i + 1) // workers - start
+        blocks = -(-size // budget)
+        shards.append([range(start + size * j // blocks, start + size * (j + 1) // blocks)
+                       for j in range(blocks)])
+    return shards
+
+
 def classical_null_distribution(
     dataset: Sequence[MeasuredPoint],
     tuples: TupleSet,
@@ -264,30 +296,30 @@ def classical_null_distribution(
     Runs with systematics, whose means move per replica, evaluate every
     replica with the float expression.
 
-    Work runs in blocks sized from the fixed NULL_BLOCK_BYTES budget.
-    Keys are drawn in key blocks of null_block_shape(0, points) replicas,
-    laid out point-major with one row per point that a tuple uses, live
-    points first, into two buffers reused from block to block; a key block
-    is long enough that numpy's per-call overhead is small beside the hash.
-    The block skip and the float expression run on column slices of a key
-    block, tuple blocks of null_block_shape(tuples, points) replicas, each
-    evaluating as many tuples at a time as the budget leaves. So the memory
-    a block holds is a small constant multiple of the budget whatever the
-    replica or tuple count (only a spectrum of thousands of points could
-    push its draws past it). Each tuple component is a row gather and the
-    sum and product accumulate in place.
+    Work runs in blocks sized from the fixed NULL_BLOCK_BYTES budget. Keys
+    are drawn in key blocks of at most null_block_shape(0, points) replicas
+    (null_shards), laid out point-major with one row per point that a tuple
+    uses, live points first, into two buffers reused from block to block; a
+    key block is long enough that numpy's per-call overhead is small beside
+    the hash. The block skip and the float expression run on column slices
+    of a key block, tuple blocks of null_block_shape(tuples, points)
+    replicas, each evaluating as many tuples at a time as the budget
+    leaves. So the memory a block holds is a small constant multiple of the
+    budget whatever the replica or tuple count (only a spectrum of
+    thousands of points could push its draws past it). Each tuple component
+    is a row gather and the sum and product accumulate in place.
 
-    The replicas are cut at key-block edges into contiguous shards, one per
-    core in the process's affinity mask and at most one per key block, and
-    the shards run on a thread pool: numpy's ufuncs and gathers and scipy's
-    ndtri release the GIL. The key thresholds and the systematic responses
-    are computed once, before the shards. Each shard owns its key buffers
-    and writes only its own replicas' counts. The counts do not depend on
-    the worker count or on any blocking: every draw is keyed by (seed,
-    stream, replica, point), a replica's count reads only its own draws,
-    every tuple's statistic is evaluated with the same operations in the
-    same order, and the block skip returns the counts of the float
-    expression exactly (the proof above).
+    The replicas are cut into equal contiguous shards (null_shards), one
+    per core in the process's affinity mask and at most one per key-block
+    budget, and the shards run on a thread pool: numpy's ufuncs and gathers
+    and scipy's ndtri release the GIL. The key thresholds and the
+    systematic responses are computed once, before the shards. Each shard
+    owns its key buffers and writes only its own replicas' counts. The
+    counts do not depend on the worker count or on any blocking: every draw
+    is keyed by (seed, stream, replica, point), a replica's count reads
+    only its own draws, every tuple's statistic is evaluated with the same
+    operations in the same order, and the block skip returns the counts of
+    the float expression exactly (the proof above).
 
     Parameters
     ----------
@@ -298,8 +330,10 @@ def classical_null_distribution(
     config : PseudoConfig
         Replica count, seed, and systematics settings.
     chunk_size : int, optional
-        Replicas per key block and per tuple block; by default derived
-        from NULL_BLOCK_BYTES. The counts are identical for every chunking.
+        Replicas per key block and per tuple block, kept exactly; by
+        default derived from NULL_BLOCK_BYTES, and the key blocks are
+        then sized evenly within each shard. The counts are identical for
+        every chunking.
 
     Returns
     -------
@@ -330,7 +364,6 @@ def classical_null_distribution(
 
     use_sys = config.draws_systematics
     counts = np.zeros(config.replicas, dtype=np.int64)
-    key_replicas, _ = null_block_shape(0, used.size, chunk_size)
     block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
     bound = lgi_bound(tuples.n)
 
@@ -358,10 +391,8 @@ def classical_null_distribution(
         # Most out-of-margin draws lie above 1 - b: test the top end first.
         return (live_keys.max(axis=1) < high).all() and (live_keys.min(axis=1) >= low).all()
 
-    def run_shard(replica_ids: np.ndarray) -> None:
-        for block_ids, keys, draw_rest in _key_blocks(
-            config.seed, replica_ids, used, key_replicas, live
-        ):
+    def run_shard(blocks: list[range]) -> None:
+        for block_ids, keys, draw_rest in _key_blocks(config.seed, blocks, used, live):
             spans = [slice(first, first + block_replicas)
                      for first in range(0, block_ids.size, block_replicas)]
             if not use_sys:
@@ -404,14 +435,9 @@ def classical_null_distribution(
                     block_counts += np.count_nonzero(corr_sum > bound, axis=0)
                 counts[ids] = block_counts
 
-    # Shards of whole key blocks, as even as the blocks allow.
-    n_blocks = -(-config.replicas // key_replicas)
-    workers = min(_available_cores(), n_blocks)
-    cuts = [min(config.replicas, key_replicas * (n_blocks * i // workers))
-            for i in range(workers + 1)]
-    with futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        shards = [pool.submit(run_shard, np.arange(start, stop))
-                  for start, stop in zip(cuts, cuts[1:])]
+    shards = null_shards(config.replicas, used.size, _available_cores(), chunk_size)
+    with futures.ThreadPoolExecutor(max_workers=len(shards)) as pool:
+        shards = [pool.submit(run_shard, blocks) for blocks in shards]
         # Re-raises the first failed shard's exception; leaving the block
         # waits for every worker to finish.
         for shard in shards:
@@ -426,10 +452,8 @@ def _available_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _key_blocks(
-    seed: int, replica_ids: np.ndarray, points: np.ndarray, block_replicas: int, eager: int
-):
-    """Yield (ids, keys, draw_rest): blocks of replica_ids and their STREAM_PSEUDODATA keys.
+def _key_blocks(seed: int, blocks: list[range], points: np.ndarray, eager: int):
+    """Yield (ids, keys, draw_rest): each block's replica ids and their STREAM_PSEUDODATA keys.
 
     keys[i, j] is the key of replica ids[j] at point points[i]. The rows of
     the first eager points are drawn before the block is yielded, and
@@ -437,7 +461,7 @@ def _key_blocks(
     the last block's, in the same buffers.
     """
     # Block buffers, reused: fresh arrays of this size cost page faults.
-    width = min(block_replicas, replica_ids.size)
+    width = max(map(len, blocks))
     key_buf, scratch_buf = np.empty((2, points.size, width), dtype=np.uint64)
 
     def draw(ids, rows):
@@ -448,8 +472,8 @@ def _key_blocks(
                 out=key_buf[rows, span], scratch=scratch_buf[rows, span],
             )
 
-    for start in range(0, replica_ids.size, block_replicas):
-        ids = replica_ids[start:start + block_replicas]
+    for block in blocks:
+        ids = np.arange(block.start, block.stop)
         draw(ids, slice(0, eager))
         yield ids, key_buf[:, :ids.size], lambda ids=ids: draw(ids, slice(eager, None))
 

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataio import TupleTable, emit_report, parse_dataset, write_table_csv
+from .dataio import PointColumn, TupleTable, emit_report, parse_dataset, write_table_csv
 from .errors import DataError, DomainError, check_budget
 from .leggett_garg import lgi_bound
 from .montecarlo import (
@@ -221,14 +221,16 @@ def tuple_table(
     k_model = _k_from_survival(
         survival_probability(s2t, psi)[comp], survival_probability(s2t, phase_sum)
     )
+    # Columns of per-point values are gathers, which the writer formats per point.
+    point_ids = np.arange(len(points), dtype=comp.dtype)
     return TupleTable({
-        "component_indices": comp,
-        "target_index": target,
-        "n": np.full(len(tuples), n),
+        "component_indices": PointColumn(point_ids, comp),
+        "target_index": PointColumn(point_ids, target),
+        "n": PointColumn(np.array([n]), np.broadcast_to(np.intp(0), target.shape)),
         "mismatch": tuples.mismatch,
-        "component_phases": phases,
+        "component_phases": PointColumn(psi, comp),
         "phase_sum": phase_sum,
-        "target_psi": psi[target],
+        "target_psi": PointColumn(psi, target),
         "k_value": k_value,
         "k_sigma": k_sigma,
         "violation": k_value > lgi_bound(n),

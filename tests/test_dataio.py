@@ -1,6 +1,7 @@
 """CSV parsing with line-precise errors, and byte-stable artifacts."""
 
 import dataclasses
+import functools
 import json
 import tracemalloc
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from nulgi import dataio
 from nulgi.dataio import (
+    PointColumn,
     TupleTable,
     emit_report,
     parse_dataset,
@@ -264,8 +266,9 @@ PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 def json_oracle(report) -> bytes:
     """The bytes json.dumps gives for the report, its table as row dicts."""
     table = report.tuples
+    columns = {name: table[name] for name in table.columns}
     rows = [
-        {name: values[i].tolist() for name, values in table.columns.items()}
+        {name: values[i].tolist() for name, values in columns.items()}
         for i in range(len(table))
     ]
     plain = dataclasses.replace(report, tuples=rows)
@@ -289,11 +292,76 @@ def with_columns(table, **columns):
     return TupleTable({**table.columns, **columns})
 
 
+def head(table, rows):
+    """The table's first rows, its point columns kept as gathers."""
+    return TupleTable({
+        name: PointColumn(column.values, column.index[:rows])
+        if isinstance(column, PointColumn) else column[:rows]
+        for name, column in table.columns.items()
+    })
+
+
+@functools.lru_cache(maxsize=None)
+def fine_table():
+    """The 29 560 order-4 tuples of a 100-bin spectrum."""
+    points = attach_phases(
+        generate_synthetic(PARAMS, "quantum", 100, 0.5, 50.0, 0.05, seed=0), PARAMS
+    )
+    return tuple_table(select_ntuples(points, 4, 0.005), points, PARAMS)
+
+
+# Corners of the tuple writer, each a report whose table holds one.
+WRITER_CASES = [
+    "signed_zero_points", "ints_outside_points", "not_a_gather",
+    "rows_1", "rows_chunk_minus_1", "rows_chunk_plus_1",
+]
+
+
+def writer_case_report(case):
+    report = analyzed()
+    table = report.tuples
+    phases, target = table.columns["component_phases"], table.columns["target_index"]
+    if case == "signed_zero_points":
+        # Two points the tuples read get 0.0 and -0.0: equal values, each
+        # with its own text.
+        psi = phases.values.copy()
+        zero, negative_zero = np.unique(phases.index)[:2]
+        psi[zero], psi[negative_zero] = 0.0, -0.0
+        target_psi = table.columns["target_psi"]
+        report.tuples = with_columns(
+            table, component_phases=PointColumn(psi, phases.index),
+            target_psi=PointColumn(psi, target_psi.index),
+        )
+    elif case == "ints_outside_points":
+        # Cells no point index reaches, plain and point-valued.
+        components = table["component_indices"].copy()
+        components[:2] = [[-1, 2**31], [2**40, -(2**31) - 1]]
+        ids = target.values.copy()
+        ids[target.index[:2]] = [-5, 2**33]
+        report.tuples = with_columns(
+            table, component_indices=components, target_index=PointColumn(ids, target.index),
+        )
+    elif case == "not_a_gather":
+        # Point columns replaced by values no point holds.
+        report.tuples = with_columns(
+            table, target_psi=table["target_psi"] + 0.5,
+            component_indices=table["component_indices"][:, ::-1] * 3 + 1,
+        )
+    else:
+        rows = {"rows_1": 1, "rows_chunk_minus_1": dataio.CHUNK_ROWS - 1,
+                "rows_chunk_plus_1": dataio.CHUNK_ROWS + 1}[case]
+        report.tuples = head(fine_table(), rows)
+        assert len(report.tuples) == rows
+    return report
+
+
 @pytest.mark.parametrize("case", [
-    "no_tuples", "one_tuple", "fit_curve", "edge_floats", "quotes_and_unicode",
+    "no_tuples", "one_tuple", "fit_curve", "edge_floats", "quotes_and_unicode", *WRITER_CASES,
 ])
 def test_column_built_report_equals_json_dumps(tmp_path, case):
-    if case == "no_tuples":
+    if case in WRITER_CASES:
+        report = writer_case_report(case)
+    elif case == "no_tuples":
         report = analyzed(phases=(0.5, 0.6, 0.8))
         assert report.status == "no_tuples" and len(report.tuples) == 0
     elif case == "one_tuple":
@@ -348,17 +416,19 @@ def write_artifacts(report, out) -> dict:
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
-@pytest.mark.parametrize("case", ["order_4", "edge_floats", "no_tuples"])
+@pytest.mark.parametrize("case", ["order_4", "edge_floats", "no_tuples", *WRITER_CASES])
 def test_tuple_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, case):
-    if case == "no_tuples":
+    if case in WRITER_CASES:
+        report = writer_case_report(case)
+    elif case == "no_tuples":
         report = analyzed(phases=(0.5, 0.6, 0.8))
         assert len(report.tuples) == 0
     elif case == "order_4":
         report = analyzed(order=4)
         assert len(report.tuples) > 200
     else:
-        # Each distinct value is formatted once per chunk; 0.0 and -0.0
-        # compare equal but print differently, so they must stay apart.
+        # 0.0 and -0.0 compare equal but print differently: a text cache
+        # keyed by value would merge them.
         report = analyzed()
         edges = np.array([-0.0, 0.0, 1e-05, -0.0, 1e16, 5e-324, 0.0, 1e-05])
         table = report.tuples

@@ -29,6 +29,7 @@ from nulgi.montecarlo import (
     MIN_BLOCK_REPLICAS,
     NULL_BLOCK_BYTES,
     null_block_shape,
+    null_shards,
     z_significance,
 )
 from nulgi.oscillation import OscParams, survival_probability
@@ -664,6 +665,59 @@ def test_null_block_fits_the_budget():
     assert replicas == 7 and tuples == 241
     replicas, tuples = null_block_shape(29_560, 100, 7)
     assert block_bytes(replicas, tuples, 100) <= NULL_BLOCK_BYTES
+
+
+def shard_sizes(shards):
+    return [sum(map(len, blocks)) for blocks in shards]
+
+
+def test_a_thousand_replicas_of_99_points_make_two_equal_shards():
+    # The fine-n4 null: a key-block budget of 661 replicas used to give
+    # shards of 661 and 339.
+    assert null_block_shape(0, 99)[0] == 661
+    assert null_shards(1000, 99, 2) == [[range(0, 500)], [range(500, 1000)]]
+
+
+NULL_SHARD_GRID = [
+    (replicas, n_points, workers)
+    for replicas in (1, 2, 127, 500, 661, 662, 1000, 1321, 2**15 - 1, 100_000)
+    for n_points in (1, 6, 30, 99, 5000)
+    for workers in (1, 2, 3, 8)
+]
+
+
+def test_null_shards_are_equal_and_cut_into_the_fewest_even_key_blocks():
+    for replicas, n_points, workers in NULL_SHARD_GRID:
+        budget = null_block_shape(0, n_points)[0]
+        shards = null_shards(replicas, n_points, workers)
+        blocks = [block for shard in shards for block in shard]
+        case = (replicas, n_points, workers)
+        # The blocks tile the replicas in order.
+        assert blocks[0].start == 0 and blocks[-1].stop == replicas, case
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:])), case
+        assert len(shards) == min(workers, -(-replicas // budget)), case
+        sizes = shard_sizes(shards)
+        assert max(sizes) - min(sizes) <= 1, case
+        for shard, size in zip(shards, sizes):
+            lengths = [len(block) for block in shard]
+            assert len(shard) == -(-size // budget), case
+            assert 1 <= min(lengths) and max(lengths) <= budget, case
+            assert max(lengths) - min(lengths) <= 1, case
+
+
+def test_null_shards_keep_a_given_chunk_size():
+    for (replicas, n_points, workers), chunk_size in zip(
+        NULL_SHARD_GRID, (1, 2, 7, 128, 661, 10_000) * len(NULL_SHARD_GRID)
+    ):
+        shards = null_shards(replicas, n_points, workers, chunk_size)
+        case = (replicas, workers, chunk_size)
+        assert [block for shard in shards for block in shard] == [
+            range(first, min(first + chunk_size, replicas))
+            for first in range(0, replicas, chunk_size)
+        ], case
+        assert len(shards) == min(workers, -(-replicas // chunk_size)), case
+        counts = [len(shard) for shard in shards]
+        assert max(counts) - min(counts) <= 1, case
 
 
 @given(

@@ -354,6 +354,24 @@ def test_cli_refuses_a_size_past_the_budget(tmp_path, capsys, monkeypatch, comma
     )
 
 
+def test_analyze_refuses_replicas_past_the_budget_before_selection(tmp_path, capsys, monkeypatch):
+    most = 10_000
+    monkeypatch.setattr(errors, "SIZE_BUDGET_BYTES", most * montecarlo.REPLICA_BYTES)
+    selected = []
+    monkeypatch.setattr(pipeline, "select_ntuples", lambda *a, **kw: selected.append(a))
+    out = tmp_path / "out"
+    code = main([
+        "analyze", "--params", PARAMS_JSON, "--data", str(synthetic_csv(tmp_path)),
+        "--replicas", str(most + 1), "--out-dir", str(out),
+    ])
+    assert code == EXIT_DOMAIN
+    assert not selected and not out.exists()
+    assert capsys.readouterr().err == (
+        f"config error: replicas {most + 1} is past the budget of {most} "
+        f"({most * montecarlo.REPLICA_BYTES} bytes at {montecarlo.REPLICA_BYTES} each)\n"
+    )
+
+
 def read_table(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
