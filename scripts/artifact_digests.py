@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""One SHA-256 per CLI run over a fixed grid, to prove two trees write the same bytes.
+"""SHA-256 digests of every CLI output over a fixed grid, to compare what two trees write.
 
 Each run calls nulgi.cli.main in process, from a fresh directory, with
-relative paths (report.json echoes them). Its digest covers the exit code,
-stdout, stderr and every file the run wrote, by relative path. The grid:
+relative paths (report.json echoes them). It prints one line for its exit
+code, stdout and stderr together, `<sha>  <run>`, and one line for each
+file it wrote, `<sha>  <run> <file>` by relative path. The grid:
 
 - simulate of each spectrum of the minos pool (30 bins, quantum and
   classical_flat, generator seeds 0-31) and of the fine pool (100 bins,
@@ -18,7 +19,8 @@ Usage, from the repository root:
     python3 scripts/artifact_digests.py [--spectra N] > digests.txt
 
 --spectra N takes the first N generator seeds of each pool and truth. Two
-trees write the same bytes when their outputs are equal (diff).
+trees write the same bytes when their outputs are equal, and a diff of the
+outputs names each output that moved.
 """
 
 import argparse
@@ -43,8 +45,12 @@ POOLS = (
 ORDERS = (3, 4)
 
 
-def run_digest(argv: list, workdir: Path) -> str:
-    """The SHA-256 of one in-process run in workdir: exit code, output and files."""
+def run_digests(argv: list, workdir: Path) -> list:
+    """(SHA-256, file) of one in-process run in workdir.
+
+    The first entry covers the exit code, stdout and stderr, with file None;
+    then one entry per file the run wrote, by relative path, in path order.
+    """
     stdout, stderr = io.StringIO(), io.StringIO()
     before = {path for path in workdir.rglob("*") if path.is_file()}
     cwd = os.getcwd()
@@ -59,11 +65,10 @@ def run_digest(argv: list, workdir: Path) -> str:
         data = part.encode("utf-8")
         digest.update(b"%d:" % len(data) + data)
     written = sorted(path for path in workdir.rglob("*") if path.is_file() and path not in before)
-    for path in written:
-        name = path.relative_to(workdir).as_posix().encode("utf-8")
-        data = path.read_bytes()
-        digest.update(b"%d:" % len(name) + name + b"%d:" % len(data) + data)
-    return digest.hexdigest()
+    return [(digest.hexdigest(), None)] + [
+        (hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(workdir).as_posix())
+        for path in written
+    ]
 
 
 def runs(spectra: int):
@@ -104,7 +109,8 @@ def main(argv=None) -> int:
             # A spectrum's directory holds its CSV; every other run gets its own.
             workdir = root / (spectrum or f"run-{i:04d}")
             workdir.mkdir()
-            print(f"{run_digest(run_argv, workdir)}  {label}", flush=True)
+            for digest, name in run_digests(run_argv, workdir):
+                print(f"{digest}  {label}" + (f" {name}" if name else ""), flush=True)
     return 0
 
 

@@ -31,7 +31,7 @@ from nulgi.oscillation import (
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
-# The analysis runs in vacuum (OscParams rejects a nonzero v_c). The
+# The analysis runs in vacuum: OscParams has no matter potential. The
 # closed-form matter curve lives here, with the potential as an argument.
 
 
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
     print(
         "note: the potential is applied asymmetrically between the two states, "
         "the worst case;\na potential felt equally by both (the mu-tau channel) "
-        "shifts nothing, see OscParams.v_n"
+        "adds a phase common to both states and shifts nothing"
     )
 
     if args.out:

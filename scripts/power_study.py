@@ -50,7 +50,7 @@ def z_scores(params, truth, rel_error, args) -> tuple[list, list]:
             tolerance=args.tolerance,
             pseudo=PseudoConfig(replicas=args.replicas, seed=seed),
         )
-        report = analyze_dataset(points, config)
+        report, _ = analyze_dataset(points, config)
         if report.status == "ok":
             values.append(report.z_score)
             tail = exact_tail(points, params, config, report.n_violations_observed)

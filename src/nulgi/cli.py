@@ -74,10 +74,9 @@ def _construct(schema, kw: dict, what: str):
         raise DomainError(f"{what}: {exc}") from exc
 
 
-def _build_config(args: argparse.Namespace, mode: str) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> RunConfig:
     """Config keys are RunConfig's fields; params and pseudo hold OscParams' and
-    PseudoConfig's. A flag's dest is the field it sets, RunConfig's if both
-    have it (tolerance). mode comes from the subcommand.
+    PseudoConfig's. A flag's dest is the field it sets. Any other key is refused.
     """
     cfg_source = args.config or os.environ.get(CONFIG_ENV)
     cfg = _load_json_object(cfg_source) if cfg_source else {}
@@ -108,7 +107,7 @@ def _build_config(args: argparse.Namespace, mode: str) -> RunConfig:
             if not isinstance(value, (str, os.PathLike)):
                 raise DomainError(f"{key} must be a path string, got {value!r}")
             cfg[key] = Path(value)
-    return RunConfig(**{**cfg, "mode": mode}, params=params, pseudo=pseudo)
+    return RunConfig(**cfg, params=params, pseudo=pseudo)
 
 
 def _emit_rows(header, rows, out: Optional[Path]) -> None:
@@ -120,14 +119,14 @@ def _emit_rows(header, rows, out: Optional[Path]) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> int:
-    config = _build_config(args, "curve")
+    config = _build_config(args)
     header, rows = curve_rows(config.params, config.e_min_gev, config.e_max_gev, args.points)
     _emit_rows(header, rows, args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _build_config(args, "simulate")
+    config = _build_config(args)
     points = generate_synthetic(
         config.params,
         config.truth,
@@ -148,7 +147,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_triples(args: argparse.Namespace) -> int:
-    config = _build_config(args, "triples")
+    config = _build_config(args)
     if config.data is None:
         raise DomainError("triples requires a dataset: pass --data")
     table = run_triples(config)
@@ -167,7 +166,7 @@ def cmd_triples(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    config = _build_config(args, "analyze")
+    config = _build_config(args)
     if config.data is None:
         raise DomainError("analyze requires a dataset: pass --data")
     # The null refuses it too, but only after selection has run.

@@ -3,8 +3,8 @@
 The dataset format is a UTF-8 CSV with header columns energy_gev, p_mumu,
 sigma_stat and optionally sigma_sys, in any order; full-line comments start
 with '#'. Floats are written with repr precision so a write-parse round trip
-reproduces values exactly, and JSON reports use sorted keys so identical
-runs produce identical bytes.
+reproduces values exactly, and report.json uses sorted keys so identical
+runs produce identical bytes. Tuple rows are written as CSV only.
 """
 
 from __future__ import annotations
@@ -145,99 +145,49 @@ class TupleTable:
             return column.values[column.index]
         return column
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TupleTable):
-            return NotImplemented
-        return self.columns.keys() == other.columns.keys() and all(
-            np.array_equal(self[name], other[name]) for name in self.columns
-        )
-
 
 # Rows of a TupleTable formatted and written at a time: the tuple text held
 # in memory is bounded by this, not by the tuple count.
 CHUNK_ROWS = 1024
 
-# A flag's text, indexed by the flag: in JSON, and in a CSV cell.
-_FLAG_TEXT = {
-    False: np.array(["false", "true"], dtype=object),
-    True: np.array(["0", "1"], dtype=object),
-}
+# A flag's text in a CSV cell, indexed by the flag.
+_FLAG_TEXT = np.array(["0", "1"], dtype=object)
 
 
-def _cell_text(values: np.ndarray, csv_flag: bool = False) -> list:
-    """The literal of each cell of a 1-D array: its repr, or a flag's text.
+def _cell_text(values: np.ndarray) -> list:
+    """The literal of each cell of a 1-D array: its repr, or a flag's 0 or 1.
 
-    A flag maps through a two-entry lookup to true/false, or to 0/1 where
-    csv_flag is set. Every other cell takes one repr of its Python value,
-    with no cache, so -0.0 keeps its own text and an int its full width.
+    A flag maps through a two-entry lookup. Every other cell takes one repr
+    of its Python value, with no cache, so -0.0 keeps its own text and an
+    int its full width.
     """
     if values.dtype == bool:
-        return _FLAG_TEXT[csv_flag][values.view(np.uint8)].tolist()
+        return _FLAG_TEXT[values.view(np.uint8)].tolist()
     return list(map(repr, values.tolist()))
 
 
-def _json_row_layout(table: TupleTable) -> list:
-    """A row object as json.dumps(indent=2) writes it in a top-level list.
-
-    Pieces are literal strings and (column, part) cell keys; each row is
-    led by the separator from the previous one.
-    """
-    pieces = [",\n    {"]
-    for i, name in enumerate(sorted(table.columns)):
-        pieces.append(("\n      " if i == 0 else ",\n      ") + json.dumps(name) + ": ")
-        shape = table.columns[name].shape
-        if len(shape) == 2:
-            for j in range(shape[1]):
-                pieces += ["[\n        " if j == 0 else ",\n        ", (name, j)]
-            pieces.append("\n      ]")
-        else:
-            pieces.append((name, None))
-    pieces.append("\n    }")
-    return pieces
-
-
-def _csv_row_layout(table: TupleTable, names: Sequence[str]) -> list:
-    """A CSV line: list entries joined by ';', a flag as 0 or 1."""
-    pieces = []
-    for i, name in enumerate(names):
-        if i:
-            pieces.append(",")
-        column = table.columns[name]
-        if len(column.shape) == 2:
-            for j in range(column.shape[1]):
-                if j:
-                    pieces.append(";")
-                pieces.append((name, j))
-        else:
-            pieces.append((name, "flag" if column.dtype == bool else None))
-    pieces.append("\n")
-    return pieces
-
-
 class _RowWriter:
-    """One file of the tuple writer: a head, the rows chunk by chunk, a tail.
+    """One CSV file of the tuple writer: a header, then the rows chunk by chunk.
 
-    lead characters are dropped from the start of the first rows written:
-    the separator a row carries from the one before it.
+    A row is the named columns joined by ',', with the entries of a list
+    cell joined by ';'.
     """
 
-    def __init__(self, path, head: str, pieces: list, tail: str, lead: int = 0) -> None:
-        self.path, self.head, self.tail, self.lead = path, head, tail, lead
+    def __init__(self, path, table: TupleTable, names: Sequence[str]) -> None:
+        self.path, self.head = path, ",".join(names) + "\n"
         # One row's literals, with a None in each cell's slot: slots[i] is
-        # where keys[i] goes.
-        self.row, self.slots, self.keys, text = [], [], [], ""
-        for piece in pieces:
-            if isinstance(piece, str):
-                text += piece
-                continue
-            if text:
-                self.row.append(text)
-            self.slots.append(len(self.row))
-            self.row.append(None)
-            self.keys.append(piece)
-            text = ""
-        if text:
-            self.row.append(text)
+        # where the cells of keys[i], a (column, list entry or None), go.
+        self.row, self.slots, self.keys = [], [], []
+        for i, name in enumerate(names):
+            shape = table.columns[name].shape
+            parts = range(shape[1]) if len(shape) == 2 else (None,)
+            for j in parts:
+                if i or j:
+                    self.row.append(";" if j else ",")
+                self.slots.append(len(self.row))
+                self.row.append(None)
+                self.keys.append((name, j))
+        self.row.append("\n")
 
     def write_rows(self, out, cells: dict, rows: int) -> None:
         """Write a chunk's rows, joined once from the literals and the cells."""
@@ -245,37 +195,33 @@ class _RowWriter:
         width = len(self.row)
         for slot, key in zip(self.slots, self.keys):
             flat[slot::width] = cells[key]
-        out.write("".join(flat)[self.lead:])
-        self.lead = 0
+        out.write("".join(flat))
 
 
 def _chunk_cells(table: TupleTable, keys: set, rows: slice, point_text: dict) -> dict:
     """The chunk's text of every cell key.
 
     A PointColumn gathers its points' text from point_text, an object
-    array per (column, csv flag) formatted once per table; every other
-    column formats its cells.
+    array per column formatted once per table; every other column formats
+    its cells.
     """
     cells = {}
     for key in keys:
         name, part = key
         column = table.columns[name]
-        csv_flag = part == "flag"
         if isinstance(column, PointColumn):
             index = column.index[rows]
-            if isinstance(part, int):
+            if part is not None:
                 index = index[:, part]
-            text = point_text.get((name, csv_flag))
+            text = point_text.get(name)
             if text is None:
-                text = point_text[name, csv_flag] = np.array(
-                    _cell_text(column.values, csv_flag), dtype=object
-                )
+                text = point_text[name] = np.array(_cell_text(column.values), dtype=object)
             cells[key] = text[index].tolist()
         else:
             values = column[rows]
-            if isinstance(part, int):
+            if part is not None:
                 values = values[:, part]
-            cells[key] = _cell_text(values, csv_flag)
+            cells[key] = _cell_text(values)
     return cells
 
 
@@ -289,66 +235,44 @@ def _json_fallback(obj):
     raise TypeError(f"{type(obj).__name__} object is not JSON serializable")
 
 
-# A top-level key starts a line indented by two spaces; strings cannot hold
-# a raw newline, so this text marks the report's own tuples entry only.
-_EMPTY_TUPLES = '\n  "tuples": []'
+def write_report(report: SignificanceReport, path) -> None:
+    """Write report.json: json.dumps(report, indent=2, sort_keys=True) and a newline.
 
-
-def emit_report(
-    report: SignificanceReport | TupleTable, path=None, tables: Sequence[tuple] = ()
-) -> None:
-    """Write report.json and CSV tables of the report's tuples in one pass.
-
-    report is a SignificanceReport, or a bare TupleTable when path is None
-    and only tables are written. tables holds (path, column names) pairs:
-    each is written as the table_csv_text of those columns, with index and
-    phase lists joined by ';' and a flag as 0 or 1.
-
-    The report's bytes are those of json.dumps(report, indent=2,
-    sort_keys=True) with dataclasses entered as their fields, paths as
-    strings, numpy scalars as Python numbers and a TupleTable as its list
-    of row objects. Everything but the table is encoded in one json.dumps
-    pass. The table is then written in chunks of CHUNK_ROWS rows. A
-    PointColumn's points are formatted once per call and their text is
-    gathered by index; every other cell of a chunk takes one repr, or its
-    flag text, once for all files (_cell_text). Each file's rows of the
-    chunk are one flat list, the row's literals repeated with the cells
-    slice-assigned into it, joined once; the chunk is written to every
-    file before the next one is formatted. So the text in memory does not
-    grow with the tuple count. A value that cannot be
-    encoded, and a non-finite cell in any float column of the table, raise
-    before any file is opened.
+    Dataclasses are entered as their fields, paths written as strings and
+    numpy scalars as Python numbers. A value that cannot be encoded raises
+    before the file is opened.
     """
-    table = report if isinstance(report, TupleTable) else report.tuples
-    chunked = isinstance(table, TupleTable)
-    if chunked:
-        for name, column in table.columns.items():
-            if column.dtype.kind != "f":
-                continue
-            if isinstance(column, PointColumn):
-                finite = np.isfinite(column.values)[column.index]
-            else:
-                finite = np.isfinite(column)
-            if not finite.all():
-                raise DomainError(f"column {name!r} holds a non-finite value")
-    writers = []
-    if path is not None:
-        fields = _json_fallback(report)
-        if chunked:
-            fields["tuples"] = []
-        text = json.dumps(fields, default=_json_fallback, indent=2, sort_keys=True)
-        if chunked and len(table):
-            head, tail = text.split(_EMPTY_TUPLES, 1)
-            writers.append(_RowWriter(
-                path, f'{head}\n  "tuples": [', _json_row_layout(table),
-                f"\n  ]{tail}\n", lead=1,
-            ))
+    text = json.dumps(report, default=_json_fallback, indent=2, sort_keys=True)
+    Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
+    """Write CSV tables of an analysis's tuples in one pass.
+
+    tables holds (path, column names) pairs: each is written as the
+    table_csv_text of those columns, with index and phase lists joined by
+    ';' and a flag as 0 or 1.
+
+    The table is written in chunks of CHUNK_ROWS rows. A PointColumn's
+    points are formatted once per call and their text is gathered by
+    index; every other cell of a chunk takes one repr, or its flag text,
+    once for all files (_cell_text). Each file's rows of the chunk are one
+    flat list, the row's literals repeated with the cells slice-assigned
+    into it, joined once; the chunk is written to every file before the
+    next one is formatted. So the text in memory does not grow with the
+    tuple count. A non-finite cell in any float column raises before any
+    file is opened.
+    """
+    for name, column in table.columns.items():
+        if column.dtype.kind != "f":
+            continue
+        if isinstance(column, PointColumn):
+            finite = np.isfinite(column.values)[column.index]
         else:
-            writers.append(_RowWriter(path, text + "\n", [], ""))
-    for csv_path, names in tables:
-        writers.append(_RowWriter(
-            csv_path, ",".join(names) + "\n", _csv_row_layout(table, names), ""
-        ))
+            finite = np.isfinite(column)
+        if not finite.all():
+            raise DomainError(f"column {name!r} holds a non-finite value")
+    writers = [_RowWriter(path, table, names) for path, names in tables]
     keys = {key for writer in writers for key in writer.keys}
     with ExitStack() as stack:
         files = {
@@ -358,14 +282,11 @@ def emit_report(
         for writer, out in files.items():
             out.write(writer.head)
         point_text = {}
-        for start in range(0, len(table) if keys else 0, CHUNK_ROWS):
+        for start in range(0, len(table), CHUNK_ROWS):
             rows = slice(start, min(start + CHUNK_ROWS, len(table)))
             cells = _chunk_cells(table, keys, rows, point_text)
             for writer, out in files.items():
-                if writer.keys:
-                    writer.write_rows(out, cells, rows.stop - rows.start)
-        for writer, out in files.items():
-            out.write(writer.tail)
+                writer.write_rows(out, cells, rows.stop - rows.start)
 
 
 def table_csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:

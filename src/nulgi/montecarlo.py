@@ -78,17 +78,14 @@ LAW_BLOCK = 1 << 14
 class PseudoConfig:
     """Knobs for the pseudo-experiment engine.
 
-    tolerance is never read: the engine does not re-select, and the tuples
-    come from RunConfig.tolerance. It remains because the report's config
-    echo and the accepted pseudo config keys carry it, so it must be a
-    finite number like the widths. Systematic nuisances,
-    when enabled, are drawn once per replica and shift every point
-    coherently, so they are the only cross-bin correlation mechanism.
+    The engine does not re-select: the tuples, and the tolerance they were
+    selected at, come from the analysis. Systematic nuisances, when
+    enabled, are drawn once per replica and shift every point coherently,
+    so they are the only cross-bin correlation mechanism.
     """
 
     replicas: int = 100_000
     seed: int = 0
-    tolerance: float = 0.005
     include_systematics: bool = False
     sys_amplitude_sigma: float = 0.0
     sys_phase_sigma: float = 0.0
@@ -108,9 +105,9 @@ class PseudoConfig:
         flag = self.include_systematics
         if not isinstance(flag, (bool, np.bool_)):
             raise DomainError(f"include_systematics must be true or false, got {flag!r}")
-        # A nan or inf width or tolerance would run and write NaN or
-        # Infinity into the report, which is not JSON.
-        for name in ("tolerance", "sys_amplitude_sigma", "sys_phase_sigma"):
+        # A nan or inf width would run and write NaN or Infinity into the
+        # report, which is not JSON.
+        for name in ("sys_amplitude_sigma", "sys_phase_sigma"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(
                 value, (int, float, np.integer, np.floating)
@@ -149,7 +146,14 @@ class BetaBinomialFit:
 
 @dataclass
 class SignificanceReport:
-    """Everything run_analysis learned, in one serializable record."""
+    """Everything run_analysis learned, in one serializable record.
+
+    It holds exactly what report.json holds. The per-tuple rows are not
+    part of it: they are the analysis's table, written to tuples.csv.
+    config echoes the settings the analysis read, and data_sha256 is the
+    SHA-256 of the dataset file run_analysis parsed (None for a spectrum
+    analyzed in memory).
+    """
 
     n_tuples: int
     n_violations_observed: Optional[int]
@@ -159,10 +163,10 @@ class SignificanceReport:
     dof: Optional[int]
     status: str
     config: dict
-    tuples: object = field(default_factory=list)  # the pipeline's dataio.TupleTable
+    data_sha256: Optional[str] = None
     warnings: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-    schema_version: int = 1
+    schema_version: int = 2
 
 
 def _systematic_responses(dataset: Sequence[MeasuredPoint]) -> tuple[np.ndarray, np.ndarray]:

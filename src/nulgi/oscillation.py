@@ -39,25 +39,18 @@ class OscParams:
         Mixing amplitude sin^2(2*theta), in [0, 1].
     baseline_km : float
         Fixed source-detector separation in km.
-    v_c : float
-        Charged-current matter potential in eV. Must be 0: analyses run in
-        vacuum, so a nonzero value is rejected rather than silently ignored.
-    v_n : float
-        Neutral-current potential in eV. Must be 0 for the same reason; a
-        potential felt equally by both states never changes a survival
-        probability anyway.
+
+    Propagation is in vacuum, so there is no matter potential to set.
     """
 
     dm2: float
     sin2_2theta: float
     baseline_km: float
-    v_c: float = 0.0
-    v_n: float = 0.0
 
     def __post_init__(self) -> None:
         # A bool is a number to Python, and a string would fail only where
         # the field is first compared, with a TypeError.
-        for name in ("dm2", "sin2_2theta", "baseline_km", "v_c", "v_n"):
+        for name in ("dm2", "sin2_2theta", "baseline_km"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(
                 value, (int, float, np.integer, np.floating)
@@ -67,11 +60,6 @@ class OscParams:
             raise DomainError(f"sin2_2theta must lie in [0, 1], got {self.sin2_2theta}")
         if not self.baseline_km > 0.0:
             raise DomainError(f"baseline_km must be positive, got {self.baseline_km}")
-        for name in ("v_c", "v_n"):
-            if getattr(self, name) != 0.0:
-                raise DomainError(
-                    f"{name} must be 0 (analyses run in vacuum), got {getattr(self, name)!r}"
-                )
         for name in ("dm2", "sin2_2theta", "baseline_km"):
             if not math.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {getattr(self, name)!r}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import numbers
 import warnings as _warnings
@@ -13,7 +14,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataio import PointColumn, TupleTable, emit_report, parse_dataset, write_table_csv
+from .dataio import (
+    PointColumn,
+    TupleTable,
+    emit_report,
+    parse_dataset,
+    write_report,
+    write_table_csv,
+)
 from .errors import DataError, DomainError, check_budget
 from .leggett_garg import lgi_bound
 from .montecarlo import (
@@ -36,7 +44,6 @@ from .selection import (
     select_ntuples,
 )
 
-MODES = ("analyze", "simulate", "curve", "triples")
 STANDARD_ORDERS = (3, 4)
 
 CHI2_CAVEAT = (
@@ -60,10 +67,13 @@ CURVE_POINT_BYTES = 384
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs; mirrored field-for-field by the config JSON."""
+    """Everything one invocation needs; mirrored field-for-field by the config JSON.
+
+    truth, bins, e_min_gev, e_max_gev, rel_error and flat_p serve simulate
+    (and curve its span); analyze reads the ANALYZE_FIELDS.
+    """
 
     params: OscParams
-    mode: str = "analyze"
     data: Optional[Path] = None
     out_dir: Path = Path("nulgi_out")
     order: int = 3
@@ -81,18 +91,19 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # A bool is a number to Python, and a string would fail only where
-        # the field is first compared, with a TypeError.
+        # the field is first compared, with a TypeError. A nan or inf would
+        # run, and write Infinity into report.json or inf into a table.
         for name in ("tolerance", "e_min_gev", "e_max_gev", "rel_error", "flat_p"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
         # Any JSON value has a truth value: "no" would run the fit.
         for name in ("fit_curve", "allow_high_order"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise DomainError(f"{name} must be true or false, got {value!r}")
-        if self.mode not in MODES:
-            raise DomainError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.order, int) or self.order < 3:
             raise DomainError(f"order must be an integer >= 3, got {self.order}")
         if self.order not in STANDARD_ORDERS and not self.allow_high_order:
@@ -257,8 +268,18 @@ TRIPLES_COLUMNS = (
 )
 
 
+# The RunConfig fields analyze reads: report.json echoes these and no others.
+ANALYZE_FIELDS = (
+    "params", "data", "out_dir", "order", "tolerance", "mismatch_mode", "pseudo",
+    "fit_curve", "allow_high_order",
+)
+
+
 def _config_echo(config: RunConfig, fitted: Optional[OscParams]) -> dict:
-    echo = dataclasses.asdict(config)
+    echo = {
+        name: value for name, value in dataclasses.asdict(config).items()
+        if name in ANALYZE_FIELDS
+    }
     echo["data"] = None if config.data is None else str(config.data)
     echo["out_dir"] = str(config.out_dir)
     if fitted is not None:
@@ -284,8 +305,8 @@ def exact_null_law(
 
 def _analyze(
     points: Sequence[MeasuredPoint], config: RunConfig
-) -> tuple[SignificanceReport, Optional[np.ndarray]]:
-    """Shared implementation; returns the report plus the raw null counts."""
+) -> tuple[SignificanceReport, TupleTable, Optional[np.ndarray]]:
+    """Shared implementation; returns the report, its tuple table and the raw null counts."""
     if len(points) < config.order:
         raise DataError(
             f"need at least {config.order} points for order {config.order}, "
@@ -297,6 +318,7 @@ def _analyze(
     )
 
     if not tuples:
+        table = tuple_table(tuples, decorated, config.params)
         report = SignificanceReport(
             n_tuples=0,
             n_violations_observed=None,
@@ -306,10 +328,9 @@ def _analyze(
             dof=None,
             status="no_tuples",
             config=_config_echo(config, None),
-            tuples=tuple_table(tuples, decorated, config.params),
             notes=["No phase tuples satisfied the sum rule at this tolerance."],
         )
-        return report, None
+        return report, table, None
 
     report_warnings: list[str] = []
     fitted = None
@@ -360,37 +381,39 @@ def _analyze(
         dof=dof,
         status="ok",
         config=_config_echo(config, fitted),
-        tuples=table,
         warnings=report_warnings,
         notes=[CHI2_CAVEAT],
     )
-    return report, counts
+    return report, table, counts
 
 
 def analyze_dataset(
     points: Sequence[MeasuredPoint], config: RunConfig
-) -> SignificanceReport:
+) -> tuple[SignificanceReport, TupleTable]:
     """Run the full significance analysis in memory.
 
     Attaches phases, selects tuples, evaluates the observed statistic,
-    builds the classical null, fits it, and scores the observation. Writes
-    nothing; use run_analysis for the artifact-emitting variant.
+    builds the classical null, fits it, and scores the observation.
+    Returns the report and the table of its tuples. Writes nothing; use
+    run_analysis for the artifact-emitting variant.
     """
-    report, _ = _analyze(points, config)
-    return report
+    report, table, _ = _analyze(points, config)
+    return report, table
 
 
 def _write_artifacts(
     report: SignificanceReport,
+    table: TupleTable,
     points: Sequence[MeasuredPoint],
     config: RunConfig,
     counts: Optional[np.ndarray],
 ) -> None:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    emit_report(report, out / "report.json", (
+    emit_report(table, (
         (out / "tuples.csv", TUPLE_COLUMNS), (out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS)
     ))
+    write_report(report, out / "report.json")
     if counts is not None:
         write_table_csv(
             out / "null_counts.csv", ("violations", "replicas"), null_count_rows(counts)
@@ -415,14 +438,15 @@ def run_analysis(config: RunConfig) -> SignificanceReport:
     """Parse the configured dataset, analyze it, and write all artifacts.
 
     Writes report.json, tuples.csv, k_vs_phase.csv, null_counts.csv and
-    curve.csv into out_dir. Identical datasets and configs produce
-    byte-identical artifacts.
+    curve.csv into out_dir. The report carries the dataset file's SHA-256.
+    Identical datasets and configs produce byte-identical artifacts.
     """
     if config.data is None:
         raise DomainError("analysis requires a dataset path")
     points = parse_dataset(config.data)
-    report, counts = _analyze(points, config)
-    _write_artifacts(report, points, config, counts)
+    report, table, counts = _analyze(points, config)
+    report.data_sha256 = hashlib.sha256(Path(config.data).read_bytes()).hexdigest()
+    _write_artifacts(report, table, points, config, counts)
     return report
 
 
@@ -442,5 +466,5 @@ def run_triples(config: RunConfig) -> TupleTable:
     if len(table):
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        emit_report(table, tables=((out / "tuples.csv", TRIPLES_COLUMNS),))
+        emit_report(table, ((out / "tuples.csv", TRIPLES_COLUMNS),))
     return table

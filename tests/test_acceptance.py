@@ -166,7 +166,7 @@ def synthetic_run(seed: int, truth: str = "quantum", tolerance: float = 0.005):
         tolerance=tolerance,
         pseudo=PseudoConfig(replicas=REPLICAS, seed=seed),
     )
-    return points, analyze_dataset(points, config)
+    return (points, *analyze_dataset(points, config))
 
 
 def order3_oracle(points, tolerance: float):
@@ -225,14 +225,13 @@ def mc_z_error(exact, replicas: int, rng) -> float:
     return math.sqrt(unit / replicas)
 
 
-def paired_check(report, exact, rng) -> tuple[bool, float, float]:
+def paired_check(report, table, exact, rng) -> tuple[bool, float, float]:
     """One pipeline run against its exact oracle.
 
     Returns whether the tuple set and the observed count equal the
     oracle's, and how far the Monte Carlo null mean and the z sit from the
     exact values, in Monte Carlo standard errors.
     """
-    table = report.tuples
     tuples = set(zip(
         map(tuple, table["component_indices"].tolist()), table["target_index"].tolist()
     ))
@@ -251,9 +250,9 @@ def test_a4_quantum_truth_power(verdict):
     rng = np.random.default_rng(4)
     zs, checks, exacts = [], [], []
     for seed in range(50):
-        points, report = synthetic_run(seed)
+        points, report, table = synthetic_run(seed)
         exact = order3_oracle(points, 0.005)
-        checks.append(paired_check(report, exact, rng))
+        checks.append(paired_check(report, table, exact, rng))
         zs.append(report.z_score)
         exacts.append(exact)
     zs = np.array(zs)
@@ -377,7 +376,7 @@ def test_a8_digitized_spectrum_if_supplied(verdict):
     config = RunConfig(
         params=PARAMS, tolerance=0.005, pseudo=PseudoConfig(replicas=100_000, seed=0)
     )
-    report = analyze_dataset(points, config)
+    report, _ = analyze_dataset(points, config)
     frac = report.n_violations_observed / report.n_tuples
     ratio = report.chi2_quantum / report.dof
     ok = (
@@ -398,11 +397,10 @@ def test_a9_tolerance_robustness(verdict):
     rng = np.random.default_rng(9)
     legs, equal, worst, lines = [], True, 0.0, []
     for tol in (0.0005, 0.005, 0.01):
-        points, report = synthetic_run(0, tolerance=tol)
+        points, report, table = synthetic_run(0, tolerance=tol)
         exact = order3_oracle(points, tol)
-        leg_equal, *gaps = paired_check(report, exact, rng)
+        leg_equal, *gaps = paired_check(report, table, exact, rng)
         equal, worst = equal and leg_equal, max(worst, *gaps)
-        table = report.tuples
         legs.append({
             tuple(comps): (target, k)
             for comps, target, k in zip(

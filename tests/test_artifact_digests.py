@@ -1,5 +1,6 @@
 """Smoke test of scripts/artifact_digests.py on a 2-spectrum grid."""
 
+import hashlib
 import importlib.util
 import re
 from pathlib import Path
@@ -15,31 +16,32 @@ SMALL_POOLS = tuple(
     for pool, bins, truths, _, replicas in artifact_digests.POOLS
 )
 
+ANALYZE_FILES = ("curve.csv", "k_vs_phase.csv", "null_counts.csv", "report.json", "tuples.csv")
+
 
 def digest_lines(capsys) -> list:
     assert artifact_digests.main(["--spectra", "1"]) == 0
     return [line.split("  ", 1) for line in capsys.readouterr().out.splitlines()]
 
 
-def test_each_run_prints_one_stable_digest(capsys, monkeypatch):
+def test_each_output_prints_one_stable_digest(capsys, monkeypatch):
     monkeypatch.setattr(artifact_digests, "POOLS", SMALL_POOLS)
     lines = digest_lines(capsys)
+    runs = []
+    for name in ("minos-quantum-00", "fine-quantum-00"):
+        runs.append((f"simulate {name}", ["spectrum.csv"]))
+        for order in (3, 4):
+            runs.append((f"triples {name} n{order}", ["out/tuples.csv"]))
+            runs.append((f"analyze {name} n{order}", [f"out/{f}" for f in ANALYZE_FILES]))
+    runs += [("curve stdout", []), ("curve 1000", ["curve.csv"])]
     assert [label for _, label in lines] == [
-        *(
-            label
-            for name in ("minos-quantum-00", "fine-quantum-00")
-            for label in (
-                f"simulate {name}",
-                f"triples {name} n3", f"analyze {name} n3",
-                f"triples {name} n4", f"analyze {name} n4",
-            )
-        ),
-        "curve stdout", "curve 1000",
+        line for run, files in runs for line in (run, *(f"{run} {f}" for f in files))
     ]
     digests = [digest for digest, _ in lines]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
-    # Every run writes or prints something of its own.
-    assert len(set(digests)) == len(digests)
+    # Every run prints something of its own.
+    outputs = [digest for digest, label in lines if label in dict(runs)]
+    assert len(set(outputs)) == len(outputs) == len(runs)
     # A second pass over the same grid prints the same lines.
     assert digest_lines(capsys) == lines
 
@@ -51,6 +53,12 @@ def test_a_digest_covers_the_exit_code_the_output_and_every_file(tmp_path):
     for points in ("5", "6", "1"):
         workdir = tmp_path / points
         workdir.mkdir()
-        runs[points] = artifact_digests.run_digest([*curve, points], workdir)
-    assert (tmp_path / "5" / "c.csv").is_file() and not (tmp_path / "1" / "c.csv").exists()
-    assert len(set(runs.values())) == 3
+        runs[points] = artifact_digests.run_digests([*curve, points], workdir)
+    (five_out, five_csv), (six_out, six_csv) = runs["5"], runs["6"]
+    assert five_out[0] == six_out[0] and five_out[1] is None
+    assert five_csv[1] == six_csv[1] == "c.csv" and five_csv[0] != six_csv[0]
+    assert five_csv[0] == hashlib.sha256((tmp_path / "5" / "c.csv").read_bytes()).hexdigest()
+    # One point exits 3 and writes nothing.
+    ((one_out, one_file),) = runs["1"]
+    assert one_file is None and one_out != five_out[0]
+    assert not (tmp_path / "1" / "c.csv").exists()

@@ -17,6 +17,7 @@ from nulgi.dataio import (
     parse_dataset,
     table_csv_text,
     write_dataset_csv,
+    write_report,
     write_table_csv,
 )
 from nulgi.errors import DataError, DomainError
@@ -177,22 +178,22 @@ def sample_report():
     return SignificanceReport(
         n_tuples=82, n_violations_observed=64, null_fit=fit, z_score=6.2,
         chi2_quantum=104.8, dof=81, status="ok",
-        config={"order": 3, "tolerance": 0.005},
-        tuples=[{"target_index": 4, "k_value": 1.31}],
+        config={"order": 3, "tolerance": 0.005}, data_sha256="0" * 64,
         warnings=["example"], notes=[],
     )
 
 
 def test_report_json_is_byte_stable_and_complete(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    emit_report(sample_report(), a)
-    emit_report(sample_report(), b)
+    write_report(sample_report(), a)
+    write_report(sample_report(), b)
     assert a.read_bytes() == b.read_bytes()
     payload = json.loads(a.read_text())
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
     assert payload["null_fit"]["kind"] == "beta-binomial"
     assert payload["z_score"] == 6.2
-    assert payload["tuples"][0]["k_value"] == 1.31
+    assert payload["data_sha256"] == "0" * 64
+    assert "tuples" not in payload
     # sorted keys stay sorted at every level
     assert list(payload) == sorted(payload)
     assert list(payload["null_fit"]) == sorted(payload["null_fit"])
@@ -205,7 +206,7 @@ def test_degenerate_fit_is_visible_in_json(tmp_path):
         sd_violations=0.0, kind="degenerate", n_samples=1000,
     )
     path = tmp_path / "r.json"
-    emit_report(report, path)
+    write_report(report, path)
     payload = json.loads(path.read_text())
     assert payload["null_fit"]["kind"] == "degenerate"
     assert payload["null_fit"]["alpha"] is None
@@ -216,29 +217,21 @@ def test_numpy_scalars_paths_and_nested_dataclasses_serialize_as_plain_values(
 ):
     pseudo = PseudoConfig(replicas=2000, seed=3)
     numpy_report = sample_report()
-    numpy_report.tuples = [{
-        "target_index": np.int64(4), "violation": np.bool_(True),
-        "k_value": np.float64(1.31), "component_indices": [np.int64(2), np.int64(7)],
-    }]
     numpy_report.config = {
-        "order": np.int64(3), "tolerance": np.float64(0.005),
+        "order": np.int64(3), "tolerance": np.float64(0.005), "fit_curve": np.bool_(True),
         "data": Path("runs") / "spectrum.csv", "pseudo": pseudo,
     }
     plain_report = sample_report()
-    plain_report.tuples = [{
-        "target_index": 4, "violation": True, "k_value": 1.31,
-        "component_indices": [2, 7],
-    }]
     plain_report.config = {
-        "order": 3, "tolerance": 0.005,
+        "order": 3, "tolerance": 0.005, "fit_curve": True,
         "data": str(Path("runs") / "spectrum.csv"),
         "pseudo": dataclasses.asdict(pseudo),
     }
     a, b = tmp_path / "numpy.json", tmp_path / "plain.json"
-    emit_report(numpy_report, a)
-    emit_report(plain_report, b)
+    write_report(numpy_report, a)
+    write_report(plain_report, b)
     assert a.read_bytes() == b.read_bytes()
-    assert json.loads(a.read_text())["tuples"][0]["violation"] is True
+    assert json.loads(a.read_text())["config"]["fit_curve"] is True
 
 
 def test_unserializable_report_raises_and_writes_nothing(tmp_path):
@@ -246,7 +239,7 @@ def test_unserializable_report_raises_and_writes_nothing(tmp_path):
     report.config = {"order": 3, "bins": {1, 2}}
     path = tmp_path / "r.json"
     with pytest.raises(TypeError, match="set"):
-        emit_report(report, path)
+        write_report(report, path)
     assert not path.exists()
 
 
@@ -263,19 +256,6 @@ def test_table_csv_keeps_float_precision(tmp_path):
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 
 
-def json_oracle(report) -> bytes:
-    """The bytes json.dumps gives for the report, its table as row dicts."""
-    table = report.tuples
-    columns = {name: table[name] for name in table.columns}
-    rows = [
-        {name: values[i].tolist() for name, values in columns.items()}
-        for i in range(len(table))
-    ]
-    plain = dataclasses.replace(report, tuples=rows)
-    text = json.dumps(plain, default=dataio._json_fallback, indent=2, sort_keys=True)
-    return (text + "\n").encode("utf-8")
-
-
 def analyzed(phases=None, bins=30, **kw):
     if phases is None:
         points = generate_synthetic(PARAMS, "quantum", bins, 0.5, 50.0, 0.05, seed=0)
@@ -285,7 +265,7 @@ def analyzed(phases=None, bins=30, **kw):
     config = RunConfig(
         params=PARAMS, pseudo=PseudoConfig(replicas=1000, seed=1), **kw
     )
-    return analyze_dataset(points, config)
+    return analyze_dataset(points, config)[1]
 
 
 def with_columns(table, **columns):
@@ -310,16 +290,15 @@ def fine_table():
     return tuple_table(select_ntuples(points, 4, 0.005), points, PARAMS)
 
 
-# Corners of the tuple writer, each a report whose table holds one.
+# Corners of the tuple writer, each a table that holds one.
 WRITER_CASES = [
     "signed_zero_points", "ints_outside_points", "not_a_gather",
     "rows_1", "rows_chunk_minus_1", "rows_chunk_plus_1",
 ]
 
 
-def writer_case_report(case):
-    report = analyzed()
-    table = report.tuples
+def writer_case_table(case):
+    table = analyzed()
     phases, target = table.columns["component_phases"], table.columns["target_index"]
     if case == "signed_zero_points":
         # Two points the tuples read get 0.0 and -0.0: equal values, each
@@ -328,66 +307,30 @@ def writer_case_report(case):
         zero, negative_zero = np.unique(phases.index)[:2]
         psi[zero], psi[negative_zero] = 0.0, -0.0
         target_psi = table.columns["target_psi"]
-        report.tuples = with_columns(
+        return with_columns(
             table, component_phases=PointColumn(psi, phases.index),
             target_psi=PointColumn(psi, target_psi.index),
         )
-    elif case == "ints_outside_points":
+    if case == "ints_outside_points":
         # Cells no point index reaches, plain and point-valued.
         components = table["component_indices"].copy()
         components[:2] = [[-1, 2**31], [2**40, -(2**31) - 1]]
         ids = target.values.copy()
         ids[target.index[:2]] = [-5, 2**33]
-        report.tuples = with_columns(
+        return with_columns(
             table, component_indices=components, target_index=PointColumn(ids, target.index),
         )
-    elif case == "not_a_gather":
+    if case == "not_a_gather":
         # Point columns replaced by values no point holds.
-        report.tuples = with_columns(
+        return with_columns(
             table, target_psi=table["target_psi"] + 0.5,
             component_indices=table["component_indices"][:, ::-1] * 3 + 1,
         )
-    else:
-        rows = {"rows_1": 1, "rows_chunk_minus_1": dataio.CHUNK_ROWS - 1,
-                "rows_chunk_plus_1": dataio.CHUNK_ROWS + 1}[case]
-        report.tuples = head(fine_table(), rows)
-        assert len(report.tuples) == rows
-    return report
-
-
-@pytest.mark.parametrize("case", [
-    "no_tuples", "one_tuple", "fit_curve", "edge_floats", "quotes_and_unicode", *WRITER_CASES,
-])
-def test_column_built_report_equals_json_dumps(tmp_path, case):
-    if case in WRITER_CASES:
-        report = writer_case_report(case)
-    elif case == "no_tuples":
-        report = analyzed(phases=(0.5, 0.6, 0.8))
-        assert report.status == "no_tuples" and len(report.tuples) == 0
-    elif case == "one_tuple":
-        report = analyzed(phases=(0.5, 0.7, 1.2))
-        assert len(report.tuples) == 1
-    elif case == "fit_curve":
-        report = analyzed(order=4, fit_curve=True)
-        assert len(report.tuples) > 100 and "fitted_params" in report.config
-    else:
-        report = analyzed()
-    if case == "edge_floats":
-        edges = np.array([-0.0, 1e-05, 1e16, 5e-324])
-        table = report.tuples
-        mismatch = table["mismatch"].copy()
-        mismatch[:4] = edges
-        phases = table["component_phases"].copy()
-        phases[:4, 1] = edges
-        report.tuples = with_columns(table, mismatch=mismatch, component_phases=phases)
-        report.chi2_quantum = 5e-324
-        report.config = {**report.config, "tolerance": -0.0, "e_max_gev": 1e16}
-    if case == "quotes_and_unicode":
-        report.warnings = ['a "quoted" \\ path', "Δm² ≥ 0 — naïve ünïcode", "tab\tend"]
-        report.notes = ["\u2028 line separator and \x00 nul"]
-    path = tmp_path / "report.json"
-    emit_report(report, path)
-    assert path.read_bytes() == json_oracle(report)
+    rows = {"rows_1": 1, "rows_chunk_minus_1": dataio.CHUNK_ROWS - 1,
+            "rows_chunk_plus_1": dataio.CHUNK_ROWS + 1}[case]
+    table = head(fine_table(), rows)
+    assert len(table) == rows
+    return table
 
 
 def csv_oracle(table, columns) -> bytes:
@@ -407,55 +350,57 @@ def csv_oracle(table, columns) -> bytes:
     return table_csv_text(columns, rows).encode("utf-8")
 
 
-def write_artifacts(report, out) -> dict:
-    """analyze's report and tuple tables and the tuples.csv of triples, by name."""
+TABLES = {
+    "tuples.csv": TUPLE_COLUMNS, "k_vs_phase.csv": K_VS_PHASE_COLUMNS,
+    "triples.csv": TRIPLES_COLUMNS,
+}
+
+
+def emit_tables(table, out) -> None:
+    """Write analyze's two tuple tables in one call and triples' in another."""
+    emit_report(table, [(out / n, TABLES[n]) for n in ("tuples.csv", "k_vs_phase.csv")])
+    emit_report(table, [(out / "triples.csv", TRIPLES_COLUMNS)])
+
+
+def write_tables(table, out) -> dict:
+    """The bytes of emit_tables's files in a new directory out, by name."""
     out.mkdir()
-    tables = {"tuples.csv": TUPLE_COLUMNS, "k_vs_phase.csv": K_VS_PHASE_COLUMNS}
-    emit_report(report, out / "report.json", [(out / n, c) for n, c in tables.items()])
-    emit_report(report.tuples, tables=[(out / "triples.csv", TRIPLES_COLUMNS)])
+    emit_tables(table, out)
     return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
 @pytest.mark.parametrize("case", ["order_4", "edge_floats", "no_tuples", *WRITER_CASES])
 def test_tuple_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, case):
     if case in WRITER_CASES:
-        report = writer_case_report(case)
+        table = writer_case_table(case)
     elif case == "no_tuples":
-        report = analyzed(phases=(0.5, 0.6, 0.8))
-        assert len(report.tuples) == 0
+        table = analyzed(phases=(0.5, 0.6, 0.8))
+        assert len(table) == 0
     elif case == "order_4":
-        report = analyzed(order=4)
-        assert len(report.tuples) > 200
+        table = analyzed(order=4)
+        assert len(table) > 200
     else:
         # 0.0 and -0.0 compare equal but print differently: a text cache
         # keyed by value would merge them.
-        report = analyzed()
+        table = analyzed()
         edges = np.array([-0.0, 0.0, 1e-05, -0.0, 1e16, 5e-324, 0.0, 1e-05])
-        table = report.tuples
         mismatch = table["mismatch"].copy()
         mismatch[:8] = edges
         phases = table["component_phases"].copy()
         phases[:8, 1] = edges[::-1]
-        report.tuples = with_columns(table, mismatch=mismatch, component_phases=phases)
-    table = report.tuples
-    written = write_artifacts(report, tmp_path / "default")
+        table = with_columns(table, mismatch=mismatch, component_phases=phases)
+    written = write_tables(table, tmp_path / "default")
     for i, rows in enumerate((1, 7, len(table) + 1)):
         monkeypatch.setattr(dataio, "CHUNK_ROWS", rows)
-        assert write_artifacts(report, tmp_path / f"chunk_{i}") == written, rows
+        assert write_tables(table, tmp_path / f"chunk_{i}") == written, rows
 
-    assert written["report.json"] == json_oracle(report)
-    for name, columns in (
-        ("tuples.csv", TUPLE_COLUMNS), ("k_vs_phase.csv", K_VS_PHASE_COLUMNS),
-        ("triples.csv", TRIPLES_COLUMNS),
-    ):
+    assert sorted(written) == sorted(TABLES)
+    for name, columns in TABLES.items():
         assert written[name] == csv_oracle(table, columns), name
         assert written[name].count(b"\n") == len(table) + 1
     if case == "no_tuples":
         return
-    # Cells are their repr, and a flag is true/false in JSON and 0/1 in CSV.
-    rows = json.loads(written["report.json"])["tuples"]
-    assert [row["k_value"] for row in rows] == table["k_value"].tolist()
-    assert {row["violation"] for row in rows} <= {True, False}
+    # Cells are their repr, and a flag is 0 or 1.
     lines = [line.split(",") for line in written["tuples.csv"].decode().splitlines()[1:]]
     assert [line[7] for line in lines] == list(map(repr, table["k_value"].tolist()))
     assert {line[9] for line in lines} <= {"0", "1"}
@@ -470,22 +415,11 @@ def test_tuple_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch
 def test_writing_a_large_table_holds_a_bounded_text(tmp_path):
     # The 29 560 order-4 tuples of a 100-bin spectrum: every cell's text at
     # once would take about 15 MiB.
-    points = attach_phases(
-        generate_synthetic(PARAMS, "quantum", 100, 0.5, 50.0, 0.05, seed=0), PARAMS
-    )
-    table = tuple_table(select_ntuples(points, 4, 0.005), points, PARAMS)
+    table = fine_table()
     assert len(table) >= 29_000
-    report = SignificanceReport(
-        n_tuples=len(table), n_violations_observed=0, null_fit=None, z_score=None,
-        chi2_quantum=None, dof=None, status="ok", config={}, tuples=table,
-    )
-    out = tmp_path
     tracemalloc.start()
     try:
-        emit_report(report, out / "report.json", [
-            (out / "tuples.csv", TUPLE_COLUMNS), (out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS)
-        ])
-        emit_report(table, tables=[(out / "triples.csv", TRIPLES_COLUMNS)])
+        emit_tables(table, tmp_path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -494,11 +428,10 @@ def test_writing_a_large_table_holds_a_bounded_text(tmp_path):
 
 @pytest.mark.parametrize("column", ["k_value", "component_phases"])
 def test_non_finite_table_cells_raise(tmp_path, column):
-    report = analyzed()
-    values = report.tuples[column].copy()
+    table = analyzed()
+    values = table[column].copy()
     values.flat[-1] = np.nan
-    report.tuples = with_columns(report.tuples, **{column: values})
     with pytest.raises(DomainError, match=column):
-        write_artifacts(report, tmp_path / "out")
+        write_tables(with_columns(table, **{column: values}), tmp_path / "out")
     # The cells are checked before any file is opened.
     assert list((tmp_path / "out").iterdir()) == []

@@ -57,14 +57,14 @@ DIGESTS = {
     "spectrum.csv": "277b16b2719a123664c2033f2bf1c756e430c45d50ed13269eb2b4f0804f7b94",
     "analyze-n3/stdout": "3faf9e28644cf55888c3be6575c1ad65982651156af3a31d010b25767c64c75c",
     "analyze-n3/stderr": EMPTY,
-    "analyze-n3/report.json": "56c5aeda52705804cd36d099c6251889af0f3ac627503c038a009fbbd778196a",
+    "analyze-n3/report.json": "a10a682945d4527dcfd45546a23182d045b3e24b393d0e58c07f8364a6c84a65",
     "analyze-n3/tuples.csv": "f33536eac094cabbd76fba918bba8acd90787ca75dc7a53bdb9fa4ab1bdd0663",
     "analyze-n3/k_vs_phase.csv": "957f05c709e39495d9743a467ff60cd70f45510cae68ba88f7d6051b35ea34dc",
     "analyze-n3/null_counts.csv": "955ccc7cbc4e27ec35e45e6dee0788897c53501f2a6b96653a95c71df35683fa",
     "analyze-n3/curve.csv": "6662bc52a3382502cb215a7da71404b425e7aebba9454ee31b82d74fd2d0cdf0",
     "analyze-n4-fit/stdout": "25b797a72f4e8046b0134c5d8164e44afa134dc15b388302f268b9295ecb9397",
     "analyze-n4-fit/stderr": EMPTY,
-    "analyze-n4-fit/report.json": "1525972e8b2c3ac2e4c2a12b8588e799d18a5623f9aad8cfa00d999365243f37",
+    "analyze-n4-fit/report.json": "b5e9b8c27f261f3259aa017d17c54d3f402122945f90e4f836d0f38e14cbd4c7",
     "analyze-n4-fit/tuples.csv": "43b3c76829524ca07c621e275d6fec33bb6fbcb16b5b0e5597652f10586ca9a7",
     "analyze-n4-fit/k_vs_phase.csv": "8b1651b9bd2b354057882869b2d51943a2efb67f9c40fdf4e37c09382ad1b6fe",
     "analyze-n4-fit/null_counts.csv": "558ed7b574106811e1304c526c03bae94565caa1b3850eff055b75ca785f17b6",
@@ -81,7 +81,7 @@ DIGESTS_100 = {
     "spectrum.csv": "d1d994e6f1f9ffb072d0f63f6825f385d0c2822196505983dfd893e885df84d9",
     "analyze-n4-fit/stdout": "bed531b2da5686c4c8d7104c8065fc1692e4d55ca9b1f3a6560b6c45e964d566",
     "analyze-n4-fit/stderr": "52ff638b4cde0ba8956d21941dc3149593609d75aa9e8c953e96b28e4970c101",
-    "analyze-n4-fit/report.json": "d27a3dabdc7c145cb1b091e7550a1402b0ad79a3c139c412e3908093e2f3cae2",
+    "analyze-n4-fit/report.json": "df7e4d51bad4512006740a936ef9661eafe32ffbfb58d811d5a00a0d50f8b00d",
     "analyze-n4-fit/tuples.csv": "ee7e2df88d76e6bce09cb37ad95697f32812931bedf7abf00724e9a55e763cf8",
     "analyze-n4-fit/k_vs_phase.csv": "e688788bc93f3b7109ab8561bdf0a48f54903d9010340df139ddd48d37c7e87c",
     "analyze-n4-fit/null_counts.csv": "90853e14ec6d1af6a937e3da50c62cae8559aebcfa832d19dad06e084db52757",

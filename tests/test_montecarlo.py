@@ -978,7 +978,7 @@ def test_z_is_calibrated_under_a_classical_truth():
             params=PARAMS, tolerance=0.01,
             pseudo=PseudoConfig(replicas=3000, seed=seed + 100_000),
         )
-        report = analyze_dataset(pts, cfg)
+        report, _ = analyze_dataset(pts, cfg)
         if report.status == "ok":
             zs.append(report.z_score)
     zs = np.asarray(zs)
@@ -996,7 +996,7 @@ def test_power_grows_as_errors_shrink():
                 params=PARAMS, tolerance=0.005,
                 pseudo=PseudoConfig(replicas=20_000, seed=seed),
             )
-            values.append(analyze_dataset(pts, cfg).z_score)
+            values.append(analyze_dataset(pts, cfg)[0].z_score)
         return float(np.median(values))
 
     coarse, standard, fine = (median_z(r) for r in (0.08, 0.05, 0.03))
@@ -1008,8 +1008,10 @@ def test_full_report_is_reproducible():
     cfg = RunConfig(
         params=PARAMS, tolerance=0.005, pseudo=PseudoConfig(replicas=5000, seed=2)
     )
-    first = analyze_dataset(pts, cfg)
-    second = analyze_dataset(pts, cfg)
+    first, first_table = analyze_dataset(pts, cfg)
+    second, second_table = analyze_dataset(pts, cfg)
     assert first == second
+    assert first_table.columns.keys() == second_table.columns.keys()
+    assert all(np.array_equal(first_table[n], second_table[n]) for n in first_table.columns)
     assert first.status == "ok"
     assert 0 <= first.n_violations_observed <= first.n_tuples

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -76,9 +77,10 @@ def no_tuple_csv(tmp_path):
 
 
 def test_run_analysis_writes_every_artifact(tmp_path):
+    data = synthetic_csv(tmp_path)
     config = RunConfig(
         params=PARAMS,
-        data=synthetic_csv(tmp_path),
+        data=data,
         out_dir=tmp_path / "out",
         pseudo=PseudoConfig(replicas=2000, seed=2),
     )
@@ -87,7 +89,16 @@ def test_run_analysis_writes_every_artifact(tmp_path):
     for name in ARTIFACTS:
         assert (tmp_path / "out" / name).is_file()
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert payload == json.loads(json.dumps(dataclasses.asdict(report)))
     assert payload["n_tuples"] == report.n_tuples
+    assert payload["schema_version"] == 2
+    assert payload["data_sha256"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    # The tuple rows are in tuples.csv only, and the echo holds what analyze read.
+    assert "tuples" not in payload
+    assert sorted(payload["config"]) == [
+        "allow_high_order", "data", "fit_curve", "mismatch_mode", "order", "out_dir",
+        "params", "pseudo", "tolerance",
+    ]
     assert payload["config"]["tolerance"] == 0.005
     tuples_rows = (tmp_path / "out" / "tuples.csv").read_text().splitlines()
     assert len(tuples_rows) == report.n_tuples + 1
@@ -144,8 +155,6 @@ def test_run_config_validation():
     with pytest.raises(DomainError, match="order"):
         RunConfig(params=PARAMS, order=5)
     RunConfig(params=PARAMS, order=5, allow_high_order=True)
-    with pytest.raises(DomainError, match="mode"):
-        RunConfig(params=PARAMS, mode="train")
     with pytest.raises(DomainError, match="tolerance"):
         RunConfig(params=PARAMS, tolerance=0.0)
     with pytest.raises(DomainError, match="mismatch_mode"):
@@ -570,16 +579,18 @@ def test_cli_rejects_a_config_section_that_is_not_an_object(tmp_path, capsys, co
     assert capsys.readouterr() == ("", f"config error: {section} must be a JSON object\n")
 
 
-@pytest.mark.parametrize("value", ["x", True])
+@pytest.mark.parametrize("value", ["x", True, math.inf, math.nan])
 @pytest.mark.parametrize("key", ["tolerance", "e_min_gev", "e_max_gev", "rel_error", "flat_p"])
 def test_cli_rejects_a_run_setting_that_is_not_a_number(tmp_path, capsys, key, value):
     # A string used to end in a TypeError traceback where the field was
-    # first compared; true ran as 1.
+    # first compared; true ran as 1. An infinite tolerance ran and wrote
+    # Infinity into report.json, which is not JSON.
     config = config_file(tmp_path, "c.json", **{key: value})
     out = tmp_path / "sim.csv"
     code = main(["simulate", "--config", str(config), "--out", str(out)])
     assert code == EXIT_DOMAIN
-    assert capsys.readouterr() == ("", f"config error: {key} must be a number, got {value!r}\n")
+    what = "finite" if isinstance(value, float) else "a number"
+    assert capsys.readouterr() == ("", f"config error: {key} must be {what}, got {value!r}\n")
     assert not out.exists()
 
 
@@ -614,14 +625,23 @@ def test_cli_rejects_a_path_that_is_not_a_string(tmp_path, capsys, key, value):
     assert capsys.readouterr() == ("", err)
 
 
-@pytest.mark.parametrize("rel_error", ["inf", "nan"])
-def test_cli_simulate_rejects_a_non_finite_rel_error(tmp_path, capsys, rel_error):
-    out = tmp_path / "sim.csv"
-    code = main(
-        ["simulate", "--params", PARAMS_JSON, "--rel-error", rel_error, "--out", str(out)]
-    )
-    assert code == EXIT_DOMAIN
-    assert capsys.readouterr() == ("", f"config error: rel_error must be finite, got {rel_error}\n")
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command, flag", [
+    ("simulate", "--rel-error"), ("simulate", "--emax"), ("curve", "--emax"),
+    ("analyze", "--tolerance"),
+])
+def test_cli_rejects_a_non_finite_setting_flag(tmp_path, capsys, command, flag, value):
+    # curve --emax inf printed inf rows, and simulate --emax inf failed as a
+    # data error.
+    out = tmp_path / "out"
+    argv = [command, "--params", PARAMS_JSON, flag, value]
+    if command == "analyze":
+        argv += ["--data", str(shared_csv(tmp_path)), "--out-dir", str(out)]
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_DOMAIN
+    key = {"--rel-error": "rel_error", "--emax": "e_max_gev", "--tolerance": "tolerance"}[flag]
+    assert capsys.readouterr() == ("", f"config error: {key} must be finite, got {value}\n")
     assert not out.exists()
 
 
@@ -662,24 +682,20 @@ def test_every_flag_dest_is_a_config_field():
 
 def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
     monkeypatch.delenv("NULGI_CONFIG", raising=False)
-    # v_c and v_n must be 0 (test_cli_rejects_a_matter_potential).
-    params = {"dm2": 1.1e-3, "sin2_2theta": 0.5, "baseline_km": 810.0, "v_c": 0.0,
-              "v_n": 0.0}
-    pseudo = {"replicas": 77, "seed": 5, "tolerance": 0.02, "include_systematics": True,
+    params = {"dm2": 1.1e-3, "sin2_2theta": 0.5, "baseline_km": 810.0}
+    pseudo = {"replicas": 77, "seed": 5, "include_systematics": True,
               "sys_amplitude_sigma": 0.01, "sys_phase_sigma": 0.03}
     top = {"order": 4, "tolerance": 0.007, "mismatch_mode": "absolute",
            "truth": "classical_flat", "bins": 12, "e_min_gev": 0.7, "e_max_gev": 40.0,
            "rel_error": 0.03, "flat_p": 0.4, "fit_curve": True, "allow_high_order": True}
     path = tmp_path / "all.json"
     path.write_text(json.dumps({
-        "params": params, "pseudo": pseudo, "mode": "curve", "data": "spec.csv",
-        "out_dir": "elsewhere", **top,
+        "params": params, "pseudo": pseudo, "data": "spec.csv", "out_dir": "elsewhere",
+        **top,
     }))
-    config = _build_config(build_parser().parse_args(["analyze", "--config", str(path)]),
-                           "analyze")
-    # mode comes from the subcommand, not the file.
+    config = _build_config(build_parser().parse_args(["analyze", "--config", str(path)]))
     assert config == RunConfig(
-        params=OscParams(**params), pseudo=PseudoConfig(**pseudo), mode="analyze",
+        params=OscParams(**params), pseudo=PseudoConfig(**pseudo),
         data=Path("spec.csv"), out_dir=Path("elsewhere"), **top,
     )
     for built, default in (
@@ -687,15 +703,14 @@ def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
         (config.params, OscParams(dm2=0.0, sin2_2theta=0.0, baseline_km=1.0)),
     ):
         for f in dataclasses.fields(built):
-            if f.name not in ("mode", "v_c", "v_n"):
-                assert getattr(built, f.name) != getattr(default, f.name), f.name
+            assert getattr(built, f.name) != getattr(default, f.name), f.name
 
 
 @pytest.mark.parametrize("key, value, message", [
     ("dm2", True, "must be a number, got True"),
     ("baseline_km", "735", "must be a number, got '735'"),
     ("sin2_2theta", None, "must be a number, got None"),
-    ("v_n", False, "must be a number, got False"),
+    ("sin2_2theta", False, "must be a number, got False"),
     ("dm2", math.nan, "must be finite, got nan"),
     ("baseline_km", math.inf, "must be finite, got inf"),
 ])
@@ -729,17 +744,12 @@ WIDTH_CASES = [
 @pytest.mark.parametrize("key, source, value, message", [
     *((key, *case) for key in ("sys_amplitude_sigma", "sys_phase_sigma")
       for case in WIDTH_CASES),
-    # pseudo.tolerance has no flag.
-    ("tolerance", "config", math.nan, "must be finite, got nan"),
-    ("tolerance", "config", math.inf, "must be finite, got inf"),
-    ("tolerance", "config", False, "must be a number, got False"),
-    ("tolerance", "config", "x", "must be a number, got 'x'"),
 ])
 def test_cli_rejects_a_systematic_width_that_is_not_a_finite_number(
     tmp_path, capsys, monkeypatch, key, source, value, message
 ):
     # NaN and Infinity ran and were written into report.json, which is then
-    # not JSON. The pseudo tolerance is checked like the widths.
+    # not JSON.
     monkeypatch.delenv("NULGI_CONFIG", raising=False)
     out = tmp_path / "out"
     argv = ["analyze", "--data", str(shared_csv(tmp_path)), "--out-dir", str(out),
@@ -754,13 +764,13 @@ def test_cli_rejects_a_systematic_width_that_is_not_a_finite_number(
 
 
 @pytest.mark.parametrize("section, err", [
-    ("pseudo", "config error: pseudo: tolerance must be finite, got nan\n"),
-    ("config", "config error: tolerance must be positive, got nan\n"),
+    ("pseudo", "config error: pseudo: sys_phase_sigma must be finite, got nan\n"),
+    ("config", "config error: tolerance must be finite, got nan\n"),
 ])
 def test_cli_names_the_group_of_a_bad_nested_setting(tmp_path, capsys, monkeypatch, section, err):
-    # Both tolerances used to be reported under the bare field name.
+    # A nested setting used to be reported under the bare field name.
     monkeypatch.delenv("NULGI_CONFIG", raising=False)
-    overrides = {"pseudo": {"tolerance": math.nan}} if section == "pseudo" else {
+    overrides = {"pseudo": {"sys_phase_sigma": math.nan}} if section == "pseudo" else {
         "tolerance": math.nan
     }
     out = tmp_path / "out"
@@ -772,31 +782,60 @@ def test_cli_names_the_group_of_a_bad_nested_setting(tmp_path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("command", ["analyze", "curve"])
-def test_cli_rejects_a_matter_potential(tmp_path, capsys, monkeypatch, command):
-    # Every analysis runs in vacuum: a potential was accepted, echoed and ignored.
+@pytest.mark.parametrize("section, key, value", [
+    ("pseudo", "tolerance", 0.005), ("config", "mode", "analyze"),
+    ("params", "v_c", 0.0), ("params", "v_c", 1e-11), ("params", "v_n", 0.0),
+])
+def test_cli_refuses_a_removed_config_key(
+    tmp_path, capsys, monkeypatch, command, section, key, value
+):
+    # Each was accepted and echoed, and nothing read it: pseudo.tolerance
+    # (selection reads the top-level one), mode (the subcommand decides) and
+    # the matter potentials (every analysis runs in vacuum).
     monkeypatch.delenv("NULGI_CONFIG", raising=False)
-    params = {**json.loads(PARAMS_JSON), "v_c": 1e-11}
-    argv = [command, "--config", str(config_file(tmp_path, "c.json", params=params))]
+    if section == "config":
+        overrides = {key: value}
+    elif section == "params":
+        overrides = {"params": {**json.loads(PARAMS_JSON), key: value}}
+    else:
+        overrides = {section: {key: value}}
+    argv = [command, "--config", str(config_file(tmp_path, "c.json", **overrides))]
     out = tmp_path / "out"
     if command == "analyze":
         argv += ["--data", str(synthetic_csv(tmp_path)), "--out-dir", str(out)]
     else:
         argv += ["--out", str(out)]
     assert main(argv) == EXIT_DOMAIN
-    err = "config error: params: v_c must be 0 (analyses run in vacuum), got 1e-11\n"
-    assert capsys.readouterr() == ("", err)
+    assert capsys.readouterr() == ("", f"config error: unknown {section} keys: {key}\n")
     assert not out.exists()
 
 
-def test_cli_zero_matter_potentials_change_no_byte(tmp_path, capsys, monkeypatch):
+def test_the_shipped_config_drives_every_command(tmp_path, capsys, monkeypatch):
+    config = Path(__file__).resolve().parents[1] / "configs" / "minos_like.json"
+    monkeypatch.setenv("NULGI_CONFIG", str(config))
+    spectrum = tmp_path / "spectrum.csv"
+    assert main(["curve", "--points", "5"]) == EXIT_OK
+    assert main(["simulate", "--out", str(spectrum)]) == EXIT_OK
+    shared = ["--data", str(spectrum), "--out-dir", str(tmp_path / "out")]
+    assert main(["triples", *shared]) == EXIT_OK
+    assert main(["analyze", *shared, "--replicas", "2000"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_the_echo_states_only_what_analyze_read(tmp_path, monkeypatch):
+    # Settings of simulate and curve change no byte of report.json.
     monkeypatch.delenv("NULGI_CONFIG", raising=False)
-    params = {**json.loads(PARAMS_JSON), "v_c": 0.0, "v_n": 0.0}
-    zero = config_file(tmp_path, "zero.json", params=params)
-    outputs = []
-    for argv in (["--config", str(zero)], ["--params", PARAMS_JSON]):
-        assert main(["curve", "--points", "25", *argv]) == EXIT_OK
-        outputs.append(capsys.readouterr())
-    assert outputs[0] == outputs[1] and outputs[0].out.startswith("energy_gev,p_model")
+    data, out = shared_csv(tmp_path), tmp_path / "out"
+    reports = []
+    for overrides in (
+        {}, {"truth": "classical_flat"}, {"bins": 12}, {"e_min_gev": 0.7},
+        {"e_max_gev": 40.0}, {"rel_error": 0.03}, {"flat_p": 0.4},
+    ):
+        config = config_file(tmp_path, "c.json", **overrides)
+        assert main(["analyze", "--config", str(config), "--data", str(data),
+                     "--replicas", "1500", "--out-dir", str(out)]) == EXIT_OK
+        reports.append((out / "report.json").read_bytes())
+    assert reports == reports[:1] * len(reports)
 
 
 def test_span_flags_set_their_fields(tmp_path, capsys):
