@@ -12,7 +12,7 @@ from .montecarlo import (
 )
 from .oscillation import OscParams, accumulated_phase, survival_probability
 from .pipeline import RunConfig, analyze_dataset, curve_table, run_analysis
-from .selection import MeasuredPoint, TupleSet, attach_phases, select_ntuples
+from .selection import Spectrum, TupleSet, attach_phases, select_ntuples
 from .synthetic import generate_synthetic
 
 __version__ = "0.1.0"
@@ -20,11 +20,11 @@ __version__ = "0.1.0"
 __all__ = [
     "DataError",
     "DomainError",
-    "MeasuredPoint",
     "OscParams",
     "PseudoConfig",
     "RunConfig",
     "SignificanceReport",
+    "Spectrum",
     "TupleSet",
     "accumulated_phase",
     "analyze_dataset",

@@ -20,17 +20,18 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .montecarlo import SignificanceReport
-from .selection import MeasuredPoint
+from .selection import SPECTRUM_COLUMNS, Spectrum, spectrum_fault
 
 REQUIRED_COLUMNS = ("energy_gev", "p_mumu", "sigma_stat")
-OPTIONAL_COLUMNS = ("sigma_sys",)
 
 
-def parse_dataset(path) -> list[MeasuredPoint]:
+def parse_dataset(path) -> Spectrum:
     """Read a spectrum CSV, validating the header and every cell.
 
-    Errors carry the 1-based line number of the offending row. Returns the
-    points sorted by ascending energy; duplicated energies are rejected.
+    Errors carry the 1-based line number of the offending row: the first
+    line that cannot be read as numbers, else the first line whose values
+    Spectrum refuses (spectrum_fault). A repeated energy cites the line
+    that first holds it too. Returns the Spectrum, in ascending energy.
     """
     path = Path(path)
     try:
@@ -38,8 +39,9 @@ def parse_dataset(path) -> list[MeasuredPoint]:
     except OSError as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
-    header: Optional[dict[str, int]] = None
-    points: list[tuple[int, MeasuredPoint]] = []
+    header: Optional[list[str]] = None
+    rows: list[list[float]] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -47,7 +49,7 @@ def parse_dataset(path) -> list[MeasuredPoint]:
         cells = [c.strip() for c in line.split(",")]
         if header is None:
             names = [c.lower() for c in cells]
-            unknown = [c for c in names if c not in REQUIRED_COLUMNS + OPTIONAL_COLUMNS]
+            unknown = [c for c in names if c not in SPECTRUM_COLUMNS]
             missing = [c for c in REQUIRED_COLUMNS if c not in names]
             if unknown or missing:
                 raise DataError(
@@ -56,51 +58,46 @@ def parse_dataset(path) -> list[MeasuredPoint]:
                 )
             if len(set(names)) != len(names):
                 raise DataError(f"line {lineno}: repeated column in header {cells!r}")
-            header = {name: i for i, name in enumerate(names)}
+            header = names
             continue
         if len(cells) != len(header):
             raise DataError(
                 f"line {lineno}: expected {len(header)} cells, got {len(cells)}"
             )
-        values = {}
-        for name, col in header.items():
+        row = []
+        for name, cell in zip(header, cells):
             try:
-                values[name] = float(cells[col])
+                row.append(float(cell))
             except ValueError:
                 raise DataError(
-                    f"line {lineno}: column {name!r} is not numeric: {cells[col]!r}"
+                    f"line {lineno}: column {name!r} is not numeric: {cell!r}"
                 ) from None
-        try:
-            point = MeasuredPoint(
-                energy_gev=values["energy_gev"],
-                p_mumu=values["p_mumu"],
-                sigma_stat=values["sigma_stat"],
-                sigma_sys=values.get("sigma_sys", 0.0),
-            )
-        except DataError as exc:
-            raise DataError(f"line {lineno}: {exc}") from None
-        points.append((lineno, point))
+        rows.append(row)
+        linenos.append(lineno)
 
     if header is None:
         raise DataError(f"{path}: no header row found")
-    if not points:
+    if not rows:
         raise DataError(f"{path}: no data rows found")
 
-    seen: dict[float, int] = {}
-    for lineno, point in points:
-        if point.energy_gev in seen:
-            raise DataError(
-                f"line {lineno}: duplicate energy {point.energy_gev} GeV "
-                f"(first on line {seen[point.energy_gev]})"
-            )
-        seen[point.energy_gev] = lineno
-    return sorted((p for _, p in points), key=lambda p: p.energy_gev)
+    columns = dict(zip(header, np.array(rows, dtype=np.float64).T))
+    columns.setdefault("sigma_sys", np.zeros(len(rows)))
+    try:
+        return Spectrum(**columns)
+    except DataError:
+        row, message, earlier = spectrum_fault(*(columns[c] for c in SPECTRUM_COLUMNS))
+    if earlier is not None:
+        message = (
+            f"duplicate energy {columns['energy_gev'][row].item()} GeV "
+            f"(first on line {linenos[earlier]})"
+        )
+    raise DataError(f"line {linenos[row]}: {message}")
 
 
-def write_dataset_csv(points: Sequence[MeasuredPoint], path) -> None:
+def write_dataset_csv(points: Spectrum, path) -> None:
     """Write a spectrum CSV that parse_dataset reproduces exactly."""
-    columns = REQUIRED_COLUMNS + OPTIONAL_COLUMNS
-    write_table_csv(path, columns, ([getattr(p, c) for c in columns] for p in points))
+    columns = (getattr(points, name).tolist() for name in SPECTRUM_COLUMNS)
+    write_table_csv(path, SPECTRUM_COLUMNS, zip(*columns))
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,7 +42,7 @@ from .sampling import (
     normal_from_keys,
     uniform_from_keys,
 )
-from .selection import MeasuredPoint, TupleSet
+from .selection import Spectrum, TupleSet
 
 MIN_REPLICAS_FOR_CLAIM = 1000
 # Bytes an analysis holds per replica of its null: the int64 count and one
@@ -169,61 +169,47 @@ class SignificanceReport:
     schema_version: int = 2
 
 
-def _systematic_responses(dataset: Sequence[MeasuredPoint]) -> tuple[np.ndarray, np.ndarray]:
+def _systematic_responses(dataset: Spectrum) -> tuple[np.ndarray, np.ndarray]:
     """Per-point mean shifts per unit nuisance.
 
     Amplitude: d P / d amplitude = -sin^2(psi). Phase scale: a relative
     rescaling psi -> psi (1 + delta) moves each point by psi * dP/dpsi,
     with the slope estimated from the measured curve itself.
     """
-    psis = np.array([p.psi for p in dataset], dtype=float)
-    probs = np.array([p.p_mumu for p in dataset], dtype=float)
+    psis = dataset.psi
     amp = -np.sin(psis) ** 2
-    slope = np.gradient(probs, psis)
+    slope = np.gradient(dataset.p_mumu, psis)
     return amp, slope * psis
 
 
-def null_block_shape(
-    n_tuples: int, n_points: int, replicas: Optional[int] = None
-) -> tuple[int, int]:
+def null_block_shape(n_tuples: int, n_points: int) -> tuple[int, int]:
     """Replicas and tuples per block of the classical null.
 
     The budget counts one float64 row, as long as the block's replica
     count, per point and per tuple. Replicas are sized so that every point
     and tuple fits, with a floor of MIN_BLOCK_REPLICAS so that numpy's
     per-call overhead stays amortized on large tuple sets; the tuples per
-    block then fill what the budget leaves. replicas overrides the derived
-    replica count. Pure arithmetic: nothing is allocated.
+    block then fill what the budget leaves. Pure arithmetic: nothing is
+    allocated.
     """
     floats = NULL_BLOCK_BYTES // 8
-    if replicas is None:
-        replicas = max(MIN_BLOCK_REPLICAS, floats // max(1, n_tuples + n_points))
+    replicas = max(MIN_BLOCK_REPLICAS, floats // max(1, n_tuples + n_points))
     tuples = max(1, min(n_tuples, floats // replicas - n_points))
     return replicas, tuples
 
 
-def null_shards(
-    replicas: int, n_points: int, workers: int, chunk_size: Optional[int] = None
-) -> list[list[range]]:
+def null_shards(replicas: int, n_points: int, workers: int) -> list[list[range]]:
     """The key blocks of each shard of the classical null, as replica ranges.
 
-    The key-block budget is null_block_shape(0, n_points, chunk_size)'s
-    replica count, and there are at most workers shards and at most one
-    per budget's worth of replicas. By default the replicas are cut into
-    equal shards, whose sizes differ by at most one, and each shard into
-    the fewest key blocks that fit the budget, whose sizes differ by at
-    most one too. A given chunk_size is kept exactly: every key block but
-    the last holds chunk_size replicas, from replica 0 on, and the shards
-    are runs of whole blocks, as even as the blocks allow. Pure
+    The key-block budget is null_block_shape(0, n_points)'s replica count,
+    and there are at most workers shards and at most one per budget's
+    worth of replicas. The replicas are cut into equal shards, whose sizes
+    differ by at most one, and each shard into the fewest key blocks that
+    fit the budget, whose sizes differ by at most one too. Pure
     arithmetic: nothing is allocated.
     """
-    budget, _ = null_block_shape(0, n_points, chunk_size)
-    n_blocks = -(-replicas // budget)
-    workers = min(workers, n_blocks)
-    if chunk_size is not None:
-        edges = [min(replicas, budget * (n_blocks * i // workers)) for i in range(workers + 1)]
-        return [[range(first, min(first + budget, stop)) for first in range(start, stop, budget)]
-                for start, stop in zip(edges, edges[1:])]
+    budget, _ = null_block_shape(0, n_points)
+    workers = min(workers, -(-replicas // budget))
     shards = []
     for i in range(workers):
         start = replicas * i // workers
@@ -235,11 +221,7 @@ def null_shards(
 
 
 def classical_null_distribution(
-    dataset: Sequence[MeasuredPoint],
-    tuples: TupleSet,
-    config: PseudoConfig,
-    *,
-    chunk_size: Optional[int] = None,
+    dataset: Spectrum, tuples: TupleSet, config: PseudoConfig
 ) -> np.ndarray:
     """Per-replica counts of product-rule bound violations.
 
@@ -327,17 +309,13 @@ def classical_null_distribution(
 
     Parameters
     ----------
-    dataset : sequence of MeasuredPoint
-        Phase-decorated spectrum the tuples index into.
+    dataset : Spectrum
+        The spectrum the tuples index into; the phases are read only with
+        systematics.
     tuples : TupleSet
         Selected tuples of the dataset, all of one order n.
     config : PseudoConfig
         Replica count, seed, and systematics settings.
-    chunk_size : int, optional
-        Replicas per key block and per tuple block, kept exactly; by
-        default derived from NULL_BLOCK_BYTES, and the key blocks are
-        then sized evenly within each shard. The counts are identical for
-        every chunking.
 
     Returns
     -------
@@ -348,8 +326,6 @@ def classical_null_distribution(
     """
     if len(tuples) == 0:
         raise DomainError("no tuples to evaluate")
-    if chunk_size is not None and (not isinstance(chunk_size, int) or chunk_size < 1):
-        raise DomainError(f"chunk_size must be a positive integer, got {chunk_size}")
     check_budget("replicas", config.replicas, REPLICA_BYTES)
     if config.replicas < MIN_REPLICAS_FOR_CLAIM:
         warnings.warn(
@@ -360,15 +336,15 @@ def classical_null_distribution(
     if tuples.size != size:
         raise IndexError(f"tuples of a {tuples.size}-point dataset, given {size} points")
 
-    probs = np.array([p.p_mumu for p in dataset], dtype=float)[:, None]
-    point_sd = np.array([p.sigma for p in dataset], dtype=float)[:, None]
+    probs = dataset.p_mumu[:, None]
+    point_sd = dataset.sigma[:, None]
     # Only the points some tuple reads are drawn, one row each.
     used, local = np.unique(tuples.comp_idx, return_inverse=True)
     local = local.reshape(tuples.comp_idx.shape)
 
     use_sys = config.draws_systematics
     counts = np.zeros(config.replicas, dtype=np.int64)
-    block_replicas, block_tuples = null_block_shape(len(tuples), used.size, chunk_size)
+    block_replicas, block_tuples = null_block_shape(len(tuples), used.size)
     bound = lgi_bound(tuples.n)
 
     # Computed once, read by every shard.
@@ -439,7 +415,7 @@ def classical_null_distribution(
                     block_counts += np.count_nonzero(corr_sum > bound, axis=0)
                 counts[ids] = block_counts
 
-    shards = null_shards(config.replicas, used.size, _available_cores(), chunk_size)
+    shards = null_shards(config.replicas, used.size, _available_cores())
     with futures.ThreadPoolExecutor(max_workers=len(shards)) as pool:
         shards = [pool.submit(run_shard, blocks) for blocks in shards]
         # Re-raises the first failed shard's exception; leaving the block
@@ -541,9 +517,7 @@ def _first_keys(reached, guess: np.ndarray, usable: np.ndarray, bracket: int) ->
     return lo
 
 
-def order3_count_law(
-    dataset: Sequence[MeasuredPoint], tuples: TupleSet
-) -> Optional[np.ndarray]:
+def order3_count_law(dataset: Spectrum, tuples: TupleSet) -> Optional[np.ndarray]:
     """Exact law of the order-3 null count without systematics, or None.
 
     Returns pmf, float64, with pmf[k] the probability that a replica of the
@@ -592,10 +566,10 @@ def order3_count_law(
     pairs, weights = np.unique(pairs, axis=0, return_counts=True)
     used, ends = np.unique(pairs, return_inverse=True)
     ends = ends.reshape(pairs.shape)
-    sds = np.array([dataset[i].sigma for i in used], dtype=float)
+    sds = dataset.sigma[used]
     if not (sds > 0.0).all():
         raise DomainError("the exact count law needs a positive sigma at every used point")
-    scaled = (np.array([dataset[i].p_mumu for i in used], dtype=float) - 1.0) / sds
+    scaled = (dataset.p_mumu[used] - 1.0) / sds
     # Each state's probability from its own tail keeps a rare one's digits.
     above, below = ndtr(scaled), ndtr(-scaled)
     fixed = np.minimum(above, below) < ORDER3_FIXED_MASS

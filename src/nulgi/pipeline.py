@@ -10,7 +10,7 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,13 +36,7 @@ from .montecarlo import (
     z_significance,
 )
 from .oscillation import OscParams, phase_scale, survival_probability
-from .selection import (
-    MISMATCH_MODES,
-    MeasuredPoint,
-    TupleSet,
-    attach_phases,
-    select_ntuples,
-)
+from .selection import MISMATCH_MODES, Spectrum, TupleSet, attach_phases, select_ntuples
 
 STANDARD_ORDERS = (3, 4)
 
@@ -154,7 +148,7 @@ def curve_rows(
     return header, list(zip(*(column.tolist() for column in columns)))
 
 
-def fit_curve_params(dataset: Sequence[MeasuredPoint], params: OscParams) -> OscParams:
+def fit_curve_params(dataset: Spectrum, params: OscParams) -> OscParams:
     """Least-squares fit of the mass splitting and amplitude to the data.
 
     For a fixed splitting the model is linear in the amplitude, so the
@@ -162,10 +156,8 @@ def fit_curve_params(dataset: Sequence[MeasuredPoint], params: OscParams) -> Osc
     grid which is then refined around the minimum. Deterministic; returns
     params with the two fitted fields replaced.
     """
-    energies = np.array([p.energy_gev for p in dataset])
-    probs = np.array([p.p_mumu for p in dataset])
-    sigmas = np.array([max(p.sigma, 1.0e-6) for p in dataset])
-    weights = 1.0 / sigmas**2
+    energies, probs = dataset.energy_gev, dataset.p_mumu
+    weights = 1.0 / np.maximum(dataset.sigma, 1.0e-6) ** 2
 
     psi_per_dm2 = phase_scale(dataclasses.replace(params, dm2=1.0)) / energies
 
@@ -198,9 +190,7 @@ def _k_from_survival(comp_probs: np.ndarray, target_probs: np.ndarray) -> np.nda
     return (2 - n) + 2.0 * reduce(np.add, comp_probs.T) - 2.0 * target_probs
 
 
-def tuple_table(
-    tuples: TupleSet, points: Sequence[MeasuredPoint], model_params: OscParams
-) -> TupleTable:
+def tuple_table(tuples: TupleSet, points: Spectrum, model_params: OscParams) -> TupleTable:
     """Every per-tuple column of an analysis, each computed once as an array.
 
     The K values repeat, tuple for tuple, the scalar float forms of
@@ -214,9 +204,7 @@ def tuple_table(
     floats, so every column equals its scalar counterpart bit for bit.
     A classical K above n - 2 would be a bug upstream and raises.
     """
-    psi = np.array([p.psi for p in points], dtype=float)
-    prob = np.array([p.p_mumu for p in points], dtype=float)
-    sigma = np.array([p.sigma for p in points], dtype=float)
+    psi, prob, sigma = points.psi, points.p_mumu, points.sigma
     comp, target, n = tuples.comp_idx, tuples.target_idx, tuples.n
 
     phases = psi[comp]
@@ -233,7 +221,7 @@ def tuple_table(
         survival_probability(s2t, psi)[comp], survival_probability(s2t, phase_sum)
     )
     # Columns of per-point values are gathers, which the writer formats per point.
-    point_ids = np.arange(len(points), dtype=comp.dtype)
+    point_ids = np.arange(len(psi), dtype=comp.dtype)
     return TupleTable({
         "component_indices": PointColumn(point_ids, comp),
         "target_index": PointColumn(point_ids, target),
@@ -288,7 +276,7 @@ def _config_echo(config: RunConfig, fitted: Optional[OscParams]) -> dict:
 
 
 def exact_null_law(
-    points: Sequence[MeasuredPoint], tuples: TupleSet, config: RunConfig
+    points: Spectrum, tuples: TupleSet, config: RunConfig
 ) -> Optional[np.ndarray]:
     """The exact law the analysis draws its null counts from, or None.
 
@@ -298,13 +286,13 @@ def exact_null_law(
     """
     if config.order != 3 or config.pseudo.draws_systematics:
         return None
-    if not all(points[i].sigma > 0.0 for i in np.unique(tuples.comp_idx).tolist()):
+    if not (points.sigma[np.unique(tuples.comp_idx)] > 0.0).all():
         return None
     return order3_count_law(points, tuples)
 
 
 def _analyze(
-    points: Sequence[MeasuredPoint], config: RunConfig
+    points: Spectrum, config: RunConfig
 ) -> tuple[SignificanceReport, TupleTable, Optional[np.ndarray]]:
     """Shared implementation; returns the report, its tuple table and the raw null counts."""
     if len(points) < config.order:
@@ -347,7 +335,7 @@ def _analyze(
         report_warnings.append(
             f"only {replicas} replicas; significance estimates are unstable"
         )
-    if all(p.sigma == 0.0 for p in decorated):
+    if (decorated.sigma == 0.0).all():
         report_warnings.append("all uncertainties are zero; the null is a point mass")
 
     law = exact_null_law(decorated, tuples, config)
@@ -388,7 +376,7 @@ def _analyze(
 
 
 def analyze_dataset(
-    points: Sequence[MeasuredPoint], config: RunConfig
+    points: Spectrum, config: RunConfig
 ) -> tuple[SignificanceReport, TupleTable]:
     """Run the full significance analysis in memory.
 
@@ -404,7 +392,7 @@ def analyze_dataset(
 def _write_artifacts(
     report: SignificanceReport,
     table: TupleTable,
-    points: Sequence[MeasuredPoint],
+    points: Spectrum,
     config: RunConfig,
     counts: Optional[np.ndarray],
 ) -> None:
@@ -418,13 +406,11 @@ def _write_artifacts(
         write_table_csv(
             out / "null_counts.csv", ("violations", "replicas"), null_count_rows(counts)
         )
-    if points:
-        lo = min(p.energy_gev for p in points)
-        hi = max(p.energy_gev for p in points)
-        fitted = report.config.get("fitted_params")
-        write_table_csv(out / "curve.csv", *curve_rows(
-            config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
-        ))
+    lo, hi = points.energy_gev[[0, -1]].tolist()
+    fitted = report.config.get("fitted_params")
+    write_table_csv(out / "curve.csv", *curve_rows(
+        config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
+    ))
 
 
 def null_count_rows(counts: np.ndarray) -> list:

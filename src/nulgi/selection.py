@@ -9,47 +9,102 @@ point whose phase best matches their phase sum.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .errors import DataError, DomainError
-from .oscillation import OscParams, accumulated_phase
+from .oscillation import OscParams, phase_scale
 
 MISMATCH_MODES = ("relative", "absolute")
 
 
-@dataclass(frozen=True)
-class MeasuredPoint:
-    """One spectrum bin: survival probability at an energy, with uncertainties.
+# The measured columns of a Spectrum, in the order their faults are checked.
+SPECTRUM_COLUMNS = ("energy_gev", "p_mumu", "sigma_stat", "sigma_sys")
 
-    psi is filled in by attach_phases; parsers and generators leave it None.
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    view = values.view()  # read-only without freezing the caller's array
+    view.flags.writeable = False
+    return view
+
+
+def spectrum_fault(
+    energy_gev: np.ndarray, p_mumu: np.ndarray, sigma_stat: np.ndarray, sigma_sys: np.ndarray
+) -> Optional[tuple[int, str, Optional[int]]]:
+    """The first fault of a spectrum's float64 columns, as (row, message, earlier), or None.
+
+    Rows are positions in the given order. A value fault is one of a row's
+    cells: not finite (in column order), an energy not above 0, a p_mumu
+    outside [0, 1] or a negative sigma, checked in that order; earlier is
+    None. Only columns free of value faults are checked for a repeated
+    energy: row is its first repeat and earlier the row that first holds it.
+    """
+    columns = (energy_gev, p_mumu, sigma_stat, sigma_sys)
+    checks = [
+        (~np.isfinite(values), f"{name} must be finite, got {{}}", values)
+        for name, values in zip(SPECTRUM_COLUMNS, columns)
+    ] + [
+        (~(energy_gev > 0.0), "energy must be positive, got {}", energy_gev),
+        (~((p_mumu >= 0.0) & (p_mumu <= 1.0)), "p_mumu must lie in [0, 1], got {}", p_mumu),
+        ((sigma_stat < 0.0) | (sigma_sys < 0.0), "uncertainties must be non-negative", None),
+    ]
+    faulty = np.array([mask for mask, _, _ in checks])
+    rows = np.flatnonzero(faulty.any(axis=0))
+    if rows.size:
+        row = int(rows[0])
+        _, message, values = checks[int(np.argmax(faulty[:, row]))]
+        return row, message if values is None else message.format(values[row].item()), None
+    _, first, inverse = np.unique(energy_gev, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(energy_gev.size))
+    if repeats.size:
+        row = int(repeats[0])
+        return row, f"duplicate energy value {energy_gev[row].item()} GeV", int(first[inverse[row]])
+    return None
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A binned survival spectrum as read-only float64 columns, one row per point.
+
+    Construction checks every cell (spectrum_fault), then holds the rows in
+    ascending energy. A column given as one number holds it in every row;
+    sigma_sys defaults to zero. psi, the accumulated phase of each row, is
+    filled in by attach_phases; parsers and generators leave it None.
+    sigma, the total per-point standard deviation, is statistical and
+    systematic in quadrature, math.hypot row by row: np.hypot can differ
+    from it in the last bit.
     """
 
-    energy_gev: float
-    p_mumu: float
-    sigma_stat: float
-    sigma_sys: float = 0.0
-    psi: Optional[float] = None
+    energy_gev: np.ndarray
+    p_mumu: np.ndarray
+    sigma_stat: np.ndarray
+    sigma_sys: np.ndarray = 0.0
+    psi: Optional[np.ndarray] = None
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("energy_gev", "p_mumu", "sigma_stat", "sigma_sys"):
-            if not math.isfinite(getattr(self, name)):
-                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.energy_gev > 0.0:
-            raise DataError(f"energy must be positive, got {self.energy_gev}")
-        if not 0.0 <= self.p_mumu <= 1.0:
-            raise DataError(f"p_mumu must lie in [0, 1], got {self.p_mumu}")
-        if self.sigma_stat < 0.0 or self.sigma_sys < 0.0:
-            raise DataError("uncertainties must be non-negative")
+        names = SPECTRUM_COLUMNS + (() if self.psi is None else ("psi",))
+        columns = [np.asarray(getattr(self, name), dtype=np.float64) for name in names]
+        size = columns[0].shape
+        if len(size) != 1 or any(column.shape not in ((), size) for column in columns):
+            raise DataError("spectrum columns must be 1-D and of one length")
+        columns = [np.broadcast_to(column, size) for column in columns]
+        fault = spectrum_fault(*columns[:4])
+        if fault is not None:
+            raise DataError(fault[1])
+        order = np.argsort(columns[0], kind="stable")
+        for name, column in zip(names, columns):
+            object.__setattr__(self, name, _read_only(column[order]))
+        sigma = list(map(math.hypot, self.sigma_stat.tolist(), self.sigma_sys.tolist()))
+        object.__setattr__(self, "sigma", _read_only(np.array(sigma, dtype=np.float64)))
 
-    @property
-    def sigma(self) -> float:
-        """Total per-point standard deviation, statistical and systematic in quadrature."""
-        return math.hypot(self.sigma_stat, self.sigma_sys)
+    def __len__(self) -> int:
+        return self.energy_gev.size
 
 
 @dataclass(frozen=True)
@@ -99,9 +154,7 @@ class TupleSet:
         ) < self.size:
             raise IndexError(f"tuple indices outside dataset of {self.size} points")
         for name, arr in (("comp_idx", comp), ("target_idx", target), ("mismatch", mismatch)):
-            view = arr.view()  # read-only without freezing the caller's array
-            view.flags.writeable = False
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, _read_only(arr))
 
     def __len__(self) -> int:
         return len(self.target_idx)
@@ -121,27 +174,16 @@ class TupleSet:
         )
 
 
-def attach_phases(dataset: Sequence[MeasuredPoint], params: OscParams) -> list[MeasuredPoint]:
-    """Sort by ascending energy and fill in each point's accumulated phase.
+def attach_phases(dataset: Spectrum, params: OscParams) -> Spectrum:
+    """The spectrum with each row's accumulated phase attached as psi.
 
-    Rejects empty datasets and duplicated energies; otherwise pure.
+    psi is phase_scale(params) / energy_gev, element for element the float
+    accumulated_phase gives. The spectrum was checked and sorted when it
+    was built, so the copy shares its columns as they are. Pure.
     """
-    if len(dataset) == 0:
-        raise DataError("dataset is empty")
-    pts = sorted(dataset, key=lambda p: p.energy_gev)
-    for a, b in itertools.pairwise(pts):
-        if a.energy_gev == b.energy_gev:
-            raise DataError(f"duplicate energy value {a.energy_gev} GeV")
-    return [replace(p, psi=accumulated_phase(params, p.energy_gev)) for p in pts]
-
-
-def _require_phases(dataset: Sequence[MeasuredPoint]) -> np.ndarray:
-    psis = []
-    for i, p in enumerate(dataset):
-        if p.psi is None:
-            raise DataError(f"point {i} has no attached phase; run attach_phases first")
-        psis.append(p.psi)
-    return np.asarray(psis, dtype=float)
+    spectrum = copy.copy(dataset)
+    object.__setattr__(spectrum, "psi", _read_only(phase_scale(params) / dataset.energy_gev))
+    return spectrum
 
 
 # Candidate component multisets evaluated per block of selection.
@@ -202,7 +244,7 @@ def _residual(total: np.ndarray, psi_c: np.ndarray, mismatch_mode: str) -> np.nd
 
 
 def select_ntuples(
-    dataset: Sequence[MeasuredPoint],
+    dataset: Spectrum,
     n: int,
     tolerance: float,
     mismatch_mode: str = "relative",
@@ -211,8 +253,8 @@ def select_ntuples(
 
     Parameters
     ----------
-    dataset : sequence of MeasuredPoint
-        Phase-decorated points, sorted by ascending energy.
+    dataset : Spectrum
+        A spectrum with its phases attached (attach_phases).
     n : int
         Tuple order; n - 1 components are chosen as a multiset.
     tolerance : float
@@ -246,7 +288,9 @@ def select_ntuples(
         raise DomainError(f"mismatch_mode must be one of {MISMATCH_MODES}")
     if len(dataset) < n:
         raise DataError(f"need at least {n} points for order-{n} tuples, got {len(dataset)}")
-    psis = _require_phases(dataset)
+    psis = dataset.psi
+    if psis is None:
+        raise DataError("the spectrum has no attached phases; run attach_phases first")
     size = len(psis)
 
     # Dataset order is ascending energy, hence descending phase; ascending

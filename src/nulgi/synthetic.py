@@ -7,7 +7,7 @@ import numpy as np
 from .errors import DomainError, check_budget
 from .oscillation import OscParams, phase_scale, survival_probability
 from .sampling import STREAM_SYNTH_ENERGY, STREAM_SYNTH_PROB, truncated_normal, uniform_open
-from .selection import MeasuredPoint
+from .selection import Spectrum
 
 TRUTH_MODES = ("quantum", "classical_flat")
 
@@ -23,8 +23,8 @@ _PLACEMENT_JITTER = 0.25
 # oscillation minimum keep a usable uncertainty.
 _REL_ERROR_FLOOR = 0.05
 
-# Bytes a simulate run holds per bin: its arrays, its MeasuredPoint and its
-# CSV row (about 475 measured, 200k to 1M bins).
+# Bytes a simulate run holds per bin: its arrays, its Spectrum's columns and
+# its CSV row (about 430 measured, the slope of peak RSS from 200k to 1M bins).
 BIN_BYTES = 512
 
 
@@ -37,7 +37,7 @@ def generate_synthetic(
     rel_error: float,
     seed: int,
     flat_p: float = 0.5,
-) -> list[MeasuredPoint]:
+) -> Spectrum:
     """Generate a noisy spectrum on a jittered log-spaced energy grid.
 
     Parameters
@@ -54,8 +54,8 @@ def generate_synthetic(
 
     Returns
     -------
-    list of MeasuredPoint sorted by ascending energy, sigma_stat set to the
-    generating standard deviation, phases not attached. A bin count past
+    Spectrum with sigma_stat set to the generating standard deviation,
+    sigma_sys zero and phases not attached. A bin count past
     BIN_BYTES of errors.SIZE_BUDGET_BYTES raises DomainError.
     """
     if truth not in TRUTH_MODES:
@@ -89,7 +89,4 @@ def generate_synthetic(
     p_obs = truncated_normal(
         seed, STREAM_SYNTH_PROB, 0, np.arange(bins), p_true, sds
     )
-    return [
-        MeasuredPoint(energy_gev=float(e), p_mumu=float(p), sigma_stat=float(s))
-        for e, p, s in zip(energies, p_obs, sds)
-    ]
+    return Spectrum(energy_gev=energies, p_mumu=p_obs, sigma_stat=sds)

@@ -32,7 +32,7 @@ from nulgi.montecarlo import PseudoConfig
 from nulgi.oscillation import OscParams, accumulated_phase, survival_probability
 from nulgi.dataio import parse_dataset
 from nulgi.pipeline import RunConfig, analyze_dataset, tuple_table
-from nulgi.selection import MeasuredPoint, TupleSet
+from nulgi.selection import Spectrum, TupleSet
 from nulgi.synthetic import generate_synthetic
 
 import oracles
@@ -66,7 +66,7 @@ def package_k(comp_probs, target_probs):
     comp_probs = np.atleast_2d(np.asarray(comp_probs, dtype=float))
     rows, width = comp_probs.shape
     probs = np.column_stack([comp_probs, target_probs]).ravel().tolist()
-    points = [MeasuredPoint(1.0 + i, p, 0.0, psi=1.0) for i, p in enumerate(probs)]
+    points = Spectrum(1.0 + np.arange(len(probs)), probs, 0.0, psi=np.ones(len(probs)))
     index = np.arange(len(points)).reshape(rows, width + 1)
     tuples = TupleSet(
         n=width + 1, size=len(points), comp_idx=index[:, :width],
@@ -178,9 +178,10 @@ def order3_oracle(points, tolerance: float):
     beta-binomial fit documents for those moments. grid is what
     oracles.predict_order3_z needs to redraw the spectrum's noise.
     """
-    energies = np.array([p.energy_gev for p in points])
-    probs = np.array([p.p_mumu for p in points])
-    sigmas = np.array([p.sigma for p in points])
+    energies, probs = points.energy_gev, points.p_mumu
+    sigmas = np.array(
+        list(map(math.hypot, points.sigma_stat.tolist(), points.sigma_sys.tolist()))
+    )
     assert np.all(np.diff(energies) > 0.0), "indices assume ascending energy"
     psis = oracles.vacuum_phase(PARAMS.dm2, PARAMS.baseline_km, energies)
     found = oracles.brute_force_ntuples(list(psis), 3, tolerance)

@@ -10,7 +10,6 @@ it documents and, by a G-test, against the law itself.
 import dataclasses
 import itertools
 import math
-from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -31,9 +30,18 @@ from test_montecarlo import counting_keys
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 
-# The law reads a point's p_mumu and sigma only. A measured P lies in [0, 1],
-# so a point fixed above P = 1 needs this stand-in.
-Point = namedtuple("Point", "p_mumu sigma")
+
+@dataclasses.dataclass
+class Columns:
+    """The law reads a spectrum's p_mumu and sigma columns only. A measured
+    P lies in [0, 1], so a point fixed above P = 1 needs this stand-in."""
+
+    p_mumu: np.ndarray
+    sigma: np.ndarray
+
+    def __len__(self):
+        return len(self.p_mumu)
+
 
 # (points as (p, sigma), component pairs). Points at p 0.3, sigma 0.02 have
 # q = Phi(-35), which underflows: they are fixed below 1. A point at p 1.4 is
@@ -68,7 +76,7 @@ GRAPHS = {
 
 def graph(name):
     points, pairs = GRAPHS[name]
-    dataset = [Point(p, sigma) for p, sigma in points]
+    dataset = Columns(*map(np.array, zip(*points)))
     tuples = TupleSet(
         n=3, size=len(dataset), comp_idx=pairs, target_idx=[0] * len(pairs),
         mismatch=[0.0] * len(pairs),
@@ -78,9 +86,7 @@ def graph(name):
 
 def enumerated_law(dataset, pairs):
     """The count's pmf over all 2^k above/below outcomes of every point."""
-    q = oracles.exceedance_probabilities(
-        [p.p_mumu for p in dataset], [p.sigma for p in dataset]
-    )
+    q = oracles.exceedance_probabilities(dataset.p_mumu.tolist(), dataset.sigma.tolist())
     pmf = np.zeros(len(pairs) + 1)
     for above in itertools.product((False, True), repeat=len(q)):
         weight = math.prod(qi if a else 1.0 - qi for qi, a in zip(q, above))
@@ -112,14 +118,19 @@ def pool_spectrum(truth, seed):
     return points, select_ntuples(points, 3, 0.005)
 
 
+def without_sigma(points, i):
+    """The spectrum with point i's uncertainty set to zero."""
+    stat = points.sigma_stat.copy()
+    stat[i] = 0.0
+    return dataclasses.replace(points, sigma_stat=stat)
+
+
 @pytest.mark.parametrize("truth", ["quantum", "classical_flat"])
 def test_law_moments_match_the_oracle_on_the_minos_pool(truth):
     for seed in range(32):
         points, tuples = pool_spectrum(truth, seed)
         law = order3_count_law(points, tuples)
-        q = oracles.exceedance_probabilities(
-            [p.p_mumu for p in points], [p.sigma for p in points]
-        )
+        q = oracles.exceedance_probabilities(points.p_mumu.tolist(), points.sigma.tolist())
         want_mean, want_sd = oracles.exact_order3_null_moments(tuples.comp_idx, q)
         counts = np.arange(law.size)
         mean = float(law @ counts)
@@ -146,8 +157,7 @@ def test_law_validation():
     empty = TupleSet(n=3, size=len(points), comp_idx=[], target_idx=[], mismatch=[])
     with pytest.raises(DomainError, match="no tuples"):
         order3_count_law(points, empty)
-    used = int(tuples.comp_idx[0, 0])
-    points[used] = dataclasses.replace(points[used], sigma_stat=0.0)
+    points = without_sigma(points, int(tuples.comp_idx[0, 0]))
     with pytest.raises(DomainError, match="positive sigma"):
         order3_count_law(points, tuples)
 
@@ -289,8 +299,7 @@ def test_other_nulls_reach_the_monte_carlo(monkeypatch, case):
     elif case == "over budget":
         monkeypatch.setattr(montecarlo, "ORDER3_LAW_ENTRIES", 1)
     elif case == "zero sigma":
-        used = int(tuples.comp_idx[0, 0])
-        points[used] = dataclasses.replace(points[used], sigma_stat=0.0)
+        points = without_sigma(points, int(tuples.comp_idx[0, 0]))
     else:
         overrides["pseudo"] = {"include_systematics": True, "sys_amplitude_sigma": 0.05}
     called, _ = dispatched(monkeypatch, points, **overrides)

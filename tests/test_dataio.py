@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -31,34 +32,35 @@ from nulgi.pipeline import (
     analyze_dataset,
     tuple_table,
 )
-from nulgi.selection import MeasuredPoint, attach_phases, select_ntuples
+from nulgi.selection import SPECTRUM_COLUMNS, Spectrum, attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
-POINTS = [
-    MeasuredPoint(1.8332, 0.5125, 0.021, 0.004),
-    MeasuredPoint(2.25, 0.631, 0.02),
-    MeasuredPoint(0.7071067811865476, 0.2, 0.3),
-]
+POINTS = Spectrum(
+    energy_gev=[1.8332, 2.25, 0.7071067811865476],
+    p_mumu=[0.5125, 0.631, 0.2],
+    sigma_stat=[0.021, 0.02, 0.3],
+    sigma_sys=[0.004, 0.0, 0.0],
+)
+
+
+def columns_of(spectrum):
+    """A spectrum's measured columns, as lists of Python floats."""
+    return {name: getattr(spectrum, name).tolist() for name in SPECTRUM_COLUMNS}
 
 
 def test_write_parse_round_trip(tmp_path):
     path = tmp_path / "spectrum.csv"
     write_dataset_csv(POINTS, path)
+    # Every cell is written as a plain number, in ascending energy.
+    assert path.read_text() == (
+        "energy_gev,p_mumu,sigma_stat,sigma_sys\n"
+        "0.7071067811865476,0.2,0.3,0.0\n"
+        "1.8332,0.5125,0.021,0.004\n"
+        "2.25,0.631,0.02,0.0\n"
+    )
     parsed = parse_dataset(path)
-    assert parsed == sorted(POINTS, key=lambda p: p.energy_gev)
-
-
-def test_write_parse_round_trip_of_numpy_scalars(tmp_path):
-    # np.float64 is a float whose repr is np.float64(...): each cell must
-    # still be written as a plain number.
-    points = [
-        MeasuredPoint(*map(np.float64, (p.energy_gev, p.p_mumu, p.sigma_stat, p.sigma_sys)))
-        for p in POINTS
-    ]
-    path = tmp_path / "spectrum.csv"
-    write_dataset_csv(points, path)
-    assert "np." not in path.read_text()
-    assert parse_dataset(path) == sorted(POINTS, key=lambda p: p.energy_gev)
+    assert columns_of(parsed) == columns_of(POINTS)
+    assert parsed.psi is None and parsed.sigma.tolist() == POINTS.sigma.tolist()
 
 
 def test_header_order_is_free_and_sigma_sys_optional(tmp_path):
@@ -68,9 +70,10 @@ def test_header_order_is_free_and_sigma_sys_optional(tmp_path):
         "0.62, 0.02, 2.5\n"
         "0.55, 0.03, 1.5\n"
     )
-    lo, hi = parse_dataset(path)
-    assert (lo.energy_gev, lo.p_mumu, lo.sigma_stat, lo.sigma_sys) == (1.5, 0.55, 0.03, 0.0)
-    assert hi.energy_gev == 2.5
+    assert columns_of(parse_dataset(path)) == {
+        "energy_gev": [1.5, 2.5], "p_mumu": [0.55, 0.62], "sigma_stat": [0.03, 0.02],
+        "sigma_sys": [0.0, 0.0],
+    }
 
 
 def test_comments_and_blank_lines_are_skipped(tmp_path):
@@ -154,6 +157,72 @@ def test_duplicate_energy_cites_both_lines(tmp_path):
         tmp_path,
         "energy_gev,p_mumu,sigma_stat\n2.5,0.62,0.02\n1.5,0.5,0.1\n2.5,0.60,0.02\n",
         r"line 4: duplicate energy 2.5 GeV \(first on line 2\)",
+    )
+
+
+# A value fault in one cell, and the message Spectrum and parse_dataset give.
+VALUE_FAULTS = [
+    *((column, value, f"{column} must be finite, got {value}")
+      for column in SPECTRUM_COLUMNS for value in (math.nan, math.inf, -math.inf)),
+    ("energy_gev", 0.0, "energy must be positive, got 0.0"),
+    ("energy_gev", -2.5, "energy must be positive, got -2.5"),
+    ("p_mumu", -0.25, "p_mumu must lie in [0, 1], got -0.25"),
+    ("p_mumu", 1.25, "p_mumu must lie in [0, 1], got 1.25"),
+    ("sigma_stat", -0.01, "uncertainties must be non-negative"),
+    ("sigma_sys", -0.01, "uncertainties must be non-negative"),
+]
+
+
+def spectrum_rows(faults=()):
+    """Four good rows, out of energy order, with (row, column, value) cells replaced."""
+    rows = [
+        {"energy_gev": e, "p_mumu": 0.5, "sigma_stat": 0.1, "sigma_sys": 0.01}
+        for e in (3.0, 1.5, 2.0, 4.0)
+    ]
+    for row, column, value in faults:
+        rows[row][column] = value
+    return rows
+
+
+def refusals(tmp_path, rows):
+    """The messages of Spectrum built from the rows and of parse_dataset on them as a CSV.
+
+    The CSV has a comment line, so data row i is on line i + 3.
+    """
+    with pytest.raises(DataError) as built:
+        Spectrum(**{name: [row[name] for row in rows] for name in SPECTRUM_COLUMNS})
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "# a spectrum\nenergy_gev,p_mumu,sigma_stat,sigma_sys\n"
+        + "".join(",".join(map(repr, row.values())) + "\n" for row in rows)
+    )
+    with pytest.raises(DataError) as parsed:
+        parse_dataset(path)
+    return str(built.value), str(parsed.value)
+
+
+@pytest.mark.parametrize("column, value, message", VALUE_FAULTS)
+def test_a_spectrum_and_a_csv_refuse_a_value_with_one_message(tmp_path, column, value, message):
+    assert refusals(tmp_path, spectrum_rows([(2, column, value)])) == (
+        message, f"line 5: {message}"
+    )
+
+
+def test_the_first_faulty_row_and_its_first_check_are_reported(tmp_path):
+    # Row 1 breaks two checks: the finite check comes first. Row 2 has a
+    # fault too, and row 3 a repeated energy, checked only after the values.
+    rows = spectrum_rows([
+        (1, "p_mumu", 1.5), (1, "sigma_sys", math.nan), (2, "energy_gev", -1.0),
+        (3, "energy_gev", 3.0),
+    ])
+    message = "sigma_sys must be finite, got nan"
+    assert refusals(tmp_path, rows) == (message, f"line 4: {message}")
+
+
+def test_a_spectrum_and_a_csv_refuse_a_repeated_energy(tmp_path):
+    rows = spectrum_rows([(2, "energy_gev", 1.5)]) + spectrum_rows()[:1]
+    assert refusals(tmp_path, rows) == (
+        "duplicate energy value 1.5 GeV", "line 5: duplicate energy 1.5 GeV (first on line 4)"
     )
 
 
@@ -245,12 +314,15 @@ def test_unserializable_report_raises_and_writes_nothing(tmp_path):
 
 def test_table_csv_keeps_float_precision(tmp_path):
     path = tmp_path / "t.csv"
-    write_table_csv(path, ["x", "n"], [[0.1 + 0.2, 3], [1.0 / 3.0, 4]])
+    # np.float64 is a float whose repr is np.float64(...): its cell must
+    # still be written as a plain number.
+    write_table_csv(path, ["x", "n"], [[0.1 + 0.2, 3], [np.float64(1.0) / 3.0, 4]])
     lines = path.read_text().splitlines()
     assert lines[0] == "x,n"
     x0 = float(lines[1].split(",")[0])
     assert x0 == 0.1 + 0.2
     assert lines[1].split(",")[1] == "3"
+    assert lines[2] == f"{1.0 / 3.0!r},4"
 
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
@@ -261,7 +333,7 @@ def analyzed(phases=None, bins=30, **kw):
         points = generate_synthetic(PARAMS, "quantum", bins, 0.5, 50.0, 0.05, seed=0)
     else:
         scale = accumulated_phase(PARAMS, 1.0)
-        points = [MeasuredPoint(scale / psi, 0.5, 0.05) for psi in phases]
+        points = Spectrum(scale / np.asarray(phases), 0.5, 0.05)
     config = RunConfig(
         params=PARAMS, pseudo=PseudoConfig(replicas=1000, seed=1), **kw
     )

@@ -24,7 +24,7 @@ from nulgi.errors import DomainError
 from nulgi.leggett_garg import lgi_bound, quantum_bound
 from nulgi.oscillation import OscParams, survival_probability
 from nulgi.pipeline import tuple_table
-from nulgi.selection import MeasuredPoint, TupleSet
+from nulgi.selection import Spectrum, TupleSet
 
 import oracles
 from oracles import (
@@ -200,11 +200,11 @@ def table_with_classical_k(n, excess):
     """tuple_table on one hand-built order-n tuple with classical K n - 2 + excess.
 
     The components sit at C = (1 + excess, 1, ..., 1, 0). tuple_table reads
-    only psi, p_mumu and sigma of a point, so a stand-in for MeasuredPoint
-    may carry P above 1, which validated data never does.
+    only the psi, p_mumu and sigma columns of a spectrum, so a stand-in for
+    a Spectrum may carry P above 1, which validated data never does.
     """
     probs = [1.0 + excess / 2.0] + [1.0] * (n - 3) + [0.5, 0.5]
-    points = [SimpleNamespace(psi=1.0, p_mumu=p, sigma=0.0) for p in probs]
+    points = SimpleNamespace(psi=np.ones(n), p_mumu=np.array(probs), sigma=np.zeros(n))
     tuples = TupleSet(
         n=n, size=n, comp_idx=[list(range(n - 1))], target_idx=[n - 1], mismatch=[0.0]
     )
@@ -219,7 +219,7 @@ def test_classical_kvalue_rejects_values_above_its_bound():
         with pytest.raises(DomainError, match="above its bound"):
             table_with_classical_k(n, 1e-6)
     # The measured K may exceed it: that is what a violation is.
-    points = [MeasuredPoint(1.0 + i, p, 0.0, psi=1.0) for i, p in enumerate((0.75, 0.75, 0.25))]
+    points = Spectrum([1.0, 2.0, 3.0], [0.75, 0.75, 0.25], 0.0, psi=[1.0, 1.0, 1.0])
     tuples = TupleSet(n=3, size=3, comp_idx=[[0, 1]], target_idx=[2], mismatch=[0.0])
     table = tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
     assert table["k_value"][0] == 1.5 and table["violation"][0]
@@ -230,6 +230,7 @@ def test_classical_bound_check_survives_optimized_mode():
     code = (
         "import sys\n"
         "from types import SimpleNamespace\n"
+        "import numpy as np\n"
         "from nulgi.errors import DomainError\n"
         "from nulgi.oscillation import OscParams\n"
         "from nulgi.pipeline import tuple_table\n"

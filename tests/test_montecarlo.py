@@ -46,12 +46,7 @@ from nulgi.sampling import (
     uniform_from_keys,
     uniform_open,
 )
-from nulgi.selection import (
-    MeasuredPoint,
-    TupleSet,
-    attach_phases,
-    select_ntuples,
-)
+from nulgi.selection import Spectrum, TupleSet, attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
 import oracles
@@ -65,9 +60,7 @@ SHARED_PHASES = (0.4, 0.5, 0.7, 0.9, 1.2, 1.6)
 
 
 def dataset_with_phases(phases, p_mumu=0.5, sigma=0.3):
-    pts = [
-        MeasuredPoint(PHASE_SCALE / psi, p_mumu, sigma_stat=sigma) for psi in phases
-    ]
+    pts = Spectrum(PHASE_SCALE / np.asarray(phases), p_mumu, sigma_stat=sigma)
     return attach_phases(pts, PARAMS)
 
 
@@ -86,8 +79,7 @@ def markov_decay_probs(psis, lam=0.4):
 
 def test_null_is_silent_on_noiseless_classical_data():
     dec = dataset_with_phases(SHARED_PHASES, sigma=0.0)
-    probs = markov_decay_probs([p.psi for p in dec])
-    dec = [dataclasses.replace(p, p_mumu=float(v)) for p, v in zip(dec, probs)]
+    dec = dataclasses.replace(dec, p_mumu=markov_decay_probs(dec.psi))
     tuples = select_ntuples(dec, 3, 0.005)
     counts = classical_null_distribution(dec, tuples, PseudoConfig(replicas=2000, seed=1))
     assert counts.shape == (2000,)
@@ -125,10 +117,9 @@ def test_null_ignores_points_used_only_as_targets():
     dec, tuples = shared_fixture()
     assert all(0 not in indices for indices in tuples.comp_idx.tolist())
     assert any(t == 0 for t in tuples.target_idx.tolist())
-    moved = [
-        dataclasses.replace(p, p_mumu=0.9, sigma_stat=0.01) if i == 0 else p
-        for i, p in enumerate(dec)
-    ]
+    probs, sds = dec.p_mumu.copy(), dec.sigma_stat.copy()
+    probs[0], sds[0] = 0.9, 0.01
+    moved = dataclasses.replace(dec, p_mumu=probs, sigma_stat=sds)
     cfg = PseudoConfig(replicas=5000, seed=4)
     base = classical_null_distribution(dec, tuples, cfg)
     assert np.array_equal(base, classical_null_distribution(moved, tuples, cfg))
@@ -139,7 +130,7 @@ def test_engine_is_deterministic_and_chunk_invariant():
     cfg = PseudoConfig(replicas=5000, seed=5)
     a = classical_null_distribution(dec, tuples, cfg)
     b = classical_null_distribution(dec, tuples, cfg)
-    c = classical_null_distribution(dec, tuples, cfg, chunk_size=7)
+    c = null_in_blocks(dec, tuples, cfg, 7)
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
     other = classical_null_distribution(
@@ -152,6 +143,22 @@ def test_engine_is_deterministic_and_chunk_invariant():
 ORACLE_REPLICAS = 5003
 
 
+def null_in_blocks(dec, tuples, cfg, block_replicas=None, workers=None):
+    """classical_null_distribution in key blocks of at most block_replicas
+    replicas, each evaluated one tuple at a time, on at most workers shards.
+
+    None keeps the default blocking, or the process's cores.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if block_replicas is not None:
+            # A budget of one float: every block takes MIN_BLOCK_REPLICAS.
+            patch.setattr(montecarlo, "NULL_BLOCK_BYTES", 8)
+            patch.setattr(montecarlo, "MIN_BLOCK_REPLICAS", block_replicas)
+        if workers is not None:
+            patch.setattr(montecarlo, "_available_cores", lambda: workers)
+        return classical_null_distribution(dec, tuples, cfg)
+
+
 def reference_counts(dec, tuples, cfg, keys_at=None):
     """Oracle counts from a replica-major draw matrix built by the test.
 
@@ -160,12 +167,11 @@ def reference_counts(dec, tuples, cfg, keys_at=None):
     draws = normal(
         cfg.seed, STREAM_PSEUDODATA,
         np.arange(cfg.replicas)[:, None], np.arange(len(dec))[None, :],
-        mean=np.array([p.p_mumu for p in dec])[None, :],
-        sd=np.array([p.sigma for p in dec])[None, :],
+        mean=dec.p_mumu[None, :], sd=dec.sigma[None, :],
     )
     for (replica, point), key in (keys_at or {}).items():
         draws[replica, point] = normal_from_keys(
-            np.uint64(key), dec[point].p_mumu, dec[point].sigma
+            np.uint64(key), dec.p_mumu[point], dec.sigma[point]
         )
     return oracles.product_rule_null_counts(draws, tuples.comp_idx, tuples.n)
 
@@ -206,10 +212,8 @@ def test_systematic_counts_do_not_depend_on_the_chunking():
     )
     derived = classical_null_distribution(dec, tuples, cfg)
     assert derived.any()
-    for chunk_size in (7, ORACLE_REPLICAS):
-        assert np.array_equal(
-            derived, classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
-        )
+    for block in (7, ORACLE_REPLICAS):
+        assert np.array_equal(derived, null_in_blocks(dec, tuples, cfg, block))
 
 
 # Hand-built tuples over the six shared points. Order 3: a ring, two chords
@@ -238,10 +242,9 @@ ADVERSARIAL_SPECTRA = {
 
 def adversarial_fixture(probs, sigmas, components=ADVERSARIAL_PAIRS):
     """The six shared points with the given (p, sigma), and hand-built tuples."""
-    dec = [
-        dataclasses.replace(p, p_mumu=v, sigma_stat=s)
-        for p, v, s in zip(dataset_with_phases(SHARED_PHASES), probs, sigmas)
-    ]
+    dec = dataclasses.replace(
+        dataset_with_phases(SHARED_PHASES), p_mumu=probs, sigma_stat=sigmas
+    )
     tuples = TupleSet(n=len(components[0]) + 1, size=len(dec), comp_idx=components,
                       target_idx=[0] * len(components), mismatch=np.zeros(len(components)))
     return dec, tuples
@@ -293,10 +296,8 @@ def test_order3_counts_follow_the_float_form_where_exact_algebra_disagrees():
     # Near 1, 1 - C is exact and the product does not underflow: exact sign.
     exact = (1.0 - corr[:, 0]) * (1.0 - corr[:, 1]) < 0.0
     assert np.count_nonzero(exact != expected.astype(bool)) > 100
-    for chunk_size in (None, 7):
-        assert np.array_equal(
-            classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size), expected
-        )
+    for block in (None, 7):
+        assert np.array_equal(null_in_blocks(dec, tuples, cfg, block), expected)
 
 
 # Four edges from C = -64 to 64, which sigma 10 and more reaches, as
@@ -347,8 +348,7 @@ def test_key_thresholds_equal_a_full_bisection(probs, sigmas, given):
 
 def test_key_thresholds_bisect_inside_the_bracket(monkeypatch):
     pts = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
-    probs = np.array([p.p_mumu for p in pts])
-    sigmas = np.array([p.sigma for p in pts])
+    probs, sigmas = pts.p_mumu, pts.sigma
     probes = []
 
     def counted(*args, **kwargs):
@@ -383,10 +383,8 @@ def test_order3_systematics_take_the_float_form_in_every_replica(monkeypatch):
     derived = classical_null_distribution(dec, tuples, sys_cfg)
     assert sum(drawn) == cfg.replicas * (np.unique(tuples.comp_idx).size + 2)
     assert derived.any() and not np.array_equal(derived, counts)
-    for chunk_size in (7, ORACLE_REPLICAS):
-        assert np.array_equal(
-            derived, classical_null_distribution(dec, tuples, sys_cfg, chunk_size=chunk_size)
-        )
+    for block in (7, ORACLE_REPLICAS):
+        assert np.array_equal(derived, null_in_blocks(dec, tuples, sys_cfg, block))
 
 
 @pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
@@ -396,9 +394,8 @@ def test_margin_counts_match_the_oracle_on_adversarial_spectra(n, case):
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=24)
     expected = reference_counts(dec, tuples, cfg)
     assert expected.any()
-    for chunk_size in (None, 1, 7, ORACLE_REPLICAS):
-        counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
-        assert np.array_equal(counts, expected), chunk_size
+    for block in (None, 1, 7, ORACLE_REPLICAS):
+        assert np.array_equal(null_in_blocks(dec, tuples, cfg, block), expected), block
 
 
 def test_margin_keeps_violations_of_components_inside_the_interval(monkeypatch):
@@ -420,10 +417,8 @@ def test_margin_keeps_violations_of_components_inside_the_interval(monkeypatch):
     expected = reference_counts(dec, tuples, cfg)
     assert (expected == 1).all()
     drawn = counting_draws(monkeypatch)
-    for chunk_size in (None, 1, 7):
-        assert np.array_equal(
-            classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size), expected
-        )
+    for block in (None, 1, 7):
+        assert np.array_equal(null_in_blocks(dec, tuples, cfg, block), expected)
     # C = 1 is outside the margin: every replica took the float path.
     assert sum(drawn) == 3 * cfg.replicas * 4
 
@@ -496,10 +491,9 @@ def test_an_inert_point_drawing_the_top_key_stays_inert(n, replica, spectrum, mo
     if spectrum == "all inert":
         assert not expected.any()
     hashed = counting_keys(monkeypatch, planted)
-    for chunk_size in (None, 7):
+    for block in (None, 7):
         hashed.clear()
-        counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk_size)
-        assert np.array_equal(counts, expected), chunk_size
+        assert np.array_equal(null_in_blocks(dec, tuples, cfg, block), expected), block
         # With every point inert no key is hashed at all.
         assert bool(hashed) == (spectrum == "mixed")
 
@@ -565,10 +559,9 @@ def test_a_quantum_order3_null_hashes_live_rows_and_draws_unskipped_blocks(monke
     dec = attach_phases(pts, PARAMS)
     tuples = select_ntuples(dec, 3, 0.005)
     cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=30)
-    chunk = 2
+    block = 2
     used = np.unique(tuples.comp_idx)
-    probs = np.array([dec[i].p_mumu for i in used])
-    sigmas = np.array([dec[i].sigma for i in used])
+    probs, sigmas = dec.p_mumu[used], dec.sigma[used]
     low, high = (
         edge.astype(np.uint64)
         for edge in oracles.key_thresholds_by_bisection(probs, sigmas, MARGIN_EDGES)
@@ -577,17 +570,16 @@ def test_a_quantum_order3_null_hashes_live_rows_and_draws_unskipped_blocks(monke
     assert 0 < np.count_nonzero(inert) < used.size
     keys = draw_keys(cfg.seed, STREAM_PSEUDODATA, np.arange(cfg.replicas)[:, None], used, 0)
     in_margin = ((keys >= low) & (keys < high)).all(axis=1)
-    # Replicas in blocks of chunk that hold an out-of-margin draw.
-    drawn_blocks = [
-        min(chunk, cfg.replicas - start) for start in range(0, cfg.replicas, chunk)
-        if not in_margin[start:start + chunk].all()
-    ]
-    unskipped = sum(drawn_blocks)
+    # Replicas in key blocks that hold an out-of-margin draw: one shard, cut
+    # into the fewest even blocks of at most `block` replicas.
+    n_blocks = -(-cfg.replicas // block)
+    edges = [cfg.replicas * j // n_blocks for j in range(n_blocks + 1)]
+    unskipped = sum(b - a for a, b in zip(edges, edges[1:]) if not in_margin[a:b].all())
     assert 0 < unskipped < cfg.replicas
 
     hashed = counting_keys(monkeypatch)
     drawn = counting_draws(monkeypatch)
-    counts = classical_null_distribution(dec, tuples, cfg, chunk_size=chunk)
+    counts = null_in_blocks(dec, tuples, cfg, block, workers=1)
     assert np.array_equal(counts, reference_counts(dec, tuples, cfg))
     live = used.size - np.count_nonzero(inert)
     assert sum(hashed) == cfg.replicas * live + unskipped * (used.size - live)
@@ -595,7 +587,7 @@ def test_a_quantum_order3_null_hashes_live_rows_and_draws_unskipped_blocks(monke
 
 
 # Above three key blocks of the six adversarial points (65536 // 6 = 10922
-# replicas each): three workers get a shard each at the default chunking.
+# replicas each): three workers get a shard each at the default blocking.
 SHARDED_REPLICAS = 2**15 - 1
 SYSTEMATICS = dict(include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05)
 
@@ -611,16 +603,15 @@ def test_counts_do_not_depend_on_the_worker_count(n, case, systematics, monkeypa
     monkeypatch.setattr(montecarlo, "_available_cores", lambda: 1)
     serial = classical_null_distribution(dec, tuples, cfg)
     assert serial.any()
-    # Long chunkings run on every replica, short ones on the first few,
-    # which a longer run draws with the same keys.
+    # Long blocks run on every replica, short ones on the first few, which
+    # a longer run draws with the same keys.
     runs = [(None, cfg.replicas), (ORACLE_REPLICAS, cfg.replicas), (7, 211), (1, 31)]
     for workers in (1, 2, 3):
-        monkeypatch.setattr(montecarlo, "_available_cores", lambda: workers)
-        for chunk_size, replicas in runs:
-            counts = classical_null_distribution(
-                dec, tuples, dataclasses.replace(cfg, replicas=replicas), chunk_size=chunk_size
+        for block, replicas in runs:
+            counts = null_in_blocks(
+                dec, tuples, dataclasses.replace(cfg, replicas=replicas), block, workers
             )
-            assert np.array_equal(counts, serial[:replicas]), (workers, chunk_size)
+            assert np.array_equal(counts, serial[:replicas]), (workers, block)
 
 
 def test_a_failing_shard_raises_and_leaves_no_thread_behind(monkeypatch):
@@ -660,11 +651,6 @@ def test_null_block_fits_the_budget():
     replicas, tuples = null_block_shape(21, 30)
     assert tuples == 21 and replicas > MIN_BLOCK_REPLICAS
     assert block_bytes(replicas, tuples, 30) <= NULL_BLOCK_BYTES
-    # An explicit replica count is kept; the tuples fill what it leaves.
-    replicas, tuples = null_block_shape(241, 30, 7)
-    assert replicas == 7 and tuples == 241
-    replicas, tuples = null_block_shape(29_560, 100, 7)
-    assert block_bytes(replicas, tuples, 100) <= NULL_BLOCK_BYTES
 
 
 def shard_sizes(shards):
@@ -705,28 +691,12 @@ def test_null_shards_are_equal_and_cut_into_the_fewest_even_key_blocks():
             assert max(lengths) - min(lengths) <= 1, case
 
 
-def test_null_shards_keep_a_given_chunk_size():
-    for (replicas, n_points, workers), chunk_size in zip(
-        NULL_SHARD_GRID, (1, 2, 7, 128, 661, 10_000) * len(NULL_SHARD_GRID)
-    ):
-        shards = null_shards(replicas, n_points, workers, chunk_size)
-        case = (replicas, workers, chunk_size)
-        assert [block for shard in shards for block in shard] == [
-            range(first, min(first + chunk_size, replicas))
-            for first in range(0, replicas, chunk_size)
-        ], case
-        assert len(shards) == min(workers, -(-replicas // chunk_size)), case
-        counts = [len(shard) for shard in shards]
-        assert max(counts) - min(counts) <= 1, case
-
-
 @given(
     n_tuples=st.integers(0, 10**9),
     n_points=st.integers(0, 10**7),
-    replicas=st.one_of(st.none(), st.integers(1, 10**9)),
 )
-def test_null_block_shape_is_always_at_least_one(n_tuples, n_points, replicas):
-    block_replicas, block_tuples = null_block_shape(n_tuples, n_points, replicas)
+def test_null_block_shape_is_always_at_least_one(n_tuples, n_points):
+    block_replicas, block_tuples = null_block_shape(n_tuples, n_points)
     assert block_replicas >= 1
     assert 1 <= block_tuples <= max(n_tuples, 1)
 
@@ -746,14 +716,11 @@ def test_engine_validation():
     with pytest.raises(IndexError):
         TupleSet(n=3, size=6, comp_idx=[(4, 3)], target_idx=[-1], mismatch=[0.0])
     with pytest.raises(IndexError):
-        classical_null_distribution(dec[:5], tuples, PseudoConfig(replicas=2000))
+        classical_null_distribution(
+            dataset_with_phases(SHARED_PHASES[:5]), tuples, PseudoConfig(replicas=2000)
+        )
     with pytest.warns(UserWarning, match="replicas"):
         classical_null_distribution(dec, tuples, PseudoConfig(replicas=100, seed=1))
-    for chunk_size in (0, 2.5):
-        with pytest.raises(DomainError):
-            classical_null_distribution(
-                dec, tuples, PseudoConfig(replicas=2000), chunk_size=chunk_size
-            )
 
 
 def test_both_null_engines_refuse_replicas_past_the_budget(monkeypatch):
@@ -829,7 +796,7 @@ def test_count_violations_strictness():
     flags = []
     for target_p in (0.4, 0.6, 0.5):
         probs = (target_p, 0.75, 0.75)
-        points = [dataclasses.replace(p, p_mumu=v) for p, v in zip(dec, probs)]
+        points = dataclasses.replace(dec, p_mumu=probs)
         table = tuple_table(triple, points, PARAMS)
         flags.append(bool(table["violation"][0]))
     assert table["k_value"][0] == 1.0
@@ -902,10 +869,7 @@ def k_columns(table):
 
 def test_chi_square_vanishes_on_the_model_curve():
     dec = dataset_with_phases(SHARED_PHASES, sigma=0.01)
-    dec = [
-        dataclasses.replace(p, p_mumu=float(survival_probability(0.95, p.psi)))
-        for p in dec
-    ]
+    dec = dataclasses.replace(dec, p_mumu=survival_probability(0.95, dec.psi))
     tuples = select_ntuples(dec, 3, 0.005)
     table = tuple_table(tuples, dec, PARAMS)
     assert len(table) == 4
@@ -952,14 +916,10 @@ def classical_markov_dataset(lam, sigma, bins, seed):
     jit = uniform_open(seed, STREAM_SYNTH_ENERGY, 1, np.arange(1, bins - 1)) - 0.5
     pos[1:-1] += 0.5 * jit
     energies = 0.5 * (50.0 / 0.5) ** (pos / (bins - 1))
-    base = [MeasuredPoint(float(e), 0.5, sigma) for e in energies]
-    dec = attach_phases(base, PARAMS)
-    p_true = markov_decay_probs([p.psi for p in dec], lam=lam)
+    dec = attach_phases(Spectrum(energies, 0.5, sigma), PARAMS)
+    p_true = markov_decay_probs(dec.psi, lam=lam)
     p_obs = truncated_normal(seed, STREAM_SYNTH_PROB, 1, np.arange(bins), p_true, sigma)
-    return [
-        dataclasses.replace(p, p_mumu=float(v), psi=None)
-        for p, v in zip(dec, p_obs)
-    ]
+    return dataclasses.replace(dec, p_mumu=p_obs, psi=None)
 
 
 def test_z_is_calibrated_under_a_classical_truth():

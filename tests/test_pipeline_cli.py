@@ -40,7 +40,7 @@ from nulgi.pipeline import (
     null_count_rows,
     run_analysis,
 )
-from nulgi.selection import MeasuredPoint, attach_phases
+from nulgi.selection import Spectrum
 from nulgi.synthetic import generate_synthetic
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
@@ -59,10 +59,7 @@ def synthetic_csv(tmp_path, seed=2, rel_error=0.05, name="synthetic.csv"):
 
 def shared_csv(tmp_path):
     # Four exact-sum triples; see test_montecarlo.SHARED_PHASES.
-    points = [
-        MeasuredPoint(PHASE_SCALE / psi, 0.5, 0.05)
-        for psi in (0.4, 0.5, 0.7, 0.9, 1.2, 1.6)
-    ]
+    points = Spectrum(PHASE_SCALE / np.array([0.4, 0.5, 0.7, 0.9, 1.2, 1.6]), 0.5, 0.05)
     path = tmp_path / "shared.csv"
     write_dataset_csv(points, path)
     return path
@@ -70,7 +67,7 @@ def shared_csv(tmp_path):
 
 def no_tuple_csv(tmp_path):
     # 0.5 + 0.6 = 1.1 and friends miss every available target by >= 25%.
-    points = [MeasuredPoint(PHASE_SCALE / psi, 0.5, 0.05) for psi in (0.5, 0.6, 0.8)]
+    points = Spectrum(PHASE_SCALE / np.array([0.5, 0.6, 0.8]), 0.5, 0.05)
     path = tmp_path / "sparse.csv"
     write_dataset_csv(points, path)
     return path
@@ -141,7 +138,7 @@ def test_no_tuples_report_and_artifacts(tmp_path):
 
 
 def test_analyze_needs_enough_points():
-    points = [MeasuredPoint(2.0, 0.5, 0.05), MeasuredPoint(3.0, 0.5, 0.05)]
+    points = Spectrum([2.0, 3.0], 0.5, 0.05)
     with pytest.raises(DataError, match="at least 3"):
         analyze_dataset(points, RunConfig(params=PARAMS))
 
@@ -200,8 +197,8 @@ def test_curve_and_analyze_take_their_rows_from_curve_rows(tmp_path, capsys, mon
         "analyze", "--params", PARAMS_JSON, "--data", str(data), "--replicas", "1000",
         "--out-dir", str(out),
     ]) == EXIT_OK
-    energies = [p.energy_gev for p in generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, 2)]
-    lo, hi = min(energies), max(energies)
+    energies = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, 2).energy_gev
+    lo, hi = energies.min().item(), energies.max().item()
     capsys.readouterr()
     assert main(["curve", "--params", PARAMS_JSON, "--emin", repr(lo), "--emax", repr(hi)]) == EXIT_OK
     assert calls == [(lo, hi), (lo, hi)]

@@ -16,8 +16,8 @@ from nulgi.errors import DataError, DomainError
 from nulgi.oscillation import OscParams, accumulated_phase
 from nulgi.pipeline import tuple_table
 from nulgi.selection import (
-    MeasuredPoint,
     PhaseTuple,
+    Spectrum,
     TupleSet,
     attach_phases,
     select_ntuples,
@@ -34,10 +34,10 @@ PHASE_SCALE = accumulated_phase(PARAMS, 1.0)
 
 def points_with_phases(phases, p_mumu=0.5, sigma=0.02):
     """Dataset whose attached phases reproduce the given values (to 1 ulp)."""
-    return [
-        MeasuredPoint(energy_gev=PHASE_SCALE / psi, p_mumu=p_mumu, sigma_stat=sigma)
-        for psi in phases
-    ]
+    return Spectrum(
+        energy_gev=PHASE_SCALE / np.asarray(phases, dtype=float), p_mumu=p_mumu,
+        sigma_stat=sigma,
+    )
 
 
 def decorated(phases, **kw):
@@ -52,43 +52,54 @@ def rows(ts):
 
 
 def test_attach_phases_sorts_and_fills():
-    pts = [
-        MeasuredPoint(5.0, 0.6, 0.02),
-        MeasuredPoint(1.0, 0.4, 0.02),
-        MeasuredPoint(2.0, 0.5, 0.02),
-    ]
+    pts = Spectrum([5.0, 1.0, 2.0], [0.6, 0.4, 0.5], [0.02, 0.03, 0.04])
+    # The spectrum holds its rows in ascending energy from construction on.
+    assert pts.energy_gev.tolist() == [1.0, 2.0, 5.0]
+    assert pts.p_mumu.tolist() == [0.4, 0.5, 0.6]
+    assert pts.sigma_stat.tolist() == [0.03, 0.04, 0.02]
     dec = attach_phases(pts, PARAMS)
-    assert [p.energy_gev for p in dec] == [1.0, 2.0, 5.0]
-    for p in dec:
-        assert_allclose(p.psi, accumulated_phase(PARAMS, p.energy_gev), rtol=1e-15)
-    # Pure: the inputs keep their None phases.
-    assert all(p.psi is None for p in pts)
+    assert dec.energy_gev.tolist() == [1.0, 2.0, 5.0]
+    assert dec.psi.tolist() == [accumulated_phase(PARAMS, e) for e in (1.0, 2.0, 5.0)]
+    # Pure: the input keeps its None phases.
+    assert pts.psi is None
+    with pytest.raises(ValueError):
+        dec.psi[0] = 0.0
+
+
+def test_sigma_is_math_hypot_bit_for_bit():
+    # np.hypot differs from math.hypot in the last bit on about 0.5% of
+    # random pairs; sigma must keep math.hypot's bits.
+    stat, sys = np.random.default_rng(0).uniform(0.0, 1.0, size=(2, 100_000))
+    want = list(map(math.hypot, stat.tolist(), sys.tolist()))
+    differs = np.hypot(stat, sys) != want
+    assert differs.sum() > 100
+    stat, sys = stat[differs], sys[differs]
+    spectrum = Spectrum(1.0 + np.arange(stat.size), 0.5, stat, sys)
+    assert spectrum.sigma.tolist() == np.array(want)[differs].tolist()
 
 
 def test_attach_phases_frozen_example():
     dec = attach_phases(
-        [MeasuredPoint(2.94, 0.5, 0.02)],
+        Spectrum([2.94], [0.5], [0.02]),
         OscParams(dm2=2.5e-3, sin2_2theta=0.95, baseline_km=735.0),
     )
-    assert_allclose(dec[0].psi, 0.7918329243994369, rtol=1e-12)
-    assert dec[0].psi == pytest.approx(0.7918, abs=5e-5)
+    assert_allclose(dec.psi[0], 0.7918329243994369, rtol=1e-12)
+    assert dec.psi[0] == pytest.approx(0.7918, abs=5e-5)
 
 
-def test_attach_phases_rejects_duplicates_and_empty():
-    with pytest.raises(DataError):
-        attach_phases(
-            [MeasuredPoint(2.0, 0.5, 0.02), MeasuredPoint(2.0, 0.6, 0.02)], PARAMS
-        )
-    with pytest.raises(DataError):
-        attach_phases([], PARAMS)
+def test_spectrum_rejects_duplicates_and_selection_an_empty_one():
+    with pytest.raises(DataError, match=r"^duplicate energy value 2\.0 GeV$"):
+        Spectrum([2.0, 2.0], [0.5, 0.6], [0.02, 0.02])
+    empty = attach_phases(Spectrum([], [], []), PARAMS)
+    assert len(empty) == 0 and empty.psi.shape == (0,)
+    with pytest.raises(DataError, match="^need at least 3 points for order-3 tuples, got 0$"):
+        select_ntuples(empty, 3, 0.005)
 
 
 def test_zero_splitting_yields_no_tuples():
     flat = OscParams(dm2=0.0, sin2_2theta=0.95, baseline_km=735.0)
-    dec = attach_phases(
-        [MeasuredPoint(e, 0.5, 0.02) for e in (1.0, 2.0, 3.0, 4.0)], flat
-    )
-    assert all(p.psi == 0.0 for p in dec)
+    dec = attach_phases(Spectrum([1.0, 2.0, 3.0, 4.0], 0.5, 0.02), flat)
+    assert (dec.psi == 0.0).all()
     assert len(select_ntuples(dec, 3, 0.005)) == 0
 
 
@@ -135,7 +146,7 @@ def test_selection_matches_brute_force_oracle():
         size = int(rng.integers(3, 16))
         phases = np.sort(rng.uniform(0.05, 4.0, size=size))[::-1]
         dec = decorated(list(phases))
-        psis = [p.psi for p in dec]
+        psis = dec.psi.tolist()
         n = 3 if trial % 2 else 4
         if size < n:
             continue
@@ -167,10 +178,11 @@ def test_selection_is_deterministic_and_order_insensitive():
     pts = points_with_phases(phases)
     first = select_ntuples(attach_phases(pts, PARAMS), 3, 0.01)
     again = select_ntuples(attach_phases(pts, PARAMS), 3, 0.01)
-    shuffled = select_ntuples(attach_phases(pts[::-1], PARAMS), 3, 0.01)
+    reversed_pts = Spectrum(pts.energy_gev[::-1], pts.p_mumu[::-1], pts.sigma_stat[::-1])
+    shuffled = select_ntuples(attach_phases(reversed_pts, PARAMS), 3, 0.01)
     assert first == again == shuffled
     # Canonical output order: ascending target phase.
-    target_psis = [attach_phases(pts, PARAMS)[t].psi for t in first.target_idx.tolist()]
+    target_psis = attach_phases(pts, PARAMS).psi[first.target_idx].tolist()
     assert target_psis == sorted(target_psis)
 
 
@@ -178,7 +190,7 @@ def test_component_indices_run_descending_in_phase():
     rng = np.random.default_rng(12)
     dec = decorated(list(rng.uniform(0.1, 4.0, size=12)))
     for indices in select_ntuples(dec, 4, 0.05).comp_idx.tolist():
-        comp_psis = [dec[i].psi for i in indices]
+        comp_psis = dec.psi[indices].tolist()
         assert comp_psis == sorted(comp_psis, reverse=True)
 
 
@@ -196,8 +208,8 @@ def test_returned_mismatch_always_within_tolerance(phases, tol):
     dec = decorated(phases)
     for indices, target_index, mismatch in rows(select_ntuples(dec, 3, tol)):
         assert abs(mismatch) <= tol
-        total = sum(dec[i].psi for i in indices)
-        target = dec[target_index].psi
+        total = sum(dec.psi[list(indices)].tolist())
+        target = dec.psi[target_index]
         assert_allclose(mismatch, (total - target) / target, atol=1e-12)
 
 
@@ -210,7 +222,7 @@ def test_selection_validation():
     with pytest.raises(DomainError):
         select_ntuples(dec, 3, 0.005, "fuzzy")
     with pytest.raises(DataError):
-        select_ntuples(dec[:2], 3, 0.005)
+        select_ntuples(decorated([0.5, 0.7]), 3, 0.005)
     with pytest.raises(DataError):
         select_ntuples(points_with_phases([0.5, 0.7, 1.2]), 3, 0.005)
     with pytest.raises(DomainError):
@@ -223,16 +235,16 @@ def one_triple(size=3):
 
 def test_evaluate_tuple_hand_values():
     dec = decorated([0.5, 0.7, 1.2], p_mumu=0.75)
-    dec = [dataclasses.replace(p, p_mumu=v) for p, v in zip(dec, (0.25, 0.75, 0.75))]
+    dec = dataclasses.replace(dec, p_mumu=[0.25, 0.75, 0.75])
     table = tuple_table(one_triple(), dec, PARAMS)
     assert table["k_value"][0] == pytest.approx(1.5, abs=1e-15)
-    assert table["component_phases"][0].tolist() == [dec[1].psi, dec[2].psi]
+    assert table["component_phases"][0].tolist() == dec.psi[[1, 2]].tolist()
 
-    flat = [dataclasses.replace(p, p_mumu=0.9) for p in dec]
+    flat = dataclasses.replace(dec, p_mumu=0.9)
     assert tuple_table(one_triple(), flat, PARAMS)["k_value"][0] == pytest.approx(
         0.8, abs=1e-15
     )
-    ones = [dataclasses.replace(p, p_mumu=1.0) for p in dec]
+    ones = dataclasses.replace(dec, p_mumu=1.0)
     assert tuple_table(one_triple(), ones, PARAMS)["k_value"][0] == pytest.approx(
         1.0, abs=1e-15
     )
@@ -240,16 +252,14 @@ def test_evaluate_tuple_hand_values():
 
 def test_evaluate_tuple_propagates_quadrature():
     dec = decorated([0.5, 0.7, 1.2])
-    dec = [
-        dataclasses.replace(p, sigma_stat=s) for p, s in zip(dec, (0.3, 0.1, 0.2))
-    ]
+    dec = dataclasses.replace(dec, sigma_stat=[0.3, 0.1, 0.2])
     table = tuple_table(one_triple(), dec, PARAMS)
     assert_allclose(table["k_sigma"][0], 2.0 * math.sqrt(0.01 + 0.04 + 0.09), rtol=1e-15)
 
 
 def test_evaluate_tuple_uses_total_sigma():
     dec = decorated([0.5, 0.7, 1.2])
-    dec = [dataclasses.replace(p, sigma_stat=0.3, sigma_sys=0.4) for p in dec]
+    dec = dataclasses.replace(dec, sigma_stat=0.3, sigma_sys=0.4)
     table = tuple_table(one_triple(), dec, PARAMS)
     assert_allclose(table["k_sigma"][0], 2.0 * math.sqrt(3 * 0.25), rtol=1e-15)
 
@@ -286,7 +296,7 @@ def test_tuple_set_rows_are_phase_tuples():
 def assert_matches_the_scan(dec, n, tol, mode):
     """select_ntuples equals the neighbour-scan oracle exactly, in order."""
     got = select_ntuples(dec, n, tol, mode)
-    want = oracles.neighbour_scan_ntuples([p.psi for p in dec], n, tol, mode)
+    want = oracles.neighbour_scan_ntuples(dec.psi.tolist(), n, tol, mode)
     assert rows(got) == want
     return got
 
@@ -304,10 +314,9 @@ def test_selection_equals_the_neighbour_scan_on_the_grid(bins, n, mode):
 
 def phase_points(phases):
     """Points carrying the given phases exactly (energies only order them)."""
-    return [
-        MeasuredPoint(energy_gev=1.0 + i, p_mumu=0.5, sigma_stat=0.02, psi=psi)
-        for i, psi in enumerate(phases)
-    ]
+    return Spectrum(
+        energy_gev=1.0 + np.arange(len(phases)), p_mumu=0.5, sigma_stat=0.02, psi=phases
+    )
 
 
 def test_equidistant_neighbours_resolve_to_the_smaller_phase():
@@ -332,10 +341,9 @@ def test_equal_phases_from_distinct_energies():
         pytest.fail("no energy pair with equal phases")
     psi = accumulated_phase(PARAMS, energy)
     others = [PHASE_SCALE / (psi * f) for f in (0.5, 0.3, 0.2, 0.7, 1.5)]
-    points = [MeasuredPoint(e, 0.5, 0.02) for e in (energy, twin, *others)]
-    dec = attach_phases(points, PARAMS)
-    assert len({p.energy_gev for p in dec}) == len(dec)
-    assert len({p.psi for p in dec}) == len(dec) - 1
+    dec = attach_phases(Spectrum([energy, twin, *others], 0.5, 0.02), PARAMS)
+    assert len(set(dec.energy_gev.tolist())) == len(dec)
+    assert len(set(dec.psi.tolist())) == len(dec) - 1
     for mode, tol in (("relative", 0.01), ("absolute", 0.01)):
         for n in (3, 4):
             assert_matches_the_scan(dec, n, tol, mode)

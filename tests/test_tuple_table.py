@@ -8,6 +8,8 @@ per-tuple loop it replaced, on the 29 560 order-4 tuples of a 100-bin
 spectrum.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,20 +35,24 @@ def fine():
 
 
 def scalar_rows(dec, tuples, model):
-    """Per tuple, the numbers the scalar K forms give."""
+    """Per tuple, the numbers the scalar K forms give, from Python floats of the columns.
+
+    Each point's sd is math.hypot of its two uncertainties.
+    """
     s2t = model.sin2_2theta
-    for indices, target_index in zip(tuples.comp_idx.tolist(), tuples.target_idx.tolist()):
-        comps = [dec[i] for i in indices]
-        target = dec[target_index]
-        phases = [p.psi for p in comps]
-        measured = oracles.k_n_quantum_from_survival([p.p_mumu for p in comps], target.p_mumu)
-        sigma = oracles.k_n_uncertainty([p.sigma for p in comps], target.sigma)
+    psi, prob = dec.psi.tolist(), dec.p_mumu.tolist()
+    sd = list(map(math.hypot, dec.sigma_stat.tolist(), dec.sigma_sys.tolist()))
+    for indices, target in zip(tuples.comp_idx.tolist(), tuples.target_idx.tolist()):
+        phases = [psi[i] for i in indices]
+        probs = [prob[i] for i in indices]
+        measured = oracles.k_n_quantum_from_survival(probs, prob[target])
+        sigma = oracles.k_n_uncertainty([sd[i] for i in indices], sd[target])
         theory = oracles.k_n_quantum_from_survival(
             [float(survival_probability(s2t, p)) for p in phases],
             float(survival_probability(s2t, sum(phases))),
         )
-        classical = oracles.k_n_classical([2.0 * p.p_mumu - 1.0 for p in comps])
-        yield measured, sigma, theory, classical, phases, target.psi
+        classical = oracles.k_n_classical([2.0 * p - 1.0 for p in probs])
+        yield measured, sigma, theory, classical, phases, psi[target]
 
 
 def test_k_columns_equal_the_scalar_functions_bit_for_bit(fine):
