@@ -11,7 +11,8 @@ file it wrote, `<sha>  <run> <file>` by relative path. The grid:
   quantum, seeds 0-15), as the benchmark's workloads draw them;
 - triples of each spectrum at orders 3 and 4;
 - analyze of each spectrum at orders 3 and 4, with 100000 replicas on the
-  minos pool and 1000 on the fine pool;
+  minos pool and 1000 on the fine pool, and at order 3 with --fit-curve, so
+  a curve.csv with its fitted column is hashed too;
 - curve to stdout, and curve of 1000 points to a file.
 
 Usage, from the repository root:
@@ -87,9 +88,10 @@ def runs(spectra: int):
                         "--order", str(order), "--out-dir", "out",
                     ]
                     yield f"triples {name} n{order}", ["triples", *selection], None
-                    yield f"analyze {name} n{order}", [
-                        "analyze", *selection, "--replicas", str(replicas), "--seed", "0",
-                    ], None
+                    analyze = ["analyze", *selection, "--replicas", str(replicas), "--seed", "0"]
+                    yield f"analyze {name} n{order}", analyze, None
+                    if order == 3:
+                        yield f"analyze {name} n3 fit-curve", [*analyze, "--fit-curve"], None
     yield "curve stdout", ["curve", "--params", PARAMS], None
     yield "curve 1000", [
         "curve", "--params", PARAMS, "--points", "1000", "--out", "curve.csv",

@@ -19,7 +19,7 @@ from scipy.linalg import expm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nulgi.dataio import write_table_csv
+from nulgi.dataio import TupleTable, emit_report
 from nulgi.errors import DomainError
 from nulgi.oscillation import (
     HBARC_EV_M,
@@ -154,14 +154,10 @@ def main(argv=None) -> int:
     )
 
     if args.out:
-        write_table_csv(
-            args.out,
-            ("energy_gev", "p_vacuum", "p_matter", "abs_shift"),
-            [
-                (float(e), float(v), float(m), float(s))
-                for e, v, m, s in zip(energies, vacuum, matter, shift)
-            ],
+        table = TupleTable(
+            {"energy_gev": energies, "p_vacuum": vacuum, "p_matter": matter, "abs_shift": shift}
         )
+        emit_report(table, ((args.out, tuple(table.columns)),))
         print(f"wrote {args.out}")
     return 0
 

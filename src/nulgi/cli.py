@@ -20,11 +20,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .dataio import table_csv_text, write_dataset_csv, write_table_csv
+from .dataio import emit_report, write_dataset_csv
 from .errors import DataError, DomainError, check_budget
 from .montecarlo import REPLICA_BYTES, PseudoConfig
 from .oscillation import OscParams
-from .pipeline import RunConfig, curve_rows, run_analysis, run_triples
+from .pipeline import RunConfig, curve_columns, run_analysis, run_triples
 from .synthetic import TRUTH_MODES, generate_synthetic
 
 CONFIG_ENV = "NULGI_CONFIG"
@@ -110,18 +110,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**cfg, params=params, pseudo=pseudo)
 
 
-def _emit_rows(header, rows, out: Optional[Path]) -> None:
-    if out is None:
-        print(table_csv_text(header, rows), end="")
-    else:
-        write_table_csv(out, header, rows)
-        print(f"wrote {out}")
-
-
 def cmd_curve(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    header, rows = curve_rows(config.params, config.e_min_gev, config.e_max_gev, args.points)
-    _emit_rows(header, rows, args.out)
+    curve = curve_columns(config.params, config.e_min_gev, config.e_max_gev, args.points)
+    # sys.stdout is looked up here: a caller may have redirected it.
+    out = args.out if args.out is not None else sys.stdout
+    emit_report(curve, ((out, tuple(curve.columns)),))
+    if args.out is not None:
+        print(f"wrote {args.out}")
     return EXIT_OK
 
 

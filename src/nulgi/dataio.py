@@ -2,9 +2,11 @@
 
 The dataset format is a UTF-8 CSV with header columns energy_gev, p_mumu,
 sigma_stat and optionally sigma_sys, in any order; full-line comments start
-with '#'. Floats are written with repr precision so a write-parse round trip
-reproduces values exactly, and report.json uses sorted keys so identical
-runs produce identical bytes. Tuple rows are written as CSV only.
+with '#'. Every CSV table, the spectrum, the tuple tables, the null counts
+and the model curve, is written from columns by one writer, emit_report:
+floats with repr precision, so a write-parse round trip reproduces values
+exactly, ints in full and flags as 0 or 1. report.json uses sorted keys so
+identical runs produce identical bytes. Tuple rows are written as CSV only.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def parse_dataset(path) -> Spectrum:
 
 def write_dataset_csv(points: Spectrum, path) -> None:
     """Write a spectrum CSV that parse_dataset reproduces exactly."""
-    columns = (getattr(points, name).tolist() for name in SPECTRUM_COLUMNS)
-    write_table_csv(path, SPECTRUM_COLUMNS, zip(*columns))
+    table = TupleTable({name: getattr(points, name) for name in SPECTRUM_COLUMNS})
+    emit_report(table, ((path, SPECTRUM_COLUMNS),))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,7 +127,8 @@ class PointColumn:
 
 
 class TupleTable:
-    """An analysis's per-tuple columns by name; 2-D where a tuple holds a list.
+    """Columns of a CSV table by name: an analysis's per-tuple columns, 2-D
+    where a tuple holds a list, or the 1-D columns of any other table.
 
     A column is an array or a PointColumn; table[name] is always the array.
     """
@@ -143,8 +146,8 @@ class TupleTable:
         return column
 
 
-# Rows of a TupleTable formatted and written at a time: the tuple text held
-# in memory is bounded by this, not by the tuple count.
+# Rows of a TupleTable formatted and written at a time: the text held in
+# memory is bounded by this, not by the row count.
 CHUNK_ROWS = 1024
 
 # A flag's text in a CSV cell, indexed by the flag.
@@ -164,7 +167,7 @@ def _cell_text(values: np.ndarray) -> list:
 
 
 class _RowWriter:
-    """One CSV file of the tuple writer: a header, then the rows chunk by chunk.
+    """One CSV file of emit_report: a header, then the rows chunk by chunk.
 
     A row is the named columns joined by ',', with the entries of a list
     cell joined by ';'.
@@ -244,11 +247,14 @@ def write_report(report: SignificanceReport, path) -> None:
 
 
 def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
-    """Write CSV tables of an analysis's tuples in one pass.
+    """Write CSV tables of a table's columns in one pass.
 
-    tables holds (path, column names) pairs: each is written as the
-    table_csv_text of those columns, with index and phase lists joined by
-    ';' and a flag as 0 or 1.
+    tables holds (path or open text stream, column names) pairs: each is
+    written as a header of the names, then one line per row, its cells
+    joined by ','. A float cell is its repr, an int cell its digits, a flag
+    0 or 1, and the entries of a list cell (a 2-D column) are joined by
+    ';'. A path is opened and closed here; a stream is written to and left
+    open.
 
     The table is written in chunks of CHUNK_ROWS rows. A PointColumn's
     points are formatted once per call and their text is gathered by
@@ -257,8 +263,8 @@ def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
     flat list, the row's literals repeated with the cells slice-assigned
     into it, joined once; the chunk is written to every file before the
     next one is formatted. So the text in memory does not grow with the
-    tuple count. A non-finite cell in any float column raises before any
-    file is opened.
+    row count. A non-finite cell in any float column raises before any
+    file is opened or any text written.
     """
     for name, column in table.columns.items():
         if column.dtype.kind != "f":
@@ -273,7 +279,8 @@ def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
     keys = {key for writer in writers for key in writer.keys}
     with ExitStack() as stack:
         files = {
-            writer: stack.enter_context(Path(writer.path).open("w", encoding="utf-8"))
+            writer: writer.path if hasattr(writer.path, "write")
+            else stack.enter_context(Path(writer.path).open("w", encoding="utf-8"))
             for writer in writers
         }
         for writer, out in files.items():
@@ -284,24 +291,3 @@ def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
             cells = _chunk_cells(table, keys, rows, point_text)
             for writer, out in files.items():
                 writer.write_rows(out, cells, rows.stop - rows.start)
-
-
-def table_csv_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """A simple table as CSV text: a string cell as it is, a float at repr precision.
-
-    A np.float64 is a float whose own repr is np.float64(...), so floats are
-    written as the repr of their Python float.
-    """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            repr(v) if type(v) is float else v if type(v) is str
-            else repr(float(v)) if isinstance(v, float) else str(v)
-            for v in row
-        ))
-    return "\n".join(lines) + "\n"
-
-
-def write_table_csv(path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Write the table_csv_text of a table to path."""
-    Path(path).write_text(table_csv_text(header, rows), encoding="utf-8")

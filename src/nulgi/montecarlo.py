@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent import futures
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -327,11 +326,6 @@ def classical_null_distribution(
     if len(tuples) == 0:
         raise DomainError("no tuples to evaluate")
     check_budget("replicas", config.replicas, REPLICA_BYTES)
-    if config.replicas < MIN_REPLICAS_FOR_CLAIM:
-        warnings.warn(
-            f"{config.replicas} replicas is below {MIN_REPLICAS_FOR_CLAIM}; "
-            "significance estimates will be unstable"
-        )
     size = len(dataset)
     if tuples.size != size:
         raise IndexError(f"tuples of a {tuples.size}-point dataset, given {size} points")

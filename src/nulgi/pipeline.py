@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import math
 import numbers
-import warnings as _warnings
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
@@ -20,9 +19,8 @@ from .dataio import (
     emit_report,
     parse_dataset,
     write_report,
-    write_table_csv,
 )
-from .errors import DataError, DomainError, check_budget
+from .errors import DomainError, check_budget
 from .leggett_garg import lgi_bound
 from .montecarlo import (
     MIN_REPLICAS_FOR_CLAIM,
@@ -54,8 +52,9 @@ FIT_DM2_HI = 1.0e-2
 FIT_GRID = 201
 FIT_ROUNDS = 4
 
-# Bytes a curve table holds per point: its arrays, its Python rows and its
-# CSV text (about 340 measured, 200k to 1M points).
+# Bytes a curve table holds per point: its arrays, written in chunks of
+# dataio.CHUNK_ROWS rows (about 40 measured, the slope of peak RSS from 200k
+# to 1M points). It stays at 384 so that the --points refusal does not move.
 CURVE_POINT_BYTES = 384
 
 
@@ -130,22 +129,20 @@ def curve_table(
     return energies, np.asarray(survival_probability(params.sin2_2theta, psis))
 
 
-def curve_rows(
+def curve_columns(
     params: OscParams, e_min_gev: float, e_max_gev: float, points: int = 400,
     fitted: Optional[OscParams] = None,
-) -> tuple[list, list]:
-    """Header and rows of a curve table, for `nulgi curve` and analyze's curve.csv.
+) -> TupleTable:
+    """The columns of a curve table, for `nulgi curve` and analyze's curve.csv.
 
-    Columns energy_gev and p_model of curve_table, then p_model_fitted, the
-    fitted model on the same energies, when fitted is given. Cells are
-    Python floats.
+    energy_gev and p_model of curve_table, then p_model_fitted, the fitted
+    model on the same energies, when fitted is given.
     """
     energies, model = curve_table(params, e_min_gev, e_max_gev, points)
-    header, columns = ["energy_gev", "p_model"], [energies, model]
+    columns = {"energy_gev": energies, "p_model": model}
     if fitted is not None:
-        header.append("p_model_fitted")
-        columns.append(curve_table(fitted, e_min_gev, e_max_gev, points)[1])
-    return header, list(zip(*(column.tolist() for column in columns)))
+        columns["p_model_fitted"] = curve_table(fitted, e_min_gev, e_max_gev, points)[1]
+    return TupleTable(columns)
 
 
 def fit_curve_params(dataset: Spectrum, params: OscParams) -> OscParams:
@@ -295,11 +292,6 @@ def _analyze(
     points: Spectrum, config: RunConfig
 ) -> tuple[SignificanceReport, TupleTable, Optional[np.ndarray]]:
     """Shared implementation; returns the report, its tuple table and the raw null counts."""
-    if len(points) < config.order:
-        raise DataError(
-            f"need at least {config.order} points for order {config.order}, "
-            f"got {len(points)}"
-        )
     decorated = attach_phases(points, config.params)
     tuples = select_ntuples(
         decorated, config.order, config.tolerance, config.mismatch_mode
@@ -342,9 +334,7 @@ def _analyze(
     if law is not None:
         counts = counts_from_law(law, config.pseudo)
     else:
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")
-            counts = classical_null_distribution(decorated, tuples, config.pseudo)
+        counts = classical_null_distribution(decorated, tuples, config.pseudo)
     fit = fit_beta_binomial(counts, len(tuples))
     z = z_significance(observed, fit)
     if fit.kind == "degenerate":
@@ -403,21 +393,22 @@ def _write_artifacts(
     ))
     write_report(report, out / "report.json")
     if counts is not None:
-        write_table_csv(
-            out / "null_counts.csv", ("violations", "replicas"), null_count_rows(counts)
-        )
+        nulls = null_count_columns(counts)
+        emit_report(nulls, ((out / "null_counts.csv", tuple(nulls.columns)),))
     lo, hi = points.energy_gev[[0, -1]].tolist()
     fitted = report.config.get("fitted_params")
-    write_table_csv(out / "curve.csv", *curve_rows(
+    curve = curve_columns(
         config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
-    ))
+    )
+    emit_report(curve, ((out / "curve.csv", tuple(curve.columns)),))
 
 
-def null_count_rows(counts: np.ndarray) -> list:
-    """(violations, replicas) of each count the null drew, in ascending order."""
+def null_count_columns(counts: np.ndarray) -> TupleTable:
+    """The null-count histogram: each count the null drew (violations), in
+    ascending order, and how many replicas drew it (replicas)."""
     replicas = np.bincount(counts)
     violations = np.flatnonzero(replicas)
-    return list(zip(violations.tolist(), replicas[violations].tolist()))
+    return TupleTable({"violations": violations, "replicas": replicas[violations]})
 
 
 def run_analysis(config: RunConfig) -> SignificanceReport:

@@ -23,8 +23,10 @@ _PLACEMENT_JITTER = 0.25
 # oscillation minimum keep a usable uncertainty.
 _REL_ERROR_FLOOR = 0.05
 
-# Bytes a simulate run holds per bin: its arrays, its Spectrum's columns and
-# its CSV row (about 430 measured, the slope of peak RSS from 200k to 1M bins).
+# Bytes a simulate run holds per bin: its arrays and its Spectrum's columns,
+# written in chunks of dataio.CHUNK_ROWS rows (about 220 measured, the slope
+# of peak RSS from 200k to 1M bins). It stays at 512 so that the --bins
+# refusal does not move.
 BIN_BYTES = 512
 
 

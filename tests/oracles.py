@@ -421,3 +421,24 @@ def key_thresholds_by_bisection(probs, sds, edges):
         hi = np.where(reached, mid, hi)
         lo = np.where(reached, lo, np.minimum(mid + 1, hi))
     return lo
+
+
+def csv_text(header, rows):
+    """A CSV table written one Python cell at a time, a line per row.
+
+    A float cell is its repr, an int its digits, a bool 0 or 1 and a list
+    its entries joined by ';'. Any other cell, a numpy scalar among them,
+    raises TypeError.
+    """
+
+    def cell(value):
+        if type(value) is list:
+            return ";".join(map(cell, value))
+        if type(value) is bool:
+            return "1" if value else "0"
+        if type(value) in (float, int):
+            return repr(value)
+        raise TypeError(f"no CSV text for {type(value).__name__} {value!r}")
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "".join(line + "\n" for line in lines)

@@ -33,15 +33,24 @@ def test_each_output_prints_one_stable_digest(capsys, monkeypatch):
         for order in (3, 4):
             runs.append((f"triples {name} n{order}", ["out/tuples.csv"]))
             runs.append((f"analyze {name} n{order}", [f"out/{f}" for f in ANALYZE_FILES]))
+            if order == 3:
+                runs.append((f"analyze {name} n3 fit-curve", [f"out/{f}" for f in ANALYZE_FILES]))
     runs += [("curve stdout", []), ("curve 1000", ["curve.csv"])]
     assert [label for _, label in lines] == [
         line for run, files in runs for line in (run, *(f"{run} {f}" for f in files))
     ]
     digests = [digest for digest, _ in lines]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
-    # Every run prints something of its own.
-    outputs = [digest for digest, label in lines if label in dict(runs)]
-    assert len(set(outputs)) == len(outputs) == len(runs)
+    # Every run prints something of its own, but a fit-curve run, whose
+    # stdout can round to the plain run's: its curve.csv holds the fit.
+    fits = [run for run, _ in runs if run.endswith("fit-curve")]
+    assert len(fits) == 2
+    outputs = [digest for digest, label in lines if label in dict(runs) and label not in fits]
+    assert len(set(outputs)) == len(outputs) == len(runs) - len(fits)
+    by_label = {label: digest for digest, label in lines}
+    for fit in fits:
+        plain = fit.removesuffix(" fit-curve")
+        assert by_label[f"{fit} out/curve.csv"] != by_label[f"{plain} out/curve.csv"]
     # A second pass over the same grid prints the same lines.
     assert digest_lines(capsys) == lines
 

@@ -23,10 +23,12 @@ from tracing import Tracer  # noqa: E402
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 PARAMS_JSON = '{"dm2": 2.4e-3, "sin2_2theta": 0.95, "baseline_km": 735.0}'
 
-# Per-tuple scalar functions the analysis no longer calls: the tracer
-# reports them missing and wraps everything else.
+# Per-tuple scalar functions the analysis no longer calls, and the row
+# writer that emit_report replaced: the tracer reports them missing and
+# wraps everything else.
 MISSING = [
     "nulgi.pipeline.evaluate_tuple",
+    "nulgi.pipeline.write_table_csv",
     "nulgi.pipeline.k_n_quantum_from_survival",
     "nulgi.pipeline.k_n_classical",
     "nulgi.selection.k_n_quantum_from_survival",
@@ -45,7 +47,6 @@ def tracer():
         restore()
 
 
-@pytest.mark.filterwarnings("ignore:.*replicas is below")
 @pytest.mark.parametrize("order", [3, 4])
 def test_the_tracer_wraps_and_counts_an_analysis(tmp_path, tracer, order):
     tracer, missing = tracer
@@ -61,6 +62,8 @@ def test_the_tracer_wraps_and_counts_an_analysis(tmp_path, tracer, order):
     assert tracer.counts["selection.tuples_kept"] > 0
     for name in ("dataio.parse", "selection.attach", "selection.select", "montecarlo.fit"):
         assert tracer.calls[name] == 1, name
+    # The tuple tables, null_counts.csv and curve.csv.
+    assert tracer.calls["dataio.emit_report"] == 3
     # Order 3 draws its null from the exact law; order 4 runs the Monte
     # Carlo null, whose hook reads the dataset and the tuples.
     assert tracer.counts["montecarlo.null_tuples"] == (

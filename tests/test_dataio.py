@@ -16,10 +16,8 @@ from nulgi.dataio import (
     TupleTable,
     emit_report,
     parse_dataset,
-    table_csv_text,
     write_dataset_csv,
     write_report,
-    write_table_csv,
 )
 from nulgi.errors import DataError, DomainError
 from nulgi.montecarlo import BetaBinomialFit, PseudoConfig, SignificanceReport
@@ -34,6 +32,8 @@ from nulgi.pipeline import (
 )
 from nulgi.selection import SPECTRUM_COLUMNS, Spectrum, attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
+
+import oracles
 
 POINTS = Spectrum(
     energy_gev=[1.8332, 2.25, 0.7071067811865476],
@@ -314,15 +314,13 @@ def test_unserializable_report_raises_and_writes_nothing(tmp_path):
 
 def test_table_csv_keeps_float_precision(tmp_path):
     path = tmp_path / "t.csv"
-    # np.float64 is a float whose repr is np.float64(...): its cell must
-    # still be written as a plain number.
-    write_table_csv(path, ["x", "n"], [[0.1 + 0.2, 3], [np.float64(1.0) / 3.0, 4]])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,n"
-    x0 = float(lines[1].split(",")[0])
-    assert x0 == 0.1 + 0.2
-    assert lines[1].split(",")[1] == "3"
-    assert lines[2] == f"{1.0 / 3.0!r},4"
+    # A float64 cell's repr is np.float64(...): it must still be written as
+    # a plain number, at full precision.
+    table = TupleTable({"x": np.array([0.1 + 0.2, 1.0 / 3.0]), "n": np.array([3, 4])})
+    emit_report(table, ((path, ("x", "n")),))
+    text = path.read_text()
+    assert text == "x,n\n0.30000000000000004,3\n0.3333333333333333,4\n"
+    assert "np." not in text
 
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
@@ -406,20 +404,10 @@ def writer_case_table(case):
 
 
 def csv_oracle(table, columns) -> bytes:
-    """The bytes table_csv_text gives for the columns, row by row.
-
-    A list cell is its entries' reprs joined by ';' and a flag is 0 or 1.
-    """
-    rows = [
-        [
-            ";".join(map(repr, values[i].tolist())) if values.ndim == 2
-            else int(values[i]) if values.dtype == bool
-            else values[i].tolist()
-            for values in (table[name] for name in columns)
-        ]
-        for i in range(len(table))
-    ]
-    return table_csv_text(columns, rows).encode("utf-8")
+    """The bytes of the columns as the reference writer of tests/oracles.py
+    writes them, cell by cell."""
+    rows = zip(*(table[name].tolist() for name in columns))
+    return oracles.csv_text(columns, rows).encode("utf-8")
 
 
 TABLES = {

@@ -143,17 +143,22 @@ def test_engine_is_deterministic_and_chunk_invariant():
 ORACLE_REPLICAS = 5003
 
 
-def null_in_blocks(dec, tuples, cfg, block_replicas=None, workers=None):
-    """classical_null_distribution in key blocks of at most block_replicas
-    replicas, each evaluated one tuple at a time, on at most workers shards.
+def null_in_blocks(dec, tuples, cfg, block_replicas=None, workers=None, block_tuples=None):
+    """classical_null_distribution in key and tuple blocks of at most
+    block_replicas replicas, each evaluating block_tuples tuples at a time,
+    on at most workers shards.
 
     None keeps the default blocking, or the process's cores.
     """
     with pytest.MonkeyPatch.context() as patch:
-        if block_replicas is not None:
-            # A budget of one float: every block takes MIN_BLOCK_REPLICAS.
-            patch.setattr(montecarlo, "NULL_BLOCK_BYTES", 8)
-            patch.setattr(montecarlo, "MIN_BLOCK_REPLICAS", block_replicas)
+        if block_replicas is not None or block_tuples is not None:
+            shape = montecarlo.null_block_shape
+
+            def blocked(n_tuples, n_points):
+                replicas, tuples = shape(n_tuples, n_points)
+                return block_replicas or replicas, block_tuples or tuples
+
+            patch.setattr(montecarlo, "null_block_shape", blocked)
         if workers is not None:
             patch.setattr(montecarlo, "_available_cores", lambda: workers)
         return classical_null_distribution(dec, tuples, cfg)
@@ -398,6 +403,23 @@ def test_margin_counts_match_the_oracle_on_adversarial_spectra(n, case):
         assert np.array_equal(null_in_blocks(dec, tuples, cfg, block), expected), block
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_one_tuple_blocks_match_the_oracle(n):
+    # null_in_blocks keeps the default tuple width, which takes these tuples
+    # all at once. Here each tuple block holds one tuple or three, so
+    # tuple-block edges fall between every pair of tuples and short of the
+    # last.
+    dec, tuples = adversarial_fixture(
+        *ADVERSARIAL_SPECTRA["sigma 10 and more"], ADVERSARIAL_COMPONENTS[n]
+    )
+    cfg = PseudoConfig(replicas=ORACLE_REPLICAS, seed=24)
+    expected = reference_counts(dec, tuples, cfg)
+    assert expected.any()
+    for block_tuples in (1, 3):
+        counts = null_in_blocks(dec, tuples, cfg, 7, block_tuples=block_tuples)
+        assert np.array_equal(counts, expected), block_tuples
+
+
 def test_margin_keeps_violations_of_components_inside_the_interval(monkeypatch):
     # All components in [-1, 1], yet the float form exceeds n - 2. At order
     # 4, C = (1, 1 - 2**-53, 1 - 2**-52) gives 2.0000000000000004 > 2; 2 P - 1
@@ -592,7 +614,6 @@ SHARDED_REPLICAS = 2**15 - 1
 SYSTEMATICS = dict(include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05)
 
 
-@pytest.mark.filterwarnings("ignore:.*replicas is below")
 @pytest.mark.parametrize("systematics", [False, True])
 @pytest.mark.parametrize("case", ADVERSARIAL_SPECTRA)
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -719,8 +740,6 @@ def test_engine_validation():
         classical_null_distribution(
             dataset_with_phases(SHARED_PHASES[:5]), tuples, PseudoConfig(replicas=2000)
         )
-    with pytest.warns(UserWarning, match="replicas"):
-        classical_null_distribution(dec, tuples, PseudoConfig(replicas=100, seed=1))
 
 
 def test_both_null_engines_refuse_replicas_past_the_budget(monkeypatch):

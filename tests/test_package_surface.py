@@ -18,8 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # The two-level quantum maximum n cos(pi / n) has no caller: the analysis
 # compares K with the classical bound only. It stays public as the bound
 # the paper's claim is stated against. curve_table's only caller is
-# curve_rows in its own module, which builds the rows of `nulgi curve` and
-# curve.csv; it stays public as the model curve as arrays.
+# curve_columns in its own module, which builds the columns of `nulgi curve`
+# and curve.csv; it stays public as the model curve as arrays.
 NO_CALLER_NEEDED = {"curve_table", "quantum_bound"}
 
 

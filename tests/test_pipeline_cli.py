@@ -23,7 +23,7 @@ from nulgi.cli import (
     build_parser,
     main,
 )
-from nulgi.dataio import table_csv_text, write_dataset_csv
+from nulgi.dataio import emit_report, write_dataset_csv
 from nulgi.errors import DataError, DomainError
 from nulgi.montecarlo import PseudoConfig
 from nulgi.oscillation import (
@@ -37,11 +37,13 @@ from nulgi.pipeline import (
     analyze_dataset,
     curve_table,
     fit_curve_params,
-    null_count_rows,
+    null_count_columns,
     run_analysis,
 )
 from nulgi.selection import Spectrum
 from nulgi.synthetic import generate_synthetic
+
+import oracles
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 PARAMS_JSON = '{"dm2": 2.4e-3, "sin2_2theta": 0.95, "baseline_km": 735.0}'
@@ -181,16 +183,16 @@ def test_curve_phases_equal_the_scalar_phase_bit_for_bit(params):
     assert np.array_equal(probs.view(np.int64), want.view(np.int64))
 
 
-def test_curve_and_analyze_take_their_rows_from_curve_rows(tmp_path, capsys, monkeypatch):
-    original = pipeline.curve_rows
+def test_curve_and_analyze_take_their_columns_from_curve_columns(tmp_path, capsys, monkeypatch):
+    original = pipeline.curve_columns
     calls = []
 
     def recorded(*args, **kwargs):
         calls.append(args[1:3])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "curve_rows", recorded)
-    monkeypatch.setattr(pipeline, "curve_rows", recorded)
+    monkeypatch.setattr(cli, "curve_columns", recorded)
+    monkeypatch.setattr(pipeline, "curve_columns", recorded)
     data = synthetic_csv(tmp_path)
     out = tmp_path / "out"
     assert main([
@@ -206,15 +208,15 @@ def test_curve_and_analyze_take_their_rows_from_curve_rows(tmp_path, capsys, mon
 
 
 @pytest.mark.parametrize("counts", [[7, 0, 3, 3, 0, 7, 7, 0], [5, 5, 5], [0]])
-def test_null_count_rows_equal_the_unique_form(counts):
+def test_null_count_columns_write_the_unique_form(tmp_path, counts):
     counts = np.array(counts, dtype=np.int64)
     values, freq = np.unique(counts, return_counts=True)
-    want = [(int(v), int(f)) for v, f in zip(values, freq)]
-    rows = null_count_rows(counts)
-    assert rows == want
-    assert all(type(cell) is int for row in rows for cell in row)
     header = ("violations", "replicas")
-    assert table_csv_text(header, rows) == table_csv_text(header, want)
+    table = null_count_columns(counts)
+    assert tuple(table.columns) == header
+    path = tmp_path / "null_counts.csv"
+    emit_report(table, ((path, header),))
+    assert path.read_text() == oracles.csv_text(header, zip(values.tolist(), freq.tolist()))
 
 
 def test_fit_recovers_generating_parameters(tmp_path):
@@ -640,6 +642,19 @@ def test_cli_rejects_a_non_finite_setting_flag(tmp_path, capsys, command, flag, 
     key = {"--rel-error": "rel_error", "--emax": "e_max_gev", "--tolerance": "tolerance"}[flag]
     assert capsys.readouterr() == ("", f"config error: {key} must be finite, got {value}\n")
     assert not out.exists()
+
+
+def test_analyze_and_triples_refuse_too_few_points_with_one_message(tmp_path, capsys):
+    data = tmp_path / "two.csv"
+    write_dataset_csv(Spectrum(PHASE_SCALE / np.array([0.5, 0.6]), 0.5, 0.05), data)
+    for command in ("analyze", "triples"):
+        out = tmp_path / command
+        argv = [command, "--params", PARAMS_JSON, "--data", str(data), "--out-dir", str(out)]
+        assert main(argv) == EXIT_DATA, command
+        assert capsys.readouterr() == (
+            "", "data error: need at least 3 points for order-3 tuples, got 2\n"
+        ), command
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("points", [-1, 0, 1])
