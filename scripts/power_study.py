@@ -22,23 +22,22 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nulgi.montecarlo import PseudoConfig
 from nulgi.oscillation import OscParams
-from nulgi.pipeline import RunConfig, analyze_dataset, exact_null_law
-from nulgi.selection import attach_phases, select_ntuples
+from nulgi.pipeline import RunConfig, _analyze
 from nulgi.synthetic import TRUTH_MODES, generate_synthetic
 
 SIX_SIGMA_P = ndtr(-6.0)
 
 
-def exact_tail(points, params, config, observed):
+def exact_tail(law, observed):
     """P(count >= observed) under the exact null law, or None without one."""
-    decorated = attach_phases(points, params)
-    tuples = select_ntuples(decorated, config.order, config.tolerance, config.mismatch_mode)
-    law = exact_null_law(decorated, tuples, config)
     return None if law is None else float(law[observed:].sum())
 
 
 def z_scores(params, truth, rel_error, args) -> tuple[list, list]:
-    """The z of every analysed spectrum, and the exact tails of those that have one."""
+    """The z of every analysed spectrum, and the exact tails of those that have one.
+
+    Each spectrum is analysed once: its tail reads the law its null was drawn from.
+    """
     values, tails = [], []
     for seed in range(args.seeds):
         points = generate_synthetic(
@@ -50,10 +49,10 @@ def z_scores(params, truth, rel_error, args) -> tuple[list, list]:
             tolerance=args.tolerance,
             pseudo=PseudoConfig(replicas=args.replicas, seed=seed),
         )
-        report, _ = analyze_dataset(points, config)
+        report, _, _, law = _analyze(points, config)
         if report.status == "ok":
             values.append(report.z_score)
-            tail = exact_tail(points, params, config, report.n_violations_observed)
+            tail = exact_tail(law, report.n_violations_observed)
             if tail is not None:
                 tails.append(tail)
     return values, tails

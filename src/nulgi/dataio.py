@@ -4,8 +4,10 @@ The dataset format is a UTF-8 CSV with header columns energy_gev, p_mumu,
 sigma_stat and optionally sigma_sys, in any order; full-line comments start
 with '#'. Every CSV table, the spectrum, the tuple tables, the null counts
 and the model curve, is written from columns by one writer, emit_report:
-floats with repr precision, so a write-parse round trip reproduces values
-exactly, ints in full and flags as 0 or 1. report.json uses sorted keys so
+floats as their repr, -0.0 included, so a write-parse round trip
+reproduces values exactly, ints in full and flags as 0 or 1. The float
+text of a chunk comes from one floattext.float_text call, which equals
+repr without calling it per value. report.json uses sorted keys so
 identical runs produce identical bytes. Tuple rows are written as CSV only.
 """
 
@@ -21,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DataError, DomainError
+from .floattext import float_text
 from .montecarlo import SignificanceReport
 from .selection import SPECTRUM_COLUMNS, Spectrum, spectrum_fault
 
@@ -154,16 +157,28 @@ CHUNK_ROWS = 1024
 _FLAG_TEXT = np.array(["0", "1"], dtype=object)
 
 
-def _cell_text(values: np.ndarray) -> list:
-    """The literal of each cell of a 1-D array: its repr, or a flag's 0 or 1.
+def _cell_text(arrays: dict) -> dict:
+    """The literals of the cells of 1-D arrays, a list of str per key.
 
-    A flag maps through a two-entry lookup. Every other cell takes one repr
-    of its Python value, with no cache, so -0.0 keeps its own text and an
-    int its full width.
+    A flag maps through a two-entry lookup and an int takes its repr, so it
+    keeps its full width. The floats of every array are made in one
+    float_text call, whose text equals repr, -0.0 and all, with no cache.
     """
-    if values.dtype == bool:
-        return _FLAG_TEXT[values.view(np.uint8)].tolist()
-    return list(map(repr, values.tolist()))
+    text, floats = {}, []
+    for key, values in arrays.items():
+        if values.dtype.kind == "f":
+            floats.append(key)
+        elif values.dtype == bool:
+            text[key] = _FLAG_TEXT[values.view(np.uint8)].tolist()
+        else:
+            text[key] = list(map(repr, values.tolist()))
+    if floats:
+        cells = float_text(np.concatenate([arrays[key] for key in floats]))
+        start = 0
+        for key in floats:
+            stop = start + len(arrays[key])
+            text[key], start = cells[start:stop], stop
+    return text
 
 
 class _RowWriter:
@@ -202,26 +217,28 @@ def _chunk_cells(table: TupleTable, keys: set, rows: slice, point_text: dict) ->
     """The chunk's text of every cell key.
 
     A PointColumn gathers its points' text from point_text, an object
-    array per column formatted once per table; every other column formats
-    its cells.
+    array per column made once per table with the first chunk; every
+    other column's cells are made per chunk. All of a chunk's text comes
+    from one _cell_text call.
     """
-    cells = {}
+    arrays, points = {}, {}
     for key in keys:
         name, part = key
         column = table.columns[name]
         if isinstance(column, PointColumn):
             index = column.index[rows]
-            if part is not None:
-                index = index[:, part]
-            text = point_text.get(name)
-            if text is None:
-                text = point_text[name] = np.array(_cell_text(column.values), dtype=object)
-            cells[key] = text[index].tolist()
+            points[key] = index if part is None else index[:, part]
+            if name not in point_text:
+                arrays[name] = column.values
         else:
             values = column[rows]
-            if part is not None:
-                values = values[:, part]
-            cells[key] = _cell_text(values)
+            arrays[key] = values if part is None else values[:, part]
+    cells = _cell_text(arrays)
+    for key, index in points.items():
+        name = key[0]
+        if name in cells:
+            point_text[name] = np.array(cells.pop(name), dtype=object)
+        cells[key] = point_text[name][index].tolist()
     return cells
 
 
@@ -257,14 +274,16 @@ def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
     open.
 
     The table is written in chunks of CHUNK_ROWS rows. A PointColumn's
-    points are formatted once per call and their text is gathered by
-    index; every other cell of a chunk takes one repr, or its flag text,
-    once for all files (_cell_text). Each file's rows of the chunk are one
-    flat list, the row's literals repeated with the cells slice-assigned
-    into it, joined once; the chunk is written to every file before the
-    next one is formatted. So the text in memory does not grow with the
-    row count. A non-finite cell in any float column raises before any
-    file is opened or any text written.
+    points are formatted once per call, with the first chunk, and their
+    text is gathered by index; every other cell of a chunk is formatted
+    once for all files (_cell_text): its flag text, an int's repr, and for
+    the floats of every column together one floattext.float_text call,
+    whose text equals repr, -0.0 and exponent form included. Each file's
+    rows of the chunk are one flat list, the row's literals repeated with
+    the cells slice-assigned into it, joined once; the chunk is written to
+    every file before the next one is formatted. So the text in memory
+    does not grow with the row count. A non-finite cell in any float
+    column raises before any file is opened or any text written.
     """
     for name, column in table.columns.items():
         if column.dtype.kind != "f":

@@ -290,8 +290,10 @@ def exact_null_law(
 
 def _analyze(
     points: Spectrum, config: RunConfig
-) -> tuple[SignificanceReport, TupleTable, Optional[np.ndarray]]:
-    """Shared implementation; returns the report, its tuple table and the raw null counts."""
+) -> tuple[SignificanceReport, TupleTable, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Shared implementation; returns the report, its tuple table, the raw
+    null counts and the exact null law the counts were drawn from (None
+    where the Monte Carlo null ran)."""
     decorated = attach_phases(points, config.params)
     tuples = select_ntuples(
         decorated, config.order, config.tolerance, config.mismatch_mode
@@ -310,7 +312,7 @@ def _analyze(
             config=_config_echo(config, None),
             notes=["No phase tuples satisfied the sum rule at this tolerance."],
         )
-        return report, table, None
+        return report, table, None, None
 
     report_warnings: list[str] = []
     fitted = None
@@ -362,7 +364,7 @@ def _analyze(
         warnings=report_warnings,
         notes=[CHI2_CAVEAT],
     )
-    return report, table, counts
+    return report, table, counts, law
 
 
 def analyze_dataset(
@@ -375,7 +377,7 @@ def analyze_dataset(
     Returns the report and the table of its tuples. Writes nothing; use
     run_analysis for the artifact-emitting variant.
     """
-    report, table, _ = _analyze(points, config)
+    report, table, _, _ = _analyze(points, config)
     return report, table
 
 
@@ -421,7 +423,7 @@ def run_analysis(config: RunConfig) -> SignificanceReport:
     if config.data is None:
         raise DomainError("analysis requires a dataset path")
     points = parse_dataset(config.data)
-    report, table, counts = _analyze(points, config)
+    report, table, counts, _ = _analyze(points, config)
     report.data_sha256 = hashlib.sha256(Path(config.data).read_bytes()).hexdigest()
     _write_artifacts(report, table, points, config, counts)
     return report

@@ -19,8 +19,10 @@ _U64_MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 # draw_keys returns keys in [0, KEY_LIMIT): the top 53 bits of the hash.
 KEY_LIMIT = 1 << 53
-# truncated_normal gives up on an element after this many draws.
+# truncated_normal gives up on an element after this many draws, and draws
+# this many elements at a time.
 TRUNCATION_ATTEMPTS = 10000
+TRUNCATION_BLOCK = 1 << 16
 
 # Stream identifiers; each independent use of randomness gets its own lane.
 STREAM_PSEUDODATA = 1       # per-(replica, point) pseudo-measurement draws
@@ -147,25 +149,28 @@ def truncated_normal(seed: int, stream: int, index_a, index_b, mean, sd) -> np.n
     An element with sd == 0 returns its mean clamped to [0, 1]. Raises if
     an element fails to land within TRUNCATION_ATTEMPTS draws, which for
     sane inputs (mean within a few sd of the interval) cannot happen.
+
+    The elements are drawn TRUNCATION_BLOCK at a time, in flat order, so
+    the draws' temporaries do not grow with the element count.
     """
     means, sds = np.asarray(mean, dtype=float), np.asarray(sd, dtype=float)
     idx_a, idx_b, means, sds = np.broadcast_arrays(index_a, index_b, means, sds)
     if np.any(sds < 0.0):
         raise DomainError("sd must be non-negative")
     out = np.clip(means, 0.0, 1.0, out=np.empty(means.shape))
-    idx_a, idx_b, means, sds = (arr.ravel() for arr in (idx_a, idx_b, means, sds))
-    # Flat positions of the elements still to land, in increasing order.
-    pending = np.flatnonzero(sds != 0.0)
-    for attempt in range(TRUNCATION_ATTEMPTS):
-        if not pending.size:
-            break
-        keys = draw_keys(seed, stream, idx_a[pending], idx_b[pending], attempt)
-        draw = normal_from_keys(keys, means[pending], sds[pending])
-        ok = (draw >= 0.0) & (draw <= 1.0)
-        out.ravel()[pending[ok]] = draw[ok]
-        pending = pending[~ok]
-    if pending.size:
-        raise RuntimeError(
-            f"truncated draw failed to land in [0.0, 1.0] after {TRUNCATION_ATTEMPTS} attempts"
-        )
+    for start in range(0, out.size, TRUNCATION_BLOCK):
+        # Flat positions of the block's elements still to land, in increasing order.
+        pending = start + np.flatnonzero(sds.flat[start:start + TRUNCATION_BLOCK] != 0.0)
+        for attempt in range(TRUNCATION_ATTEMPTS):
+            if not pending.size:
+                break
+            keys = draw_keys(seed, stream, idx_a.flat[pending], idx_b.flat[pending], attempt)
+            draw = normal_from_keys(keys, means.flat[pending], sds.flat[pending])
+            ok = (draw >= 0.0) & (draw <= 1.0)
+            out.flat[pending[ok]] = draw[ok]
+            pending = pending[~ok]
+        if pending.size:
+            raise RuntimeError(
+                f"truncated draw failed to land in [0.0, 1.0] after {TRUNCATION_ATTEMPTS} attempts"
+            )
     return out

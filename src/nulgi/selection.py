@@ -100,8 +100,13 @@ class Spectrum:
         order = np.argsort(columns[0], kind="stable")
         for name, column in zip(names, columns):
             object.__setattr__(self, name, _read_only(column[order]))
-        sigma = list(map(math.hypot, self.sigma_stat.tolist(), self.sigma_sys.tolist()))
-        object.__setattr__(self, "sigma", _read_only(np.array(sigma, dtype=np.float64)))
+        # math.hypot(s, 0.0) is |s| exactly: only rows with a systematic
+        # error need the call.
+        sigma = np.abs(self.sigma_stat)
+        rows = np.flatnonzero(self.sigma_sys)
+        sigma[rows] = list(map(math.hypot, self.sigma_stat[rows].tolist(),
+                               self.sigma_sys[rows].tolist()))
+        object.__setattr__(self, "sigma", _read_only(sigma))
 
     def __len__(self) -> int:
         return self.energy_gev.size

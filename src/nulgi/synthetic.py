@@ -24,9 +24,9 @@ _PLACEMENT_JITTER = 0.25
 _REL_ERROR_FLOOR = 0.05
 
 # Bytes a simulate run holds per bin: its arrays and its Spectrum's columns,
-# written in chunks of dataio.CHUNK_ROWS rows (about 220 measured, the slope
-# of peak RSS from 200k to 1M bins). It stays at 512 so that the --bins
-# refusal does not move.
+# written in chunks of dataio.CHUNK_ROWS rows (about 95 measured, the slope
+# of peak RSS from 200k to 1M bins; the Spectrum's checks and copies are the
+# peak). It stays at 512 so that the --bins refusal does not move.
 BIN_BYTES = 512
 
 
@@ -75,20 +75,29 @@ def generate_synthetic(
         raise DomainError(f"flat_p must lie in [0, 1], got {flat_p}")
 
     # Log-spaced grid positions; endpoints stay exact, interior bins jitter
-    # by less than half a step so ordering and coverage are preserved.
-    positions = np.arange(bins, dtype=float)
-    shift = (2.0 * uniform_open(seed, STREAM_SYNTH_ENERGY, 0, positions.astype(int)) - 1.0)
-    positions[1:-1] += _PLACEMENT_JITTER * shift[1:-1]
-    energies = e_min_gev * (e_max_gev / e_min_gev) ** (positions / (bins - 1))
+    # by less than half a step so ordering and coverage are preserved. The
+    # positions become the energies in place.
+    index = np.arange(bins)
+    shift = uniform_open(seed, STREAM_SYNTH_ENERGY, 0, index)
+    shift *= 2.0
+    shift -= 1.0
+    shift *= _PLACEMENT_JITTER
+    energies = index.astype(float)
+    energies[1:-1] += shift[1:-1]
+    del shift
+    energies /= bins - 1
+    np.power(e_max_gev / e_min_gev, energies, out=energies)
+    energies *= e_min_gev
 
     if truth == "quantum":
         psis = phase_scale(params) / energies
         p_true = np.asarray(survival_probability(params.sin2_2theta, psis))
+        del psis
     else:
         p_true = np.full(bins, flat_p)
 
-    sds = rel_error * np.maximum(p_true, _REL_ERROR_FLOOR)
-    p_obs = truncated_normal(
-        seed, STREAM_SYNTH_PROB, 0, np.arange(bins), p_true, sds
-    )
+    sds = np.maximum(p_true, _REL_ERROR_FLOOR)
+    sds *= rel_error
+    p_obs = truncated_normal(seed, STREAM_SYNTH_PROB, 0, index, p_true, sds)
+    del index, p_true
     return Spectrum(energy_gev=energies, p_mumu=p_obs, sigma_stat=sds)

@@ -400,7 +400,33 @@ def writer_case_table(case):
             "rows_chunk_plus_1": dataio.CHUNK_ROWS + 1}[case]
     table = head(fine_table(), rows)
     assert len(table) == rows
-    return table
+    # The float cells of a chunk are formatted together across columns: put
+    # signed zeros and exponent-form values in every float column, the 1-D
+    # ones, a 2-D list column and a point-valued one.
+    target_psi = table.columns["target_psi"]
+    columns = {
+        name: with_edges(table[name], shift)
+        for shift, name in enumerate(("mismatch", "phase_sum", "k_value", "k_sigma",
+                                      "k_classical_data", "k_quantum_model"))
+    }
+    return with_columns(
+        table, **columns, component_phases=with_edges(table["component_phases"], 6),
+        target_psi=PointColumn(with_edges(target_psi.values, 3), target_psi.index),
+    )
+
+
+EDGE_FLOATS = np.array([
+    0.0, -0.0, 1e-05, -2.5e-07, 9.999999999999999e-05, 1e-04, 1e16, -9999999999999998.0,
+    1.2345678901234567e300, -5e-324, 123456789012345.67,
+])
+
+
+def with_edges(values, shift):
+    """A copy of values with EDGE_FLOATS, from number shift on, over its first cells."""
+    values = np.array(values, dtype=np.float64)
+    count = min(values.size, len(EDGE_FLOATS))
+    values.flat[:count] = np.roll(EDGE_FLOATS, -shift)[:count]
+    return values
 
 
 def csv_oracle(table, columns) -> bytes:
