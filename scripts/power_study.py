@@ -22,7 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nulgi.montecarlo import PseudoConfig
 from nulgi.oscillation import OscParams
-from nulgi.pipeline import RunConfig, _analyze
+from nulgi.pipeline import RunConfig, analyze_dataset
 from nulgi.synthetic import TRUTH_MODES, generate_synthetic
 
 SIX_SIGMA_P = ndtr(-6.0)
@@ -49,7 +49,7 @@ def z_scores(params, truth, rel_error, args) -> tuple[list, list]:
             tolerance=args.tolerance,
             pseudo=PseudoConfig(replicas=args.replicas, seed=seed),
         )
-        report, _, _, law = _analyze(points, config)
+        report, _, law = analyze_dataset(points, config)
         if report.status == "ok":
             values.append(report.z_score)
             tail = exact_tail(law, report.n_violations_observed)

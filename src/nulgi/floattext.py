@@ -2,9 +2,7 @@
 
 float_text(values) equals list(map(repr, values.tolist())) for every
 finite double, -0.0 included, but works in numpy passes over the whole
-array rather than one interpreter call per value. The passes cost about
-110 numpy calls whatever the length, so fewer than MIN_ARRAY_TEXT values
-take repr itself. They have two steps.
+array rather than one interpreter call per value. They have two steps.
 
 Digits. Each value's shortest decimal that reads back as the same double,
 the closest one where several are shortest, comes from Schubfach (R.
@@ -45,9 +43,6 @@ _POWER_OF_TWO_ROWS = 2048
 _ROW_BYTES = 24
 # Digits a row shows before its point (<= 16) and after it (<= 20), plus one.
 _INTEGERS, _FRACTIONS = 17, 21
-# Fewer values than this take one repr each (measured on minos-n3, whose
-# tables hold 180 and 800 floats, against fine-n4's chunks of over 6000).
-MIN_ARRAY_TEXT = 1024
 
 
 @functools.cache
@@ -189,10 +184,7 @@ def _shortest(bits):
 
 def float_text(values: np.ndarray) -> list:
     """repr of each value of a 1-D float64 array of finite values, as a list of str."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if len(values) < MIN_ARRAY_TEXT:
-        return list(map(repr, values.tolist()))
-    return _array_text(values)
+    return _array_text(np.ascontiguousarray(values, dtype=np.float64))
 
 
 def _decimal(bits):
@@ -252,7 +244,7 @@ def _rows(bits):
 
 
 def _array_text(values: np.ndarray) -> list:
-    """float_text of a non-empty contiguous float64 array, in numpy passes."""
+    """float_text of a contiguous float64 array, in numpy passes."""
     rows, exponent_form = _rows(values.view(_U))
     text = str(rows.astype("<u8", copy=False), "ascii")
     del rows

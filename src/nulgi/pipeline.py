@@ -369,16 +369,18 @@ def _analyze(
 
 def analyze_dataset(
     points: Spectrum, config: RunConfig
-) -> tuple[SignificanceReport, TupleTable]:
+) -> tuple[SignificanceReport, TupleTable, Optional[np.ndarray]]:
     """Run the full significance analysis in memory.
 
     Attaches phases, selects tuples, evaluates the observed statistic,
     builds the classical null, fits it, and scores the observation.
-    Returns the report and the table of its tuples. Writes nothing; use
-    run_analysis for the artifact-emitting variant.
+    Returns the report, the table of its tuples and the exact null law
+    its counts were drawn from (None where the Monte Carlo null ran or
+    no tuple was kept). Writes nothing; use run_analysis for the
+    artifact-emitting variant.
     """
-    report, table, _, _ = _analyze(points, config)
-    return report, table
+    report, table, _, law = _analyze(points, config)
+    return report, table, law
 
 
 def _write_artifacts(

@@ -1,4 +1,4 @@
-"""The gain rule of scripts/ab_pairs.py on fixed numbers."""
+"""The verdicts of scripts/ab_pairs.py on fixed numbers."""
 
 import importlib.util
 from pathlib import Path
@@ -51,3 +51,32 @@ def test_the_bound_is_a_fraction_of_the_parents_median():
     assert not ab_pairs.within_bound([1.0, 1.0], [1.26, 1.26], lower_is_better=True, bound=0.25)
     assert ab_pairs.within_bound([4.0, 4.0], [3.0, 3.0], lower_is_better=False, bound=0.25)
     assert not ab_pairs.within_bound([4.0, 4.0], [2.9, 2.9], lower_is_better=False, bound=0.25)
+
+
+def runs(rates, failed=0, correct=True):
+    """Benchmark results as perfbench/run.py prints them, one per rate."""
+    return [{"correct": correct, "attempted": 100, "failed": failed,
+             "metrics": {"analyses_per_s": {"value": rate}}} for rate in rates]
+
+
+RATE = [{"name": "analyses_per_s", "better": "higher", "bound": 0.25}]
+
+
+def gain_column(parent_runs, change_runs):
+    return ab_pairs.report_lines(RATE, parent_runs, change_runs)[1].split()[-1]
+
+
+def test_no_gain_when_the_change_fails_more_or_reads_incorrect():
+    faster = [p + 0.5 for p in PARENT]
+    assert gain_column(runs(PARENT), runs(faster)) == "yes"
+    # The same rates, but one change run failed an operation or read incorrect.
+    one_failed = runs(faster)
+    one_failed[3].update(failed=1, correct=False)
+    assert gain_column(runs(PARENT), one_failed) == "no"
+    assert not ab_pairs.runs_sound(runs(PARENT), one_failed)
+    # A larger failed share than the parent's, though every run read correct.
+    assert not ab_pairs.runs_sound(runs(PARENT, failed=1), runs(faster, failed=2))
+    assert gain_column(runs(PARENT, failed=1), runs(faster, failed=2)) == "no"
+    # An equal or smaller failed share keeps the gain.
+    assert ab_pairs.runs_sound(runs(PARENT, failed=2), runs(faster, failed=1))
+    assert gain_column(runs(PARENT, failed=1), runs(faster, failed=1)) == "yes"

@@ -166,7 +166,8 @@ def synthetic_run(seed: int, truth: str = "quantum", tolerance: float = 0.005):
         tolerance=tolerance,
         pseudo=PseudoConfig(replicas=REPLICAS, seed=seed),
     )
-    return (points, *analyze_dataset(points, config))
+    report, table, _ = analyze_dataset(points, config)
+    return points, report, table
 
 
 def order3_oracle(points, tolerance: float):
@@ -377,7 +378,7 @@ def test_a8_digitized_spectrum_if_supplied(verdict):
     config = RunConfig(
         params=PARAMS, tolerance=0.005, pseudo=PseudoConfig(replicas=100_000, seed=0)
     )
-    report, _ = analyze_dataset(points, config)
+    report, _, _ = analyze_dataset(points, config)
     frac = report.n_violations_observed / report.n_tuples
     ratio = report.chi2_quantum / report.dof
     ok = (

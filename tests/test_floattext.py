@@ -76,7 +76,7 @@ def test_three_digit_exponents():
         "1e+100", "1e-100", "1e+99", "1e-99"]
 
 
-@pytest.mark.parametrize("length", [0, 1, floattext.MIN_ARRAY_TEXT - 1, floattext.MIN_ARRAY_TEXT])
+@pytest.mark.parametrize("length", [0, 1, 7, 1000])
 def test_float_text_is_repr_at_every_length(length):
     values = np.random.default_rng(length).normal(size=length) * 1e-3
     values[: length // 2] *= -1e20

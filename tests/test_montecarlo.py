@@ -957,7 +957,7 @@ def test_z_is_calibrated_under_a_classical_truth():
             params=PARAMS, tolerance=0.01,
             pseudo=PseudoConfig(replicas=3000, seed=seed + 100_000),
         )
-        report, _ = analyze_dataset(pts, cfg)
+        report, _, _ = analyze_dataset(pts, cfg)
         if report.status == "ok":
             zs.append(report.z_score)
     zs = np.asarray(zs)
@@ -987,8 +987,8 @@ def test_full_report_is_reproducible():
     cfg = RunConfig(
         params=PARAMS, tolerance=0.005, pseudo=PseudoConfig(replicas=5000, seed=2)
     )
-    first, first_table = analyze_dataset(pts, cfg)
-    second, second_table = analyze_dataset(pts, cfg)
+    first, first_table, _ = analyze_dataset(pts, cfg)
+    second, second_table, _ = analyze_dataset(pts, cfg)
     assert first == second
     assert first_table.columns.keys() == second_table.columns.keys()
     assert all(np.array_equal(first_table[n], second_table[n]) for n in first_table.columns)

@@ -20,10 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # the paper's claim is stated against. curve_table's only caller is
 # curve_columns in its own module, which builds the columns of `nulgi curve`
 # and curve.csv; it stays public as the model curve as arrays.
-# analyze_dataset is the in-memory analysis the README documents; its one
-# script, power_study.py, reads the null law of the same run from
-# pipeline._analyze, so the law is computed once per spectrum.
-NO_CALLER_NEEDED = {"analyze_dataset", "curve_table", "quantum_bound"}
+NO_CALLER_NEEDED = {"curve_table", "quantum_bound"}
 
 
 def statements(path):
