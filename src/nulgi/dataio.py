@@ -7,7 +7,9 @@ and the model curve, is written from columns by one writer, emit_report:
 floats as their repr, -0.0 included, so a write-parse round trip
 reproduces values exactly, ints in full and flags as 0 or 1. The float
 text of a chunk comes from one floattext.float_text call, which equals
-repr without calling it per value. report.json uses sorted keys so
+repr without calling it per value. A table's columns may be made a chunk
+at a time (ComputedColumn), so no pass over it holds a whole column.
+report.json uses sorted keys so
 identical runs produce identical bytes. Tuple rows are written as CSV only.
 """
 
@@ -18,7 +20,7 @@ import json
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -129,14 +131,42 @@ class PointColumn:
         return len(self.index)
 
 
+@dataclass(frozen=True, eq=False)
+class ComputedColumn:
+    """A 1-D per-tuple column made per row range: column[rows] is chunk(rows)[name].
+
+    chunk maps a slice of rows to a dict of the computed columns of those
+    rows. The computed columns of one table share it; pipeline.tuple_table's
+    keeps its last result, so a chunk that several columns read is made
+    once.
+    """
+
+    chunk: Callable[[slice], dict]
+    name: str
+    dtype: np.dtype
+    length: int
+
+    @property
+    def shape(self) -> tuple:
+        return (self.length,)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.chunk(slice(*rows.indices(self.length)))[self.name]
+
+
 class TupleTable:
     """Columns of a CSV table by name: an analysis's per-tuple columns, 2-D
     where a tuple holds a list, or the 1-D columns of any other table.
 
-    A column is an array or a PointColumn; table[name] is always the array.
+    A column is an array, a PointColumn or a ComputedColumn. table[name] is
+    always the array: a PointColumn's gather, or a ComputedColumn made
+    chunk by chunk and joined, so that only that one column is whole.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray | PointColumn]) -> None:
+    def __init__(self, columns: dict[str, np.ndarray | PointColumn | ComputedColumn]) -> None:
         self.columns = columns
 
     def __len__(self) -> int:
@@ -146,12 +176,23 @@ class TupleTable:
         column = self.columns[name]
         if isinstance(column, PointColumn):
             return column.values[column.index]
+        if isinstance(column, ComputedColumn):
+            parts = [column[rows] for rows in chunk_rows(len(column))]
+            return np.concatenate(parts) if parts else column[0:0]
         return column
 
 
-# Rows of a TupleTable formatted and written at a time: the text held in
-# memory is bounded by this, not by the row count.
+# Rows of a TupleTable computed, formatted and written at a time: the
+# memory a pass over the table holds is bounded by this, not by the row
+# count.
 CHUNK_ROWS = 1024
+
+
+def chunk_rows(rows: int):
+    """The slices of CHUNK_ROWS rows, the last one shorter, that cover rows rows."""
+    for start in range(0, rows, CHUNK_ROWS):
+        yield slice(start, min(start + CHUNK_ROWS, rows))
+
 
 # A flag's text in a CSV cell, indexed by the flag.
 _FLAG_TEXT = np.array(["0", "1"], dtype=object)
@@ -273,7 +314,9 @@ def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
     ';'. A path is opened and closed here; a stream is written to and left
     open.
 
-    The table is written in chunks of CHUNK_ROWS rows. A PointColumn's
+    The table is written in chunks of CHUNK_ROWS rows (chunk_rows), and a
+    ComputedColumn is made a chunk at a time, so no pass holds a whole
+    float column. A PointColumn's
     points are formatted once per call, with the first chunk, and their
     text is gathered by index; every other cell of a chunk is formatted
     once for all files (_cell_text): its flag text, an int's repr, and for
@@ -283,16 +326,30 @@ def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
     the cells slice-assigned into it, joined once; the chunk is written to
     every file before the next one is formatted. So the text in memory
     does not grow with the row count. A non-finite cell in any float
-    column raises before any file is opened or any text written.
+    column raises before any file is opened or any text written: a
+    computed column is made once to be checked and once to be written.
     """
+    faulty, computed = set(), []
     for name, column in table.columns.items():
         if column.dtype.kind != "f":
             continue
+        if isinstance(column, ComputedColumn):
+            computed.append(name)
+            continue
         if isinstance(column, PointColumn):
-            finite = np.isfinite(column.values)[column.index]
+            # Only when some point is not finite do the tuples' gathers matter.
+            finite = np.isfinite(column.values)
+            if not finite.all():
+                finite = finite[column.index]
         else:
             finite = np.isfinite(column)
         if not finite.all():
+            faulty.add(name)
+    # Computed columns are checked chunk by chunk, and made again to be written.
+    for rows in chunk_rows(len(table)) if computed else ():
+        faulty.update(name for name in computed if not np.isfinite(table.columns[name][rows]).all())
+    for name in table.columns:
+        if name in faulty:
             raise DomainError(f"column {name!r} holds a non-finite value")
     writers = [_RowWriter(path, table, names) for path, names in tables]
     keys = {key for writer in writers for key in writer.keys}
@@ -305,8 +362,7 @@ def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
         for writer, out in files.items():
             out.write(writer.head)
         point_text = {}
-        for start in range(0, len(table), CHUNK_ROWS):
-            rows = slice(start, min(start + CHUNK_ROWS, len(table)))
+        for rows in chunk_rows(len(table)):
             cells = _chunk_cells(table, keys, rows, point_text)
             for writer, out in files.items():
                 writer.write_rows(out, cells, rows.stop - rows.start)

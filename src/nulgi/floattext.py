@@ -110,50 +110,90 @@ def _text_tables():
 
 
 def _product(g, cp0, cp1):
-    """The 128-bit product of g < 2^64 with cp0 + cp1 2^32, as (high, low) words."""
-    g0, g1 = g & _LOW32, g >> _U(32)
-    p00, p01, p10, p11 = g0 * cp0, g0 * cp1, g1 * cp0, g1 * cp1
-    mid = (p00 >> _U(32)) + (p01 & _LOW32) + (p10 & _LOW32)
-    high = p11 + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-    return high, (mid << _U(32)) | (p00 & _LOW32)
+    """The 128-bit product of g < 2^64 with cp0 + cp1 2^32, as (high, low) words.
+
+    The four 32 x 32-bit partial products are summed in place: at most
+    five arrays as long as g exist at once, the two results included.
+    """
+    low = g & _LOW32
+    high = g >> _U(32)
+    cross = low * cp1
+    mid = high * cp0
+    low *= cp0
+    high *= cp1
+    # high += the cross products' high halves; mid = their low halves + low's high half.
+    high += cross >> _U(32)
+    cross &= _LOW32
+    high += mid >> _U(32)
+    mid &= _LOW32
+    mid += cross
+    np.right_shift(low, _U(32), out=cross)
+    mid += cross
+    del cross
+    high += mid >> _U(32)
+    mid <<= _U(32)
+    low &= _LOW32
+    mid |= low
+    return high, mid
 
 
 def _round_to_odd(x1, y1, y0):
     """Schubfach's r_o(g cp / 2^127) from x1 = high(g0 cp) and (y1, y0) = g1 cp."""
-    z = (y0 >> _U(1)) + x1
-    return (y1 + (z >> _U(63))) | ((z & _LOW63) != 0)
+    z = y0 >> _U(1)
+    z += x1
+    sticky = (z & _LOW63) != 0
+    z >>= _U(63)
+    z += y1
+    z |= sticky
+    return z
 
 
-def _add_shifted(high, low, g, shift, back, sign):
-    """(high, low) + sign g 2^shift on 128 bits; back is 64 - shift."""
-    addend = g << shift
+def _add_shifted(high, low, g, shift, sign):
+    """(high, low) + sign g 2^shift on 128 bits, as two new words."""
+    new_low = g << shift
+    new_high = g >> (_U(64) - shift)
     if sign > 0:
-        new_low = low + addend
-        return high + (g >> back) + (new_low < low), new_low
-    new_low = low - addend
-    return high - (g >> back) - (new_low > low), new_low
+        new_low += low
+        new_high += high
+        new_high += new_low < low
+    else:
+        np.subtract(low, new_low, out=new_low)
+        np.subtract(high, new_high, out=new_high)
+        new_high -= new_low > low
+    return new_high, new_low
 
 
 def _interval(bits):
     """Schubfach's vb, vbl and vbr, the value and its rounding interval's
-    ends in units of 10^k / 4 rounded to odd, and k, for each double's bits."""
-    fraction = bits & _U(2**52 - 1)
+    ends in units of 10^k / 4 rounded to odd, and k, for each double's bits.
+
+    The table's rows are gathered when they are first needed and the
+    significand is shifted and split in place, so that about a dozen
+    arrays as long as bits exist at once.
+    """
+    cp = bits & _U(2**52 - 1)
     row = ((bits >> _U(52)) & _U(0x7FF)).astype(np.intp)
-    row[fraction == 0] += _POWER_OF_TWO_ROWS
+    row[cp == 0] += _POWER_OF_TWO_ROWS
     table = _exponent_table()
-    g1, g0, cp_shift, left = table[:4, row]
-    cp = (fraction | _U(2**52)) << cp_shift
-    cp0, cp1 = cp & _LOW32, cp >> _U(32)
-    x1, x0 = _product(g0, cp0, cp1)
-    y1, y0 = _product(g1, cp0, cp1)
+    shift = table[2, row]
+    cp |= _U(2**52)
+    cp <<= shift
+    cp1 = cp >> _U(32)
+    cp &= _LOW32
+    g0 = table[1, row]
+    x1, x0 = _product(g0, cp, cp1)
+    g1 = table[0, row]
+    y1, y0 = _product(g1, cp, cp1)
+    del cp, cp1
     vb = _round_to_odd(x1, y1, y0)
     # The interval's ends, c 4 + 2 and c 4 - 2 (- 1 at a power of two), shifted as cp.
-    right = cp_shift - _U(1)
-    right_back, left_back = _U(64) - right, _U(64) - left
-    vbr = _round_to_odd(_add_shifted(x1, x0, g0, right, right_back, 1)[0],
-                        *_add_shifted(y1, y0, g1, right, right_back, 1))
-    vbl = _round_to_odd(_add_shifted(x1, x0, g0, left, left_back, -1)[0],
-                        *_add_shifted(y1, y0, g1, left, left_back, -1))
+    shift -= _U(1)
+    vbr = _round_to_odd(_add_shifted(x1, x0, g0, shift, 1)[0],
+                        *_add_shifted(y1, y0, g1, shift, 1))
+    del shift
+    left = table[3, row]
+    vbl = _round_to_odd(_add_shifted(x1, x0, g0, left, -1)[0],
+                        *_add_shifted(y1, y0, g1, left, -1))
     return vb, vbl, vbr, table[4, row].view(np.int64)
 
 
@@ -209,38 +249,67 @@ def _decimal(bits):
 
 def _rows(bits):
     """The doubles' text rows, and (index, point, digit count) of each value
-    in exponent form, whose row holds only its mantissa."""
+    in exponent form, whose row holds only its mantissa.
+
+    Each step works in place on the arrays of the last, so that about ten
+    arrays as long as bits exist at once."""
     pow10, group, template, _ = _text_tables()
     digits, count, point = _decimal(bits)
     scientific = (point < -3) | (point > 16)
+    exponent_form = np.flatnonzero(scientific)
+    exponent_form = zip(exponent_form.tolist(), point[exponent_form].tolist(),
+                        count[exponent_form].tolist())
     # The digits before the point (d.ddd in exponent form) and after it,
     # at least one each: a whole number gets a zero, appended to N.
-    before = np.where(scientific, 1, point)
-    after = count - before
-    number = digits * pow10[np.maximum(1 - after, 0)]
-    negative = (bits >> _U(63)).view(np.int64)
-    layout = (negative * _INTEGERS + np.maximum(before, 1)) * _FRACTIONS + np.maximum(after, 1)
+    before = point
+    before[scientific] = 1
+    del scientific
+    after = count
+    after -= before
+    pad = np.subtract(1, after)
+    np.maximum(pad, 0, out=pad)
+    number = digits
+    number *= pow10[pad]
+    del pad
+    layout = (bits >> _U(63)).view(np.int64)
+    layout *= _INTEGERS
+    layout += np.maximum(before, 1, out=before)
+    layout *= _FRACTIONS
+    layout += np.maximum(after, 1, out=after)
+    del before, after
 
     # The number's 24 zero-padded digits: 4-digit groups, the first 7 zeros.
     groups = []
     for _ in range(4):
         higher = number // 10_000
-        groups.append(group[number - higher * 10_000])
+        number -= higher * 10_000
+        groups.append(group[number])
         number = higher
     g5, g4, g3, g2 = groups
+    del groups
     # Eight ASCII zeros, the last one or-ed with the leading digit (< 10).
-    first = (number.view(_U) << _U(56)) | _U(0x3030303030303030)
-    words = (first, g2 | (g3 << _U(32)), g4 | (g5 << _U(32)))
+    first = number.view(_U)
+    first <<= _U(56)
+    first |= _U(0x3030303030303030)
+    g3 <<= _U(32)
+    g3 |= g2
+    g5 <<= _U(32)
+    g5 |= g4
+    del g2, g4
+    words = [first, g3, g5]
+    del first, g3, g5
     rows = np.empty((len(bits), 3), dtype=_U)
-    for i, word in enumerate(words):
+    for i in range(3):
+        word = words[i]
+        words[i] = None
         down = word >> _U(8)
         if i < 2:
             down |= words[i + 1] << _U(56)
-        shifted, kept, fixed = template[3 * i:3 * i + 3, layout]
-        np.bitwise_or((down & shifted) | (word & kept), fixed, out=rows[:, i])
-    exponent_form = np.flatnonzero(scientific)
-    return rows, zip(exponent_form.tolist(), point[exponent_form].tolist(),
-                     count[exponent_form].tolist())
+        down &= template[3 * i, layout]
+        word &= template[3 * i + 1, layout]
+        down |= word
+        np.bitwise_or(down, template[3 * i + 2, layout], out=rows[:, i])
+    return rows, exponent_form
 
 
 def _array_text(values: np.ndarray) -> list:

@@ -23,7 +23,7 @@ import math
 import os
 from concurrent import futures
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -333,8 +333,7 @@ def classical_null_distribution(
     probs = dataset.p_mumu[:, None]
     point_sd = dataset.sigma[:, None]
     # Only the points some tuple reads are drawn, one row each.
-    used, local = np.unique(tuples.comp_idx, return_inverse=True)
-    local = local.reshape(tuples.comp_idx.shape)
+    used = tuples.component_points()
 
     use_sys = config.draws_systematics
     counts = np.zeros(config.replicas, dtype=np.int64)
@@ -351,12 +350,18 @@ def classical_null_distribution(
         # Live points first: the skip's test draws rows [0, live) only.
         order = np.argsort(inert, kind="stable")
         live -= int(np.count_nonzero(inert))
-        used, local = used[order], np.argsort(order)[local]
+        used = used[order]
         # The keys of a live point's in-margin draws are [low, high).
         low, high = (edge[order[:live]].astype(np.uint64) for edge in (low, high))
     means, sds = probs[used], point_sd[used]
-    # One contiguous index row per component: block slices stay contiguous.
-    components = np.ascontiguousarray(local.T)
+    # Each used point's row, by point: the tuples' rows are gathered
+    # through it into one contiguous int32 index row per component, so
+    # block slices stay contiguous.
+    row = np.zeros(size, dtype=np.int32)
+    row[used] = np.arange(used.size, dtype=np.int32)
+    components = np.empty((tuples.n - 1, len(tuples)), dtype=np.int32)
+    for component, points in zip(components, tuples.comp_idx.T):
+        component[:] = row[points]
     if use_sys:
         amp_resp, phase_resp = (resp[used][:, None] for resp in _systematic_responses(dataset))
 
@@ -782,25 +787,31 @@ def z_significance(observed: int, fit: BetaBinomialFit) -> float:
 
 
 def chi_square_quantum(
-    k_values: np.ndarray, k_sigma: np.ndarray, k_model: np.ndarray
+    chunks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
 ) -> tuple[float, int]:
     """Goodness of fit of observed K values against the model-curve prediction.
 
-    Takes the observed K, its propagated sd and the model K of each tuple.
+    Takes the tuples in chunks, each a (observed K, its propagated sd,
+    model K) triple of arrays, and reads every chunk before it raises.
     Tuples share measured points and are therefore strongly correlated;
     this statistic treats them as independent and is descriptive only. dof
-    is len(k_values) - 1.
+    is the tuple count - 1.
 
     The squares and the sum run in Python floats, one tuple after the
-    other: float ** 2 calls C pow, which can differ from x * x in the last
-    bit, and np.sum adds in a different order, so either would move the
-    reported digits.
+    other across the chunks: float ** 2 calls C pow, which can differ from
+    x * x in the last bit, and np.sum adds in a different order, so either
+    would move the reported digits. The sum does not depend on where the
+    chunks are cut.
     """
-    if len(k_values) < 2:
+    chi2, tuples, positive = 0.0, 0, True
+    for k_values, k_sigma, k_model in chunks:
+        tuples += len(k_values)
+        positive = positive and not (np.asarray(k_sigma) <= 0.0).any()
+        if positive:
+            for pull in ((np.asarray(k_values) - k_model) / k_sigma).tolist():
+                chi2 += pull ** 2
+    if tuples < 2:
         raise DomainError("need at least two K values for a goodness-of-fit")
-    if (np.asarray(k_sigma) <= 0.0).any():
+    if not positive:
         raise DomainError("every K value needs a positive uncertainty")
-    chi2 = 0.0
-    for pull in ((np.asarray(k_values) - k_model) / k_sigma).tolist():
-        chi2 += pull ** 2
-    return chi2, len(k_values) - 1
+    return chi2, tuples - 1

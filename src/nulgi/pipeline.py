@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import numbers
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .dataio import (
+    ComputedColumn,
     PointColumn,
     TupleTable,
+    chunk_rows,
     emit_report,
     parse_dataset,
     write_report,
@@ -182,13 +185,19 @@ def fit_curve_params(dataset: Spectrum, params: OscParams) -> OscParams:
     return dataclasses.replace(params, dm2=best[1], sin2_2theta=best[2])
 
 
-def _k_from_survival(comp_probs: np.ndarray, target_probs: np.ndarray) -> np.ndarray:
-    n = comp_probs.shape[1] + 1
-    return (2 - n) + 2.0 * reduce(np.add, comp_probs.T) - 2.0 * target_probs
+def _k_from_survival(comp_probs: list, target_probs: np.ndarray) -> np.ndarray:
+    n = len(comp_probs) + 1
+    return (2 - n) + 2.0 * reduce(np.add, comp_probs) - 2.0 * target_probs
 
 
 def tuple_table(tuples: TupleSet, points: Spectrum, model_params: OscParams) -> TupleTable:
-    """Every per-tuple column of an analysis, each computed once as an array.
+    """Every per-tuple column of an analysis, made a chunk of rows at a time.
+
+    The index and point-valued columns are gathers (PointColumn). The
+    others are ComputedColumns of one chunk function, which computes all
+    of them for a slice of rows and keeps its last result; a pass over the
+    table in dataio.chunk_rows slices holds one chunk of them, never a
+    whole float column.
 
     The K values repeat, tuple for tuple, the scalar float forms of
     tests/oracles.py in the same order: k_value those of
@@ -198,41 +207,75 @@ def tuple_table(tuples: TupleSet, points: Spectrum, model_params: OscParams) -> 
     k_n_quantum_from_survival on the model curve at the component phases
     and their sum. Sums run left to right in component order and products
     likewise (functools.reduce), as Python's sum and math.prod do on
-    floats, so every column equals its scalar counterpart bit for bit.
-    A classical K above n - 2 would be a bug upstream and raises.
+    floats, so every column equals its scalar counterpart bit for bit,
+    whatever the chunk. A chunk whose classical K lies above n - 2 would
+    be a bug upstream and raises when it is computed.
     """
     psi, prob, sigma = points.psi, points.p_mumu, points.sigma
     comp, target, n = tuples.comp_idx, tuples.target_idx, tuples.n
-
-    phases = psi[comp]
-    phase_sum = reduce(np.add, phases.T)
-    k_value = _k_from_survival(prob[comp], prob[target])
-    comp_sd, target_sd = sigma[comp], sigma[target]
-    k_sigma = 2.0 * np.sqrt(reduce(np.add, (comp_sd * comp_sd).T) + target_sd * target_sd)
-    corr = 2.0 * prob[comp] - 1.0
-    k_classical = reduce(np.add, corr.T) - reduce(np.multiply, corr.T)
-    if (k_classical > n - 2 + 1e-9).any():
-        raise DomainError(f"classical K above its bound {n - 2}")
     s2t = model_params.sin2_2theta
-    k_model = _k_from_survival(
-        survival_probability(s2t, psi)[comp], survival_probability(s2t, phase_sum)
-    )
+    model_prob = survival_probability(s2t, psi)
+    bound = lgi_bound(n)
+
+    @functools.lru_cache(maxsize=1)
+    def columns(start: int, stop: int) -> dict:
+        # One contiguous array per component: a gather through each
+        # component's index column.
+        comps = comp[start:stop].T
+        rows_target = target[start:stop]
+        phase_sum = reduce(np.add, [psi[c] for c in comps])
+        comp_prob = [prob[c] for c in comps]
+        k_value = _k_from_survival(comp_prob, prob[rows_target])
+        comp_var = [np.square(sigma[c]) for c in comps]
+        target_sd = sigma[rows_target]
+        k_sigma = 2.0 * np.sqrt(reduce(np.add, comp_var) + target_sd * target_sd)
+        corr = [2.0 * p - 1.0 for p in comp_prob]
+        k_classical = reduce(np.add, corr) - reduce(np.multiply, corr)
+        if (k_classical > n - 2 + 1e-9).any():
+            raise DomainError(f"classical K above its bound {n - 2}")
+        model_comp = [model_prob[c] for c in comps]
+        k_model = _k_from_survival(model_comp, survival_probability(s2t, phase_sum))
+        return {
+            "phase_sum": phase_sum,
+            "k_value": k_value,
+            "k_sigma": k_sigma,
+            "violation": k_value > bound,
+            "k_classical_data": k_classical,
+            "k_quantum_model": k_model,
+        }
+
+    def chunk(rows: slice) -> dict:
+        return columns(rows.start, rows.stop)
+
+    def computed(name: str, dtype: type) -> ComputedColumn:
+        return ComputedColumn(chunk, name, np.dtype(dtype), len(tuples))
+
     # Columns of per-point values are gathers, which the writer formats per point.
-    point_ids = np.arange(len(psi), dtype=comp.dtype)
+    point_ids = np.arange(len(psi))
     return TupleTable({
         "component_indices": PointColumn(point_ids, comp),
         "target_index": PointColumn(point_ids, target),
         "n": PointColumn(np.array([n]), np.broadcast_to(np.intp(0), target.shape)),
         "mismatch": tuples.mismatch,
         "component_phases": PointColumn(psi, comp),
-        "phase_sum": phase_sum,
+        "phase_sum": computed("phase_sum", float),
         "target_psi": PointColumn(psi, target),
-        "k_value": k_value,
-        "k_sigma": k_sigma,
-        "violation": k_value > lgi_bound(n),
-        "k_classical_data": k_classical,
-        "k_quantum_model": k_model,
+        "k_value": computed("k_value", float),
+        "k_sigma": computed("k_sigma", float),
+        "violation": computed("violation", bool),
+        "k_classical_data": computed("k_classical_data", float),
+        "k_quantum_model": computed("k_quantum_model", float),
     })
+
+
+# The columns chi_square_quantum reads, in its order.
+K_COLUMNS = ("k_value", "k_sigma", "k_quantum_model")
+
+
+def table_chunks(table: TupleTable, names: Sequence[str]):
+    """Per dataio.chunk_rows slice of the table, the named columns' arrays."""
+    for rows in chunk_rows(len(table)):
+        yield tuple(table.columns[name][rows] for name in names)
 
 
 # Tuple tables, each a projection of the columns tuple_table builds:
@@ -283,7 +326,7 @@ def exact_null_law(
     """
     if config.order != 3 or config.pseudo.draws_systematics:
         return None
-    if not (points.sigma[np.unique(tuples.comp_idx)] > 0.0).all():
+    if not (points.sigma[tuples.component_points()] > 0.0).all():
         return None
     return order3_count_law(points, tuples)
 
@@ -322,7 +365,22 @@ def _analyze(
         model_params = fitted
 
     table = tuple_table(tuples, decorated, model_params)
-    observed = int(np.count_nonzero(table["violation"]))
+    # One pass over the table's chunks counts the violations and sums the
+    # chi-square, which reads every chunk before it raises.
+    observed = 0
+
+    def k_chunks():
+        nonlocal observed
+        for flags, *k_columns in table_chunks(table, ("violation",) + K_COLUMNS):
+            observed += int(np.count_nonzero(flags))
+            yield k_columns
+
+    try:
+        chi2, dof = chi_square_quantum(k_chunks())
+        chi2_skipped = None
+    except DomainError as exc:
+        chi2, dof = None, None
+        chi2_skipped = f"chi-square skipped: {exc}"
 
     replicas = config.pseudo.replicas
     if replicas < MIN_REPLICAS_FOR_CLAIM:
@@ -344,13 +402,8 @@ def _analyze(
             "null counts carry no variance; z uses the 1/replicas floor"
         )
 
-    try:
-        chi2, dof = chi_square_quantum(
-            table["k_value"], table["k_sigma"], table["k_quantum_model"]
-        )
-    except DomainError as exc:
-        chi2, dof = None, None
-        report_warnings.append(f"chi-square skipped: {exc}")
+    if chi2_skipped is not None:
+        report_warnings.append(chi2_skipped)
 
     report = SignificanceReport(
         n_tuples=len(tuples),

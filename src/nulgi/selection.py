@@ -45,26 +45,41 @@ def spectrum_fault(
     energy: row is its first repeat and earlier the row that first holds it.
     """
     columns = (energy_gev, p_mumu, sigma_stat, sigma_sys)
+    # Each check maps a row count to the fault mask of those first rows.
     checks = [
-        (~np.isfinite(values), f"{name} must be finite, got {{}}", values)
+        (lambda rows, values=values: ~np.isfinite(values[:rows]),
+         f"{name} must be finite, got {{}}", values)
         for name, values in zip(SPECTRUM_COLUMNS, columns)
     ] + [
-        (~(energy_gev > 0.0), "energy must be positive, got {}", energy_gev),
-        (~((p_mumu >= 0.0) & (p_mumu <= 1.0)), "p_mumu must lie in [0, 1], got {}", p_mumu),
-        ((sigma_stat < 0.0) | (sigma_sys < 0.0), "uncertainties must be non-negative", None),
+        (lambda rows: ~(energy_gev[:rows] > 0.0), "energy must be positive, got {}", energy_gev),
+        (lambda rows: ~((p_mumu[:rows] >= 0.0) & (p_mumu[:rows] <= 1.0)),
+         "p_mumu must lie in [0, 1], got {}", p_mumu),
+        (lambda rows: (sigma_stat[:rows] < 0.0) | (sigma_sys[:rows] < 0.0),
+         "uncertainties must be non-negative", None),
     ]
-    faulty = np.array([mask for mask, _, _ in checks])
-    rows = np.flatnonzero(faulty.any(axis=0))
-    if rows.size:
-        row = int(rows[0])
-        _, message, values = checks[int(np.argmax(faulty[:, row]))]
+    # One mask at a time: a later check can only come first at a row
+    # before the first fault found so far.
+    row, fault = energy_gev.size, None
+    for faulty, message, values in checks:
+        mask = faulty(row)
+        if mask.any():
+            row, fault = int(mask.argmax()), (message, values)
+    if fault is not None:
+        message, values = fault
         return row, message if values is None else message.format(values[row].item()), None
+    if _ascending(energy_gev):
+        return None
     _, first, inverse = np.unique(energy_gev, return_index=True, return_inverse=True)
     repeats = np.flatnonzero(first[inverse] != np.arange(energy_gev.size))
     if repeats.size:
         row = int(repeats[0])
         return row, f"duplicate energy value {energy_gev[row].item()} GeV", int(first[inverse[row]])
     return None
+
+
+def _ascending(values: np.ndarray) -> bool:
+    """Whether values strictly ascend: then no value repeats and they are in order."""
+    return bool((values[1:] > values[:-1]).all())
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +112,11 @@ class Spectrum:
         fault = spectrum_fault(*columns[:4])
         if fault is not None:
             raise DataError(fault[1])
-        order = np.argsort(columns[0], kind="stable")
+        # Columns whose energies already ascend are copied as they are.
+        order = None if _ascending(columns[0]) else np.argsort(columns[0], kind="stable")
         for name, column in zip(names, columns):
-            object.__setattr__(self, name, _read_only(column[order]))
+            column = column.copy() if order is None else column[order]
+            object.__setattr__(self, name, _read_only(column))
         # math.hypot(s, 0.0) is |s| exactly: only rows with a systematic
         # error need the call.
         sigma = np.abs(self.sigma_stat)
@@ -128,15 +145,30 @@ class PhaseTuple:
     mismatch: float
 
 
+# Point indices are int32: a TupleSet refuses a dataset of INDEX_LIMIT
+# points or more.
+INDEX_LIMIT = 2**31
+
+
+def _index_column(values) -> np.ndarray:
+    """values as an integer array: int32 as given, anything else as int64."""
+    values = np.asarray(values)
+    return values if values.dtype == np.int32 else np.asarray(values, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class TupleSet:
     """Selected order-n tuples of a size-point dataset, as read-only columns.
 
     comp_idx holds one row of n-1 component indices per tuple; target_idx
-    and mismatch one entry per tuple. Every index is checked against
-    [0, size) once, here. The analysis reads only the columns; ts[i], tuple
-    i as a PhaseTuple, is kept for perfbench/tracing.py, which reads
-    tuples[0].n.
+    and mismatch one entry per tuple. The indices are int32, so size must
+    be below INDEX_LIMIT, which is checked before anything is converted;
+    every index is checked against [0, size) once, here. An order-4 tuple
+    takes 24 bytes here, against 40 with int64 indices. A whole order-4
+    analysis peaks at about TUPLE_BYTES a tuple (the peak-RSS slope of
+    scripts/peak_rss.py from 200 to 300 bins; see there). The analysis
+    reads only the columns; ts[i], tuple i as a PhaseTuple, is kept for
+    perfbench/tracing.py, which reads tuples[0].n.
     """
 
     n: int
@@ -148,9 +180,13 @@ class TupleSet:
     def __post_init__(self) -> None:
         if not isinstance(self.n, int) or self.n < 3:
             raise DomainError(f"order must be an integer >= 3, got {self.n}")
-        comp = np.asarray(self.comp_idx, dtype=np.int64)
+        if not isinstance(self.size, (int, np.integer)) or not 0 <= self.size < INDEX_LIMIT:
+            raise DomainError(
+                f"a tuple set indexes fewer than {INDEX_LIMIT} points, got {self.size}"
+            )
+        comp = _index_column(self.comp_idx)
         comp = comp.reshape(0, self.n - 1) if comp.size == 0 else comp
-        target = np.asarray(self.target_idx, dtype=np.int64)
+        target = _index_column(self.target_idx)
         mismatch = np.asarray(self.mismatch, dtype=float)
         if comp.shape[1:] != (self.n - 1,) or not target.shape == mismatch.shape == (len(comp),):
             raise DomainError(f"order-{self.n} tuples need {self.n - 1} components each")
@@ -158,11 +194,19 @@ class TupleSet:
             comp.max(), target.max()
         ) < self.size:
             raise IndexError(f"tuple indices outside dataset of {self.size} points")
-        for name, arr in (("comp_idx", comp), ("target_idx", target), ("mismatch", mismatch)):
-            object.__setattr__(self, name, _read_only(arr))
+        for name, arr in (("comp_idx", comp), ("target_idx", target)):
+            object.__setattr__(self, name, _read_only(arr.astype(np.int32, copy=False)))
+        object.__setattr__(self, "mismatch", _read_only(mismatch))
 
     def __len__(self) -> int:
         return len(self.target_idx)
+
+    def component_points(self) -> np.ndarray:
+        """The points some tuple's components read, ascending, found through
+        a flag per point rather than a sort of the index rows."""
+        read = np.zeros(self.size, dtype=bool)
+        read[self.comp_idx] = True
+        return np.flatnonzero(read)
 
     def __getitem__(self, i: int) -> PhaseTuple:
         return PhaseTuple(
@@ -195,13 +239,17 @@ def attach_phases(dataset: Spectrum, params: OscParams) -> Spectrum:
 SELECT_BLOCK_ROWS = 1 << 13
 
 # select_ntuples refuses a selection of more than SELECT_BUDGET_BYTES //
-# TUPLE_BYTES tuples. TUPLE_BYTES is about what one order-4 tuple costs
-# through an analysis: its selection row, held twice while it is sorted,
-# and the float and index columns of pipeline.tuple_table. The budget
-# admits the 7.1M tuples of a 400-bin order-4 spectrum at the default
-# tolerance and refuses the roughly sixteen times as many at 800 bins
+# TUPLE_BYTES tuples. TUPLE_BYTES is what one order-4 tuple adds to the
+# peak resident memory of a whole analysis (1000 replicas): the slope of
+# scripts/peak_rss.py's peak over the seed-0 quantum spectra of 200, 250
+# and 300 bins (465 650, 1 133 579 and 2 338 056 tuples; medians of 86.9,
+# 131.6 and 209.7 MiB), 68-70 bytes, rounded up. Int32 indices and a tuple table
+# made chunk by chunk brought it down from 216. The peak is selection's
+# (its kept rows, joined and sorted) or the null's, whichever is higher.
+# The budget admits about 30M tuples: 7.1M at 400 bins and order 4 (503
+# MB peak), and it refuses the roughly sixteen times as many at 800 bins
 # before they fill memory.
-TUPLE_BYTES = 256
+TUPLE_BYTES = 70
 SELECT_BUDGET_BYTES = 1 << 31
 
 
@@ -219,14 +267,14 @@ def _multiset_blocks(size: int, k: int):
         itertools.chain.from_iterable(
             itertools.combinations_with_replacement(range(size), k - 1)
         ),
-        dtype=np.int64,
+        dtype=np.int32,
     ).reshape(-1, k - 1)
     left = math.comb(size + k - 1, k)
     fill = 0
     for a, start in enumerate(np.searchsorted(rest[:, 0], np.arange(size)).tolist()):
         while start < len(rest):
             if not fill:
-                block = np.empty((min(SELECT_BLOCK_ROWS, left), k), dtype=np.int64)
+                block = np.empty((min(SELECT_BLOCK_ROWS, left), k), dtype=np.int32)
             rows = min(len(rest) - start, len(block) - fill)
             block[fill:fill + rows, 0] = a
             block[fill:fill + rows, 1:] = rest[start:start + rows]
@@ -304,7 +352,7 @@ def select_ntuples(
     # Zero-padded, so both neighbours of every sum exist; a pad, like any
     # phase <= 0, never serves as a target.
     cand_psi = np.concatenate(([0.0], psis[order], [0.0]))
-    cand_idx = np.concatenate(([-1], order, [-1]))
+    cand_idx = np.concatenate(([-1], order, [-1])).astype(np.int32)
     budget = SELECT_BUDGET_BYTES // TUPLE_BYTES
     kept = 0
     found = []
@@ -330,13 +378,22 @@ def select_ntuples(
             )
         found.append((combos[keep], cand_idx[upper - 1 + take_upper][keep], resid[keep]))
 
-    comp_idx, target_idx, mismatch = map(np.concatenate, zip(*found))
+    # One column is joined at a time, and its blocks dropped before the next.
+    parts = [list(column) for column in zip(*found)]
     del found
+    comp_idx, target_idx, mismatch = (np.concatenate(parts.pop(0)) for _ in range(3))
     # lexsort's last key is its primary: the target phase, then the
     # components' phases from the last (smallest) to the first. It is
-    # stable, so ties keep the scan order.
-    ranks = np.lexsort((*psis[comp_idx.T], psis[target_idx]))
+    # stable, so ties keep the scan order. The keys are the phases' dense
+    # ranks in the narrowest unsigned dtype, which order the tuples as the
+    # phases do.
+    phase_rank = np.unique(psis, return_inverse=True)[1]
+    phase_rank = phase_rank.astype(np.min_scalar_type(size))
+    ranks = np.lexsort((*phase_rank[comp_idx.T], phase_rank[target_idx]))
+    # Each column is put in order before the next, its unsorted copy dropped.
+    comp_idx = comp_idx[ranks]
+    target_idx = target_idx[ranks]
+    mismatch = mismatch[ranks]
     return TupleSet(
-        n=n, size=size, comp_idx=comp_idx[ranks],
-        target_idx=target_idx[ranks], mismatch=mismatch[ranks],
+        n=n, size=size, comp_idx=comp_idx, target_idx=target_idx, mismatch=mismatch
     )

@@ -20,6 +20,7 @@ from nulgi.dataio import (
     write_report,
 )
 from nulgi.errors import DataError, DomainError
+from nulgi.floattext import float_text
 from nulgi.montecarlo import BetaBinomialFit, PseudoConfig, SignificanceReport
 from nulgi.oscillation import OscParams, accumulated_phase
 from nulgi.pipeline import (
@@ -512,6 +513,24 @@ def test_writing_a_large_table_holds_a_bounded_text(tmp_path):
     assert peak < 4 * 2**20, peak
 
 
+def test_float_text_of_a_chunk_holds_little_beside_its_result():
+    # 6244 values, as many as a chunk of the 100-bin order-4 table holds:
+    # repr's list of str is about 0.47 MB, and repr peaks at about 0.68 MB.
+    # The array passes work in place; with a new array for every step
+    # they peaked at 1.26 MB.
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(6244) * 10.0 ** rng.integers(-3, 3, 6244)
+    float_text(values[:2])  # the tables are built on first use
+    tracemalloc.start()
+    try:
+        cells = float_text(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cells == list(map(repr, values.tolist()))
+    assert peak < 900_000, peak
+
+
 @pytest.mark.parametrize("column", ["k_value", "component_phases"])
 def test_non_finite_table_cells_raise(tmp_path, column):
     table = analyzed()
@@ -520,4 +539,23 @@ def test_non_finite_table_cells_raise(tmp_path, column):
     with pytest.raises(DomainError, match=column):
         write_tables(with_columns(table, **{column: values}), tmp_path / "out")
     # The cells are checked before any file is opened.
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_a_non_finite_computed_cell_raises_before_any_file_is_opened(tmp_path, monkeypatch):
+    # A valid spectrum whose first point's sd, 1e200, squares past the
+    # largest double: the k_sigma of the tuples that read it is inf. The
+    # computed column is checked chunk by chunk before any file is opened.
+    points = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
+    sigma = points.sigma_stat.copy()
+    sigma[0] = 1e200
+    points = attach_phases(dataclasses.replace(points, sigma_stat=sigma), PARAMS)
+    tuples = select_ntuples(points, 3, 0.005)
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
+    with np.errstate(over="ignore"):
+        table = tuple_table(tuples, points, PARAMS)
+        inf_rows = np.flatnonzero(np.isinf(table["k_sigma"]))
+        assert 0 < len(inf_rows) and inf_rows[0] > 0
+        with pytest.raises(DomainError, match="'k_sigma'"):
+            write_tables(table, tmp_path / "out")
     assert list((tmp_path / "out").iterdir()) == []

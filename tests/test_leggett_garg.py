@@ -197,25 +197,27 @@ def test_quantum_and_classical_agree_at_commuting_phases():
 
 
 def table_with_classical_k(n, excess):
-    """tuple_table on one hand-built order-n tuple with classical K n - 2 + excess.
+    """tuple_table's k_classical_data column on one hand-built order-n tuple
+    with classical K n - 2 + excess.
 
     The components sit at C = (1 + excess, 1, ..., 1, 0). tuple_table reads
     only the psi, p_mumu and sigma columns of a spectrum, so a stand-in for
-    a Spectrum may carry P above 1, which validated data never does.
+    a Spectrum may carry P above 1, which validated data never does. The
+    column is computed, and its bound checked, when it is read.
     """
     probs = [1.0 + excess / 2.0] + [1.0] * (n - 3) + [0.5, 0.5]
     points = SimpleNamespace(psi=np.ones(n), p_mumu=np.array(probs), sigma=np.zeros(n))
     tuples = TupleSet(
         n=n, size=n, comp_idx=[list(range(n - 1))], target_idx=[n - 1], mismatch=[0.0]
     )
-    return tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
+    table = tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
+    return table["k_classical_data"]
 
 
 def test_classical_kvalue_rejects_values_above_its_bound():
     for n in (3, 4, 6):
         # The check keeps a 1e-9 slack for rounding at the bound.
-        table = table_with_classical_k(n, 5e-10)
-        assert n - 2 < table["k_classical_data"][0] <= n - 2 + 1e-9
+        assert n - 2 < table_with_classical_k(n, 5e-10)[0] <= n - 2 + 1e-9
         with pytest.raises(DomainError, match="above its bound"):
             table_with_classical_k(n, 1e-6)
     # The measured K may exceed it: that is what a violation is.

@@ -883,7 +883,7 @@ def test_z_significance_values():
 
 
 def k_columns(table):
-    return table["k_value"], table["k_sigma"], table["k_quantum_model"]
+    return [(table["k_value"], table["k_sigma"], table["k_quantum_model"])]
 
 
 def test_chi_square_vanishes_on_the_model_curve():
@@ -892,7 +892,7 @@ def test_chi_square_vanishes_on_the_model_curve():
     tuples = select_ntuples(dec, 3, 0.005)
     table = tuple_table(tuples, dec, PARAMS)
     assert len(table) == 4
-    chi2, dof = chi_square_quantum(*k_columns(table))
+    chi2, dof = chi_square_quantum(k_columns(table))
     assert chi2 < 1e-12
     assert dof == 3
 
@@ -910,9 +910,7 @@ def test_chi_square_tracks_unit_gaussian_scatter():
             prob_sum = float(survival_probability(0.95, psis.sum()))
             theory.append(-1.0 + 2.0 * sum(probs) - 2.0 * prob_sum)
         theory = np.array(theory)
-        chi2, dof = chi_square_quantum(
-            theory + sigma * pulls, np.full(82, sigma), theory
-        )
+        chi2, dof = chi_square_quantum([(theory + sigma * pulls, np.full(82, sigma), theory)])
         assert dof == 81
         assert_allclose(chi2, float(pulls @ pulls), rtol=1e-9)
         chi2_values.append(chi2)
@@ -922,11 +920,32 @@ def test_chi_square_tracks_unit_gaussian_scatter():
 
 def test_chi_square_validation():
     with pytest.raises(DomainError):
-        chi_square_quantum(np.array([1.0]), np.array([0.1]), np.array([0.9]))
+        chi_square_quantum([(np.array([1.0]), np.array([0.1]), np.array([0.9]))])
     with pytest.raises(DomainError):
         chi_square_quantum(
-            np.array([1.0, 1.0]), np.array([0.1, 0.0]), np.array([0.9, 0.9])
+            [(np.array([1.0, 1.0]), np.array([0.1, 0.0]), np.array([0.9, 0.9]))]
         )
+
+
+def test_chi_square_sums_across_chunks_and_reads_them_all_before_it_raises():
+    rng = np.random.default_rng(17)
+    k, sd, model = rng.normal(size=50), rng.uniform(0.05, 0.2, 50), rng.normal(size=50)
+    whole = chi_square_quantum([(k, sd, model)])
+    cuts = (0, 1, 8, 31, 50)
+    chunks = [(k[a:b], sd[a:b], model[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert chi_square_quantum(chunks) == whole == (whole[0], 49)
+    # The analysis counts violations in the same pass, so a chunk with a
+    # zero sd must not stop the reading.
+    read = []
+
+    def zero_sd():
+        for chunk in chunks:
+            read.append(chunk)
+            yield chunk[0], np.zeros_like(chunk[1]), chunk[2]
+
+    with pytest.raises(DomainError, match="positive uncertainty"):
+        chi_square_quantum(zero_sd())
+    assert len(read) == len(chunks)
 
 
 def classical_markov_dataset(lam, sigma, bins, seed):

@@ -326,7 +326,8 @@ def test_cli_refuses_a_selection_past_the_tuple_budget(tmp_path, capsys, monkeyp
     assert captured.out == ""
     assert captured.err == (
         "config error: order-3 selection reached 4 tuples, past its budget of 1 "
-        "(256 bytes at 256 a tuple); use a smaller tolerance or a lower order\n"
+        f"({selection.TUPLE_BYTES} bytes at {selection.TUPLE_BYTES} a tuple); "
+        "use a smaller tolerance or a lower order\n"
     )
     assert not out.exists()
 

@@ -96,6 +96,26 @@ def test_spectrum_rejects_duplicates_and_selection_an_empty_one():
         select_ntuples(empty, 3, 0.005)
 
 
+def test_building_a_spectrum_holds_little_beyond_its_columns():
+    # 200 001 ascending bins, as generate_synthetic gives them: the checks
+    # take one mask at a time and the columns are copied without a sort.
+    # The five float64 columns kept are 40 bytes a bin; the masks, the
+    # duplicate scan and the argsort gathers took 71 in all.
+    bins = 200_001
+    energy = np.geomspace(0.5, 50.0, bins)
+    p_mumu, sigma = np.full(bins, 0.5), np.full(bins, 0.05)
+    tracemalloc.start()
+    try:
+        points = Spectrum(energy, p_mumu, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / bins < 48, peak / bins
+    # The columns are copies: the caller's arrays stay its own.
+    energy[0] = 7.0
+    assert points.energy_gev[0] == 0.5 and not np.shares_memory(points.p_mumu, p_mumu)
+
+
 def test_zero_splitting_yields_no_tuples():
     flat = OscParams(dm2=0.0, sin2_2theta=0.95, baseline_km=735.0)
     dec = attach_phases(Spectrum([1.0, 2.0, 3.0, 4.0], 0.5, 0.02), flat)
@@ -282,6 +302,31 @@ def test_tuple_set_rejects_negative_indices_and_bad_shapes():
     assert len(empty) == 0 and empty.comp_idx.shape == (0, 3)
 
 
+def test_tuple_set_indices_are_int32_checked_before_they_are_narrowed():
+    ts = TupleSet(n=4, size=5, comp_idx=np.array([[4, 3, 3]]), target_idx=[0], mismatch=[0.1])
+    assert ts.comp_idx.dtype == ts.target_idx.dtype == np.int32
+    assert ts.comp_idx.tolist() == [[4, 3, 3]] and ts.target_idx.tolist() == [0]
+    found = select_ntuples(decorated([0.3, 0.4, 0.5, 1.2]), 4, 0.005)
+    assert found.comp_idx.dtype == found.target_idx.dtype == np.int32
+    # An int64 index that int32 would wrap into range is refused, not wrapped.
+    with pytest.raises(IndexError):
+        TupleSet(n=3, size=5, comp_idx=np.array([[2**32 + 1, 2]]), target_idx=[0],
+                 mismatch=[0.0])
+
+
+@pytest.mark.parametrize("size", [2**31, 2**40])
+def test_a_tuple_set_of_2_31_points_or_more_is_refused_before_allocating(size):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=f"fewer than {2**31} points, got {size}"):
+            TupleSet(n=3, size=size, comp_idx=[[0, 1]], target_idx=[2], mismatch=[0.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
+    assert len(TupleSet(n=3, size=2**31 - 1, comp_idx=[], target_idx=[], mismatch=[])) == 0
+
+
 def test_tuple_set_rows_are_phase_tuples():
     # The analysis reads the columns; perfbench/tracing.py reads tuples[0].n.
     ts = select_ntuples(decorated([0.3, 0.4, 0.5, 1.2]), 4, 0.005)
@@ -373,7 +418,7 @@ def test_selection_memory_is_one_block_plus_the_output():
     finally:
         tracemalloc.stop()
     output = found.comp_idx.nbytes + found.target_idx.nbytes + found.mismatch.nbytes
-    # The table of (n-2)-multisets of 60 points (37 820 rows of 3 int64),
+    # The table of (n-2)-multisets of 60 points (37 820 rows of 3 int32),
     # and one block of SELECT_BLOCK_ROWS candidates at about 200 bytes each.
     budget = 37_820 * 3 * 8 + selection.SELECT_BLOCK_ROWS * 200
     # The output exists twice at the end: in scan order and sorted.
@@ -408,9 +453,10 @@ def test_selection_refuses_a_tuple_count_past_its_budget(monkeypatch):
     budget = len(found) - 1
     monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget * selection.TUPLE_BYTES)
     # One block holds the whole scan, so the count reached is every tuple.
+    size = selection.TUPLE_BYTES
     message = (
         f"order-4 selection reached {len(found)} tuples, past its budget of {budget} "
-        f"({budget * 256} bytes at 256 a tuple); use a smaller tolerance or a lower order"
+        f"({budget * size} bytes at {size} a tuple); use a smaller tolerance or a lower order"
     )
     with pytest.raises(DomainError) as refused:
         select_ntuples(dec, 4, 0.02)

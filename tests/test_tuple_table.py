@@ -3,7 +3,7 @@
 pipeline.tuple_table computes every K column as an array. Each column must
 equal, tuple for tuple and with ==, what the scalar float forms of
 tests/oracles.py give (k_n_quantum_from_survival, k_n_uncertainty and
-k_n_classical), and the chi-square over the columns must equal the
+k_n_classical), and the chi-square over the table's chunks must equal the
 per-tuple loop it replaced, on the 29 560 order-4 tuples of a 100-bin
 spectrum.
 """
@@ -15,7 +15,7 @@ import pytest
 
 from nulgi.montecarlo import chi_square_quantum
 from nulgi.oscillation import OscParams, survival_probability
-from nulgi.pipeline import fit_curve_params, tuple_table
+from nulgi.pipeline import fit_curve_params, table_chunks, tuple_table
 from nulgi.selection import attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
@@ -75,7 +75,7 @@ def test_k_columns_equal_the_scalar_functions_bit_for_bit(fine):
     for k, sd, model_k in zip(measured, sigma, theory):
         chi2 += ((k - model_k) / sd) ** 2
     assert chi_square_quantum(
-        table["k_value"], table["k_sigma"], table["k_quantum_model"]
+        table_chunks(table, ("k_value", "k_sigma", "k_quantum_model"))
     ) == (chi2, len(table) - 1)
 
 
@@ -84,5 +84,5 @@ def test_chi_square_squares_each_pull_with_float_pow():
     # about one normal draw in a thousand; the sum keeps pow's bits.
     draws = np.random.default_rng(0).standard_normal(20_000).tolist()
     pull = next(x for x in draws if x ** 2 != x * x)
-    chi2, dof = chi_square_quantum(np.array([pull, 0.0]), np.ones(2), np.zeros(2))
+    chi2, dof = chi_square_quantum([(np.array([pull, 0.0]), np.ones(2), np.zeros(2))])
     assert (chi2, dof) == (pull ** 2, 1)
