@@ -4,16 +4,17 @@
 Usage, from anywhere:
 
     python3 scripts/peak_rss.py --bins B [--order N] [--replicas R] [--seed S]
-                                [--tolerance T] [--limit-gb G] [--digests]
+                                [--digests]
 
 It writes the seed-S quantum spectrum of B bins over 0.5-50 GeV at 5%
 errors (synthetic.generate_synthetic, the spectra of the benchmark's pools)
 into a temporary directory, then runs `nulgi analyze` on it at order N with
-R replicas and null seed S in a child Python process. The child alone runs
-under an address-space limit (RLIMIT_AS) of G GiB, so a run that would
-exhaust the machine fails instead, and it reads its own peak resident set,
-VmHWM, from /proc/self/status when the analysis returns. The script prints
-one line:
+R replicas and null seed S, at the CLI's default tolerance, in a child
+Python process (an order past 4 with --allow-high-order). The child alone
+runs under an address-space limit (RLIMIT_AS) of LIMIT_BYTES, 3 GiB, so a
+run that would exhaust the machine fails instead, and it reads its own
+peak resident set, VmHWM, from /proc/self/status when the analysis
+returns. The script prints one line:
 
     bins B order N replicas R seed S: exit E, T tuples, peak P MB
 
@@ -40,9 +41,13 @@ sys.path.insert(0, str(SRC))
 
 from nulgi.dataio import write_dataset_csv  # noqa: E402
 from nulgi.oscillation import OscParams  # noqa: E402
+from nulgi.pipeline import STANDARD_ORDERS  # noqa: E402
 from nulgi.synthetic import generate_synthetic  # noqa: E402
 
 PARAMS = {"dm2": 2.4e-3, "sin2_2theta": 0.95, "baseline_km": 735.0}
+
+# The child's address-space limit.
+LIMIT_BYTES = 3 * 2**30
 
 # The child: run the CLI, then report its exit code and its own VmHWM.
 CHILD = """
@@ -56,12 +61,10 @@ print(json.dumps({"exit": code, "vmhwm_kb": hwm}))
 """
 
 
-def measure(bins: int, order: int, replicas: int, seed: int, tolerance: float,
-            limit_gb: float, digests: bool = False) -> dict:
+def measure(bins: int, order: int, replicas: int, seed: int, digests: bool = False) -> dict:
     """Run one analysis in a child under the limit; its exit code, tuple
     count, peak in MiB and, with digests, (sha256, file) per artifact."""
     params = OscParams(**PARAMS)
-    limit = int(limit_gb * 2**30)
     with tempfile.TemporaryDirectory(prefix="nulgi_peak_rss_") as work:
         data, out = Path(work) / "spectrum.csv", Path(work) / "out"
         write_dataset_csv(generate_synthetic(params, "quantum", bins, 0.5, 50.0, 0.05, seed), data)
@@ -70,12 +73,12 @@ def measure(bins: int, order: int, replicas: int, seed: int, tolerance: float,
         argv = [
             "analyze", "--data", data.name, "--out-dir", out.name,
             "--params", json.dumps(PARAMS), "--order", str(order),
-            "--tolerance", repr(tolerance), "--replicas", str(replicas), "--seed", str(seed),
-        ]
+            "--replicas", str(replicas), "--seed", str(seed),
+        ] + ([] if order in STANDARD_ORDERS else ["--allow-high-order"])
         child = subprocess.run(
             [sys.executable, "-c", CHILD, str(SRC), *argv],
             cwd=work, capture_output=True, text=True,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (LIMIT_BYTES, LIMIT_BYTES)),
         )
         lines = child.stdout.strip().splitlines()
         if child.returncode or not lines:
@@ -98,12 +101,9 @@ def main(argv=None) -> int:
     parser.add_argument("--order", type=int, default=4)
     parser.add_argument("--replicas", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--tolerance", type=float, default=0.005)
-    parser.add_argument("--limit-gb", type=float, default=3.0)
     parser.add_argument("--digests", action="store_true")
     args = parser.parse_args(argv)
-    run = measure(args.bins, args.order, args.replicas, args.seed, args.tolerance,
-                  args.limit_gb, args.digests)
+    run = measure(args.bins, args.order, args.replicas, args.seed, args.digests)
     print(f"bins {args.bins} order {args.order} replicas {args.replicas} seed {args.seed}: "
           f"exit {run['exit']}, {run['tuples']} tuples, peak {run['peak_mb']:.1f} MB")
     for digest, name in run["digests"]:

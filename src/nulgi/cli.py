@@ -24,7 +24,7 @@ from .dataio import emit_report, write_dataset_csv
 from .errors import DataError, DomainError, check_budget
 from .montecarlo import REPLICA_BYTES, PseudoConfig
 from .oscillation import OscParams
-from .pipeline import RunConfig, curve_columns, run_analysis, run_triples
+from .pipeline import RunConfig, curve_columns, run_analysis, run_triples, violation_count
 from .synthetic import TRUTH_MODES, generate_synthetic
 
 CONFIG_ENV = "NULGI_CONFIG"
@@ -153,7 +153,7 @@ def cmd_triples(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_NO_TUPLES
-    n_viol = int(table["violation"].sum())
+    n_viol = violation_count(table)
     print(
         f"{len(table)} tuples, {n_viol} above the bound; "
         f"wrote {Path(config.out_dir) / 'tuples.csv'}"

@@ -548,6 +548,9 @@ def order3_count_law(dataset: Spectrum, tuples: TupleSet) -> Optional[np.ndarray
     neighbours a point has when eliminated, the largest factor has 2**(width
     + 1) x (edges + 1) entries, edges being the tuples that are not a
     repeated pair, and the law is None when that exceeds ORDER3_LAW_ENTRIES.
+    No elimination order has a width below the k of a k-core of the active
+    points' graph, so the law is None as soon as peeling finds a core that
+    wide, before anything is built per edge.
     A 30-bin spectrum's graph is a forest or nearly one (width 1 to 4); at
     100 bins the width is 33 to 39.
     """
@@ -562,9 +565,19 @@ def order3_count_law(dataset: Spectrum, tuples: TupleSet) -> Optional[np.ndarray
     edges = len(pairs)
     if not edges:
         return np.ones(1)
-    pairs, weights = np.unique(pairs, axis=0, return_counts=True)
-    used, ends = np.unique(pairs, return_inverse=True)
-    ends = ends.reshape(pairs.shape)
+    # The distinct pairs in (a, b) order, each as one key a * size + b, and
+    # their ends as rows of the points they use, in ascending point order.
+    keys = pairs[:, 0].astype(np.int64)
+    keys *= tuples.size
+    keys += pairs[:, 1]
+    del pairs
+    keys, weights = np.unique(keys, return_counts=True)
+    first, second = np.divmod(keys, tuples.size)
+    in_pair = np.zeros(tuples.size, dtype=bool)
+    in_pair[first] = in_pair[second] = True
+    used = np.flatnonzero(in_pair)
+    row = np.cumsum(in_pair, dtype=np.int32) - 1
+    ends = np.stack((row[first], row[second]), axis=1)
     sds = dataset.sigma[used]
     if not (sds > 0.0).all():
         raise DomainError("the exact count law needs a positive sigma at every used point")
@@ -573,6 +586,13 @@ def order3_count_law(dataset: Spectrum, tuples: TupleSet) -> Optional[np.ndarray
     above, below = ndtr(scaled), ndtr(-scaled)
     fixed = np.minimum(above, below) < ORDER3_FIXED_MASS
     likely = (above > below).astype(np.int64)
+
+    # The smallest width whose largest factor exceeds the budget.
+    too_wide = 0
+    while 2 ** (too_wide + 1) * (edges + 1) <= ORDER3_LAW_ENTRIES:
+        too_wide += 1
+    if _has_core(ends, ~fixed, too_wide):
+        return None
 
     # Count added to a point's polynomial when its flag is 0 and when 1.
     unary = np.zeros((used.size, 2), dtype=np.int64)
@@ -588,7 +608,7 @@ def order3_count_law(dataset: Spectrum, tuples: TupleSet) -> Optional[np.ndarray
         else:
             neighbours[a].add(b)
             neighbours[b].add(a)
-            active_edges.append(((a, b), _edge_factor(weight)))
+            active_edges.append(((a, b), weight))
 
     order, width = [], 0
     while neighbours:
@@ -602,7 +622,7 @@ def order3_count_law(dataset: Spectrum, tuples: TupleSet) -> Optional[np.ndarray
             neighbours[other].discard(point)
         order.append(point)
 
-    factors = active_edges
+    factors = [(pair, _edge_factor(weight)) for pair, weight in active_edges]
     for point in order:
         bucket = [factor for factor in factors if point in factor[0]]
         factors = [factor for factor in factors if point not in factor[0]]
@@ -621,6 +641,21 @@ def order3_count_law(dataset: Spectrum, tuples: TupleSet) -> Optional[np.ndarray
     for _, factor in factors:
         pmf = _poly_mul(pmf, factor)
     return np.trim_zeros(np.concatenate([np.zeros(shift), pmf]), "b")
+
+
+def _has_core(edges: np.ndarray, alive: np.ndarray, k: int) -> bool:
+    """Whether the flagged points, with those of the (a, b) edges that join
+    two of them, hold a k-core: points that each have k neighbours or more
+    among themselves. The edges hold no repeated pair; alive is not
+    modified."""
+    alive = alive.copy()
+    while True:
+        edges = edges[alive[edges].all(axis=1)]
+        degree = np.bincount(edges.ravel(), minlength=alive.size)
+        peeled = alive & (degree < k)
+        if not peeled.any():
+            return bool(alive.any())
+        alive &= ~peeled
 
 
 def _edge_factor(weight: int) -> np.ndarray:

@@ -278,6 +278,11 @@ def table_chunks(table: TupleTable, names: Sequence[str]):
         yield tuple(table.columns[name][rows] for name in names)
 
 
+def violation_count(table: TupleTable) -> int:
+    """How many of the table's tuples violate the bound, read chunk by chunk."""
+    return sum(int(np.count_nonzero(flags)) for flags, in table_chunks(table, ("violation",)))
+
+
 # Tuple tables, each a projection of the columns tuple_table builds:
 # analyze's tuples.csv, its K-versus-phase-sum table, and the tuples.csv of
 # triples. Index and phase lists are joined by ';' and a violation is 0 or 1.
@@ -366,14 +371,20 @@ def _analyze(
 
     table = tuple_table(tuples, decorated, model_params)
     # One pass over the table's chunks counts the violations and sums the
-    # chi-square, which reads every chunk before it raises.
+    # chi-square, which reads every chunk before it raises. Only the
+    # chi-square's own faults skip it: a fault of the table (a classical K
+    # above its bound) is kept aside when a chunk raises it and raised here.
     observed = 0
+    table_fault: list[DomainError] = []
 
     def k_chunks():
         nonlocal observed
-        for flags, *k_columns in table_chunks(table, ("violation",) + K_COLUMNS):
-            observed += int(np.count_nonzero(flags))
-            yield k_columns
+        try:
+            for flags, *k_columns in table_chunks(table, ("violation",) + K_COLUMNS):
+                observed += int(np.count_nonzero(flags))
+                yield k_columns
+        except DomainError as exc:
+            table_fault.append(exc)
 
     try:
         chi2, dof = chi_square_quantum(k_chunks())
@@ -381,6 +392,8 @@ def _analyze(
     except DomainError as exc:
         chi2, dof = None, None
         chi2_skipped = f"chi-square skipped: {exc}"
+    if table_fault:
+        raise table_fault[0]
 
     replicas = config.pseudo.replicas
     if replicas < MIN_REPLICAS_FOR_CLAIM:

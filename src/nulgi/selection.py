@@ -165,8 +165,8 @@ class TupleSet:
     be below INDEX_LIMIT, which is checked before anything is converted;
     every index is checked against [0, size) once, here. An order-4 tuple
     takes 24 bytes here, against 40 with int64 indices. A whole order-4
-    analysis peaks at about TUPLE_BYTES a tuple (the peak-RSS slope of
-    scripts/peak_rss.py from 200 to 300 bins; see there). The analysis
+    analysis peaks at about 69 bytes a tuple (the peak-RSS slope of
+    scripts/peak_rss.py from 200 to 300 bins; see TUPLE_BYTES). The analysis
     reads only the columns; ts[i], tuple i as a PhaseTuple, is kept for
     perfbench/tracing.py, which reads tuples[0].n.
     """
@@ -238,19 +238,32 @@ def attach_phases(dataset: Spectrum, params: OscParams) -> Spectrum:
 # Candidate component multisets evaluated per block of selection.
 SELECT_BLOCK_ROWS = 1 << 13
 
-# select_ntuples refuses a selection of more than SELECT_BUDGET_BYTES //
-# TUPLE_BYTES tuples. TUPLE_BYTES is what one order-4 tuple adds to the
-# peak resident memory of a whole analysis (1000 replicas): the slope of
-# scripts/peak_rss.py's peak over the seed-0 quantum spectra of 200, 250
-# and 300 bins (465 650, 1 133 579 and 2 338 056 tuples; medians of 86.9,
-# 131.6 and 209.7 MiB), 68-70 bytes, rounded up. Int32 indices and a tuple table
-# made chunk by chunk brought it down from 216. The peak is selection's
-# (its kept rows, joined and sorted) or the null's, whichever is higher.
-# The budget admits about 30M tuples: 7.1M at 400 bins and order 4 (503
-# MB peak), and it refuses the roughly sixteen times as many at 800 bins
-# before they fill memory.
-TUPLE_BYTES = 70
+# select_ntuples refuses an order-n selection of more than
+# SELECT_BUDGET_BYTES // tuple_bytes(n) tuples. What an order-n tuple adds
+# to the peak resident memory of a whole analysis (1000 replicas) was
+# measured as the slope of scripts/peak_rss.py's peak between two seed-0
+# quantum spectra, from the medians of three runs at each size:
+#   order 3, 1000 -> 2200 bins (462 786 -> 2 239 848 tuples): 79.8 bytes
+#   order 4, 200 -> 300 bins (465 650 -> 2 338 056 tuples): 68.8 bytes
+#   order 5, 100 -> 130 bins (616 532 -> 2 258 566 tuples): 80.6 bytes
+#   order 6, 60 -> 80 bins (494 541 -> 2 659 963 tuples): 103.0 bytes
+#   order 7, 45 -> 55 bins (583 189 -> 2 220 741 tuples): 102.8 bytes
+# Repeated runs differ by up to 16 MiB, a few bytes a tuple. What grows
+# with the order is the n - 1 component indices a tuple keeps, joins,
+# sorts on and gathers for the null, so tuple_bytes is a line in n - 1:
+# TUPLE_BYTES plus COMPONENT_BYTES a component, at least a tenth above
+# every measured slope (order 3's is the tightest); past order 7 it is
+# extrapolated. At order 4 the budget admits 20.6M tuples: 7.1M at 400
+# bins (503 MB peak), and it refuses the roughly sixteen times as many at
+# 800 bins before they fill memory.
+TUPLE_BYTES = 56
+COMPONENT_BYTES = 16
 SELECT_BUDGET_BYTES = 1 << 31
+
+
+def tuple_bytes(n: int) -> int:
+    """The bytes the selection budget counts for one order-n tuple."""
+    return TUPLE_BYTES + COMPONENT_BYTES * (n - 1)
 
 
 def _multiset_blocks(size: int, k: int):
@@ -330,7 +343,7 @@ def select_ntuples(
     smaller key (|residual|, phase, dataset index) is the target.
 
     The scan keeps a running count of the tuples it has accepted and raises
-    DomainError once it passes SELECT_BUDGET_BYTES // TUPLE_BYTES, before
+    DomainError once it passes SELECT_BUDGET_BYTES // tuple_bytes(n), before
     the tuples and the analysis of them could fill memory.
     """
     if not isinstance(n, int) or n < 3:
@@ -353,7 +366,7 @@ def select_ntuples(
     # phase <= 0, never serves as a target.
     cand_psi = np.concatenate(([0.0], psis[order], [0.0]))
     cand_idx = np.concatenate(([-1], order, [-1])).astype(np.int32)
-    budget = SELECT_BUDGET_BYTES // TUPLE_BYTES
+    budget = SELECT_BUDGET_BYTES // tuple_bytes(n)
     kept = 0
     found = []
     for combos in _multiset_blocks(size, n - 1):
@@ -373,7 +386,7 @@ def select_ntuples(
         if kept > budget:
             raise DomainError(
                 f"order-{n} selection reached {kept} tuples, past its budget of "
-                f"{budget} ({SELECT_BUDGET_BYTES} bytes at {TUPLE_BYTES} a tuple); "
+                f"{budget} ({SELECT_BUDGET_BYTES} bytes at {tuple_bytes(n)} a tuple); "
                 "use a smaller tolerance or a lower order"
             )
         found.append((combos[keep], cand_idx[upper - 1 + take_upper][keep], resid[keep]))

@@ -10,6 +10,7 @@ it documents and, by a G-test, against the law itself.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,47 @@ def test_law_is_none_beyond_its_budget(monkeypatch):
     assert order3_count_law(points, tuples) is not None
     monkeypatch.setattr(montecarlo, "ORDER3_LAW_ENTRIES", 4 * 21 - 1)
     assert order3_count_law(points, tuples) is None
+
+
+def law_without_the_core_check(monkeypatch, dataset, tuples):
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_has_core", lambda edges, alive, k: False)
+        return order3_count_law(dataset, tuples)
+
+
+def test_the_core_check_refuses_only_what_the_elimination_refuses(monkeypatch):
+    # At every budget up to one that admits the whole graph, the law with
+    # the k-core check is the law of the elimination alone, None included.
+    cases = [graph(name) for name in GRAPHS]
+    cases += [pool_spectrum(truth, seed) for truth in ("quantum", "classical_flat") for seed in range(4)]
+    refused = 0
+    for dataset, tuples in cases:
+        edges = int(np.count_nonzero(tuples.comp_idx[:, 0] != tuples.comp_idx[:, 1]))
+        for width in range(8):
+            for budget in (2 ** (width + 1) * (edges + 1) - 1, 2 ** (width + 1) * (edges + 1)):
+                monkeypatch.setattr(montecarlo, "ORDER3_LAW_ENTRIES", budget)
+                law = order3_count_law(dataset, tuples)
+                want = law_without_the_core_check(monkeypatch, dataset, tuples)
+                assert (law is None) == (want is None)
+                refused += law is None
+                if law is not None:
+                    assert law.tolist() == want.tolist()
+    assert refused > 0
+
+
+def test_a_wide_graph_is_refused_before_its_per_edge_work():
+    # 600 bins select 165 744 order-3 tuples, too wide a graph for the law,
+    # which must refuse it before it builds anything per edge.
+    points = attach_phases(generate_synthetic(PARAMS, "quantum", 600, 0.5, 50.0, 0.05, 0), PARAMS)
+    tuples = select_ntuples(points, 3, 0.005)
+    tracemalloc.start()
+    try:
+        law = order3_count_law(points, tuples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert law is None
+    assert peak < 120 * len(tuples)
 
 
 def test_law_validation():

@@ -23,6 +23,7 @@ import nulgi
 from nulgi.errors import DomainError
 from nulgi.leggett_garg import lgi_bound, quantum_bound
 from nulgi.oscillation import OscParams, survival_probability
+from nulgi import dataio, pipeline
 from nulgi.pipeline import tuple_table
 from nulgi.selection import Spectrum, TupleSet
 
@@ -225,6 +226,36 @@ def test_classical_kvalue_rejects_values_above_its_bound():
     tuples = TupleSet(n=3, size=3, comp_idx=[[0, 1]], target_idx=[2], mismatch=[0.0])
     table = tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
     assert table["k_value"][0] == 1.5 and table["violation"][0]
+
+
+def analyze_two_tuples(monkeypatch, points):
+    """analyze_dataset at order 3 on two hand-built tuples of four points,
+    in chunks of one row: components (0, 1) and (2, 0), target 3."""
+    tuples = TupleSet(n=3, size=4, comp_idx=[[0, 1], [2, 0]], target_idx=[3, 3], mismatch=[0.0, 0.0])
+    monkeypatch.setattr(pipeline, "attach_phases", lambda spectrum, params: points)
+    monkeypatch.setattr(pipeline, "select_ntuples", lambda *args: tuples)
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
+    config = pipeline.RunConfig(
+        params=OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0), order=3
+    )
+    return pipeline.analyze_dataset(points, config)[0]
+
+
+def test_analysis_raises_on_a_classical_k_above_its_bound(monkeypatch):
+    # A stand-in spectrum puts the second chunk's classical K at 1 + 1e-6:
+    # the analysis must stop, not skip the chi-square and go on with the
+    # first chunk's count.
+    points = SimpleNamespace(
+        psi=np.ones(4), p_mumu=np.array([0.5, 0.5, 1.0 + 5e-7, 0.5]), sigma=np.full(4, 0.1)
+    )
+    with pytest.raises(DomainError, match="above its bound"):
+        analyze_two_tuples(monkeypatch, points)
+    # A fault of the chi-square itself, a zero uncertainty, only skips it.
+    points = Spectrum([1.0, 2.0, 3.0, 4.0], [0.5, 0.5, 1.0, 0.5], 0.0, psi=np.ones(4))
+    report = analyze_two_tuples(monkeypatch, points)
+    assert report.status == "ok" and report.chi2_quantum is None
+    assert report.n_violations_observed == 0
+    assert "chi-square skipped: every K value needs a positive uncertainty" in report.warnings
 
 
 def test_classical_bound_check_survives_optimized_mode():

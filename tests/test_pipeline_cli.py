@@ -315,7 +315,8 @@ def test_cli_triples(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["analyze", "triples"])
 def test_cli_refuses_a_selection_past_the_tuple_budget(tmp_path, capsys, monkeypatch, command):
     # A budget of one tuple: shared.csv has four exact-sum triples.
-    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", selection.TUPLE_BYTES)
+    size = selection.tuple_bytes(3)
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", size)
     out = tmp_path / "out"
     code = main([
         command, "--params", PARAMS_JSON, "--data", str(shared_csv(tmp_path)),
@@ -326,7 +327,7 @@ def test_cli_refuses_a_selection_past_the_tuple_budget(tmp_path, capsys, monkeyp
     assert captured.out == ""
     assert captured.err == (
         "config error: order-3 selection reached 4 tuples, past its budget of 1 "
-        f"({selection.TUPLE_BYTES} bytes at {selection.TUPLE_BYTES} a tuple); "
+        f"({size} bytes at {size} a tuple); "
         "use a smaller tolerance or a lower order\n"
     )
     assert not out.exists()

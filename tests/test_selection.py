@@ -448,12 +448,12 @@ def test_selection_refuses_a_tuple_count_past_its_budget(monkeypatch):
     found = select_ntuples(dec, 4, 0.02)
     assert len(found) > 1
     # A budget of exactly the count admits it; one tuple less refuses it.
-    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", len(found) * selection.TUPLE_BYTES)
+    size = selection.tuple_bytes(4)
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", len(found) * size)
     assert select_ntuples(dec, 4, 0.02) == found
     budget = len(found) - 1
-    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget * selection.TUPLE_BYTES)
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget * size)
     # One block holds the whole scan, so the count reached is every tuple.
-    size = selection.TUPLE_BYTES
     message = (
         f"order-4 selection reached {len(found)} tuples, past its budget of {budget} "
         f"({budget * size} bytes at {size} a tuple); use a smaller tolerance or a lower order"
@@ -463,6 +463,27 @@ def test_selection_refuses_a_tuple_count_past_its_budget(monkeypatch):
     assert str(refused.value) == message
     # With one multiset per block the scan stops at the first tuple past it.
     monkeypatch.setattr(selection, "SELECT_BLOCK_ROWS", 1)
-    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", 2 * selection.TUPLE_BYTES)
+    monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", 2 * size)
     with pytest.raises(DomainError, match="reached 3 tuples, past its budget of 2 "):
         select_ntuples(dec, 4, 0.02)
+
+
+# The peak-RSS slopes, bytes a tuple, of whole analyses at each order
+# (scripts/peak_rss.py; see selection.TUPLE_BYTES).
+MEASURED_TUPLE_BYTES = {3: 79.8, 4: 68.8, 5: 80.6, 6: 103.0, 7: 102.8}
+
+
+def test_the_tuple_budget_counts_an_orders_own_bytes(monkeypatch):
+    for n, measured in MEASURED_TUPLE_BYTES.items():
+        assert selection.tuple_bytes(n) >= 1.1 * measured
+    points = attach_phases(generate_synthetic(PARAMS, "quantum", 16, 0.5, 50.0, 0.05, seed=3), PARAMS)
+    selected = {n: select_ntuples(points, n, 0.02, mismatch_mode="absolute") for n in (3, 4, 5)}
+    for n, found in selected.items():
+        assert len(found) > 1
+        # Exactly the count's bytes at this order admit it; a byte less does not.
+        budget = len(found) * selection.tuple_bytes(n)
+        monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget)
+        assert select_ntuples(points, n, 0.02, mismatch_mode="absolute") == found
+        monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget - 1)
+        with pytest.raises(DomainError, match=f"at {selection.tuple_bytes(n)} a tuple"):
+            select_ntuples(points, n, 0.02, mismatch_mode="absolute")
