@@ -53,6 +53,10 @@ REPLICA_BYTES = 16
 # arrays are a few such rows each, which keeps them in a core's L2 cache.
 NULL_BLOCK_BYTES = 1 << 19
 MIN_BLOCK_REPLICAS = 128
+# Past about 256 points the draw rows alone fill the budget at the replica
+# floor; a block still takes this many tuples, so that the tuple loop stays
+# in numpy rather than in Python one tuple at a time.
+MIN_BLOCK_TUPLES = 256
 
 # Margin of the block skip: a block whose draws all have C in
 # [-1 + NULL_MARGIN, 1 - NULL_MARGIN] cannot violate the bound (see
@@ -188,12 +192,13 @@ def null_block_shape(n_tuples: int, n_points: int) -> tuple[int, int]:
     count, per point and per tuple. Replicas are sized so that every point
     and tuple fits, with a floor of MIN_BLOCK_REPLICAS so that numpy's
     per-call overhead stays amortized on large tuple sets; the tuples per
-    block then fill what the budget leaves. Pure arithmetic: nothing is
-    allocated.
+    block then fill what the budget leaves, with a floor of
+    MIN_BLOCK_TUPLES, which a block of more than about 256 points takes
+    past the budget. Pure arithmetic: nothing is allocated.
     """
     floats = NULL_BLOCK_BYTES // 8
     replicas = max(MIN_BLOCK_REPLICAS, floats // max(1, n_tuples + n_points))
-    tuples = max(1, min(n_tuples, floats // replicas - n_points))
+    tuples = max(1, min(n_tuples, max(MIN_BLOCK_TUPLES, floats // replicas - n_points)))
     return replicas, tuples
 
 

@@ -27,6 +27,7 @@ from nulgi.montecarlo import (
     classical_null_distribution,
     fit_beta_binomial,
     MIN_BLOCK_REPLICAS,
+    MIN_BLOCK_TUPLES,
     NULL_BLOCK_BYTES,
     null_block_shape,
     null_shards,
@@ -672,6 +673,14 @@ def test_null_block_fits_the_budget():
     replicas, tuples = null_block_shape(21, 30)
     assert tuples == 21 and replicas > MIN_BLOCK_REPLICAS
     assert block_bytes(replicas, tuples, 30) <= NULL_BLOCK_BYTES
+
+
+def test_a_wide_spectrum_keeps_a_floor_of_tuples_per_block():
+    # The 1000-bin order-3 cell: its draw rows alone fill the budget at the
+    # replica floor, which left one tuple a block and a Python loop per tuple.
+    assert null_block_shape(462_786, 1000) == (MIN_BLOCK_REPLICAS, MIN_BLOCK_TUPLES)
+    # A set smaller than the floor is one block.
+    assert null_block_shape(100, 1000) == (MIN_BLOCK_REPLICAS, 100)
 
 
 def shard_sizes(shards):
