@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         table = TupleTable(
             {"energy_gev": energies, "p_vacuum": vacuum, "p_matter": matter, "abs_shift": shift}
         )
-        emit_report(table, ((args.out, tuple(table.columns)),))
+        emit_report(table, args.out)
         print(f"wrote {args.out}")
     return 0
 

@@ -19,7 +19,8 @@ returns. The script prints one line:
     bins B order N replicas R seed S: exit E, T tuples, peak P MB
 
 with T read from report.json (0 when the run wrote none) and P in MiB.
---digests also prints `<sha256>  <file>` for each artifact the run wrote.
+--digests also prints `<sha256>  <bytes>  <file>` for each artifact the
+run wrote: its SHA-256 and its size in bytes.
 The temporary directory, artifacts included, is removed at the end. The
 peak includes the interpreter and its imports (about 60 MB), so the bytes
 an analysis holds per tuple are the slope of P between two sizes.
@@ -63,7 +64,7 @@ print(json.dumps({"exit": code, "vmhwm_kb": hwm}))
 
 def measure(bins: int, order: int, replicas: int, seed: int, digests: bool = False) -> dict:
     """Run one analysis in a child under the limit; its exit code, tuple
-    count, peak in MiB and, with digests, (sha256, file) per artifact."""
+    count, peak in MiB and, with digests, (sha256, bytes, file) per artifact."""
     params = OscParams(**PARAMS)
     with tempfile.TemporaryDirectory(prefix="nulgi_peak_rss_") as work:
         data, out = Path(work) / "spectrum.csv", Path(work) / "out"
@@ -90,7 +91,8 @@ def measure(bins: int, order: int, replicas: int, seed: int, digests: bool = Fal
         return {
             "exit": result["exit"], "tuples": tuples, "peak_mb": result["vmhwm_kb"] / 1024,
             "digests": [
-                (hashlib.sha256(path.read_bytes()).hexdigest(), path.name) for path in files
+                (hashlib.sha256(path.read_bytes()).hexdigest(), path.stat().st_size, path.name)
+                for path in files
             ] if digests else [],
         }
 
@@ -106,8 +108,8 @@ def main(argv=None) -> int:
     run = measure(args.bins, args.order, args.replicas, args.seed, args.digests)
     print(f"bins {args.bins} order {args.order} replicas {args.replicas} seed {args.seed}: "
           f"exit {run['exit']}, {run['tuples']} tuples, peak {run['peak_mb']:.1f} MB")
-    for digest, name in run["digests"]:
-        print(f"{digest}  {name}")
+    for digest, size, name in run["digests"]:
+        print(f"{digest}  {size}  {name}")
     return 0
 
 

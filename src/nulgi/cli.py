@@ -115,7 +115,7 @@ def cmd_curve(args: argparse.Namespace) -> int:
     curve = curve_columns(config.params, config.e_min_gev, config.e_max_gev, args.points)
     # sys.stdout is looked up here: a caller may have redirected it.
     out = args.out if args.out is not None else sys.stdout
-    emit_report(curve, ((out, tuple(curve.columns)),))
+    emit_report(curve, out)
     if args.out is not None:
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -184,6 +184,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"({fit.kind}, {fit.n_samples} replicas)"
     )
     print(f"z: {report.z_score:.3f}")
+    fitted = report.config.get("fitted_params")
+    if fitted is not None:
+        print(f"fitted model: dm2 {fitted['dm2']:.6g} eV^2, "
+              f"sin2_2theta {fitted['sin2_2theta']:.6g}")
     if report.chi2_quantum is not None:
         print(f"chi2 vs model: {report.chi2_quantum:.2f} / {report.dof} dof")
     for msg in report.warnings:

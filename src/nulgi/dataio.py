@@ -2,22 +2,25 @@
 
 The dataset format is a UTF-8 CSV with header columns energy_gev, p_mumu,
 sigma_stat and optionally sigma_sys, in any order; full-line comments start
-with '#'. Every CSV table, the spectrum, the tuple tables, the null counts
-and the model curve, is written from columns by one writer, emit_report:
-floats as their repr, -0.0 included, so a write-parse round trip
-reproduces values exactly, ints in full and flags as 0 or 1. The float
-text of a chunk comes from one floattext.float_text call, which equals
-repr without calling it per value. A table's columns may be made a chunk
-at a time (ComputedColumn), so no pass over it holds a whole column.
-report.json uses sorted keys so
-identical runs produce identical bytes. Tuple rows are written as CSV only.
+with '#'. Every CSV table, the spectrum, the tuple and point tables, the
+null counts and the model curve, is written from columns by one writer,
+emit_report: floats as their repr, -0.0 included, so a write-parse round
+trip reproduces values exactly, ints in full and flags as 0 or 1. The
+float text of a chunk comes from one floattext.float_text call, which
+equals repr without calling it per value, and is checked finite as it is
+made. A table's columns may be made a chunk at a time (ComputedColumn),
+so no pass over it holds a whole column. A file is written under a
+temporary name and put onto its own name only once it is whole (staged).
+report.json uses sorted keys so identical runs produce identical bytes.
+Tuple rows are written as CSV only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from contextlib import ExitStack
+import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -103,8 +106,7 @@ def parse_dataset(path) -> Spectrum:
 
 def write_dataset_csv(points: Spectrum, path) -> None:
     """Write a spectrum CSV that parse_dataset reproduces exactly."""
-    table = TupleTable({name: getattr(points, name) for name in SPECTRUM_COLUMNS})
-    emit_report(table, ((path, SPECTRUM_COLUMNS),))
+    emit_report(TupleTable({name: getattr(points, name) for name in SPECTRUM_COLUMNS}), path)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +163,8 @@ class TupleTable:
     """Columns of a CSV table by name: an analysis's per-tuple columns, 2-D
     where a tuple holds a list, or the 1-D columns of any other table.
 
-    A column is an array, a PointColumn or a ComputedColumn. table[name] is
-    always the array: a PointColumn's gather, or a ComputedColumn made
-    chunk by chunk and joined, so that only that one column is whole.
+    A column is an array, a PointColumn or a ComputedColumn; a pass over
+    the table reads a ComputedColumn a row range at a time.
     """
 
     def __init__(self, columns: dict[str, np.ndarray | PointColumn | ComputedColumn]) -> None:
@@ -171,15 +172,6 @@ class TupleTable:
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        column = self.columns[name]
-        if isinstance(column, PointColumn):
-            return column.values[column.index]
-        if isinstance(column, ComputedColumn):
-            parts = [column[rows] for rows in chunk_rows(len(column))]
-            return np.concatenate(parts) if parts else column[0:0]
-        return column
 
 
 # Rows of a TupleTable computed, formatted and written at a time: the
@@ -198,12 +190,19 @@ def chunk_rows(rows: int):
 _FLAG_TEXT = np.array(["0", "1"], dtype=object)
 
 
+def _column_name(key) -> str:
+    """The column a cell key names: the key, or a (column, list entry) pair's first."""
+    return key[0] if isinstance(key, tuple) else key
+
+
 def _cell_text(arrays: dict) -> dict:
     """The literals of the cells of 1-D arrays, a list of str per key.
 
     A flag maps through a two-entry lookup and an int takes its repr, so it
     keeps its full width. The floats of every array are made in one
     float_text call, whose text equals repr, -0.0 and all, with no cache.
+    A non-finite float raises DomainError naming the first column, in the
+    order of arrays, that holds one: nan and inf have no text here.
     """
     text, floats = {}, []
     for key, values in arrays.items():
@@ -214,7 +213,11 @@ def _cell_text(arrays: dict) -> dict:
         else:
             text[key] = list(map(repr, values.tolist()))
     if floats:
-        cells = float_text(np.concatenate([arrays[key] for key in floats]))
+        joined = np.concatenate([arrays[key] for key in floats])
+        if not np.isfinite(joined).all():
+            key = next(key for key in floats if not np.isfinite(arrays[key]).all())
+            raise DomainError(f"column {_column_name(key)!r} holds a non-finite value")
+        cells = float_text(joined)
         start = 0
         for key in floats:
             stop = start + len(arrays[key])
@@ -223,14 +226,14 @@ def _cell_text(arrays: dict) -> dict:
 
 
 class _RowWriter:
-    """One CSV file of emit_report: a header, then the rows chunk by chunk.
+    """The CSV text of emit_report: a header, then the rows chunk by chunk.
 
     A row is the named columns joined by ',', with the entries of a list
     cell joined by ';'.
     """
 
-    def __init__(self, path, table: TupleTable, names: Sequence[str]) -> None:
-        self.path, self.head = path, ",".join(names) + "\n"
+    def __init__(self, table: TupleTable, names: Sequence[str]) -> None:
+        self.head = ",".join(names) + "\n"
         # One row's literals, with a None in each cell's slot: slots[i] is
         # where the cells of keys[i], a (column, list entry or None), go.
         self.row, self.slots, self.keys = [], [], []
@@ -254,7 +257,7 @@ class _RowWriter:
         out.write("".join(flat))
 
 
-def _chunk_cells(table: TupleTable, keys: set, rows: slice, point_text: dict) -> dict:
+def _chunk_cells(table: TupleTable, keys: Sequence, rows: slice, point_text: dict) -> dict:
     """The chunk's text of every cell key.
 
     A PointColumn gathers its points' text from point_text, an object
@@ -293,76 +296,85 @@ def _json_fallback(obj):
     raise TypeError(f"{type(obj).__name__} object is not JSON serializable")
 
 
-def write_report(report: SignificanceReport, path) -> None:
+def write_report(report: SignificanceReport, out) -> None:
     """Write report.json: json.dumps(report, indent=2, sort_keys=True) and a newline.
 
-    Dataclasses are entered as their fields, paths written as strings and
-    numpy scalars as Python numbers. A value that cannot be encoded raises
-    before the file is opened.
+    out is a path, opened and closed here, or an open text stream, written
+    to and left open. Dataclasses are entered as their fields, paths
+    written as strings and numpy scalars as Python numbers. A value that
+    cannot be encoded raises before anything is written.
     """
-    text = json.dumps(report, default=_json_fallback, indent=2, sort_keys=True)
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    text = json.dumps(report, default=_json_fallback, indent=2, sort_keys=True) + "\n"
+    if hasattr(out, "write"):
+        out.write(text)
+    else:
+        Path(out).write_text(text, encoding="utf-8")
 
 
-def emit_report(table: TupleTable, tables: Sequence[tuple]) -> None:
-    """Write CSV tables of a table's columns in one pass.
+def staging_path(path) -> Path:
+    """The temporary name beside path that staged writes path under."""
+    path = Path(path)
+    return path.with_name(path.name + ".partial")
 
-    tables holds (path or open text stream, column names) pairs: each is
-    written as a header of the names, then one line per row, its cells
-    joined by ','. A float cell is its repr, an int cell its digits, a flag
-    0 or 1, and the entries of a list cell (a 2-D column) are joined by
-    ';'. A path is opened and closed here; a stream is written to and left
-    open.
+
+@contextmanager
+def staged(paths: Sequence):
+    """Open a file for writing under the staging_path of each of paths, and
+    yield the open files in order.
+
+    When the block returns, every file is closed and then put onto its
+    path with os.replace, so each path holds either its old bytes or the
+    whole of its new ones. When the block raises, every file is closed and
+    removed and no path is touched. A process killed inside the block
+    leaves only files under staging names, which the next staged write of
+    the same paths truncates.
+    """
+    temps = [staging_path(path) for path in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(temp.open("w", encoding="utf-8")) for temp in temps]
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+    for temp, path in zip(temps, paths):
+        os.replace(temp, path)
+
+
+def emit_report(table: TupleTable, out, names: Optional[Sequence[str]] = None) -> None:
+    """Write a CSV table of a table's columns in one checked pass.
+
+    names are the columns written, all of the table's by default: a header
+    of the names, then one line per row, its cells joined by ','. A float
+    cell is its repr, an int cell its digits, a flag 0 or 1, and the
+    entries of a list cell (a 2-D column) are joined by ';'. out is an
+    open text stream, written to and left open, or a path, written through
+    staged: under a temporary name beside it, and put onto its own name
+    only once the table is whole.
 
     The table is written in chunks of CHUNK_ROWS rows (chunk_rows), and a
-    ComputedColumn is made a chunk at a time, so no pass holds a whole
-    float column. A PointColumn's
-    points are formatted once per call, with the first chunk, and their
-    text is gathered by index; every other cell of a chunk is formatted
-    once for all files (_cell_text): its flag text, an int's repr, and for
-    the floats of every column together one floattext.float_text call,
-    whose text equals repr, -0.0 and exponent form included. Each file's
-    rows of the chunk are one flat list, the row's literals repeated with
-    the cells slice-assigned into it, joined once; the chunk is written to
-    every file before the next one is formatted. So the text in memory
-    does not grow with the row count. A non-finite cell in any float
-    column raises before any file is opened or any text written: a
-    computed column is made once to be checked and once to be written.
+    ComputedColumn is made once per chunk, so no pass holds a whole float
+    column. A PointColumn's points are formatted once per call, with the
+    first chunk, and their text is gathered by index; every other cell of
+    a chunk is formatted there (_cell_text): its flag text, an int's repr,
+    and for the floats of every column together one floattext.float_text
+    call, whose text equals repr, -0.0 and exponent form included. The
+    chunk's rows are one flat list, the row's literals repeated with the
+    cells slice-assigned into it, joined once and written before the next
+    chunk is formatted. So the text in memory does not grow with the row
+    count.
+
+    The floats are checked as they are formatted: the first chunk that
+    holds a non-finite value raises DomainError naming its column, and a
+    PointColumn's points count whether or not a row reads them. A path
+    then holds what it held before the call.
     """
-    faulty, computed = set(), []
-    for name, column in table.columns.items():
-        if column.dtype.kind != "f":
-            continue
-        if isinstance(column, ComputedColumn):
-            computed.append(name)
-            continue
-        if isinstance(column, PointColumn):
-            # Only when some point is not finite do the tuples' gathers matter.
-            finite = np.isfinite(column.values)
-            if not finite.all():
-                finite = finite[column.index]
-        else:
-            finite = np.isfinite(column)
-        if not finite.all():
-            faulty.add(name)
-    # Computed columns are checked chunk by chunk, and made again to be written.
-    for rows in chunk_rows(len(table)) if computed else ():
-        faulty.update(name for name in computed if not np.isfinite(table.columns[name][rows]).all())
-    for name in table.columns:
-        if name in faulty:
-            raise DomainError(f"column {name!r} holds a non-finite value")
-    writers = [_RowWriter(path, table, names) for path, names in tables]
-    keys = {key for writer in writers for key in writer.keys}
+    writer = _RowWriter(table, tuple(table.columns) if names is None else names)
     with ExitStack() as stack:
-        files = {
-            writer: writer.path if hasattr(writer.path, "write")
-            else stack.enter_context(Path(writer.path).open("w", encoding="utf-8"))
-            for writer in writers
-        }
-        for writer, out in files.items():
-            out.write(writer.head)
+        if not hasattr(out, "write"):
+            (out,) = stack.enter_context(staged([out]))
+        out.write(writer.head)
         point_text = {}
         for rows in chunk_rows(len(table)):
-            cells = _chunk_cells(table, keys, rows, point_text)
-            for writer, out in files.items():
-                writer.write_rows(out, cells, rows.stop - rows.start)
+            cells = _chunk_cells(table, writer.keys, rows, point_text)
+            writer.write_rows(out, cells, rows.stop - rows.start)

@@ -21,6 +21,7 @@ from .dataio import (
     chunk_rows,
     emit_report,
     parse_dataset,
+    staged,
     write_report,
 )
 from .errors import DomainError, check_budget
@@ -193,8 +194,8 @@ def _k_from_survival(comp_probs: list, target_probs: np.ndarray) -> np.ndarray:
 def tuple_table(tuples: TupleSet, points: Spectrum, model_params: OscParams) -> TupleTable:
     """Every per-tuple column of an analysis, made a chunk of rows at a time.
 
-    The index and point-valued columns are gathers (PointColumn). The
-    others are ComputedColumns of one chunk function, which computes all
+    The index columns and n are gathers (PointColumn). The others are
+    ComputedColumns of one chunk function, which computes all
     of them for a slice of rows and keeps its last result; a pass over the
     table in dataio.chunk_rows slices holds one chunk of them, never a
     whole float column.
@@ -257,9 +258,7 @@ def tuple_table(tuples: TupleSet, points: Spectrum, model_params: OscParams) -> 
         "target_index": PointColumn(point_ids, target),
         "n": PointColumn(np.array([n]), np.broadcast_to(np.intp(0), target.shape)),
         "mismatch": tuples.mismatch,
-        "component_phases": PointColumn(psi, comp),
         "phase_sum": computed("phase_sum", float),
-        "target_psi": PointColumn(psi, target),
         "k_value": computed("k_value", float),
         "k_sigma": computed("k_sigma", float),
         "violation": computed("violation", bool),
@@ -284,21 +283,26 @@ def violation_count(table: TupleTable) -> int:
 
 
 # Tuple tables, each a projection of the columns tuple_table builds:
-# analyze's tuples.csv, its K-versus-phase-sum table, and the tuples.csv of
-# triples. Index and phase lists are joined by ';' and a violation is 0 or 1.
+# analyze's tuples.csv and the tuples.csv of triples. An index list is
+# joined by ';' and a violation is 0 or 1. analyze's table leaves out n,
+# which report.json's config.order holds, and the points' values, which
+# points.csv holds once per point.
 TUPLE_COLUMNS = (
-    "component_indices", "target_index", "n", "mismatch", "component_phases",
-    "phase_sum", "target_psi", "k_value", "k_sigma", "violation",
-    "k_classical_data", "k_quantum_model",
-)
-K_VS_PHASE_COLUMNS = (
-    "phase_sum", "k_value", "k_sigma", "k_classical_data", "k_quantum_model",
-    "violation",
+    "component_indices", "target_index", "mismatch", "phase_sum", "k_value",
+    "k_sigma", "violation", "k_classical_data", "k_quantum_model",
 )
 TRIPLES_COLUMNS = (
     "component_indices", "target_index", "n", "mismatch", "phase_sum",
     "k_value", "violation",
 )
+
+
+def point_columns(points: Spectrum) -> TupleTable:
+    """analyze's points.csv: each point of the sorted spectrum that the
+    tuples' indices refer to, by its index, with its energy and its phase."""
+    return TupleTable({
+        "index": np.arange(len(points)), "energy_gev": points.energy_gev, "psi": points.psi,
+    })
 
 
 # The RunConfig fields analyze reads: report.json echoes these and no others.
@@ -338,10 +342,11 @@ def exact_null_law(
 
 def _analyze(
     points: Spectrum, config: RunConfig
-) -> tuple[SignificanceReport, TupleTable, Optional[np.ndarray], Optional[np.ndarray]]:
-    """Shared implementation; returns the report, its tuple table, the raw
-    null counts and the exact null law the counts were drawn from (None
-    where the Monte Carlo null ran)."""
+) -> tuple[SignificanceReport, Spectrum, TupleTable, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Shared implementation; returns the report, the spectrum with its
+    phases attached, its tuple table, the raw null counts and the exact
+    null law the counts were drawn from (None where the Monte Carlo null
+    ran)."""
     decorated = attach_phases(points, config.params)
     tuples = select_ntuples(
         decorated, config.order, config.tolerance, config.mismatch_mode
@@ -360,7 +365,7 @@ def _analyze(
             config=_config_echo(config, None),
             notes=["No phase tuples satisfied the sum rule at this tolerance."],
         )
-        return report, table, None, None
+        return report, decorated, table, None, None
 
     report_warnings: list[str] = []
     fitted = None
@@ -430,7 +435,7 @@ def _analyze(
         warnings=report_warnings,
         notes=[CHI2_CAVEAT],
     )
-    return report, table, counts, law
+    return report, decorated, table, counts, law
 
 
 def analyze_dataset(
@@ -445,7 +450,7 @@ def analyze_dataset(
     no tuple was kept). Writes nothing; use run_analysis for the
     artifact-emitting variant.
     """
-    report, table, _, law = _analyze(points, config)
+    report, _, table, _, law = _analyze(points, config)
     return report, table, law
 
 
@@ -456,21 +461,26 @@ def _write_artifacts(
     config: RunConfig,
     counts: Optional[np.ndarray],
 ) -> None:
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_report(table, (
-        (out / "tuples.csv", TUPLE_COLUMNS), (out / "k_vs_phase.csv", K_VS_PHASE_COLUMNS)
-    ))
-    write_report(report, out / "report.json")
-    if counts is not None:
-        nulls = null_count_columns(counts)
-        emit_report(nulls, ((out / "null_counts.csv", tuple(nulls.columns)),))
+    """Write a run's files together (dataio.staged): each under a temporary
+    name in out_dir, and onto its own name only once all of them are whole.
+    points is the spectrum with its phases attached."""
     lo, hi = points.energy_gev[[0, -1]].tolist()
     fitted = report.config.get("fitted_params")
-    curve = curve_columns(
-        config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
-    )
-    emit_report(curve, ((out / "curve.csv", tuple(curve.columns)),))
+    tables = {
+        "tuples.csv": TupleTable({name: table.columns[name] for name in TUPLE_COLUMNS}),
+        "points.csv": point_columns(points),
+        "curve.csv": curve_columns(
+            config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
+        ),
+    }
+    if counts is not None:
+        tables["null_counts.csv"] = null_count_columns(counts)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with staged([out / "report.json"] + [out / name for name in tables]) as (report_file, *files):
+        write_report(report, report_file)
+        for file, written in zip(files, tables.values()):
+            emit_report(written, file)
 
 
 def null_count_columns(counts: np.ndarray) -> TupleTable:
@@ -484,14 +494,22 @@ def null_count_columns(counts: np.ndarray) -> TupleTable:
 def run_analysis(config: RunConfig) -> SignificanceReport:
     """Parse the configured dataset, analyze it, and write all artifacts.
 
-    Writes report.json, tuples.csv, k_vs_phase.csv, null_counts.csv and
-    curve.csv into out_dir. The report carries the dataset file's SHA-256.
-    Identical datasets and configs produce byte-identical artifacts.
+    Writes report.json, tuples.csv, points.csv, curve.csv and, when a
+    tuple was kept, null_counts.csv into out_dir, each fact once: a
+    tuple's row holds its point indices and the values computed for it,
+    and points.csv each point's energy and phase. The files are written
+    in one checked pass over the tuple table (a non-finite cell raises
+    DomainError as it is formatted) under temporary names, and put onto
+    their names only once all of them are whole, so a fault or a killed
+    process leaves no partial file under an artifact's name and an
+    earlier run's artifacts as they were. The report carries the dataset
+    file's SHA-256. Identical datasets and configs produce byte-identical
+    artifacts.
     """
     if config.data is None:
         raise DomainError("analysis requires a dataset path")
     points = parse_dataset(config.data)
-    report, table, counts, _ = _analyze(points, config)
+    report, points, table, counts, _ = _analyze(points, config)
     report.data_sha256 = hashlib.sha256(Path(config.data).read_bytes()).hexdigest()
     _write_artifacts(report, table, points, config, counts)
     return report
@@ -513,5 +531,5 @@ def run_triples(config: RunConfig) -> TupleTable:
     if len(table):
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        emit_report(table, ((out / "tuples.csv", TRIPLES_COLUMNS),))
+        emit_report(table, out / "tuples.csv", TRIPLES_COLUMNS)
     return table

@@ -36,6 +36,7 @@ from nulgi.selection import Spectrum, TupleSet
 from nulgi.synthetic import generate_synthetic
 
 import oracles
+from table_columns import whole_column
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 
@@ -73,7 +74,7 @@ def package_k(comp_probs, target_probs):
         target_idx=index[:, width], mismatch=np.zeros(rows),
     )
     table = tuple_table(tuples, points, PARAMS)
-    return table["k_value"], table["k_classical_data"]
+    return whole_column(table, "k_value"), whole_column(table, "k_classical_data")
 
 
 def equal_phase_peak(n: int) -> float:
@@ -235,7 +236,8 @@ def paired_check(report, table, exact, rng) -> tuple[bool, float, float]:
     exact values, in Monte Carlo standard errors.
     """
     tuples = set(zip(
-        map(tuple, table["component_indices"].tolist()), table["target_index"].tolist()
+        map(tuple, whole_column(table, "component_indices").tolist()),
+        whole_column(table, "target_index").tolist(),
     ))
     equal = tuples == exact.tuples and report.n_violations_observed == exact.observed
     if report.null_fit is None:
@@ -406,9 +408,9 @@ def test_a9_tolerance_robustness(verdict):
         legs.append({
             tuple(comps): (target, k)
             for comps, target, k in zip(
-                table["component_indices"].tolist(),
-                table["target_index"].tolist(),
-                table["k_value"].tolist(),
+                whole_column(table, "component_indices").tolist(),
+                whole_column(table, "target_index").tolist(),
+                whole_column(table, "k_value").tolist(),
             )
         })
         fit = report.null_fit

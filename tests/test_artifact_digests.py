@@ -16,7 +16,7 @@ SMALL_POOLS = tuple(
     for pool, bins, truths, _, replicas in artifact_digests.POOLS
 )
 
-ANALYZE_FILES = ("curve.csv", "k_vs_phase.csv", "null_counts.csv", "report.json", "tuples.csv")
+ANALYZE_FILES = ("curve.csv", "null_counts.csv", "points.csv", "report.json", "tuples.csv")
 
 
 def digest_lines(capsys) -> list:
@@ -41,13 +41,13 @@ def test_each_output_prints_one_stable_digest(capsys, monkeypatch):
     ]
     digests = [digest for digest, _ in lines]
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for digest in digests)
-    # Every run prints something of its own, but a fit-curve run, whose
-    # stdout can round to the plain run's: its curve.csv holds the fit.
+    # Every run prints something of its own, a fit-curve run its fitted
+    # model too; its curve.csv holds the fit.
+    outputs = [digest for digest, label in lines if label in dict(runs)]
+    assert len(set(outputs)) == len(outputs) == len(runs)
+    by_label = {label: digest for digest, label in lines}
     fits = [run for run, _ in runs if run.endswith("fit-curve")]
     assert len(fits) == 2
-    outputs = [digest for digest, label in lines if label in dict(runs) and label not in fits]
-    assert len(set(outputs)) == len(outputs) == len(runs) - len(fits)
-    by_label = {label: digest for digest, label in lines}
     for fit in fits:
         plain = fit.removesuffix(" fit-curve")
         assert by_label[f"{fit} out/curve.csv"] != by_label[f"{plain} out/curve.csv"]

@@ -62,8 +62,8 @@ def test_the_tracer_wraps_and_counts_an_analysis(tmp_path, tracer, order):
     assert tracer.counts["selection.tuples_kept"] > 0
     for name in ("dataio.parse", "selection.attach", "selection.select", "montecarlo.fit"):
         assert tracer.calls[name] == 1, name
-    # The tuple tables, null_counts.csv and curve.csv.
-    assert tracer.calls["dataio.emit_report"] == 3
+    # tuples.csv, points.csv, curve.csv and null_counts.csv.
+    assert tracer.calls["dataio.emit_report"] == 4
     # Order 3 draws its null from the exact law; order 4 runs the Monte
     # Carlo null, whose hook reads the dataset and the tuples.
     assert tracer.counts["montecarlo.null_tuples"] == (

@@ -293,7 +293,7 @@ def test_a_single_point_law_hashes_no_key(monkeypatch):
     # A classical_flat spectrum's law is one point at 0, so its analysis
     # hashes no key either.
     points, _ = pool_spectrum("classical_flat", 0)
-    report, _, counts, _ = pipeline._analyze(points, RunConfig(params=PARAMS))
+    report, _, _, counts, _ = pipeline._analyze(points, RunConfig(params=PARAMS))
     assert not counts.any() and report.null_fit.kind == "degenerate"
     assert not hashed
 
@@ -315,7 +315,7 @@ def dispatched(monkeypatch, points, **overrides):
     calls = recording_null(monkeypatch)
     pseudo = PseudoConfig(replicas=2000, seed=5, **overrides.pop("pseudo", {}))
     config = RunConfig(params=PARAMS, pseudo=pseudo, **overrides)
-    _, _, counts, _ = pipeline._analyze(points, config)
+    _, _, _, counts, _ = pipeline._analyze(points, config)
     return bool(calls), counts
 
 

@@ -16,6 +16,7 @@ from nulgi.dataio import (
     TupleTable,
     emit_report,
     parse_dataset,
+    staged,
     write_dataset_csv,
     write_report,
 )
@@ -24,7 +25,6 @@ from nulgi.floattext import float_text
 from nulgi.montecarlo import BetaBinomialFit, PseudoConfig, SignificanceReport
 from nulgi.oscillation import OscParams, accumulated_phase
 from nulgi.pipeline import (
-    K_VS_PHASE_COLUMNS,
     TRIPLES_COLUMNS,
     TUPLE_COLUMNS,
     RunConfig,
@@ -35,6 +35,7 @@ from nulgi.selection import SPECTRUM_COLUMNS, Spectrum, attach_phases, select_nt
 from nulgi.synthetic import generate_synthetic
 
 import oracles
+from table_columns import whole_column
 
 POINTS = Spectrum(
     energy_gev=[1.8332, 2.25, 0.7071067811865476],
@@ -318,7 +319,7 @@ def test_table_csv_keeps_float_precision(tmp_path):
     # A float64 cell's repr is np.float64(...): it must still be written as
     # a plain number, at full precision.
     table = TupleTable({"x": np.array([0.1 + 0.2, 1.0 / 3.0]), "n": np.array([3, 4])})
-    emit_report(table, ((path, ("x", "n")),))
+    emit_report(table, path, ("x", "n"))
     text = path.read_text()
     assert text == "x,n\n0.30000000000000004,3\n0.3333333333333333,4\n"
     assert "np." not in text
@@ -336,11 +337,21 @@ def analyzed(phases=None, bins=30, **kw):
     config = RunConfig(
         params=PARAMS, pseudo=PseudoConfig(replicas=1000, seed=1), **kw
     )
-    return analyze_dataset(points, config)[1]
+    return with_phases(analyze_dataset(points, config)[1], attach_phases(points, PARAMS).psi)
 
 
 def with_columns(table, **columns):
     return TupleTable({**table.columns, **columns})
+
+
+def with_phases(table, psi):
+    """The table with its points' phases as float gathers, component_phases
+    and target_psi, which the writer formats once per point."""
+    return with_columns(
+        table,
+        component_phases=PointColumn(psi, table.columns["component_indices"].index),
+        target_psi=PointColumn(psi, table.columns["target_index"].index),
+    )
 
 
 def head(table, rows):
@@ -358,7 +369,7 @@ def fine_table():
     points = attach_phases(
         generate_synthetic(PARAMS, "quantum", 100, 0.5, 50.0, 0.05, seed=0), PARAMS
     )
-    return tuple_table(select_ntuples(points, 4, 0.005), points, PARAMS)
+    return with_phases(tuple_table(select_ntuples(points, 4, 0.005), points, PARAMS), points.psi)
 
 
 # Corners of the tuple writer, each a table that holds one.
@@ -384,7 +395,7 @@ def writer_case_table(case):
         )
     if case == "ints_outside_points":
         # Cells no point index reaches, plain and point-valued.
-        components = table["component_indices"].copy()
+        components = whole_column(table, "component_indices").copy()
         components[:2] = [[-1, 2**31], [2**40, -(2**31) - 1]]
         ids = target.values.copy()
         ids[target.index[:2]] = [-5, 2**33]
@@ -394,8 +405,8 @@ def writer_case_table(case):
     if case == "not_a_gather":
         # Point columns replaced by values no point holds.
         return with_columns(
-            table, target_psi=table["target_psi"] + 0.5,
-            component_indices=table["component_indices"][:, ::-1] * 3 + 1,
+            table, target_psi=whole_column(table, "target_psi") + 0.5,
+            component_indices=whole_column(table, "component_indices")[:, ::-1] * 3 + 1,
         )
     rows = {"rows_1": 1, "rows_chunk_minus_1": dataio.CHUNK_ROWS - 1,
             "rows_chunk_plus_1": dataio.CHUNK_ROWS + 1}[case]
@@ -406,12 +417,12 @@ def writer_case_table(case):
     # ones, a 2-D list column and a point-valued one.
     target_psi = table.columns["target_psi"]
     columns = {
-        name: with_edges(table[name], shift)
+        name: with_edges(whole_column(table, name), shift)
         for shift, name in enumerate(("mismatch", "phase_sum", "k_value", "k_sigma",
                                       "k_classical_data", "k_quantum_model"))
     }
     return with_columns(
-        table, **columns, component_phases=with_edges(table["component_phases"], 6),
+        table, **columns, component_phases=with_edges(whole_column(table, "component_phases"), 6),
         target_psi=PointColumn(with_edges(target_psi.values, 3), target_psi.index),
     )
 
@@ -433,20 +444,23 @@ def with_edges(values, shift):
 def csv_oracle(table, columns) -> bytes:
     """The bytes of the columns as the reference writer of tests/oracles.py
     writes them, cell by cell."""
-    rows = zip(*(table[name].tolist() for name in columns))
+    rows = zip(*(whole_column(table, name).tolist() for name in columns))
     return oracles.csv_text(columns, rows).encode("utf-8")
 
 
+# analyze's and triples' tuple tables, and the float gathers of with_phases.
 TABLES = {
-    "tuples.csv": TUPLE_COLUMNS, "k_vs_phase.csv": K_VS_PHASE_COLUMNS,
-    "triples.csv": TRIPLES_COLUMNS,
+    "tuples.csv": TUPLE_COLUMNS, "triples.csv": TRIPLES_COLUMNS,
+    "phases.csv": ("component_indices", "component_phases", "target_psi"),
 }
 
 
 def emit_tables(table, out) -> None:
-    """Write analyze's two tuple tables in one call and triples' in another."""
-    emit_report(table, [(out / n, TABLES[n]) for n in ("tuples.csv", "k_vs_phase.csv")])
-    emit_report(table, [(out / "triples.csv", TRIPLES_COLUMNS)])
+    """Write each of TABLES from the table, one call a file, put in place
+    together as analyze puts its files."""
+    with staged([out / name for name in TABLES]) as files:
+        for file, columns in zip(files, TABLES.values()):
+            emit_report(table, file, columns)
 
 
 def write_tables(table, out) -> dict:
@@ -471,9 +485,9 @@ def test_tuple_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch
         # keyed by value would merge them.
         table = analyzed()
         edges = np.array([-0.0, 0.0, 1e-05, -0.0, 1e16, 5e-324, 0.0, 1e-05])
-        mismatch = table["mismatch"].copy()
+        mismatch = whole_column(table, "mismatch").copy()
         mismatch[:8] = edges
-        phases = table["component_phases"].copy()
+        phases = whole_column(table, "component_phases")
         phases[:8, 1] = edges[::-1]
         table = with_columns(table, mismatch=mismatch, component_phases=phases)
     written = write_tables(table, tmp_path / "default")
@@ -489,14 +503,14 @@ def test_tuple_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch
         return
     # Cells are their repr, and a flag is 0 or 1.
     lines = [line.split(",") for line in written["tuples.csv"].decode().splitlines()[1:]]
-    assert [line[7] for line in lines] == list(map(repr, table["k_value"].tolist()))
-    assert {line[9] for line in lines} <= {"0", "1"}
-    assert [line[9] == "1" for line in lines] == table["violation"].tolist()
+    cells = {name: [line[i] for line in lines] for i, name in enumerate(TUPLE_COLUMNS)}
+    assert cells["k_value"] == list(map(repr, whole_column(table, "k_value").tolist()))
+    assert set(cells["violation"]) <= {"0", "1"}
+    assert [c == "1" for c in cells["violation"]] == whole_column(table, "violation").tolist()
     if case == "edge_floats":
-        assert [line[3] for line in lines[:8]] == list(map(repr, edges.tolist()))
-        assert [line[4].split(";")[1] for line in lines[:8]] == list(
-            map(repr, edges[::-1].tolist())
-        )
+        assert cells["mismatch"][:8] == list(map(repr, edges.tolist()))
+        phases = [line.split(",")[1] for line in written["phases.csv"].decode().splitlines()[1:9]]
+        assert [cell.split(";")[1] for cell in phases] == list(map(repr, edges[::-1].tolist()))
 
 
 def test_writing_a_large_table_holds_a_bounded_text(tmp_path):
@@ -534,18 +548,20 @@ def test_float_text_of_a_chunk_holds_little_beside_its_result():
 @pytest.mark.parametrize("column", ["k_value", "component_phases"])
 def test_non_finite_table_cells_raise(tmp_path, column):
     table = analyzed()
-    values = table[column].copy()
+    values = whole_column(table, column).copy()
     values.flat[-1] = np.nan
     with pytest.raises(DomainError, match=column):
         write_tables(with_columns(table, **{column: values}), tmp_path / "out")
-    # The cells are checked before any file is opened.
+    # The cells are checked as they are formatted, and a file is put under
+    # its name only once it is whole.
     assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_a_non_finite_computed_cell_raises_before_any_file_is_opened(tmp_path, monkeypatch):
     # A valid spectrum whose first point's sd, 1e200, squares past the
     # largest double: the k_sigma of the tuples that read it is inf. The
-    # computed column is checked chunk by chunk before any file is opened.
+    # computed column is checked chunk by chunk as it is written, and the
+    # file it was written to never reaches its name.
     points = generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0)
     sigma = points.sigma_stat.copy()
     sigma[0] = 1e200
@@ -554,7 +570,7 @@ def test_a_non_finite_computed_cell_raises_before_any_file_is_opened(tmp_path, m
     monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
     with np.errstate(over="ignore"):
         table = tuple_table(tuples, points, PARAMS)
-        inf_rows = np.flatnonzero(np.isinf(table["k_sigma"]))
+        inf_rows = np.flatnonzero(np.isinf(whole_column(table, "k_sigma")))
         assert 0 < len(inf_rows) and inf_rows[0] > 0
         with pytest.raises(DomainError, match="'k_sigma'"):
             write_tables(table, tmp_path / "out")

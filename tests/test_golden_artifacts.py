@@ -32,7 +32,7 @@ PARAMS_JSON = '{"dm2": 2.4e-3, "sin2_2theta": 0.95, "baseline_km": 735.0}'
 VERSIONS = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1"
 
 ANALYZE_ARTIFACTS = (
-    "report.json", "tuples.csv", "k_vs_phase.csv", "null_counts.csv", "curve.csv"
+    "report.json", "tuples.csv", "points.csv", "null_counts.csv", "curve.csv"
 )
 
 # (label and output directory, subcommand and its flags, files written);
@@ -58,15 +58,15 @@ DIGESTS = {
     "analyze-n3/stdout": "3faf9e28644cf55888c3be6575c1ad65982651156af3a31d010b25767c64c75c",
     "analyze-n3/stderr": EMPTY,
     "analyze-n3/report.json": "a10a682945d4527dcfd45546a23182d045b3e24b393d0e58c07f8364a6c84a65",
-    "analyze-n3/tuples.csv": "f33536eac094cabbd76fba918bba8acd90787ca75dc7a53bdb9fa4ab1bdd0663",
-    "analyze-n3/k_vs_phase.csv": "957f05c709e39495d9743a467ff60cd70f45510cae68ba88f7d6051b35ea34dc",
+    "analyze-n3/tuples.csv": "bf1362605f4b846873558938efd52b6607b042f7be7d5fa7548557df45cad684",
+    "analyze-n3/points.csv": "eacc5cd0bb5af00513a9186b0a1e7292beaa88072de7208216757b2ab08cc953",
     "analyze-n3/null_counts.csv": "955ccc7cbc4e27ec35e45e6dee0788897c53501f2a6b96653a95c71df35683fa",
     "analyze-n3/curve.csv": "6662bc52a3382502cb215a7da71404b425e7aebba9454ee31b82d74fd2d0cdf0",
-    "analyze-n4-fit/stdout": "25b797a72f4e8046b0134c5d8164e44afa134dc15b388302f268b9295ecb9397",
+    "analyze-n4-fit/stdout": "067cfba59e67d636051d8605d5dab8ba8b2a1030646a8ca639322ebb2a36afdd",
     "analyze-n4-fit/stderr": EMPTY,
     "analyze-n4-fit/report.json": "b5e9b8c27f261f3259aa017d17c54d3f402122945f90e4f836d0f38e14cbd4c7",
-    "analyze-n4-fit/tuples.csv": "43b3c76829524ca07c621e275d6fec33bb6fbcb16b5b0e5597652f10586ca9a7",
-    "analyze-n4-fit/k_vs_phase.csv": "8b1651b9bd2b354057882869b2d51943a2efb67f9c40fdf4e37c09382ad1b6fe",
+    "analyze-n4-fit/tuples.csv": "f892a239f9f3dde9a620923a74028da165df7a2f216b431a7af48524f01356a9",
+    "analyze-n4-fit/points.csv": "eacc5cd0bb5af00513a9186b0a1e7292beaa88072de7208216757b2ab08cc953",
     "analyze-n4-fit/null_counts.csv": "558ed7b574106811e1304c526c03bae94565caa1b3850eff055b75ca785f17b6",
     "analyze-n4-fit/curve.csv": "5cff5aee2e4170678dcea835ae53c0f879eca33bcc769ca3a16cb8e88b32587c",
     "triples-n3/stdout": "1a69c62b4ff566d341a225a8301de9bbaa4fa8ae285293e215f055bef38ab074",
@@ -79,11 +79,11 @@ DIGESTS = {
 
 DIGESTS_100 = {
     "spectrum.csv": "d1d994e6f1f9ffb072d0f63f6825f385d0c2822196505983dfd893e885df84d9",
-    "analyze-n4-fit/stdout": "bed531b2da5686c4c8d7104c8065fc1692e4d55ca9b1f3a6560b6c45e964d566",
+    "analyze-n4-fit/stdout": "9dbe98aa20430d64304bb2a0d066b340fe92fdec4f99277cdf9385cfdd18bc89",
     "analyze-n4-fit/stderr": "52ff638b4cde0ba8956d21941dc3149593609d75aa9e8c953e96b28e4970c101",
     "analyze-n4-fit/report.json": "df7e4d51bad4512006740a936ef9661eafe32ffbfb58d811d5a00a0d50f8b00d",
-    "analyze-n4-fit/tuples.csv": "ee7e2df88d76e6bce09cb37ad95697f32812931bedf7abf00724e9a55e763cf8",
-    "analyze-n4-fit/k_vs_phase.csv": "e688788bc93f3b7109ab8561bdf0a48f54903d9010340df139ddd48d37c7e87c",
+    "analyze-n4-fit/tuples.csv": "f6dca851d54e59da21203c0df1cebcd0e49e20d0ee619ad87abf27de9df71285",
+    "analyze-n4-fit/points.csv": "92b0f2f5d3b705d82fbe721700cd4a2078f0dac908dc09068b1040f9d470012e",
     "analyze-n4-fit/null_counts.csv": "90853e14ec6d1af6a937e3da50c62cae8559aebcfa832d19dad06e084db52757",
     "analyze-n4-fit/curve.csv": "a0255ffdc1a7420a2b406744b617e3a6ec518704273d152efc99879763d2c7b6",
     "triples-n4/stdout": "eea0253515b3713fdb35672293df8d909b9863fd10d251d3361e64296a77c865",

@@ -24,10 +24,11 @@ from nulgi.errors import DomainError
 from nulgi.leggett_garg import lgi_bound, quantum_bound
 from nulgi.oscillation import OscParams, survival_probability
 from nulgi import dataio, pipeline
-from nulgi.pipeline import tuple_table
+from nulgi.pipeline import table_chunks, tuple_table
 from nulgi.selection import Spectrum, TupleSet
 
 import oracles
+from table_columns import whole_column
 from oracles import (
     correlation,
     k_n_classical,
@@ -212,7 +213,8 @@ def table_with_classical_k(n, excess):
         n=n, size=n, comp_idx=[list(range(n - 1))], target_idx=[n - 1], mismatch=[0.0]
     )
     table = tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
-    return table["k_classical_data"]
+    ((k_classical,),) = table_chunks(table, ("k_classical_data",))
+    return k_classical
 
 
 def test_classical_kvalue_rejects_values_above_its_bound():
@@ -225,7 +227,7 @@ def test_classical_kvalue_rejects_values_above_its_bound():
     points = Spectrum([1.0, 2.0, 3.0], [0.75, 0.75, 0.25], 0.0, psi=[1.0, 1.0, 1.0])
     tuples = TupleSet(n=3, size=3, comp_idx=[[0, 1]], target_idx=[2], mismatch=[0.0])
     table = tuple_table(tuples, points, OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0))
-    assert table["k_value"][0] == 1.5 and table["violation"][0]
+    assert whole_column(table, "k_value")[0] == 1.5 and whole_column(table, "violation")[0]
 
 
 def analyze_two_tuples(monkeypatch, points):
@@ -266,7 +268,7 @@ def test_classical_bound_check_survives_optimized_mode():
         "import numpy as np\n"
         "from nulgi.errors import DomainError\n"
         "from nulgi.oscillation import OscParams\n"
-        "from nulgi.pipeline import tuple_table\n"
+        "from nulgi.pipeline import table_chunks, tuple_table\n"
         "from nulgi.selection import TupleSet\n"
         + inspect.getsource(table_with_classical_k) +
         "if not sys.flags.optimize:\n"

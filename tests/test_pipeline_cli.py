@@ -49,7 +49,7 @@ PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 PARAMS_JSON = '{"dm2": 2.4e-3, "sin2_2theta": 0.95, "baseline_km": 735.0}'
 PHASE_SCALE = accumulated_phase(PARAMS, 1.0)
 
-ARTIFACTS = ("report.json", "tuples.csv", "k_vs_phase.csv", "null_counts.csv", "curve.csv")
+ARTIFACTS = ("report.json", "tuples.csv", "points.csv", "null_counts.csv", "curve.csv")
 
 
 def synthetic_csv(tmp_path, seed=2, rel_error=0.05, name="synthetic.csv"):
@@ -135,6 +135,7 @@ def test_no_tuples_report_and_artifacts(tmp_path):
     assert payload["status"] == "no_tuples"
     # header-only tuple table, no histogram at all
     assert len((tmp_path / "out" / "tuples.csv").read_text().splitlines()) == 1
+    assert len((tmp_path / "out" / "points.csv").read_text().splitlines()) == 4
     assert not (tmp_path / "out" / "null_counts.csv").exists()
     assert (tmp_path / "out" / "curve.csv").is_file()
 
@@ -215,7 +216,7 @@ def test_null_count_columns_write_the_unique_form(tmp_path, counts):
     table = null_count_columns(counts)
     assert tuple(table.columns) == header
     path = tmp_path / "null_counts.csv"
-    emit_report(table, ((path, header),))
+    emit_report(table, path)
     assert path.read_text() == oracles.csv_text(header, zip(values.tolist(), freq.tolist()))
 
 
@@ -242,6 +243,21 @@ def test_analyze_with_fit_curve_reports_fitted_params(tmp_path):
     assert abs(fitted["sin2_2theta"] - 0.95) < 0.02
     header = (tmp_path / "out" / "curve.csv").read_text().splitlines()[0]
     assert header == "energy_gev,p_model,p_model_fitted"
+
+
+def test_analyze_prints_the_fitted_model_only_with_fit_curve(tmp_path, capsys):
+    shared = ["analyze", "--params", PARAMS_JSON, "--data", str(synthetic_csv(tmp_path)),
+              "--replicas", "1000"]
+    assert main([*shared, "--out-dir", str(tmp_path / "plain")]) == EXIT_OK
+    plain = capsys.readouterr().out.splitlines()
+    assert main([*shared, "--fit-curve", "--out-dir", str(tmp_path / "fit")]) == EXIT_OK
+    fit = capsys.readouterr().out.splitlines()
+    fitted = json.loads((tmp_path / "fit" / "report.json").read_text())["config"]["fitted_params"]
+    line = (f"fitted model: dm2 {fitted['dm2']:.6g} eV^2, "
+            f"sin2_2theta {fitted['sin2_2theta']:.6g}")
+    # The fitted model comes before the chi-square against it.
+    assert fit[fit.index(line) + 1].startswith("chi2 vs model: ")
+    assert not any(row.startswith("fitted model") for row in plain)
 
 
 def test_cli_simulate_then_analyze(tmp_path, capsys):
@@ -387,33 +403,76 @@ def read_table(path):
         return list(csv.DictReader(handle))
 
 
-@pytest.mark.parametrize("order", [3, 4])
-def test_triples_and_k_vs_phase_are_projections_of_the_analyze_table(tmp_path, order):
-    data = synthetic_csv(tmp_path)
+# The tuple tables of analyze before points.csv took the per-point
+# columns, and the tuples.csv of triples, on the seed-0 30-bin quantum
+# spectrum (Python 3.11.7, numpy 2.4.6, scipy 1.17.1): SHA-256 by run.
+FORMER_TABLES = {
+    "n3-plain": ("f33536eac094cabbd76fba918bba8acd90787ca75dc7a53bdb9fa4ab1bdd0663",
+                 "957f05c709e39495d9743a467ff60cd70f45510cae68ba88f7d6051b35ea34dc"),
+    "n3-fit": ("fa1c1ef8409029ee2a6f2183c5679f3b8205af3b038c11d032fbd2d8dedcce45",
+               "813390248ee0c23e342ee4401885a22ecf3cb0b5b97935783064f1d1531ff72d"),
+    "n4-plain": ("b8d05a189fb3ce95a889502e606aad6b2e524b89223c4bc5414d27e36645a93b",
+                 "17a03a759956ff2088f2ed5bf9a9452a73869f88b64f878ef21fe4fb027f6206"),
+    "n4-fit": ("43b3c76829524ca07c621e275d6fec33bb6fbcb16b5b0e5597652f10586ca9a7",
+               "8b1651b9bd2b354057882869b2d51943a2efb67f9c40fdf4e37c09382ad1b6fe"),
+}
+FORMER_TRIPLES = {
+    3: "68e2bc6c0624f14480777e78ec01c49989d455248af1ef95a2ef979e6bb96b41",
+    4: "714fe095d4c98d5535359d84c2613390febab79a91384aae48c70dedd7ceb35a",
+}
+FORMER_TUPLE_COLUMNS = (
+    "component_indices", "target_index", "n", "mismatch", "component_phases",
+    "phase_sum", "target_psi", "k_value", "k_sigma", "violation",
+    "k_classical_data", "k_quantum_model",
+)
+FORMER_K_VS_PHASE_COLUMNS = (
+    "phase_sum", "k_value", "k_sigma", "k_classical_data", "k_quantum_model",
+    "violation",
+)
+
+
+def csv_bytes(columns, rows) -> bytes:
+    return "".join(",".join(row) + "\n" for row in [columns, *rows]).encode("utf-8")
+
+
+@pytest.mark.parametrize("run", sorted(FORMER_TABLES))
+def test_the_former_tuple_tables_rebuild_from_tuples_and_points(tmp_path, run):
+    # Every cell of the former tuples.csv, k_vs_phase.csv and triples'
+    # tuples.csv is text of analyze's new files: a row's cells, n from
+    # report.json, and each point's phase from points.csv by index.
+    order, fit = int(run[1]), run.endswith("fit")
+    data = tmp_path / "spectrum.csv"
+    write_dataset_csv(generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0), data)
     shared = ["--params", PARAMS_JSON, "--data", str(data), "--order", str(order)]
     assert main(
-        ["analyze", *shared, "--replicas", "2000", "--fit-curve",
-         "--out-dir", str(tmp_path / "ana")]
+        ["analyze", *shared, "--replicas", "100", "--out-dir", str(tmp_path / "ana")]
+        + ["--fit-curve"] * fit
     ) == EXIT_OK
     assert main(["triples", *shared, "--out-dir", str(tmp_path / "tri")]) == EXIT_OK
 
-    full = read_table(tmp_path / "ana" / "tuples.csv")
-    assert len(full) > 1
-    assert {row["violation"] for row in full} == {"0", "1"}
-    for table, columns in (
-        (
-            read_table(tmp_path / "tri" / "tuples.csv"),
-            ["component_indices", "target_index", "n", "mismatch", "phase_sum",
-             "k_value", "violation"],
-        ),
-        (
-            read_table(tmp_path / "ana" / "k_vs_phase.csv"),
-            ["phase_sum", "k_value", "k_sigma", "k_classical_data",
-             "k_quantum_model", "violation"],
-        ),
-    ):
-        assert list(table[0]) == columns
-        assert table == [{c: row[c] for c in columns} for row in full]
+    report = json.loads((tmp_path / "ana" / "report.json").read_text())
+    points = read_table(tmp_path / "ana" / "points.csv")
+    assert [row["index"] for row in points] == [str(i) for i in range(30)]
+    psi = [row["psi"] for row in points]
+    rows = read_table(tmp_path / "ana" / "tuples.csv")
+    assert list(rows[0]) == list(pipeline.TUPLE_COLUMNS)
+    assert len(rows) == report["n_tuples"] > 1
+    for row in rows:
+        row["n"] = str(report["config"]["order"])
+        row["component_phases"] = ";".join(
+            psi[int(i)] for i in row["component_indices"].split(";")
+        )
+        row["target_psi"] = psi[int(row["target_index"])]
+    rebuilt = [
+        csv_bytes(columns, [[row[c] for c in columns] for row in rows])
+        for columns in (FORMER_TUPLE_COLUMNS, FORMER_K_VS_PHASE_COLUMNS)
+    ]
+    assert [hashlib.sha256(table).hexdigest() for table in rebuilt] == list(FORMER_TABLES[run])
+    triples = csv_bytes(
+        pipeline.TRIPLES_COLUMNS, [[row[c] for c in pipeline.TRIPLES_COLUMNS] for row in rows]
+    )
+    assert triples == (tmp_path / "tri" / "tuples.csv").read_bytes()
+    assert hashlib.sha256(triples).hexdigest() == FORMER_TRIPLES[order]
 
 
 def test_cli_analyze_no_tuples_exit_code(tmp_path):

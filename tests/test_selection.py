@@ -25,6 +25,7 @@ from nulgi.selection import (
 from nulgi.synthetic import generate_synthetic
 
 import oracles
+from table_columns import whole_column
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 
@@ -257,15 +258,16 @@ def test_evaluate_tuple_hand_values():
     dec = decorated([0.5, 0.7, 1.2], p_mumu=0.75)
     dec = dataclasses.replace(dec, p_mumu=[0.25, 0.75, 0.75])
     table = tuple_table(one_triple(), dec, PARAMS)
-    assert table["k_value"][0] == pytest.approx(1.5, abs=1e-15)
-    assert table["component_phases"][0].tolist() == dec.psi[[1, 2]].tolist()
+    assert whole_column(table, "k_value")[0] == pytest.approx(1.5, abs=1e-15)
+    assert whole_column(table, "component_indices")[0].tolist() == [1, 2]
+    assert whole_column(table, "phase_sum")[0] == dec.psi[1] + dec.psi[2]
 
     flat = dataclasses.replace(dec, p_mumu=0.9)
-    assert tuple_table(one_triple(), flat, PARAMS)["k_value"][0] == pytest.approx(
+    assert whole_column(tuple_table(one_triple(), flat, PARAMS), "k_value")[0] == pytest.approx(
         0.8, abs=1e-15
     )
     ones = dataclasses.replace(dec, p_mumu=1.0)
-    assert tuple_table(one_triple(), ones, PARAMS)["k_value"][0] == pytest.approx(
+    assert whole_column(tuple_table(one_triple(), ones, PARAMS), "k_value")[0] == pytest.approx(
         1.0, abs=1e-15
     )
 
@@ -274,14 +276,16 @@ def test_evaluate_tuple_propagates_quadrature():
     dec = decorated([0.5, 0.7, 1.2])
     dec = dataclasses.replace(dec, sigma_stat=[0.3, 0.1, 0.2])
     table = tuple_table(one_triple(), dec, PARAMS)
-    assert_allclose(table["k_sigma"][0], 2.0 * math.sqrt(0.01 + 0.04 + 0.09), rtol=1e-15)
+    assert_allclose(
+        whole_column(table, "k_sigma")[0], 2.0 * math.sqrt(0.01 + 0.04 + 0.09), rtol=1e-15
+    )
 
 
 def test_evaluate_tuple_uses_total_sigma():
     dec = decorated([0.5, 0.7, 1.2])
     dec = dataclasses.replace(dec, sigma_stat=0.3, sigma_sys=0.4)
     table = tuple_table(one_triple(), dec, PARAMS)
-    assert_allclose(table["k_sigma"][0], 2.0 * math.sqrt(3 * 0.25), rtol=1e-15)
+    assert_allclose(whole_column(table, "k_sigma")[0], 2.0 * math.sqrt(3 * 0.25), rtol=1e-15)
 
 
 def test_evaluate_tuple_rejects_bad_indices():

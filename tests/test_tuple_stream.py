@@ -20,13 +20,7 @@ from nulgi.dataio import emit_report, write_dataset_csv
 from nulgi.floattext import float_text
 from nulgi.montecarlo import chi_square_quantum
 from nulgi.oscillation import OscParams
-from nulgi.pipeline import (
-    K_COLUMNS,
-    K_VS_PHASE_COLUMNS,
-    TUPLE_COLUMNS,
-    table_chunks,
-    tuple_table,
-)
+from nulgi.pipeline import K_COLUMNS, TUPLE_COLUMNS, table_chunks, tuple_table
 from nulgi.selection import attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
@@ -99,10 +93,7 @@ def test_no_pass_over_the_table_holds_a_whole_float_column(tmp_path, monkeypatch
             int(np.count_nonzero(flags)) for flags, in table_chunks(table, ("violation",))
         ))
         chi2, dof = traced("chi2", lambda: chi_square_quantum(table_chunks(table, K_COLUMNS)))
-        traced("write", lambda: emit_report(table, (
-            (tmp_path / "tuples.csv", TUPLE_COLUMNS),
-            (tmp_path / "k_vs_phase.csv", K_VS_PHASE_COLUMNS),
-        )))
+        traced("write", lambda: emit_report(table, tmp_path / "tuples.csv", TUPLE_COLUMNS))
     finally:
         tracemalloc.stop()
     assert 0 < observed < len(tuples) and dof == len(tuples) - 1 and chi2 > 0.0

@@ -20,6 +20,7 @@ from nulgi.selection import attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
 import oracles
+from table_columns import whole_column
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 
@@ -52,23 +53,21 @@ def scalar_rows(dec, tuples, model):
             float(survival_probability(s2t, sum(phases))),
         )
         classical = oracles.k_n_classical([2.0 * p - 1.0 for p in probs])
-        yield measured, sigma, theory, classical, phases, psi[target]
+        yield measured, sigma, theory, classical, phases
 
 
 def test_k_columns_equal_the_scalar_functions_bit_for_bit(fine):
     dec, tuples, model, table = fine
     assert len(table) == 29_560
-    measured, sigma, theory, classical, phases, target_psi = zip(
-        *scalar_rows(dec, tuples, model)
-    )
-    assert table["k_value"].tolist() == list(measured)
-    assert table["k_sigma"].tolist() == list(sigma)
-    assert table["violation"].tolist() == [k > 2.0 for k in measured]
-    assert table["k_quantum_model"].tolist() == list(theory)
-    assert table["k_classical_data"].tolist() == list(classical)
-    assert table["component_phases"].tolist() == [list(p) for p in phases]
-    assert table["phase_sum"].tolist() == [sum(p) for p in phases]
-    assert table["target_psi"].tolist() == list(target_psi)
+    measured, sigma, theory, classical, phases = zip(*scalar_rows(dec, tuples, model))
+    assert whole_column(table, "k_value").tolist() == list(measured)
+    assert whole_column(table, "k_sigma").tolist() == list(sigma)
+    assert whole_column(table, "violation").tolist() == [k > 2.0 for k in measured]
+    assert whole_column(table, "k_quantum_model").tolist() == list(theory)
+    assert whole_column(table, "k_classical_data").tolist() == list(classical)
+    assert whole_column(table, "component_indices").tolist() == tuples.comp_idx.tolist()
+    assert whole_column(table, "target_index").tolist() == tuples.target_idx.tolist()
+    assert whole_column(table, "phase_sum").tolist() == [sum(p) for p in phases]
 
     # The per-tuple chi-square loop that the columns replaced.
     chi2 = 0.0
