@@ -9,8 +9,9 @@ trip reproduces values exactly, ints in full and flags as 0 or 1. The
 float text of a chunk comes from one floattext.float_text call, which
 equals repr without calling it per value, and is checked finite as it is
 made. A table's columns may be made a chunk at a time (ComputedColumn),
-so no pass over it holds a whole column. A file is written under a
-temporary name and put onto its own name only once it is whole (staged).
+so no pass over it holds a whole column. staged writes a set of files
+under temporary names and puts them onto their own names only once all
+of them are whole.
 report.json uses sorted keys so identical runs produce identical bytes.
 Tuple rows are written as CSV only.
 """
@@ -297,18 +298,14 @@ def _json_fallback(obj):
 
 
 def write_report(report: SignificanceReport, out) -> None:
-    """Write report.json: json.dumps(report, indent=2, sort_keys=True) and a newline.
+    """Write report.json to the open text stream out: json.dumps(report,
+    indent=2, sort_keys=True) and a newline.
 
-    out is a path, opened and closed here, or an open text stream, written
-    to and left open. Dataclasses are entered as their fields, paths
-    written as strings and numpy scalars as Python numbers. A value that
-    cannot be encoded raises before anything is written.
+    Dataclasses are entered as their fields, paths written as strings and
+    numpy scalars as Python numbers. A value that cannot be encoded raises
+    before anything is written.
     """
-    text = json.dumps(report, default=_json_fallback, indent=2, sort_keys=True) + "\n"
-    if hasattr(out, "write"):
-        out.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    out.write(json.dumps(report, default=_json_fallback, indent=2, sort_keys=True) + "\n")
 
 
 def staging_path(path) -> Path:
@@ -327,7 +324,9 @@ def staged(paths: Sequence):
     whole of its new ones. When the block raises, every file is closed and
     removed and no path is touched. A process killed inside the block
     leaves only files under staging names, which the next staged write of
-    the same paths truncates.
+    the same paths truncates; one killed between two of the replacements
+    leaves some paths new and the rest old, each whole. A path that is a
+    symbolic link is replaced by the file, not written through.
     """
     temps = [staging_path(path) for path in paths]
     try:
@@ -348,9 +347,9 @@ def emit_report(table: TupleTable, out, names: Optional[Sequence[str]] = None) -
     of the names, then one line per row, its cells joined by ','. A float
     cell is its repr, an int cell its digits, a flag 0 or 1, and the
     entries of a list cell (a 2-D column) are joined by ';'. out is an
-    open text stream, written to and left open, or a path, written through
-    staged: under a temporary name beside it, and put onto its own name
-    only once the table is whole.
+    open text stream, written to and left open, or a path, opened and
+    written in place; a caller that needs its files whole or absent hands
+    in the files of staged, as run_analysis does.
 
     The table is written in chunks of CHUNK_ROWS rows (chunk_rows), and a
     ComputedColumn is made once per chunk, so no pass holds a whole float
@@ -365,14 +364,14 @@ def emit_report(table: TupleTable, out, names: Optional[Sequence[str]] = None) -
     count.
 
     The floats are checked as they are formatted: the first chunk that
-    holds a non-finite value raises DomainError naming its column, and a
-    PointColumn's points count whether or not a row reads them. A path
-    then holds what it held before the call.
+    holds a non-finite value raises DomainError naming its column, with
+    the chunks before it already written, and a PointColumn's points count
+    whether or not a row reads them.
     """
     writer = _RowWriter(table, tuple(table.columns) if names is None else names)
     with ExitStack() as stack:
         if not hasattr(out, "write"):
-            (out,) = stack.enter_context(staged([out]))
+            out = stack.enter_context(Path(out).open("w", encoding="utf-8"))
         out.write(writer.head)
         point_text = {}
         for rows in chunk_rows(len(table)):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import io
 import json
 import math
 import tracemalloc
@@ -254,12 +255,16 @@ def sample_report():
     )
 
 
-def test_report_json_is_byte_stable_and_complete(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    write_report(sample_report(), a)
-    write_report(sample_report(), b)
-    assert a.read_bytes() == b.read_bytes()
-    payload = json.loads(a.read_text())
+def report_text(report) -> str:
+    out = io.StringIO()
+    write_report(report, out)
+    return out.getvalue()
+
+
+def test_report_json_is_byte_stable_and_complete():
+    a = report_text(sample_report())
+    assert a == report_text(sample_report()) and a.endswith("}\n")
+    payload = json.loads(a)
     assert payload["schema_version"] == 2
     assert payload["null_fit"]["kind"] == "beta-binomial"
     assert payload["z_score"] == 6.2
@@ -270,22 +275,18 @@ def test_report_json_is_byte_stable_and_complete(tmp_path):
     assert list(payload["null_fit"]) == sorted(payload["null_fit"])
 
 
-def test_degenerate_fit_is_visible_in_json(tmp_path):
+def test_degenerate_fit_is_visible_in_json():
     report = sample_report()
     report.null_fit = BetaBinomialFit(
         alpha=None, beta=None, trials_n=82, mean_violations=0.0,
         sd_violations=0.0, kind="degenerate", n_samples=1000,
     )
-    path = tmp_path / "r.json"
-    write_report(report, path)
-    payload = json.loads(path.read_text())
+    payload = json.loads(report_text(report))
     assert payload["null_fit"]["kind"] == "degenerate"
     assert payload["null_fit"]["alpha"] is None
 
 
-def test_numpy_scalars_paths_and_nested_dataclasses_serialize_as_plain_values(
-    tmp_path,
-):
+def test_numpy_scalars_paths_and_nested_dataclasses_serialize_as_plain_values():
     pseudo = PseudoConfig(replicas=2000, seed=3)
     numpy_report = sample_report()
     numpy_report.config = {
@@ -298,20 +299,17 @@ def test_numpy_scalars_paths_and_nested_dataclasses_serialize_as_plain_values(
         "data": str(Path("runs") / "spectrum.csv"),
         "pseudo": dataclasses.asdict(pseudo),
     }
-    a, b = tmp_path / "numpy.json", tmp_path / "plain.json"
-    write_report(numpy_report, a)
-    write_report(plain_report, b)
-    assert a.read_bytes() == b.read_bytes()
-    assert json.loads(a.read_text())["config"]["fit_curve"] is True
+    assert report_text(numpy_report) == report_text(plain_report)
+    assert json.loads(report_text(numpy_report))["config"]["fit_curve"] is True
 
 
-def test_unserializable_report_raises_and_writes_nothing(tmp_path):
+def test_unserializable_report_raises_and_writes_nothing():
     report = sample_report()
     report.config = {"order": 3, "bins": {1, 2}}
-    path = tmp_path / "r.json"
+    out = io.StringIO()
     with pytest.raises(TypeError, match="set"):
-        write_report(report, path)
-    assert not path.exists()
+        write_report(report, out)
+    assert out.getvalue() == ""
 
 
 def test_table_csv_keeps_float_precision(tmp_path):
