@@ -3,7 +3,7 @@
 Four subcommands: curve (model survival table), simulate (synthetic
 spectrum), triples (tuple selection only), analyze (full significance run).
 Settings merge in fixed precedence: package defaults, then the JSON config
-file (--config flag or NULGI_CONFIG env var), then explicit flags.
+file named by --config, then explicit flags. No environment variable is read.
 
 Exit codes: 0 success, 2 unusable input data, 3 bad configuration or
 out-of-domain argument (a selection past the tuple budget among them), 4
@@ -26,8 +26,6 @@ from .montecarlo import REPLICA_BYTES, PseudoConfig
 from .oscillation import OscParams
 from .pipeline import RunConfig, curve_columns, run_analysis, run_triples, violation_count
 from .synthetic import TRUTH_MODES, generate_synthetic
-
-CONFIG_ENV = "NULGI_CONFIG"
 
 EXIT_OK = 0
 EXIT_DATA = 2
@@ -78,8 +76,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     """Config keys are RunConfig's fields; params and pseudo hold OscParams' and
     PseudoConfig's. A flag's dest is the field it sets. Any other key is refused.
     """
-    cfg_source = args.config or os.environ.get(CONFIG_ENV)
-    cfg = _load_json_object(cfg_source) if cfg_source else {}
+    cfg = _load_json_object(args.config) if args.config else {}
     _reject_unknown(cfg, RunConfig, "config")
     if args.params:
         cfg["params"] = _load_json_object(args.params)
@@ -198,7 +195,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file (or set NULGI_CONFIG)")
+    common.add_argument("--config", help="JSON config file")
     common.add_argument(
         "--params",
         help="oscillation parameters: JSON file path or inline JSON object",
@@ -219,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     select.add_argument(
         "--tolerance", type=float, help="phase sum mismatch tolerance"
     )
-    select.add_argument("--mismatch-mode", choices=("relative", "absolute"))
     select.add_argument(
         "--allow-high-order",
         action=argparse.BooleanOptionalAction,
@@ -268,17 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ana.add_argument("--replicas", type=int, help="pseudo-experiment count")
     p_ana.add_argument("--seed", type=int, help="pseudo-experiment seed")
     p_ana.add_argument(
-        "--systematics",
-        dest="include_systematics",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="draw correlated nuisance shifts per replica",
+        "--sys-amplitude-sigma", type=float,
+        help="amplitude nuisance width; a positive width draws the nuisances",
     )
     p_ana.add_argument(
-        "--sys-amplitude-sigma", type=float, help="amplitude nuisance width"
-    )
-    p_ana.add_argument(
-        "--sys-phase-sigma", type=float, help="phase scale nuisance width"
+        "--sys-phase-sigma", type=float,
+        help="phase scale nuisance width; a positive width draws the nuisances",
     )
     p_ana.add_argument(
         "--fit-curve",

@@ -82,14 +82,14 @@ class PseudoConfig:
     """Knobs for the pseudo-experiment engine.
 
     The engine does not re-select: the tuples, and the tolerance they were
-    selected at, come from the analysis. Systematic nuisances, when
-    enabled, are drawn once per replica and shift every point coherently,
-    so they are the only cross-bin correlation mechanism.
+    selected at, come from the analysis. A positive sys_amplitude_sigma or
+    sys_phase_sigma draws systematic nuisances, once per replica, that
+    shift every point coherently; they are the only cross-bin correlation
+    mechanism. With both widths zero (the default) none is drawn.
     """
 
     replicas: int = 100_000
     seed: int = 0
-    include_systematics: bool = False
     sys_amplitude_sigma: float = 0.0
     sys_phase_sigma: float = 0.0
 
@@ -104,10 +104,6 @@ class PseudoConfig:
             raise DomainError(f"replicas must be a positive integer, got {self.replicas}")
         if not 0 <= self.seed < 2**64:
             raise DomainError("seed must fit in 64 unsigned bits")
-        # Any JSON value has a truth value: "false" would turn the nuisances on.
-        flag = self.include_systematics
-        if not isinstance(flag, (bool, np.bool_)):
-            raise DomainError(f"include_systematics must be true or false, got {flag!r}")
         # A nan or inf width would run and write NaN or Infinity into the
         # report, which is not JSON.
         for name in ("sys_amplitude_sigma", "sys_phase_sigma"):
@@ -123,10 +119,8 @@ class PseudoConfig:
 
     @property
     def draws_systematics(self) -> bool:
-        """Whether replicas draw nuisances: enabled, with a positive width."""
-        return self.include_systematics and (
-            self.sys_amplitude_sigma > 0.0 or self.sys_phase_sigma > 0.0
-        )
+        """Whether replicas draw nuisances: a width is positive."""
+        return self.sys_amplitude_sigma > 0.0 or self.sys_phase_sigma > 0.0
 
 
 @dataclass(frozen=True)
@@ -319,7 +313,7 @@ def classical_null_distribution(
     tuples : TupleSet
         Selected tuples of the dataset, all of one order n.
     config : PseudoConfig
-        Replica count, seed, and systematics settings.
+        Replica count, seed, and systematic widths.
 
     Returns
     -------

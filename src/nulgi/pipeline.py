@@ -38,7 +38,7 @@ from .montecarlo import (
     z_significance,
 )
 from .oscillation import OscParams, phase_scale, survival_probability
-from .selection import MISMATCH_MODES, Spectrum, TupleSet, attach_phases, select_ntuples
+from .selection import Spectrum, TupleSet, attach_phases, select_ntuples
 
 STANDARD_ORDERS = (3, 4)
 
@@ -75,7 +75,6 @@ class RunConfig:
     out_dir: Path = Path("nulgi_out")
     order: int = 3
     tolerance: float = 0.005
-    mismatch_mode: str = "relative"
     pseudo: PseudoConfig = field(default_factory=PseudoConfig)
     truth: str = "quantum"
     bins: int = 30
@@ -110,8 +109,6 @@ class RunConfig:
             )
         if not self.tolerance > 0.0:
             raise DomainError(f"tolerance must be positive, got {self.tolerance}")
-        if self.mismatch_mode not in MISMATCH_MODES:
-            raise DomainError(f"mismatch_mode must be one of {MISMATCH_MODES}")
 
 
 def curve_table(
@@ -307,8 +304,8 @@ def point_columns(points: Spectrum) -> TupleTable:
 
 # The RunConfig fields analyze reads: report.json echoes these and no others.
 ANALYZE_FIELDS = (
-    "params", "data", "out_dir", "order", "tolerance", "mismatch_mode", "pseudo",
-    "fit_curve", "allow_high_order",
+    "params", "data", "out_dir", "order", "tolerance", "pseudo", "fit_curve",
+    "allow_high_order",
 )
 
 
@@ -342,15 +339,13 @@ def exact_null_law(
 
 def _analyze(
     points: Spectrum, config: RunConfig
-) -> tuple[SignificanceReport, Spectrum, TupleTable, Optional[np.ndarray], Optional[np.ndarray]]:
+) -> tuple[SignificanceReport, Spectrum, TupleTable, np.ndarray, Optional[np.ndarray]]:
     """Shared implementation; returns the report, the spectrum with its
-    phases attached, its tuple table, the raw null counts and the exact
-    null law the counts were drawn from (None where the Monte Carlo null
-    ran)."""
+    phases attached, its tuple table, the raw null counts (none where no
+    tuple was kept) and the exact null law the counts were drawn from
+    (None where the Monte Carlo null ran or no tuple was kept)."""
     decorated = attach_phases(points, config.params)
-    tuples = select_ntuples(
-        decorated, config.order, config.tolerance, config.mismatch_mode
-    )
+    tuples = select_ntuples(decorated, config.order, config.tolerance)
 
     if not tuples:
         table = tuple_table(tuples, decorated, config.params)
@@ -365,7 +360,7 @@ def _analyze(
             config=_config_echo(config, None),
             notes=["No phase tuples satisfied the sum rule at this tolerance."],
         )
-        return report, decorated, table, None, None
+        return report, decorated, table, np.zeros(0, dtype=np.int64), None
 
     report_warnings: list[str] = []
     fitted = None
@@ -459,11 +454,13 @@ def _write_artifacts(
     table: TupleTable,
     points: Spectrum,
     config: RunConfig,
-    counts: Optional[np.ndarray],
+    counts: np.ndarray,
 ) -> None:
     """Write a run's files together (dataio.staged): each under a temporary
     name in out_dir, and onto its own name only once all of them are whole.
-    points is the spectrum with its phases attached."""
+    points is the spectrum with its phases attached. Every file is written
+    on every run, header-only where it has no rows, so none is left from an
+    earlier run."""
     lo, hi = points.energy_gev[[0, -1]].tolist()
     fitted = report.config.get("fitted_params")
     tables = {
@@ -472,9 +469,8 @@ def _write_artifacts(
         "curve.csv": curve_columns(
             config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
         ),
+        "null_counts.csv": null_count_columns(counts),
     }
-    if counts is not None:
-        tables["null_counts.csv"] = null_count_columns(counts)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with staged([out / "report.json"] + [out / name for name in tables]) as (report_file, *files):
@@ -494,17 +490,18 @@ def null_count_columns(counts: np.ndarray) -> TupleTable:
 def run_analysis(config: RunConfig) -> SignificanceReport:
     """Parse the configured dataset, analyze it, and write all artifacts.
 
-    Writes report.json, tuples.csv, points.csv, curve.csv and, when a
-    tuple was kept, null_counts.csv into out_dir, each fact once: a
-    tuple's row holds its point indices and the values computed for it,
-    and points.csv each point's energy and phase. The files are written
-    in one checked pass over the tuple table (a non-finite cell raises
-    DomainError as it is formatted) under temporary names, and put onto
-    their names only once all of them are whole, so a fault or a killed
-    process leaves no partial file under an artifact's name and an
-    earlier run's artifacts as they were. The report carries the dataset
-    file's SHA-256. Identical datasets and configs produce byte-identical
-    artifacts.
+    Writes report.json, tuples.csv, points.csv, curve.csv and
+    null_counts.csv into out_dir on every run, tuples.csv and
+    null_counts.csv header-only where no tuple was kept. Each fact is
+    written once: a tuple's row holds its point indices and the values
+    computed for it, and points.csv each point's energy and phase. The
+    files are written in one checked pass over the tuple table (a
+    non-finite cell raises DomainError as it is formatted) under temporary
+    names, and put onto their names only once all of them are whole, so a
+    fault or a killed process leaves no partial file under an artifact's
+    name and an earlier run's artifacts as they were. The report carries
+    the dataset file's SHA-256. Identical datasets and configs produce
+    byte-identical artifacts.
     """
     if config.data is None:
         raise DomainError("analysis requires a dataset path")
@@ -519,17 +516,15 @@ def run_triples(config: RunConfig) -> TupleTable:
     """Parse the configured dataset, select its tuples and write tuples.csv.
 
     Returns the same table analyze reports, with the model K taken from
-    config.params. Writes nothing when no tuple is selected.
+    config.params. Writes a header-only tuples.csv when no tuple is
+    selected, so none is left from an earlier run.
     """
     if config.data is None:
         raise DomainError("tuple selection requires a dataset path")
     points = attach_phases(parse_dataset(config.data), config.params)
-    tuples = select_ntuples(
-        points, config.order, config.tolerance, config.mismatch_mode
-    )
+    tuples = select_ntuples(points, config.order, config.tolerance)
     table = tuple_table(tuples, points, config.params)
-    if len(table):
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_report(table, out / "tuples.csv", TRIPLES_COLUMNS)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    emit_report(table, out / "tuples.csv", TRIPLES_COLUMNS)
     return table

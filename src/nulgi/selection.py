@@ -20,8 +20,6 @@ import numpy as np
 from .errors import DataError, DomainError
 from .oscillation import OscParams, phase_scale
 
-MISMATCH_MODES = ("relative", "absolute")
-
 
 # The measured columns of a Spectrum, in the order their faults are checked.
 SPECTRUM_COLUMNS = ("energy_gev", "p_mumu", "sigma_stat", "sigma_sys")
@@ -135,7 +133,7 @@ class PhaseTuple:
 
     indices are dataset positions of the n-1 components, sorted by descending
     phase (repetition allowed); mismatch is the signed sum-rule residual,
-    relative to the target phase in the default mode. The target may share an
+    relative to the target phase. The target may share an
     index with a component; only phases matter.
     """
 
@@ -299,22 +297,16 @@ def _multiset_blocks(size: int, k: int):
                 yield block
 
 
-def _residual(total: np.ndarray, psi_c: np.ndarray, mismatch_mode: str) -> np.ndarray:
-    """Signed sum-rule residuals against candidate target phases, inf where
-    a candidate phase is <= 0 (no target)."""
+def _residual(total: np.ndarray, psi_c: np.ndarray) -> np.ndarray:
+    """Signed relative sum-rule residuals, (total - psi_c) / psi_c, against
+    candidate target phases, inf where a candidate phase is <= 0 (no target)."""
     resid = total - psi_c
-    if mismatch_mode == "relative":
-        np.divide(resid, psi_c, out=resid, where=psi_c > 0.0)
+    np.divide(resid, psi_c, out=resid, where=psi_c > 0.0)
     resid[psi_c <= 0.0] = np.inf
     return resid
 
 
-def select_ntuples(
-    dataset: Spectrum,
-    n: int,
-    tolerance: float,
-    mismatch_mode: str = "relative",
-) -> TupleSet:
+def select_ntuples(dataset: Spectrum, n: int, tolerance: float) -> TupleSet:
     """Enumerate order-n tuples whose component phases sum to a measured phase.
 
     Parameters
@@ -324,10 +316,8 @@ def select_ntuples(
     n : int
         Tuple order; n - 1 components are chosen as a multiset.
     tolerance : float
-        Acceptance threshold on |mismatch|; a fraction of the target phase in
-        "relative" mode, radians in "absolute" mode.
-    mismatch_mode : str
-        "relative" (default) or "absolute".
+        Acceptance threshold on |mismatch|, the residual relative to the
+        target phase: (phase sum - target phase) / target phase.
 
     Returns
     -------
@@ -350,8 +340,6 @@ def select_ntuples(
         raise DomainError(f"order must be an integer >= 3, got {n}")
     if not tolerance > 0.0:
         raise DomainError(f"tolerance must be positive, got {tolerance}")
-    if mismatch_mode not in MISMATCH_MODES:
-        raise DomainError(f"mismatch_mode must be one of {MISMATCH_MODES}")
     if len(dataset) < n:
         raise DataError(f"need at least {n} points for order-{n} tuples, got {len(dataset)}")
     psis = dataset.psi
@@ -375,7 +363,7 @@ def select_ntuples(
             total = total + psis[col]
         upper = np.searchsorted(cand_psi[1:-1], total) + 1
         lower_resid, upper_resid = (
-            _residual(total, cand_psi[c], mismatch_mode) for c in (upper - 1, upper)
+            _residual(total, cand_psi[c]) for c in (upper - 1, upper)
         )
         # On equal |residual| the key's next entries, the phase and (for
         # equal phases, by the stable sort) the index, favour the lower.

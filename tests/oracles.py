@@ -114,12 +114,13 @@ def k_n_classical(corrs):
     return float(sum(corrs) - math.prod(corrs))
 
 
-def brute_force_ntuples(psis, n, tolerance, mode="relative"):
+def brute_force_ntuples(psis, n, tolerance):
     """Exhaustive sum-rule tuple search over every candidate target.
 
     Returns (component_indices, target_index, signed_mismatch) triples for
     each accepted component multiset, with the target chosen to minimize
     (|residual|, target_phase) over the whole dataset, not just neighbors.
+    The residual is relative: (phase sum - target phase) / target phase.
     """
     found = []
     for combo in itertools.combinations_with_replacement(range(len(psis)), n - 1):
@@ -128,9 +129,7 @@ def brute_force_ntuples(psis, n, tolerance, mode="relative"):
         for c, psi_c in enumerate(psis):
             if psi_c <= 0.0:
                 continue
-            resid = total - psi_c
-            if mode == "relative":
-                resid = resid / psi_c
+            resid = (total - psi_c) / psi_c
             key = (abs(resid), psi_c, c)
             if best is None or key < best[0]:
                 best = (key, resid, c)
@@ -139,7 +138,7 @@ def brute_force_ntuples(psis, n, tolerance, mode="relative"):
     return found
 
 
-def neighbour_scan_ntuples(psis, n, tolerance, mode="relative"):
+def neighbour_scan_ntuples(psis, n, tolerance):
     """Sum-rule tuple selection by a scan of every multiset, one at a time.
 
     The package's selection before it was vectorized, kept as the exact
@@ -165,9 +164,7 @@ def neighbour_scan_ntuples(psis, n, tolerance, mode="relative"):
             psi_c = sorted_psi[cand]
             if psi_c <= 0.0:
                 continue
-            resid = total - psi_c
-            if mode == "relative":
-                resid /= psi_c
+            resid = (total - psi_c) / psi_c
             key = (abs(resid), psi_c, order[cand])
             if best is None or key < best[0]:
                 best = (key, resid, order[cand])

@@ -325,11 +325,6 @@ def test_the_law_serves_order3_without_systematics(monkeypatch):
     assert not called
     law = order3_count_law(points, tuples)
     assert np.array_equal(counts, counts_from_law(law, PseudoConfig(replicas=2000, seed=5)))
-    # Enabled systematics with zero widths draw no nuisance: still the law.
-    called, same = dispatched(
-        monkeypatch, points, pseudo={"include_systematics": True}
-    )
-    assert not called and np.array_equal(same, counts)
 
 
 @pytest.mark.parametrize("case", ["order 4", "over budget", "zero sigma", "systematics"])
@@ -343,6 +338,6 @@ def test_other_nulls_reach_the_monte_carlo(monkeypatch, case):
     elif case == "zero sigma":
         points = without_sigma(points, int(tuples.comp_idx[0, 0]))
     else:
-        overrides["pseudo"] = {"include_systematics": True, "sys_amplitude_sigma": 0.05}
+        overrides["pseudo"] = {"sys_amplitude_sigma": 0.05}
     called, _ = dispatched(monkeypatch, points, **overrides)
     assert called

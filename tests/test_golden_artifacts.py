@@ -57,14 +57,14 @@ DIGESTS = {
     "spectrum.csv": "277b16b2719a123664c2033f2bf1c756e430c45d50ed13269eb2b4f0804f7b94",
     "analyze-n3/stdout": "3faf9e28644cf55888c3be6575c1ad65982651156af3a31d010b25767c64c75c",
     "analyze-n3/stderr": EMPTY,
-    "analyze-n3/report.json": "a10a682945d4527dcfd45546a23182d045b3e24b393d0e58c07f8364a6c84a65",
+    "analyze-n3/report.json": "a0c0b6ff2d839ce7abe90a8545ad29d398212072909c2fcd5afbe80dfb22c389",
     "analyze-n3/tuples.csv": "bf1362605f4b846873558938efd52b6607b042f7be7d5fa7548557df45cad684",
     "analyze-n3/points.csv": "eacc5cd0bb5af00513a9186b0a1e7292beaa88072de7208216757b2ab08cc953",
     "analyze-n3/null_counts.csv": "955ccc7cbc4e27ec35e45e6dee0788897c53501f2a6b96653a95c71df35683fa",
     "analyze-n3/curve.csv": "6662bc52a3382502cb215a7da71404b425e7aebba9454ee31b82d74fd2d0cdf0",
     "analyze-n4-fit/stdout": "067cfba59e67d636051d8605d5dab8ba8b2a1030646a8ca639322ebb2a36afdd",
     "analyze-n4-fit/stderr": EMPTY,
-    "analyze-n4-fit/report.json": "b5e9b8c27f261f3259aa017d17c54d3f402122945f90e4f836d0f38e14cbd4c7",
+    "analyze-n4-fit/report.json": "b2727e7950751753bcc21a789380b34c88f08fe919e2218a7273b05bd7a74d6a",
     "analyze-n4-fit/tuples.csv": "f892a239f9f3dde9a620923a74028da165df7a2f216b431a7af48524f01356a9",
     "analyze-n4-fit/points.csv": "eacc5cd0bb5af00513a9186b0a1e7292beaa88072de7208216757b2ab08cc953",
     "analyze-n4-fit/null_counts.csv": "558ed7b574106811e1304c526c03bae94565caa1b3850eff055b75ca785f17b6",
@@ -81,7 +81,7 @@ DIGESTS_100 = {
     "spectrum.csv": "d1d994e6f1f9ffb072d0f63f6825f385d0c2822196505983dfd893e885df84d9",
     "analyze-n4-fit/stdout": "9dbe98aa20430d64304bb2a0d066b340fe92fdec4f99277cdf9385cfdd18bc89",
     "analyze-n4-fit/stderr": "52ff638b4cde0ba8956d21941dc3149593609d75aa9e8c953e96b28e4970c101",
-    "analyze-n4-fit/report.json": "df7e4d51bad4512006740a936ef9661eafe32ffbfb58d811d5a00a0d50f8b00d",
+    "analyze-n4-fit/report.json": "4e9720159f95f2d1e91a138b595794ff83d229277476426f1f0dde2fa76f6997",
     "analyze-n4-fit/tuples.csv": "f6dca851d54e59da21203c0df1cebcd0e49e20d0ee619ad87abf27de9df71285",
     "analyze-n4-fit/points.csv": "92b0f2f5d3b705d82fbe721700cd4a2078f0dac908dc09068b1040f9d470012e",
     "analyze-n4-fit/null_counts.csv": "90853e14ec6d1af6a937e3da50c62cae8559aebcfa832d19dad06e084db52757",

@@ -214,8 +214,7 @@ def test_systematic_counts_do_not_depend_on_the_chunking():
     dec = attach_phases(pts, PARAMS)
     tuples = select_ntuples(dec, 4, 0.005)
     cfg = PseudoConfig(
-        replicas=ORACLE_REPLICAS, seed=13, include_systematics=True,
-        sys_amplitude_sigma=0.05, sys_phase_sigma=0.05,
+        replicas=ORACLE_REPLICAS, seed=13, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05,
     )
     derived = classical_null_distribution(dec, tuples, cfg)
     assert derived.any()
@@ -384,9 +383,7 @@ def test_order3_systematics_take_the_float_form_in_every_replica(monkeypatch):
     # and the float path's counts do not depend on the chunking either.
     # Only the points some tuple reads are drawn, plus two nuisances.
     drawn = counting_draws(monkeypatch)
-    sys_cfg = dataclasses.replace(
-        cfg, include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05
-    )
+    sys_cfg = dataclasses.replace(cfg, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05)
     derived = classical_null_distribution(dec, tuples, sys_cfg)
     assert sum(drawn) == cfg.replicas * (np.unique(tuples.comp_idx).size + 2)
     assert derived.any() and not np.array_equal(derived, counts)
@@ -613,7 +610,7 @@ def test_a_quantum_order3_null_hashes_live_rows_and_draws_unskipped_blocks(monke
 # Above three key blocks of the six adversarial points (65536 // 6 = 10922
 # replicas each): three workers get a shard each at the default blocking.
 SHARDED_REPLICAS = 2**15 - 1
-SYSTEMATICS = dict(include_systematics=True, sys_amplitude_sigma=0.05, sys_phase_sigma=0.05)
+SYSTEMATICS = dict(sys_amplitude_sigma=0.05, sys_phase_sigma=0.05)
 
 
 @pytest.mark.parametrize("systematics", [False, True])
@@ -786,17 +783,13 @@ def test_systematics_are_deterministic_and_widen_the_null():
         dec, tuples, PseudoConfig(replicas=20_000, seed=7)
     )
     jittered_cfg = PseudoConfig(
-        replicas=20_000, seed=7, include_systematics=True,
-        sys_amplitude_sigma=0.3, sys_phase_sigma=0.1,
+        replicas=20_000, seed=7, sys_amplitude_sigma=0.3, sys_phase_sigma=0.1
     )
     jittered = classical_null_distribution(dec, tuples, jittered_cfg)
     assert np.array_equal(
         jittered, classical_null_distribution(dec, tuples, jittered_cfg)
     )
     assert jittered.var(ddof=1) > plain.var(ddof=1)
-    # Flag off means the sigmas are inert.
-    off = dataclasses.replace(jittered_cfg, include_systematics=False)
-    assert np.array_equal(plain, classical_null_distribution(dec, tuples, off))
 
 
 def test_pseudodata_moments_match_the_generator():

@@ -95,8 +95,8 @@ def test_run_analysis_writes_every_artifact(tmp_path):
     # The tuple rows are in tuples.csv only, and the echo holds what analyze read.
     assert "tuples" not in payload
     assert sorted(payload["config"]) == [
-        "allow_high_order", "data", "fit_curve", "mismatch_mode", "order", "out_dir",
-        "params", "pseudo", "tolerance",
+        "allow_high_order", "data", "fit_curve", "order", "out_dir", "params", "pseudo",
+        "tolerance",
     ]
     assert payload["config"]["tolerance"] == 0.005
     tuples_rows = (tmp_path / "out" / "tuples.csv").read_text().splitlines()
@@ -133,11 +133,34 @@ def test_no_tuples_report_and_artifacts(tmp_path):
     assert report.n_violations_observed is None
     payload = json.loads((tmp_path / "out" / "report.json").read_text())
     assert payload["status"] == "no_tuples"
-    # header-only tuple table, no histogram at all
+    # header-only tuple table and histogram
     assert len((tmp_path / "out" / "tuples.csv").read_text().splitlines()) == 1
     assert len((tmp_path / "out" / "points.csv").read_text().splitlines()) == 4
-    assert not (tmp_path / "out" / "null_counts.csv").exists()
+    assert (tmp_path / "out" / "null_counts.csv").read_text() == "violations,replicas\n"
     assert (tmp_path / "out" / "curve.csv").is_file()
+
+
+def test_analyze_without_tuples_leaves_no_file_of_an_earlier_run(tmp_path):
+    # An earlier run's null_counts.csv used to stay beside a no_tuples report.
+    out = tmp_path / "out"
+    base = ["analyze", "--params", PARAMS_JSON, "--replicas", "2000", "--out-dir", str(out)]
+    assert main(base + ["--data", str(synthetic_csv(tmp_path))]) == EXIT_OK
+    assert len((out / "null_counts.csv").read_text().splitlines()) > 1
+    assert main(base + ["--data", str(no_tuple_csv(tmp_path))]) == EXIT_NO_TUPLES
+    assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+    assert json.loads((out / "report.json").read_text())["status"] == "no_tuples"
+    assert (out / "null_counts.csv").read_text() == "violations,replicas\n"
+    assert len((out / "tuples.csv").read_text().splitlines()) == 1
+
+
+def test_triples_without_tuples_leaves_no_table_of_an_earlier_run(tmp_path):
+    # The earlier run's tuples.csv used to stay, rows and all, beside exit 4.
+    out = tmp_path / "tri"
+    base = ["triples", "--params", PARAMS_JSON, "--out-dir", str(out)]
+    assert main(base + ["--data", str(synthetic_csv(tmp_path))]) == EXIT_OK
+    assert len((out / "tuples.csv").read_text().splitlines()) > 1
+    assert main(base + ["--data", str(no_tuple_csv(tmp_path))]) == EXIT_NO_TUPLES
+    assert (out / "tuples.csv").read_text() == ",".join(pipeline.TRIPLES_COLUMNS) + "\n"
 
 
 def test_analyze_needs_enough_points():
@@ -157,8 +180,6 @@ def test_run_config_validation():
     RunConfig(params=PARAMS, order=5, allow_high_order=True)
     with pytest.raises(DomainError, match="tolerance"):
         RunConfig(params=PARAMS, tolerance=0.0)
-    with pytest.raises(DomainError, match="mismatch_mode"):
-        RunConfig(params=PARAMS, mismatch_mode="fuzzy")
 
 
 def test_curve_table_shape_and_endpoints():
@@ -566,27 +587,26 @@ def run_analyze_with(tmp_path, extra, out_name):
     return json.loads((out / "report.json").read_text())["config"]
 
 
-def test_cli_config_precedence(tmp_path, monkeypatch):
+def test_cli_config_precedence(tmp_path):
     via_config = config_file(tmp_path, "a.json", tolerance=0.01)
-    via_env = config_file(tmp_path, "b.json", tolerance=0.02)
+    echo = run_analyze_with(tmp_path, ["--params", PARAMS_JSON], "o1")
+    assert echo["tolerance"] == RunConfig(params=PARAMS).tolerance
 
-    monkeypatch.delenv("NULGI_CONFIG", raising=False)
-    echo = run_analyze_with(tmp_path, ["--config", str(via_config)], "o1")
+    echo = run_analyze_with(tmp_path, ["--config", str(via_config)], "o2")
     assert echo["tolerance"] == 0.01
 
-    monkeypatch.setenv("NULGI_CONFIG", str(via_env))
-    echo = run_analyze_with(tmp_path, [], "o2")
-    assert echo["tolerance"] == 0.02
-
-    # explicit --config beats the environment
-    echo = run_analyze_with(tmp_path, ["--config", str(via_config)], "o3")
-    assert echo["tolerance"] == 0.01
-
-    # explicit flags beat both
+    # explicit flags beat the config file
     echo = run_analyze_with(
-        tmp_path, ["--config", str(via_config), "--tolerance", "0.003"], "o4"
+        tmp_path, ["--config", str(via_config), "--tolerance", "0.003"], "o3"
     )
     assert echo["tolerance"] == 0.003
+
+
+def test_cli_reads_no_config_from_the_environment(tmp_path, monkeypatch):
+    # NULGI_CONFIG used to name a config file when --config was not given.
+    monkeypatch.setenv("NULGI_CONFIG", str(config_file(tmp_path, "env.json", tolerance=0.02)))
+    echo = run_analyze_with(tmp_path, ["--params", PARAMS_JSON], "out")
+    assert echo["tolerance"] == RunConfig(params=PARAMS).tolerance == 0.005
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
@@ -656,13 +676,12 @@ def test_cli_rejects_a_run_setting_that_is_not_a_number(tmp_path, capsys, key, v
 
 @pytest.mark.parametrize("config", [
     {"fit_curve": "no"}, {"fit_curve": 1}, {"allow_high_order": "false"},
-    {"allow_high_order": None}, {"pseudo": {"include_systematics": "false"}},
-    {"pseudo": {"include_systematics": 0}},
+    {"allow_high_order": None},
 ])
 def test_cli_rejects_a_switch_that_is_not_a_bool(tmp_path, capsys, config):
     # These used to be read by their truth value: "no" ran the fit and
-    # "false" turned the nuisances on.
-    ((key, value),) = config.get("pseudo", config).items()
+    # "false" allowed a high order.
+    ((key, value),) = config.items()
     path = config_file(tmp_path, "c.json", **config)
     out = tmp_path / "out"
     code = main(
@@ -670,8 +689,7 @@ def test_cli_rejects_a_switch_that_is_not_a_bool(tmp_path, capsys, config):
          "--out-dir", str(out)]
     )
     assert code == EXIT_DOMAIN
-    group = "pseudo: " if "pseudo" in config else ""
-    err = f"config error: {group}{key} must be true or false, got {value!r}\n"
+    err = f"config error: {key} must be true or false, got {value!r}\n"
     assert capsys.readouterr() == ("", err)
     assert not out.exists()
 
@@ -750,16 +768,13 @@ def test_every_flag_dest_is_a_config_field():
             if NON_FIELD_FLAGS.isdisjoint(action.option_strings):
                 assert action.dest in fields, (name, action.option_strings)
                 checked.add(action.option_strings[0])
-    assert {"--emin", "--emax", "--systematics", "--seed", "--tolerance"} <= checked
+    assert {"--emin", "--emax", "--sys-amplitude-sigma", "--seed", "--tolerance"} <= checked
 
 
-def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
-    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+def test_a_config_file_reaches_every_field(tmp_path):
     params = {"dm2": 1.1e-3, "sin2_2theta": 0.5, "baseline_km": 810.0}
-    pseudo = {"replicas": 77, "seed": 5, "include_systematics": True,
-              "sys_amplitude_sigma": 0.01, "sys_phase_sigma": 0.03}
-    top = {"order": 4, "tolerance": 0.007, "mismatch_mode": "absolute",
-           "truth": "classical_flat", "bins": 12, "e_min_gev": 0.7, "e_max_gev": 40.0,
+    pseudo = {"replicas": 77, "seed": 5, "sys_amplitude_sigma": 0.01, "sys_phase_sigma": 0.03}
+    top = {"order": 4, "tolerance": 0.007, "truth": "classical_flat", "bins": 12, "e_min_gev": 0.7, "e_max_gev": 40.0,
            "rel_error": 0.03, "flat_p": 0.4, "fit_curve": True, "allow_high_order": True}
     path = tmp_path / "all.json"
     path.write_text(json.dumps({
@@ -787,12 +802,9 @@ def test_a_config_file_reaches_every_field(tmp_path, monkeypatch):
     ("dm2", math.nan, "must be finite, got nan"),
     ("baseline_km", math.inf, "must be finite, got inf"),
 ])
-def test_cli_rejects_a_param_that_is_not_a_finite_number(
-    tmp_path, capsys, monkeypatch, key, value, message
-):
+def test_cli_rejects_a_param_that_is_not_a_finite_number(tmp_path, capsys, key, value, message):
     # "dm2": true ran at 1 eV^2 and echoed true, and "735" failed with a
     # TypeError from the first comparison.
-    monkeypatch.delenv("NULGI_CONFIG", raising=False)
     params = json.dumps({**json.loads(PARAMS_JSON), key: value})
     out = tmp_path / "out"
     code = main(
@@ -819,14 +831,12 @@ WIDTH_CASES = [
       for case in WIDTH_CASES),
 ])
 def test_cli_rejects_a_systematic_width_that_is_not_a_finite_number(
-    tmp_path, capsys, monkeypatch, key, source, value, message
+    tmp_path, capsys, key, source, value, message
 ):
     # NaN and Infinity ran and were written into report.json, which is then
     # not JSON.
-    monkeypatch.delenv("NULGI_CONFIG", raising=False)
     out = tmp_path / "out"
-    argv = ["analyze", "--data", str(shared_csv(tmp_path)), "--out-dir", str(out),
-            "--systematics"]
+    argv = ["analyze", "--data", str(shared_csv(tmp_path)), "--out-dir", str(out)]
     if source == "config":
         argv += ["--config", str(config_file(tmp_path, "c.json", pseudo={key: value}))]
     else:
@@ -840,9 +850,8 @@ def test_cli_rejects_a_systematic_width_that_is_not_a_finite_number(
     ("pseudo", "config error: pseudo: sys_phase_sigma must be finite, got nan\n"),
     ("config", "config error: tolerance must be finite, got nan\n"),
 ])
-def test_cli_names_the_group_of_a_bad_nested_setting(tmp_path, capsys, monkeypatch, section, err):
+def test_cli_names_the_group_of_a_bad_nested_setting(tmp_path, capsys, section, err):
     # A nested setting used to be reported under the bare field name.
-    monkeypatch.delenv("NULGI_CONFIG", raising=False)
     overrides = {"pseudo": {"sys_phase_sigma": math.nan}} if section == "pseudo" else {
         "tolerance": math.nan
     }
@@ -858,14 +867,14 @@ def test_cli_names_the_group_of_a_bad_nested_setting(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("section, key, value", [
     ("pseudo", "tolerance", 0.005), ("config", "mode", "analyze"),
     ("params", "v_c", 0.0), ("params", "v_c", 1e-11), ("params", "v_n", 0.0),
+    ("pseudo", "include_systematics", True), ("config", "mismatch_mode", "relative"),
 ])
-def test_cli_refuses_a_removed_config_key(
-    tmp_path, capsys, monkeypatch, command, section, key, value
-):
-    # Each was accepted and echoed, and nothing read it: pseudo.tolerance
-    # (selection reads the top-level one), mode (the subcommand decides) and
-    # the matter potentials (every analysis runs in vacuum).
-    monkeypatch.delenv("NULGI_CONFIG", raising=False)
+def test_cli_refuses_a_removed_config_key(tmp_path, capsys, command, section, key, value):
+    # The first five were accepted and echoed, and nothing read them:
+    # pseudo.tolerance (selection reads the top-level one), mode (the
+    # subcommand decides) and the matter potentials (every analysis runs in
+    # vacuum). The last two repeated what another setting says: a positive
+    # width draws the nuisances, and the mismatch is always relative.
     if section == "config":
         overrides = {key: value}
     elif section == "params":
@@ -883,21 +892,19 @@ def test_cli_refuses_a_removed_config_key(
     assert not out.exists()
 
 
-def test_the_shipped_config_drives_every_command(tmp_path, capsys, monkeypatch):
+def test_the_shipped_config_drives_every_command(tmp_path, capsys):
     config = Path(__file__).resolve().parents[1] / "configs" / "minos_like.json"
-    monkeypatch.setenv("NULGI_CONFIG", str(config))
     spectrum = tmp_path / "spectrum.csv"
-    assert main(["curve", "--points", "5"]) == EXIT_OK
-    assert main(["simulate", "--out", str(spectrum)]) == EXIT_OK
-    shared = ["--data", str(spectrum), "--out-dir", str(tmp_path / "out")]
+    assert main(["curve", "--config", str(config), "--points", "5"]) == EXIT_OK
+    assert main(["simulate", "--config", str(config), "--out", str(spectrum)]) == EXIT_OK
+    shared = ["--config", str(config), "--data", str(spectrum), "--out-dir", str(tmp_path / "out")]
     assert main(["triples", *shared]) == EXIT_OK
     assert main(["analyze", *shared, "--replicas", "2000"]) == EXIT_OK
     assert capsys.readouterr().err == ""
 
 
-def test_the_echo_states_only_what_analyze_read(tmp_path, monkeypatch):
+def test_the_echo_states_only_what_analyze_read(tmp_path):
     # Settings of simulate and curve change no byte of report.json.
-    monkeypatch.delenv("NULGI_CONFIG", raising=False)
     data, out = shared_csv(tmp_path), tmp_path / "out"
     reports = []
     for overrides in (
@@ -928,15 +935,37 @@ def test_span_flags_set_their_fields(tmp_path, capsys):
 
 
 def test_systematics_flags_set_their_fields(tmp_path):
-    flags = ["--params", PARAMS_JSON, "--systematics", "--sys-amplitude-sigma", "0.02",
+    flags = ["--params", PARAMS_JSON, "--sys-amplitude-sigma", "0.02",
              "--sys-phase-sigma", "0.01"]
     echo = run_analyze_with(tmp_path, flags, "sys")["pseudo"]
-    assert (echo["include_systematics"], echo["sys_amplitude_sigma"],
-            echo["sys_phase_sigma"]) == (True, 0.02, 0.01)
+    assert (echo["sys_amplitude_sigma"], echo["sys_phase_sigma"]) == (0.02, 0.01)
 
-    config = config_file(tmp_path, "sys.json", pseudo={"include_systematics": True})
-    echo = run_analyze_with(tmp_path, ["--config", str(config), "--no-systematics"], "nosys")
-    assert echo["pseudo"]["include_systematics"] is False
+
+# null_counts.csv of the run below, recorded when a width counted only with
+# "include_systematics": true beside it (Python 3.11.7, numpy 2.4.6, scipy 1.17.1).
+WIDTH_ONLY_NULL_COUNTS = "f54b7d2d4c7d3fc8896bed39588096c82bf4ba504b349c675f4e23887514cc69"
+
+
+def test_a_width_alone_draws_the_nuisances(tmp_path, monkeypatch):
+    # A width set without the former switch used to be ignored: order 3
+    # took the exact law, with no nuisance.
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return montecarlo.classical_null_distribution(*args)
+
+    monkeypatch.setattr(pipeline, "classical_null_distribution", recorded)
+    config = config_file(
+        tmp_path, "c.json", pseudo={"replicas": 2000, "seed": 0, "sys_amplitude_sigma": 0.05}
+    )
+    out = tmp_path / "out"
+    argv = ["analyze", "--config", str(config), "--data", str(synthetic_csv(tmp_path)),
+            "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1 and calls[0][2].draws_systematics
+    digest = hashlib.sha256((out / "null_counts.csv").read_bytes()).hexdigest()
+    assert digest == WIDTH_ONLY_NULL_COUNTS
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -171,10 +171,9 @@ def test_selection_matches_brute_force_oracle():
         n = 3 if trial % 2 else 4
         if size < n:
             continue
-        mode = "relative" if trial % 3 else "absolute"
         tol = float(rng.choice([0.002, 0.01, 0.05]))
-        got = select_ntuples(dec, n, tol, mode)
-        want = oracles.brute_force_ntuples(psis, n, tol, mode)
+        got = select_ntuples(dec, n, tol)
+        want = oracles.brute_force_ntuples(psis, n, tol)
         assert {(c, t) for c, t, _ in rows(got)} == {(c, t) for c, t, _ in want}
         by_key = {(c, t): m for c, t, m in want}
         for c, t, m in rows(got):
@@ -240,8 +239,6 @@ def test_selection_validation():
         select_ntuples(dec, 2, 0.005)
     with pytest.raises(DomainError):
         select_ntuples(dec, 3, 0.0)
-    with pytest.raises(DomainError):
-        select_ntuples(dec, 3, 0.005, "fuzzy")
     with pytest.raises(DataError):
         select_ntuples(decorated([0.5, 0.7]), 3, 0.005)
     with pytest.raises(DataError):
@@ -342,10 +339,10 @@ def test_tuple_set_rows_are_phase_tuples():
         ts.comp_idx[0, 0] = 0
 
 
-def assert_matches_the_scan(dec, n, tol, mode):
+def assert_matches_the_scan(dec, n, tol):
     """select_ntuples equals the neighbour-scan oracle exactly, in order."""
-    got = select_ntuples(dec, n, tol, mode)
-    want = oracles.neighbour_scan_ntuples(dec.psi.tolist(), n, tol, mode)
+    got = select_ntuples(dec, n, tol)
+    want = oracles.neighbour_scan_ntuples(dec.psi.tolist(), n, tol)
     assert rows(got) == want
     return got
 
@@ -353,11 +350,10 @@ def assert_matches_the_scan(dec, n, tol, mode):
 GRID_CELLS = ((30, 3), (30, 4), (100, 3), (100, 4), (300, 3), (60, 5))
 
 
-@pytest.mark.parametrize("mode", ["relative", "absolute"])
 @pytest.mark.parametrize("bins, n", GRID_CELLS)
-def test_selection_equals_the_neighbour_scan_on_the_grid(bins, n, mode):
+def test_selection_equals_the_neighbour_scan_on_the_grid(bins, n):
     points = generate_synthetic(PARAMS, "quantum", bins, 0.5, 50.0, 0.05, seed=0)
-    got = assert_matches_the_scan(attach_phases(points, PARAMS), n, 0.005, mode)
+    got = assert_matches_the_scan(attach_phases(points, PARAMS), n, 0.005)
     assert len(got) > 0
 
 
@@ -369,15 +365,11 @@ def phase_points(phases):
 
 
 def test_equidistant_neighbours_resolve_to_the_smaller_phase():
-    # Relative mode: 0.75 + 0.75 = 1.5 sits 50% above 1 and 50% below 3.
+    # 0.75 + 0.75 = 1.5 sits 50% above 1 and 50% below 3.
     dec = phase_points([3.0, 1.0, 0.75, 0.5])
-    got = assert_matches_the_scan(dec, 3, 0.6, "relative")
+    got = assert_matches_the_scan(dec, 3, 0.6)
     assert (2, 2) in [c for c, _, _ in rows(got)]
     assert {c: t for c, t, _ in rows(got)}[(2, 2)] == 1
-    # Absolute mode: 0.5 + 0.75 = 1.25 sits 0.25 from 1 and from 1.5.
-    dec = phase_points([1.5, 1.0, 0.75, 0.5])
-    got = assert_matches_the_scan(dec, 3, 0.3, "absolute")
-    assert {c: t for c, t, _ in rows(got)}[(2, 3)] == 1
 
 
 def test_equal_phases_from_distinct_energies():
@@ -393,9 +385,8 @@ def test_equal_phases_from_distinct_energies():
     dec = attach_phases(Spectrum([energy, twin, *others], 0.5, 0.02), PARAMS)
     assert len(set(dec.energy_gev.tolist())) == len(dec)
     assert len(set(dec.psi.tolist())) == len(dec) - 1
-    for mode, tol in (("relative", 0.01), ("absolute", 0.01)):
-        for n in (3, 4):
-            assert_matches_the_scan(dec, n, tol, mode)
+    for n in (3, 4):
+        assert_matches_the_scan(dec, n, 0.01)
 
 
 @pytest.mark.parametrize("block_rows", [1, 2, 7, 64, 4096])
@@ -409,7 +400,7 @@ def test_selection_does_not_depend_on_the_block_size(monkeypatch, block_rows):
     assert all(len(found) > 0 for found in default.values())
     monkeypatch.setattr(selection, "SELECT_BLOCK_ROWS", block_rows)
     for n in (3, 4, 5):
-        assert assert_matches_the_scan(dec, n, 0.02, "relative") == default[n]
+        assert assert_matches_the_scan(dec, n, 0.02) == default[n]
 
 
 def test_selection_memory_is_one_block_plus_the_output():
@@ -481,13 +472,13 @@ def test_the_tuple_budget_counts_an_orders_own_bytes(monkeypatch):
     for n, measured in MEASURED_TUPLE_BYTES.items():
         assert selection.tuple_bytes(n) >= 1.1 * measured
     points = attach_phases(generate_synthetic(PARAMS, "quantum", 16, 0.5, 50.0, 0.05, seed=3), PARAMS)
-    selected = {n: select_ntuples(points, n, 0.02, mismatch_mode="absolute") for n in (3, 4, 5)}
+    selected = {n: select_ntuples(points, n, 0.02) for n in (3, 4, 5)}
     for n, found in selected.items():
         assert len(found) > 1
         # Exactly the count's bytes at this order admit it; a byte less does not.
         budget = len(found) * selection.tuple_bytes(n)
         monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget)
-        assert select_ntuples(points, n, 0.02, mismatch_mode="absolute") == found
+        assert select_ntuples(points, n, 0.02) == found
         monkeypatch.setattr(selection, "SELECT_BUDGET_BYTES", budget - 1)
         with pytest.raises(DomainError, match=f"at {selection.tuple_bytes(n)} a tuple"):
-            select_ntuples(points, n, 0.02, mismatch_mode="absolute")
+            select_ntuples(points, n, 0.02)
