@@ -9,7 +9,8 @@ file it wrote, `<sha>  <run> <file>` by relative path. The grid:
 - simulate of each spectrum of the minos pool (30 bins, quantum and
   classical_flat, generator seeds 0-31) and of the fine pool (100 bins,
   quantum, seeds 0-15), as the benchmark's workloads draw them;
-- triples of each spectrum at orders 3 and 4;
+- triples of each spectrum at orders 3 and 4, which writes tuples.csv and
+  points.csv, the bytes of analyze's without --fit-curve;
 - analyze of each spectrum at orders 3 and 4, with 100000 replicas on the
   minos pool and 1000 on the fine pool, and at order 3 with --fit-curve, so
   a curve.csv with its fitted column is hashed too;

@@ -1,13 +1,15 @@
 """Command line front end.
 
 Four subcommands: curve (model survival table), simulate (synthetic
-spectrum), triples (tuple selection only), analyze (full significance run).
-Settings merge in fixed precedence: package defaults, then the JSON config
-file named by --config, then explicit flags. No environment variable is read.
+spectrum), triples (tuple selection only: analyze's tuples.csv and
+points.csv), analyze (full significance run). Settings merge in fixed
+precedence: package defaults, then the JSON config file named by --config,
+then explicit flags. No environment variable is read.
 
 Exit codes: 0 success, 2 unusable input data, 3 bad configuration or
-out-of-domain argument (a selection past the tuple budget among them), 4
-analysis ran but no tuples satisfied the sum rule.
+out-of-domain argument (an unknown flag or subcommand, a flag value of the
+wrong type and a selection past the tuple budget among them), 4 analysis
+ran but no tuples satisfied the sum rule.
 """
 
 from __future__ import annotations
@@ -31,6 +33,16 @@ EXIT_OK = 0
 EXIT_DATA = 2
 EXIT_DOMAIN = 3
 EXIT_NO_TUPLES = 4
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_DOMAIN, as a bad setting in a config file
+    does; the subcommands' parsers take this class too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_DOMAIN, f"{self.prog}: error: {message}\n")
+
 
 def _load_json_object(source: str) -> dict:
     """Parse inline JSON (starts with '{') or a JSON file path."""
@@ -141,8 +153,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_triples(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if config.data is None:
-        raise DomainError("triples requires a dataset: pass --data")
     table = run_triples(config)
     if not len(table):
         print(
@@ -160,8 +170,6 @@ def cmd_triples(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config = _build_config(args)
-    if config.data is None:
-        raise DomainError("analyze requires a dataset: pass --data")
     # The null refuses it too, but only after selection has run.
     check_budget("replicas", config.pseudo.replicas, REPLICA_BYTES)
     report = run_analysis(config)
@@ -223,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="permit orders above 4",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nulgi",
         description=(
             "Macrorealistic bound tests on two-flavor neutrino survival spectra."

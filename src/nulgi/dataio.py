@@ -229,17 +229,17 @@ def _cell_text(arrays: dict) -> dict:
 class _RowWriter:
     """The CSV text of emit_report: a header, then the rows chunk by chunk.
 
-    A row is the named columns joined by ',', with the entries of a list
+    A row is the table's columns joined by ',', with the entries of a list
     cell joined by ';'.
     """
 
-    def __init__(self, table: TupleTable, names: Sequence[str]) -> None:
-        self.head = ",".join(names) + "\n"
+    def __init__(self, table: TupleTable) -> None:
+        self.head = ",".join(table.columns) + "\n"
         # One row's literals, with a None in each cell's slot: slots[i] is
         # where the cells of keys[i], a (column, list entry or None), go.
         self.row, self.slots, self.keys = [], [], []
-        for i, name in enumerate(names):
-            shape = table.columns[name].shape
+        for i, (name, column) in enumerate(table.columns.items()):
+            shape = column.shape
             parts = range(shape[1]) if len(shape) == 2 else (None,)
             for j in parts:
                 if i or j:
@@ -340,16 +340,15 @@ def staged(paths: Sequence):
         os.replace(temp, path)
 
 
-def emit_report(table: TupleTable, out, names: Optional[Sequence[str]] = None) -> None:
-    """Write a CSV table of a table's columns in one checked pass.
+def emit_report(table: TupleTable, out) -> None:
+    """Write every column of a table, in order, as CSV in one checked pass.
 
-    names are the columns written, all of the table's by default: a header
-    of the names, then one line per row, its cells joined by ','. A float
-    cell is its repr, an int cell its digits, a flag 0 or 1, and the
-    entries of a list cell (a 2-D column) are joined by ';'. out is an
-    open text stream, written to and left open, or a path, opened and
-    written in place; a caller that needs its files whole or absent hands
-    in the files of staged, as run_analysis does.
+    A header of the column names, then one line per row, its cells joined
+    by ','. A float cell is its repr, an int cell its digits, a flag 0 or
+    1, and the entries of a list cell (a 2-D column) are joined by ';'.
+    out is an open text stream, written to and left open, or a path,
+    opened and written in place; a caller that needs its files whole or
+    absent hands in the files of staged, as pipeline's runs do.
 
     The table is written in chunks of CHUNK_ROWS rows (chunk_rows), and a
     ComputedColumn is made once per chunk, so no pass holds a whole float
@@ -368,7 +367,7 @@ def emit_report(table: TupleTable, out, names: Optional[Sequence[str]] = None) -
     the chunks before it already written, and a PointColumn's points count
     whether or not a row reads them.
     """
-    writer = _RowWriter(table, tuple(table.columns) if names is None else names)
+    writer = _RowWriter(table)
     with ExitStack() as stack:
         if not hasattr(out, "write"):
             out = stack.enter_context(Path(out).open("w", encoding="utf-8"))

@@ -191,7 +191,13 @@ def _k_from_survival(comp_probs: list, target_probs: np.ndarray) -> np.ndarray:
 def tuple_table(tuples: TupleSet, points: Spectrum, model_params: OscParams) -> TupleTable:
     """Every per-tuple column of an analysis, made a chunk of rows at a time.
 
-    The index columns and n are gathers (PointColumn). The others are
+    The table is tuples.csv, column for column, as analyze and triples
+    write it: an index list is joined by ';' and a violation is 0 or 1.
+    It holds no per-run or per-point value: a row's order n is its
+    component count plus one (report.json's config.order), and a point's
+    energy and phase are in points.csv (point_columns), once per point.
+
+    The index columns are gathers (PointColumn). The others are
     ComputedColumns of one chunk function, which computes all
     of them for a slice of rows and keeps its last result; a pass over the
     table in dataio.chunk_rows slices holds one chunk of them, never a
@@ -253,7 +259,6 @@ def tuple_table(tuples: TupleSet, points: Spectrum, model_params: OscParams) -> 
     return TupleTable({
         "component_indices": PointColumn(point_ids, comp),
         "target_index": PointColumn(point_ids, target),
-        "n": PointColumn(np.array([n]), np.broadcast_to(np.intp(0), target.shape)),
         "mismatch": tuples.mismatch,
         "phase_sum": computed("phase_sum", float),
         "k_value": computed("k_value", float),
@@ -279,24 +284,10 @@ def violation_count(table: TupleTable) -> int:
     return sum(int(np.count_nonzero(flags)) for flags, in table_chunks(table, ("violation",)))
 
 
-# Tuple tables, each a projection of the columns tuple_table builds:
-# analyze's tuples.csv and the tuples.csv of triples. An index list is
-# joined by ';' and a violation is 0 or 1. analyze's table leaves out n,
-# which report.json's config.order holds, and the points' values, which
-# points.csv holds once per point.
-TUPLE_COLUMNS = (
-    "component_indices", "target_index", "mismatch", "phase_sum", "k_value",
-    "k_sigma", "violation", "k_classical_data", "k_quantum_model",
-)
-TRIPLES_COLUMNS = (
-    "component_indices", "target_index", "n", "mismatch", "phase_sum",
-    "k_value", "violation",
-)
-
-
 def point_columns(points: Spectrum) -> TupleTable:
-    """analyze's points.csv: each point of the sorted spectrum that the
-    tuples' indices refer to, by its index, with its energy and its phase."""
+    """points.csv, of analyze and triples: each point of the sorted
+    spectrum that the tuples' indices refer to, by its index, with its
+    energy and its phase."""
     return TupleTable({
         "index": np.arange(len(points)), "energy_gev": points.energy_gev, "psi": points.psi,
     })
@@ -337,6 +328,26 @@ def exact_null_law(
     return order3_count_law(points, tuples)
 
 
+def _dataset(config: RunConfig) -> Spectrum:
+    """The configured dataset, parsed; a config without one raises DomainError."""
+    if config.data is None:
+        raise DomainError("no dataset: set data in the config or pass --data")
+    return parse_dataset(config.data)
+
+
+def _tuples(
+    points: Spectrum, config: RunConfig, fit: bool
+) -> tuple[Spectrum, TupleSet, TupleTable, Optional[OscParams]]:
+    """The front half of analyze and triples: the spectrum with its phases
+    attached, its tuples, their tuple_table and, where fit is set and a
+    tuple was kept, the fitted model that the table's model K then uses."""
+    decorated = attach_phases(points, config.params)
+    tuples = select_ntuples(decorated, config.order, config.tolerance)
+    fitted = fit_curve_params(decorated, config.params) if fit and tuples else None
+    table = tuple_table(tuples, decorated, config.params if fitted is None else fitted)
+    return decorated, tuples, table, fitted
+
+
 def _analyze(
     points: Spectrum, config: RunConfig
 ) -> tuple[SignificanceReport, Spectrum, TupleTable, np.ndarray, Optional[np.ndarray]]:
@@ -344,11 +355,9 @@ def _analyze(
     phases attached, its tuple table, the raw null counts (none where no
     tuple was kept) and the exact null law the counts were drawn from
     (None where the Monte Carlo null ran or no tuple was kept)."""
-    decorated = attach_phases(points, config.params)
-    tuples = select_ntuples(decorated, config.order, config.tolerance)
+    decorated, tuples, table, fitted = _tuples(points, config, config.fit_curve)
 
     if not tuples:
-        table = tuple_table(tuples, decorated, config.params)
         report = SignificanceReport(
             n_tuples=0,
             n_violations_observed=None,
@@ -363,13 +372,6 @@ def _analyze(
         return report, decorated, table, np.zeros(0, dtype=np.int64), None
 
     report_warnings: list[str] = []
-    fitted = None
-    model_params = config.params
-    if config.fit_curve:
-        fitted = fit_curve_params(decorated, config.params)
-        model_params = fitted
-
-    table = tuple_table(tuples, decorated, model_params)
     # One pass over the table's chunks counts the violations and sums the
     # chi-square, which reads every chunk before it raises. Only the
     # chi-square's own faults skip it: a fault of the table (a classical K
@@ -449,34 +451,18 @@ def analyze_dataset(
     return report, table, law
 
 
-def _write_artifacts(
-    report: SignificanceReport,
-    table: TupleTable,
-    points: Spectrum,
-    config: RunConfig,
-    counts: np.ndarray,
-) -> None:
+def _write_artifacts(out_dir: Path, files: dict) -> None:
     """Write a run's files together (dataio.staged): each under a temporary
     name in out_dir, and onto its own name only once all of them are whole.
-    points is the spectrum with its phases attached. Every file is written
-    on every run, header-only where it has no rows, so none is left from an
-    earlier run."""
-    lo, hi = points.energy_gev[[0, -1]].tolist()
-    fitted = report.config.get("fitted_params")
-    tables = {
-        "tuples.csv": TupleTable({name: table.columns[name] for name in TUPLE_COLUMNS}),
-        "points.csv": point_columns(points),
-        "curve.csv": curve_columns(
-            config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
-        ),
-        "null_counts.csv": null_count_columns(counts),
-    }
-    out = Path(config.out_dir)
+    files maps each name to its report (write_report) or table
+    (emit_report). Every file is written on every run, header-only where
+    it has no rows, so none is left from an earlier run."""
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with staged([out / "report.json"] + [out / name for name in tables]) as (report_file, *files):
-        write_report(report, report_file)
-        for file, written in zip(files, tables.values()):
-            emit_report(written, file)
+    with staged([out / name for name in files]) as opened:
+        for file, content in zip(opened, files.values()):
+            write = write_report if isinstance(content, SignificanceReport) else emit_report
+            write(content, file)
 
 
 def null_count_columns(counts: np.ndarray) -> TupleTable:
@@ -503,28 +489,32 @@ def run_analysis(config: RunConfig) -> SignificanceReport:
     the dataset file's SHA-256. Identical datasets and configs produce
     byte-identical artifacts.
     """
-    if config.data is None:
-        raise DomainError("analysis requires a dataset path")
-    points = parse_dataset(config.data)
-    report, points, table, counts, _ = _analyze(points, config)
+    report, points, table, counts, _ = _analyze(_dataset(config), config)
     report.data_sha256 = hashlib.sha256(Path(config.data).read_bytes()).hexdigest()
-    _write_artifacts(report, table, points, config, counts)
+    lo, hi = points.energy_gev[[0, -1]].tolist()
+    fitted = report.config.get("fitted_params")
+    _write_artifacts(config.out_dir, {
+        "report.json": report,
+        "tuples.csv": table,
+        "points.csv": point_columns(points),
+        "curve.csv": curve_columns(
+            config.params, lo, hi, fitted=None if fitted is None else OscParams(**fitted)
+        ),
+        "null_counts.csv": null_count_columns(counts),
+    })
     return report
 
 
 def run_triples(config: RunConfig) -> TupleTable:
-    """Parse the configured dataset, select its tuples and write tuples.csv.
+    """Parse the configured dataset, select its tuples and write tuples.csv
+    and points.csv.
 
-    Returns the same table analyze reports, with the model K taken from
-    config.params. Writes a header-only tuples.csv when no tuple is
-    selected, so none is left from an earlier run.
+    The two files are those analyze writes without fit_curve, byte for
+    byte: the same front half (_tuples, with the model K from
+    config.params) and the same staged, checked writer, so a fault leaves
+    no partial file and an earlier run's files as they were. tuples.csv
+    is header-only where no tuple is selected. Returns the tuple table.
     """
-    if config.data is None:
-        raise DomainError("tuple selection requires a dataset path")
-    points = attach_phases(parse_dataset(config.data), config.params)
-    tuples = select_ntuples(points, config.order, config.tolerance)
-    table = tuple_table(tuples, points, config.params)
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_report(table, out / "tuples.csv", TRIPLES_COLUMNS)
+    points, _, table, _ = _tuples(_dataset(config), config, fit=False)
+    _write_artifacts(config.out_dir, {"tuples.csv": table, "points.csv": point_columns(points)})
     return table

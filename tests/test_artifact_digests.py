@@ -31,7 +31,7 @@ def test_each_output_prints_one_stable_digest(capsys, monkeypatch):
     for name in ("minos-quantum-00", "fine-quantum-00"):
         runs.append((f"simulate {name}", ["spectrum.csv"]))
         for order in (3, 4):
-            runs.append((f"triples {name} n{order}", ["out/tuples.csv"]))
+            runs.append((f"triples {name} n{order}", ["out/points.csv", "out/tuples.csv"]))
             runs.append((f"analyze {name} n{order}", [f"out/{f}" for f in ANALYZE_FILES]))
             if order == 3:
                 runs.append((f"analyze {name} n3 fit-curve", [f"out/{f}" for f in ANALYZE_FILES]))
@@ -51,6 +51,12 @@ def test_each_output_prints_one_stable_digest(capsys, monkeypatch):
     for fit in fits:
         plain = fit.removesuffix(" fit-curve")
         assert by_label[f"{fit} out/curve.csv"] != by_label[f"{plain} out/curve.csv"]
+    # triples writes the tuples.csv and points.csv of analyze without --fit-curve.
+    for name in ("minos-quantum-00", "fine-quantum-00"):
+        for order in (3, 4):
+            for f in ("out/points.csv", "out/tuples.csv"):
+                triples = by_label[f"triples {name} n{order} {f}"]
+                assert triples == by_label[f"analyze {name} n{order} {f}"]
     # A second pass over the same grid prints the same lines.
     assert digest_lines(capsys) == lines
 

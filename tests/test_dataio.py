@@ -25,18 +25,12 @@ from nulgi.errors import DataError, DomainError
 from nulgi.floattext import float_text
 from nulgi.montecarlo import BetaBinomialFit, PseudoConfig, SignificanceReport
 from nulgi.oscillation import OscParams, accumulated_phase
-from nulgi.pipeline import (
-    TRIPLES_COLUMNS,
-    TUPLE_COLUMNS,
-    RunConfig,
-    analyze_dataset,
-    tuple_table,
-)
+from nulgi.pipeline import RunConfig, analyze_dataset, tuple_table
 from nulgi.selection import SPECTRUM_COLUMNS, Spectrum, attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
 import oracles
-from table_columns import whole_column
+from table_columns import TUPLE_COLUMNS, projected, whole_column
 
 POINTS = Spectrum(
     energy_gev=[1.8332, 2.25, 0.7071067811865476],
@@ -317,7 +311,7 @@ def test_table_csv_keeps_float_precision(tmp_path):
     # A float64 cell's repr is np.float64(...): it must still be written as
     # a plain number, at full precision.
     table = TupleTable({"x": np.array([0.1 + 0.2, 1.0 / 3.0]), "n": np.array([3, 4])})
-    emit_report(table, path, ("x", "n"))
+    emit_report(table, path)
     text = path.read_text()
     assert text == "x,n\n0.30000000000000004,3\n0.3333333333333333,4\n"
     assert "np." not in text
@@ -446,9 +440,9 @@ def csv_oracle(table, columns) -> bytes:
     return oracles.csv_text(columns, rows).encode("utf-8")
 
 
-# analyze's and triples' tuple tables, and the float gathers of with_phases.
+# The tuple table of analyze and triples, and the float gathers of with_phases.
 TABLES = {
-    "tuples.csv": TUPLE_COLUMNS, "triples.csv": TRIPLES_COLUMNS,
+    "tuples.csv": TUPLE_COLUMNS,
     "phases.csv": ("component_indices", "component_phases", "target_psi"),
 }
 
@@ -458,7 +452,7 @@ def emit_tables(table, out) -> None:
     together as analyze puts its files."""
     with staged([out / name for name in TABLES]) as files:
         for file, columns in zip(files, TABLES.values()):
-            emit_report(table, file, columns)
+            emit_report(projected(table, columns), file)
 
 
 def write_tables(table, out) -> dict:

@@ -8,7 +8,9 @@ to `triples` at order 4: the scale at which selection, the K columns and the
 writers handle tens of thousands of tuples. The SHA-256 of every file the
 runs write, and of each run's stdout and stderr, must match the digests
 below. Refactors of the writers and serializers are checked against them: a
-change that moves a single byte of any artifact fails here.
+change that moves a single byte of any artifact fails here. `triples` writes
+the tuples.csv and points.csv of `analyze` without --fit-curve, so its
+digests repeat analyze's where the two runs share a spectrum and an order.
 
 The digests were recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1
 on x86-64 Linux. Other library versions can move the last bits of a
@@ -34,6 +36,7 @@ VERSIONS = "Python 3.11.7, numpy 2.4.6, scipy 1.17.1"
 ANALYZE_ARTIFACTS = (
     "report.json", "tuples.csv", "points.csv", "null_counts.csv", "curve.csv"
 )
+TRIPLES_ARTIFACTS = ("tuples.csv", "points.csv")
 
 # (label and output directory, subcommand and its flags, files written);
 # every run also gets --params and --data.
@@ -42,13 +45,13 @@ RUNS_30 = (
                     "--out-dir", "analyze-n3"], ANALYZE_ARTIFACTS),
     ("analyze-n4-fit", ["analyze", "--order", "4", "--replicas", "2000", "--seed", "0",
                         "--fit-curve", "--out-dir", "analyze-n4-fit"], ANALYZE_ARTIFACTS),
-    ("triples-n3", ["triples", "--order", "3", "--out-dir", "triples-n3"], ("tuples.csv",)),
-    ("triples-n4", ["triples", "--order", "4", "--out-dir", "triples-n4"], ("tuples.csv",)),
+    ("triples-n3", ["triples", "--order", "3", "--out-dir", "triples-n3"], TRIPLES_ARTIFACTS),
+    ("triples-n4", ["triples", "--order", "4", "--out-dir", "triples-n4"], TRIPLES_ARTIFACTS),
 )
 RUNS_100 = (
     ("analyze-n4-fit", ["analyze", "--order", "4", "--replicas", "200", "--seed", "0",
                         "--fit-curve", "--out-dir", "analyze-n4-fit"], ANALYZE_ARTIFACTS),
-    ("triples-n4", ["triples", "--order", "4", "--out-dir", "triples-n4"], ("tuples.csv",)),
+    ("triples-n4", ["triples", "--order", "4", "--out-dir", "triples-n4"], TRIPLES_ARTIFACTS),
 )
 
 EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -71,10 +74,12 @@ DIGESTS = {
     "analyze-n4-fit/curve.csv": "5cff5aee2e4170678dcea835ae53c0f879eca33bcc769ca3a16cb8e88b32587c",
     "triples-n3/stdout": "1a69c62b4ff566d341a225a8301de9bbaa4fa8ae285293e215f055bef38ab074",
     "triples-n3/stderr": EMPTY,
-    "triples-n3/tuples.csv": "68e2bc6c0624f14480777e78ec01c49989d455248af1ef95a2ef979e6bb96b41",
+    "triples-n3/tuples.csv": "bf1362605f4b846873558938efd52b6607b042f7be7d5fa7548557df45cad684",
+    "triples-n3/points.csv": "eacc5cd0bb5af00513a9186b0a1e7292beaa88072de7208216757b2ab08cc953",
     "triples-n4/stdout": "0b1bc0efe56f9095462c717378af6231e34fdec9bb05c9b4c87121c99cd305fe",
     "triples-n4/stderr": EMPTY,
-    "triples-n4/tuples.csv": "714fe095d4c98d5535359d84c2613390febab79a91384aae48c70dedd7ceb35a",
+    "triples-n4/tuples.csv": "fd8766beb64ded816e708cf1ce795195715707ad0749dfc9db08958f3e3cae3a",
+    "triples-n4/points.csv": "eacc5cd0bb5af00513a9186b0a1e7292beaa88072de7208216757b2ab08cc953",
 }
 
 DIGESTS_100 = {
@@ -88,7 +93,8 @@ DIGESTS_100 = {
     "analyze-n4-fit/curve.csv": "a0255ffdc1a7420a2b406744b617e3a6ec518704273d152efc99879763d2c7b6",
     "triples-n4/stdout": "eea0253515b3713fdb35672293df8d909b9863fd10d251d3361e64296a77c865",
     "triples-n4/stderr": EMPTY,
-    "triples-n4/tuples.csv": "091758ee213171355c7a4f2acbaf7d42aafcafe6a285d14d50690c906a86fa60",
+    "triples-n4/tuples.csv": "88ef88ae8f06116c3cd818d179d9cdfeb919e1a00a5bbda52019ab4a9660047f",
+    "triples-n4/points.csv": "92b0f2f5d3b705d82fbe721700cd4a2078f0dac908dc09068b1040f9d470012e",
 }
 
 # (label, subcommand and its flags, file written); every run also gets --params.

@@ -39,11 +39,13 @@ from nulgi.pipeline import (
     fit_curve_params,
     null_count_columns,
     run_analysis,
+    run_triples,
 )
 from nulgi.selection import Spectrum
 from nulgi.synthetic import generate_synthetic
 
 import oracles
+from table_columns import TUPLE_COLUMNS
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 PARAMS_JSON = '{"dm2": 2.4e-3, "sin2_2theta": 0.95, "baseline_km": 735.0}'
@@ -160,7 +162,9 @@ def test_triples_without_tuples_leaves_no_table_of_an_earlier_run(tmp_path):
     assert main(base + ["--data", str(synthetic_csv(tmp_path))]) == EXIT_OK
     assert len((out / "tuples.csv").read_text().splitlines()) > 1
     assert main(base + ["--data", str(no_tuple_csv(tmp_path))]) == EXIT_NO_TUPLES
-    assert (out / "tuples.csv").read_text() == ",".join(pipeline.TRIPLES_COLUMNS) + "\n"
+    assert sorted(p.name for p in out.iterdir()) == ["points.csv", "tuples.csv"]
+    assert (out / "tuples.csv").read_text() == ",".join(TUPLE_COLUMNS) + "\n"
+    assert len((out / "points.csv").read_text().splitlines()) == 4
 
 
 def test_analyze_needs_enough_points():
@@ -170,8 +174,17 @@ def test_analyze_needs_enough_points():
 
 
 def test_run_analysis_requires_a_dataset():
-    with pytest.raises(DomainError, match="dataset"):
-        run_analysis(RunConfig(params=PARAMS))
+    for run in (run_analysis, run_triples):
+        with pytest.raises(DomainError, match="no dataset: set data in the config or pass --data"):
+            run(RunConfig(params=PARAMS))
+
+
+@pytest.mark.parametrize("command", ["analyze", "triples"])
+def test_a_command_without_a_dataset_says_so_once(capsys, command):
+    assert main([command, "--params", PARAMS_JSON]) == EXIT_DOMAIN
+    assert capsys.readouterr().err == (
+        "config error: no dataset: set data in the config or pass --data\n"
+    )
 
 
 def test_run_config_validation():
@@ -441,6 +454,10 @@ FORMER_TRIPLES = {
     3: "68e2bc6c0624f14480777e78ec01c49989d455248af1ef95a2ef979e6bb96b41",
     4: "714fe095d4c98d5535359d84c2613390febab79a91384aae48c70dedd7ceb35a",
 }
+FORMER_TRIPLES_COLUMNS = (
+    "component_indices", "target_index", "n", "mismatch", "phase_sum",
+    "k_value", "violation",
+)
 FORMER_TUPLE_COLUMNS = (
     "component_indices", "target_index", "n", "mismatch", "component_phases",
     "phase_sum", "target_psi", "k_value", "k_sigma", "violation",
@@ -458,9 +475,10 @@ def csv_bytes(columns, rows) -> bytes:
 
 @pytest.mark.parametrize("run", sorted(FORMER_TABLES))
 def test_the_former_tuple_tables_rebuild_from_tuples_and_points(tmp_path, run):
-    # Every cell of the former tuples.csv, k_vs_phase.csv and triples'
-    # tuples.csv is text of analyze's new files: a row's cells, n from
-    # report.json, and each point's phase from points.csv by index.
+    # Every cell of the former tuples.csv and k_vs_phase.csv is text of
+    # analyze's files: a row's cells, n from report.json, and each point's
+    # phase from points.csv by index. Every cell of triples' former
+    # tuples.csv is text of triples' tuples.csv, n the component count + 1.
     order, fit = int(run[1]), run.endswith("fit")
     data = tmp_path / "spectrum.csv"
     write_dataset_csv(generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, seed=0), data)
@@ -476,7 +494,7 @@ def test_the_former_tuple_tables_rebuild_from_tuples_and_points(tmp_path, run):
     assert [row["index"] for row in points] == [str(i) for i in range(30)]
     psi = [row["psi"] for row in points]
     rows = read_table(tmp_path / "ana" / "tuples.csv")
-    assert list(rows[0]) == list(pipeline.TUPLE_COLUMNS)
+    assert list(rows[0]) == list(TUPLE_COLUMNS)
     assert len(rows) == report["n_tuples"] > 1
     for row in rows:
         row["n"] = str(report["config"]["order"])
@@ -489,10 +507,19 @@ def test_the_former_tuple_tables_rebuild_from_tuples_and_points(tmp_path, run):
         for columns in (FORMER_TUPLE_COLUMNS, FORMER_K_VS_PHASE_COLUMNS)
     ]
     assert [hashlib.sha256(table).hexdigest() for table in rebuilt] == list(FORMER_TABLES[run])
+    # triples writes the tuples.csv and points.csv of analyze without --fit-curve.
+    tri, ana = tmp_path / "tri", tmp_path / "ana"
+    assert sorted(p.name for p in tri.iterdir()) == ["points.csv", "tuples.csv"]
+    assert (tri / "points.csv").read_bytes() == (ana / "points.csv").read_bytes()
+    if not fit:
+        assert (tri / "tuples.csv").read_bytes() == (ana / "tuples.csv").read_bytes()
+    rows = read_table(tri / "tuples.csv")
+    assert list(rows[0]) == list(TUPLE_COLUMNS)
+    for row in rows:
+        row["n"] = str(len(row["component_indices"].split(";")) + 1)
     triples = csv_bytes(
-        pipeline.TRIPLES_COLUMNS, [[row[c] for c in pipeline.TRIPLES_COLUMNS] for row in rows]
+        FORMER_TRIPLES_COLUMNS, [[row[c] for c in FORMER_TRIPLES_COLUMNS] for row in rows]
     )
-    assert triples == (tmp_path / "tri" / "tuples.csv").read_bytes()
     assert hashlib.sha256(triples).hexdigest() == FORMER_TRIPLES[order]
 
 
@@ -966,6 +993,31 @@ def test_a_width_alone_draws_the_nuisances(tmp_path, monkeypatch):
     assert len(calls) == 1 and calls[0][2].draws_systematics
     digest = hashlib.sha256((out / "null_counts.csv").read_bytes()).hexdigest()
     assert digest == WIDTH_ONLY_NULL_COUNTS
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--params", PARAMS_JSON, "--systematics"],
+     "nulgi: error: unrecognized arguments: --systematics\n"),
+    (["analyze", "--order", "x"], "nulgi analyze: error: argument --order: invalid int value: 'x'\n"),
+    (["frob"], "nulgi: error: argument command: invalid choice: 'frob'"),
+], ids=["unknown-flag", "bad-int", "unknown-command"])
+def test_a_usage_error_exits_as_a_bad_setting(capsys, argv, message):
+    # The same bad setting in a config file is a config error: exit 3, not
+    # the 2 of unusable input data. argparse still prints its usage.
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: nulgi")
+    assert message in captured.err
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["triples", "--help"])
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: nulgi triples")
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -1,4 +1,5 @@
-"""analyze writes its artifacts whole or not at all, in one checked pass.
+"""analyze and triples write their artifacts whole or not at all, in one
+checked pass.
 
 Every file of a run is written under a temporary name in its out dir
 (dataio.staged) and put onto its artifact name only once all of them are
@@ -23,8 +24,10 @@ from nulgi.dataio import staging_path, write_dataset_csv
 from nulgi.errors import DomainError
 from nulgi.montecarlo import PseudoConfig
 from nulgi.oscillation import OscParams
-from nulgi.pipeline import RunConfig, run_analysis
+from nulgi.pipeline import RunConfig, run_analysis, run_triples
 from nulgi.synthetic import generate_synthetic
+
+from table_columns import TUPLE_COLUMNS
 
 PARAMS = OscParams(dm2=2.4e-3, sin2_2theta=0.95, baseline_km=735.0)
 ARTIFACTS = ("report.json", "tuples.csv", "points.csv", "curve.csv", "null_counts.csv")
@@ -73,6 +76,23 @@ def test_a_non_finite_computed_cell_leaves_no_artifact(tmp_path, monkeypatch, ea
     monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
     with np.errstate(over="ignore"), pytest.raises(DomainError, match="'k_sigma'"):
         run_analysis(config(data, out))
+    assert_left_as(out, written)
+
+
+@pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier"])
+def test_a_triples_run_with_a_non_finite_cell_leaves_no_file(tmp_path, monkeypatch, earlier):
+    # triples writes analyze's tuples.csv, k_sigma and all, through the same
+    # staged writer: the 1e200 sd that stops an analysis stops it too, and
+    # an earlier run's two files keep their bytes.
+    out, written = tmp_path / "tri", {}
+    if earlier:
+        run_triples(config(spectrum_csv(tmp_path), out))
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert sorted(written) == ["points.csv", "tuples.csv"]
+    data = spectrum_csv(tmp_path, first_sigma=1e200)
+    monkeypatch.setattr(dataio, "CHUNK_ROWS", 1)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="'k_sigma'"):
+        run_triples(config(data, out))
     assert_left_as(out, written)
 
 
@@ -131,7 +151,7 @@ def test_a_run_killed_mid_write_leaves_no_partial_file(tmp_path):
     # The kill came mid-write: the tuple table's first chunk is on disk
     # under its staging name, and every artifact name keeps its old bytes.
     partial = staging_path(out / "tuples.csv").read_text().splitlines()
-    assert partial[0] == ",".join(pipeline.TUPLE_COLUMNS) and len(partial) == 8
+    assert partial[0] == ",".join(TUPLE_COLUMNS) and len(partial) == 8
     assert {name: (out / name).read_bytes() for name in ARTIFACTS} == written
     # The next run truncates the staging files and leaves none behind.
     run_analysis(config(spectrum_csv(tmp_path), out, order=3))

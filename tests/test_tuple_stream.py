@@ -20,7 +20,7 @@ from nulgi.dataio import emit_report, write_dataset_csv
 from nulgi.floattext import float_text
 from nulgi.montecarlo import chi_square_quantum
 from nulgi.oscillation import OscParams
-from nulgi.pipeline import K_COLUMNS, TUPLE_COLUMNS, table_chunks, tuple_table
+from nulgi.pipeline import K_COLUMNS, table_chunks, tuple_table
 from nulgi.selection import attach_phases, select_ntuples
 from nulgi.synthetic import generate_synthetic
 
@@ -51,7 +51,7 @@ def test_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, orde
     data = tmp_path / "spectrum.csv"
     write_dataset_csv(generate_synthetic(PARAMS, "quantum", 30, 0.5, 50.0, 0.05, 2), data)
     digests, report = run_digests(monkeypatch, tmp_path / "default", data, order)
-    assert len(digests) == 6
+    assert len(digests) == 7
     tuples = report["n_tuples"]
     assert tuples > (10 if order == 3 else 200)
     assert report["n_violations_observed"] > 0 and report["chi2_quantum"] > 0.0
@@ -66,9 +66,9 @@ def test_artifacts_do_not_depend_on_the_chunk_length(tmp_path, monkeypatch, orde
 def test_no_pass_over_the_table_holds_a_whole_float_column(tmp_path, monkeypatch):
     # The 29 560 order-4 tuples of a 100-bin spectrum: one float column is
     # 236 480 bytes. At 64 rows a chunk, building the table, counting its
-    # violations, summing its chi-square and writing analyze's two tuple
-    # tables each hold far less above what they start from, as long as no
-    # column is ever whole.
+    # violations, summing its chi-square and writing its tuples.csv each
+    # hold far less above what they start from, as long as no column is
+    # ever whole.
     points = attach_phases(
         generate_synthetic(PARAMS, "quantum", 100, 0.5, 50.0, 0.05, seed=0), PARAMS
     )
@@ -93,7 +93,7 @@ def test_no_pass_over_the_table_holds_a_whole_float_column(tmp_path, monkeypatch
             int(np.count_nonzero(flags)) for flags, in table_chunks(table, ("violation",))
         ))
         chi2, dof = traced("chi2", lambda: chi_square_quantum(table_chunks(table, K_COLUMNS)))
-        traced("write", lambda: emit_report(table, tmp_path / "tuples.csv", TUPLE_COLUMNS))
+        traced("write", lambda: emit_report(table, tmp_path / "tuples.csv"))
     finally:
         tracemalloc.stop()
     assert 0 < observed < len(tuples) and dof == len(tuples) - 1 and chi2 > 0.0
